@@ -110,6 +110,12 @@ let time_once f =
   ignore (Sys.opaque_identity (f ()));
   (Unix.gettimeofday () -. t0) *. 1000.
 
+(* Nearest-rank percentile of an ascending latency list; [p = 1.0] is the
+   maximum. *)
+let pct sorted p =
+  let n = List.length sorted in
+  List.nth sorted (min (n - 1) (int_of_float (p *. float_of_int n)))
+
 (* ---------------- machine-readable results ---------------- *)
 (* JSON rendering is shared with the metrics exporter (Obs.Json), so
    BENCH_results.json and a live \metrics dump follow one schema. *)
@@ -220,10 +226,9 @@ let () =
         (Mvstore.Session.exec_sql sn
            (Printf.sprintf "CREATE SUMMARY TABLE %s AS %s" name sql)))
     Workload.Decision_support.summary_tables;
-  Printf.printf "%-24s %10s %10s %10s %10s %9s  %s\n" "query" "base(ms)"
-    "base-row" "plan(ms)" "exec(ms)" "speedup" "routed via";
+  Printf.printf "%-24s %10s %10s %10s %9s  %s\n" "query" "base(ms)"
+    "plan(ms)" "exec(ms)" "speedup" "routed via";
   let tot_base = ref 0.
-  and tot_base_row = ref 0.
   and tot_plan = ref 0.
   and tot_exec = ref 0. in
   let ws_db = Mvstore.Session.db sn in
@@ -234,12 +239,6 @@ let () =
     (fun (q : Workload.Decision_support.query) ->
       let g = build ws_cat q.dq_sql in
       let t_base = time_ms (fun () -> Engine.Exec.run ws_db g) in
-      (* the same base plan under the row interpreter: what the vectorized
-         executor buys on queries the rewriter does not touch *)
-      let t_base_row =
-        Engine.Exec.with_engine Engine.Exec.Row (fun () ->
-            time_ms (fun () -> Engine.Exec.run ws_db g))
-      in
       (* planning and execution measured separately: plan_ms is the live
          (warm-cache) routing cost, exec_ms the rewritten plan alone *)
       let plan () =
@@ -260,7 +259,6 @@ let () =
         | [] -> "(base tables)"
       in
       tot_base := !tot_base +. t_base;
-      tot_base_row := !tot_base_row +. t_base_row;
       tot_plan := !tot_plan +. t_plan;
       tot_exec := !tot_exec +. t_exec;
       workload_rows :=
@@ -270,96 +268,20 @@ let () =
               [
                 ("query", Json.Str q.dq_name);
                 ("base_ms", Json.Num t_base);
-                ("base_row_ms", Json.Num t_base_row);
                 ("plan_ms", Json.Num t_plan);
                 ("exec_ms", Json.Num t_exec);
                 ("rewritten_ms", Json.Num (t_plan +. t_exec));
                 ("routed_via", Json.Str routed);
               ];
           ];
-      Printf.printf "%-24s %10.1f %10.1f %10.3f %10.1f %8.1fx  %s\n" q.dq_name
-        t_base t_base_row t_plan t_exec
+      Printf.printf "%-24s %10.1f %10.3f %10.1f %8.1fx  %s\n" q.dq_name
+        t_base t_plan t_exec
         (t_base /. (t_plan +. t_exec))
         routed)
     Workload.Decision_support.queries;
-  Printf.printf "%-24s %10.1f %10.1f %10.3f %10.1f %8.1fx\n" "TOTAL" !tot_base
-    !tot_base_row !tot_plan !tot_exec
+  Printf.printf "%-24s %10.1f %10.3f %10.1f %8.1fx\n" "TOTAL" !tot_base
+    !tot_plan !tot_exec
     (!tot_base /. (!tot_plan +. !tot_exec));
-  print_newline ();
-
-  (* ---------------- PERF10: vectorized vs row interpreter ------------ *)
-  (* The executor claim: batch-at-a-time execution over typed columns
-     beats the row-at-a-time interpreter on the base-table runs that
-     dominate end-to-end time. Bag equality across the two engines is
-     checked at every scale; the 10x floor is asserted only at bench
-     scale (ASTRW_SCALE >= 10), where batches are large enough to
-     amortize the columnar decode. *)
-  Printf.printf "=== PERF10: vectorized executor vs row interpreter ===\n";
-  let vec_cases =
-    let fig2 =
-      List.find
-        (fun p -> p.p_case.Workload.Paper_queries.name = "fig2_q1")
-        prepared
-    in
-    let di =
-      List.find
-        (fun (q : Workload.Decision_support.query) ->
-          q.dq_name = "discount_impact")
-        Workload.Decision_support.queries
-    in
-    [
-      ("fig2_q1", fig2.p_db, fig2.p_query);
-      ("discount_impact", ws_db, build ws_cat di.dq_sql);
-    ]
-  in
-  Printf.printf "%-20s %12s %10s %9s %8s\n" "query" "vector(ms)" "row(ms)"
-    "speedup" "correct";
-  let floor_asserted = scale >= 10 in
-  let vec_rows =
-    List.map
-      (fun (name, db, g) ->
-        let under e = Engine.Exec.with_engine e (fun () -> Engine.Exec.run db g) in
-        let correct =
-          R.bag_equal_approx (under Engine.Exec.Vector) (under Engine.Exec.Row)
-        in
-        if not correct then incr fails;
-        let t_vec =
-          Engine.Exec.with_engine Engine.Exec.Vector (fun () ->
-              time_ms (fun () -> Engine.Exec.run db g))
-        in
-        let t_row =
-          Engine.Exec.with_engine Engine.Exec.Row (fun () ->
-              time_ms (fun () -> Engine.Exec.run db g))
-        in
-        let speedup = t_row /. t_vec in
-        if floor_asserted && speedup < 10. then begin
-          Printf.printf "PERF10 FAILURE: %s speedup %.1fx below the 10x floor\n"
-            name speedup;
-          incr fails
-        end;
-        Printf.printf "%-20s %12.2f %10.2f %8.1fx %8s\n" name t_vec t_row
-          speedup
-          (if correct then "yes" else "NO");
-        Json.Obj
-          [
-            ("query", Json.Str name);
-            ("vector_ms", Json.Num t_vec);
-            ("row_ms", Json.Num t_row);
-            ("speedup", Json.Num speedup);
-            ("correct", Json.Bool correct);
-          ])
-      vec_cases
-  in
-  let vectorized_obj =
-    Json.Obj
-      [
-        ( "default_engine",
-          Json.Str (Engine.Exec.engine_to_string Engine.Exec.default_engine) );
-        ("floor", Json.Num 10.);
-        ("floor_asserted", Json.Bool floor_asserted);
-        ("rows", Json.List vec_rows);
-      ]
-  in
   print_newline ();
 
   (* ---------------- ablations (DESIGN.md section 5) ------------------ *)
@@ -599,10 +521,6 @@ let () =
     done;
     (List.sort compare !lats, !degraded)
   in
-  let pct lats p =
-    let n = List.length lats in
-    List.nth lats (min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
   let lats_inf, degr_inf = run_pass None in
   let lats_dl, degr_dl = run_pass (Some 10.0) in
   let row label lats degraded =
@@ -765,10 +683,6 @@ let () =
             ))
   in
   let scan_all = Engine.Exec.run pdb (build pcat "SELECT flid, qty FROM Trans") in
-  let prove_pctl lats p =
-    let n = List.length lats in
-    List.nth lats (min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
   let prove_rows =
     List.map
       (fun n ->
@@ -817,16 +731,16 @@ let () =
         Printf.printf
           "pairs %-4d proved %d/%d (expected %d)   rate %.2f   p50 %7.3f ms \
            p95 %7.3f ms\n"
-          n !proved n !expected rate (prove_pctl lats 0.50)
-          (prove_pctl lats 0.95);
+          n !proved n !expected rate (pct lats 0.50)
+          (pct lats 0.95);
         Json.Obj
           [
             ("pairs", Json.Int n);
             ("proved", Json.Int !proved);
             ("expected_proved", Json.Int !expected);
             ("proof_rate", Json.Num rate);
-            ("p50_ms", Json.Num (prove_pctl lats 0.50));
-            ("p95_ms", Json.Num (prove_pctl lats 0.95));
+            ("p50_ms", Json.Num (pct lats 0.50));
+            ("p95_ms", Json.Num (pct lats 0.95));
           ])
       [ 32; 64 ]
   in
@@ -880,21 +794,17 @@ let () =
     done;
     List.sort compare !lats
   in
-  let vpct lats p =
-    let n = List.length lats in
-    List.nth lats (min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
   let vrows =
     List.map
       (fun (label, level) ->
         let lats = vpass level in
         Printf.printf "validate %-16s p50 %8.3f ms   p95 %8.3f ms\n" label
-          (vpct lats 0.50) (vpct lats 0.95);
+          (pct lats 0.50) (pct lats 0.95);
         ( label,
           Json.Obj
             [
-              ("p50_ms", Json.Num (vpct lats 0.50));
-              ("p95_ms", Json.Num (vpct lats 0.95));
+              ("p50_ms", Json.Num (pct lats 0.50));
+              ("p95_ms", Json.Num (pct lats 0.95));
               ("samples", Json.Int (List.length lats));
             ] ))
       vlevels
@@ -1037,14 +947,13 @@ let () =
     Server.Listener.stop srv;
     let lats = List.sort compare !all_lats in
     let n = List.length lats in
-    let pct p = List.nth lats (min (n - 1) (int_of_float (p *. float_of_int n))) in
     let qps = float_of_int n /. wall in
     Printf.printf
       "domains %d%s   %7.0f req/s   p50 %7.3f ms   p99 %8.3f ms   (%d \
        requests, %.2f s)\n%!"
       domains
       (if degrade then " (degraded: base plans)" else "")
-      qps (pct 0.50) (pct 0.99) n wall;
+      qps (pct lats 0.50) (pct lats 0.99) n wall;
     ( domains,
       qps,
       Json.Obj
@@ -1052,8 +961,8 @@ let () =
           ("domains", Json.Int domains);
           ("degraded", Json.Bool degrade);
           ("qps", Json.Num qps);
-          ("p50_ms", Json.Num (pct 0.50));
-          ("p99_ms", Json.Num (pct 0.99));
+          ("p50_ms", Json.Num (pct lats 0.50));
+          ("p99_ms", Json.Num (pct lats 0.99));
           ("requests", Json.Int n);
           ("wall_s", Json.Num wall);
         ] )
@@ -1211,12 +1120,10 @@ let () =
            Json.Obj
              [
                ("base_ms", Json.Num !tot_base);
-               ("base_row_ms", Json.Num !tot_base_row);
                ("plan_ms", Json.Num !tot_plan);
                ("exec_ms", Json.Num !tot_exec);
                ("rewritten_ms", Json.Num (!tot_plan +. !tot_exec));
              ] );
-         ("vectorized", vectorized_obj);
          ("planning", !planning_obj);
          ("governed_planning", !governed_obj);
          ("validated_planning", !validated_obj);

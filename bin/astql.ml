@@ -517,31 +517,6 @@ let auto_maint_flag =
   in
   Arg.(value & flag & info [ "auto-maint" ] ~doc)
 
-let engine_conv =
-  let parse s =
-    match Engine.Exec.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg "expected vector, row, or reference")
-  in
-  let print fmt e =
-    Format.pp_print_string fmt (Engine.Exec.engine_to_string e)
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  let doc =
-    "Executor engine: $(b,vector) (batch-at-a-time over typed column \
-     vectors; the default), $(b,row) (the tuple-at-a-time interpreter), or \
-     $(b,reference) (the naive differential-testing oracle — quadratic, \
-     testing only). All three produce bag-equal results. Defaults to \
-     $(b,ASTQL_EXEC) from the environment."
-  in
-  Arg.(value & opt (some engine_conv) None & info [ "exec" ] ~docv:"ENGINE" ~doc)
-
-let set_exec_engine = function
-  | None -> ()
-  | Some e -> Engine.Exec.set_engine e
-
 let arm_faults = function
   | None -> ()
   | Some spec -> (
@@ -650,12 +625,11 @@ let dump_metrics = function
 let run_cmd =
   let doc = "Execute SQL script files." in
   let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      validate exec_engine stats health metrics_out durability fsync
+      validate stats health metrics_out durability fsync
       checkpoint_every files =
     arm_faults fault;
     arm_crashes crash;
     set_validate validate;
-    set_exec_engine exec_engine;
     let ok =
       with_session ~rewrite:(not no_rewrite) ~verify
         ~budget:(limits_of ~deadline_ms ~match_budget)
@@ -680,17 +654,16 @@ let run_cmd =
     Term.(
       const run $ rewrite_flag $ verify_arg $ fault_arg $ crash_arg
       $ deadline_arg $ match_budget_arg $ auto_maint_flag $ validate_arg
-      $ engine_arg $ stats_flag $ health_flag $ metrics_out_arg
+      $ stats_flag $ health_flag $ metrics_out_arg
       $ durability_arg $ fsync_arg $ checkpoint_every_arg $ files_arg)
 
 let repl_cmd =
   let doc = "Interactive shell over an empty database." in
   let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      validate exec_engine metrics_out durability fsync checkpoint_every =
+      validate metrics_out durability fsync checkpoint_every =
     arm_faults fault;
     arm_crashes crash;
     set_validate validate;
-    set_exec_engine exec_engine;
     with_session ~rewrite:(not no_rewrite) ~verify
       ~budget:(limits_of ~deadline_ms ~match_budget)
       ~auto_maint ~demo:false ~scale:1 ~durability ~fsync ~checkpoint_every
@@ -701,18 +674,17 @@ let repl_cmd =
     Term.(
       const run $ rewrite_flag $ verify_arg $ fault_arg $ crash_arg
       $ deadline_arg $ match_budget_arg $ auto_maint_flag $ validate_arg
-      $ engine_arg $ metrics_out_arg $ durability_arg $ fsync_arg
+      $ metrics_out_arg $ durability_arg $ fsync_arg
       $ checkpoint_every_arg)
 
 let demo_cmd =
   let doc = "Interactive shell preloaded with the paper's star schema." in
   let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      validate exec_engine scale metrics_out durability fsync checkpoint_every
+      validate scale metrics_out durability fsync checkpoint_every
       =
     arm_faults fault;
     arm_crashes crash;
     set_validate validate;
-    set_exec_engine exec_engine;
     with_session ~rewrite:(not no_rewrite) ~verify
       ~budget:(limits_of ~deadline_ms ~match_budget)
       ~auto_maint ~demo:true ~scale ~durability ~fsync ~checkpoint_every
@@ -723,7 +695,7 @@ let demo_cmd =
     Term.(
       const run $ rewrite_flag $ verify_arg $ fault_arg $ crash_arg
       $ deadline_arg $ match_budget_arg $ auto_maint_flag $ validate_arg
-      $ engine_arg $ scale_arg $ metrics_out_arg $ durability_arg $ fsync_arg
+      $ scale_arg $ metrics_out_arg $ durability_arg $ fsync_arg
       $ checkpoint_every_arg)
 
 let advise_cmd =

@@ -81,7 +81,7 @@ let m_ckpt_skipped = Obs.Metrics.counter "durable.checkpoint_skipped"
 
 let serve addr domains queue_depth backlog no_rewrite auto_maint deadline_ms
     match_budget request_deadline_ms idle_timeout_ms io_timeout_ms
-    degrade_watermark retry_after_ms validate exec_engine fault crash
+    degrade_watermark retry_after_ms validate fault crash
     metrics_out demo scale durability fsync checkpoint_every drain_ms files =
   arm_faults fault;
   arm_crashes crash;
@@ -93,9 +93,6 @@ let serve addr domains queue_depth backlog no_rewrite auto_maint deadline_ms
       | Some ms when ms >= 0. -> Guard.Fault.set_wire_stall_ms ms
       | _ -> ())
   | None -> ());
-  (match exec_engine with
-  | None -> ()
-  | Some e -> Engine.Exec.set_engine e);
   let rewrite = not no_rewrite in
   let budget = limits_of ~deadline_ms ~match_budget in
   let cf_addr =
@@ -354,24 +351,6 @@ let validate_arg =
     & opt (some validate_conv) None
     & info [ "validate" ] ~docv:"LEVEL" ~doc)
 
-let engine_conv =
-  let parse s =
-    match Engine.Exec.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg "expected vector, row, or reference")
-  in
-  let print fmt e =
-    Format.pp_print_string fmt (Engine.Exec.engine_to_string e)
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  let doc =
-    "Executor engine: $(b,vector), $(b,row), or $(b,reference) (see astql \
-     --help). Defaults to $(b,ASTQL_EXEC) from the environment."
-  in
-  Arg.(value & opt (some engine_conv) None & info [ "exec" ] ~docv:"ENGINE" ~doc)
-
 let fault_arg =
   let doc =
     "Arm deterministic fault-injection points (testing): comma-separated \
@@ -471,7 +450,7 @@ let () =
             $ backlog_arg $ no_rewrite_flag $ auto_maint_flag $ deadline_arg
             $ match_budget_arg $ request_deadline_arg $ idle_timeout_arg
             $ io_timeout_arg $ degrade_watermark_arg $ retry_after_arg
-            $ validate_arg $ engine_arg $ fault_arg
+            $ validate_arg $ fault_arg
             $ crash_arg $ metrics_out_arg $ demo_flag $ scale_arg
             $ durability_arg $ fsync_arg $ checkpoint_every_arg $ drain_ms_arg
             $ files_arg)))

@@ -2,42 +2,28 @@
 
     Executes a QGM graph directly against a {!Db}: base-table scans,
     select-project-join with incremental hash joins on equality predicates,
-    scalar subqueries, DISTINCT, hash aggregation, and multidimensional
-    grouping sets (one cuboid per set, NULL-padded to the union of grouping
-    columns, per the paper's section 5 semantics). The root's presentation
-    (ORDER BY / LIMIT) is applied last.
+    scalar subqueries, DISTINCT, hash aggregation, UNION, and
+    multidimensional grouping sets (one cuboid per set, NULL-padded to the
+    union of grouping columns, per the paper's section 5 semantics). The
+    root's presentation (ORDER BY / LIMIT) is applied last.
 
-    Three interchangeable engines implement the operators — vectorized
-    columnar ({!Vexec}, the default), the original row-at-a-time
-    interpreter, and the naive {!Reference} oracle — selected per process
-    via [ASTQL_EXEC=vector|row|reference] or per call site via
-    {!with_engine}. All three share one memoized recursion, so budget
-    enforcement, metrics, and per-box memoization behave identically;
-    results agree bag-wise (enforced by the differential fuzz suite). *)
+    Every box runs on the vectorized columnar engine ({!Vexec}). The naive
+    {!Reference} oracle's operators can stand in for it — per process via
+    [ASTQL_EXEC=reference], or per call site via {!with_engine} — so the
+    test suite can run end to end on the oracle. Both share one memoized
+    recursion, so budget enforcement, metrics, and per-box memoization
+    behave identically; results agree bag-wise (enforced by the
+    differential fuzz suite). *)
 
 exception Exec_error of string
 
 type engine =
-  | Vector  (** batch-at-a-time over typed columns; row fallback per box *)
-  | Row  (** original tuple-at-a-time interpreter *)
+  | Vector  (** batch-at-a-time over typed columns *)
   | Reference  (** naive oracle operators; testing only *)
 
-(** [engine_of_string "vector" | "row" | "reference"] (case-insensitive);
-    [None] for anything else. *)
-val engine_of_string : string -> engine option
-
-val engine_to_string : engine -> string
-
-(** The process default: [ASTQL_EXEC] at startup, or [Vector]. *)
-val default_engine : engine
-
-(** Current engine ({!set_engine} overrides the default). *)
-val engine : unit -> engine
-
-val set_engine : engine -> unit
-
-(** [with_engine e f] runs [f] under engine [e], restoring the previous
-    engine afterwards (also on exception). The knob is process-global:
+(** [with_engine e f] runs [f] under engine [e] (the process default is
+    [Reference] when [ASTQL_EXEC=reference], else [Vector]), restoring the
+    previous engine afterwards (also on exception). The knob is process-global:
     don't interleave with concurrent queries that assume another engine. *)
 val with_engine : engine -> (unit -> 'a) -> 'a
 

@@ -5,22 +5,25 @@
    predicates as vector kernels producing selection indices, joins build
    hash tables on key columns and gather matching rows, and aggregation
    assigns dense group ids in one pass then folds each aggregate in a tight
-   typed loop. Everything that falls outside the kernels — DISTINCT
-   aggregates, CASE expressions, UNION — is left to the row interpreter:
-   Exec dispatches per box, so a single exotic operator degrades only
-   itself, not the plan.
+   typed loop. The few shapes without a typed kernel run here too, on
+   boxed values: CASE evaluates per row through Eval, DISTINCT aggregates
+   mask repeated (group, value) pairs to NULL before the ordinary fold,
+   and UNION concatenates its branches column by column.
 
-   Semantics notes (kept bit-compatible with the row engine, which the
-   3-engine differential fuzz in test/test_differential.ml enforces):
-   - AND/OR evaluate their right operand only on rows the row interpreter
-     would (left ≠ FALSE for AND, ≠ TRUE for OR), so data-dependent errors
-     (division by zero) surface identically.
+   Semantics notes (checked against the Reference oracle by the
+   differential fuzz in test/test_differential.ml):
+   - AND/OR evaluate their right operand only on rows where the left side
+     does not decide (left <> FALSE for AND, <> TRUE for OR), and CASE
+     evaluates an arm only on rows its WHEN selects, so data-dependent
+     errors (division by zero) surface exactly as in scalar evaluation.
    - Join and group hash keys honor SQL grouping equality: NULL groups
      with NULL, Int and Float compare numerically.
-   - Operator output row order matches the row engine exactly (left-major
-     joins, first-seen group order), so ORDER BY ties break the same way.
+   - Operator output row order is deterministic (left-major joins,
+     first-seen group order), so ORDER BY ties break the same way on
+     every run.
    - Boxed fallback kernels route through Eval's scalar kernels, so error
-     messages and 3VL corner cases cannot drift between engines. *)
+     messages and 3VL corner cases cannot drift from the scalar
+     semantics. *)
 
 module V = Data.Value
 module R = Data.Relation
@@ -72,41 +75,11 @@ let ibuf_push b x =
 let ibuf_sel b = (b.ib_arr, b.ib_len)
 
 (* ------------------------------------------------------------------ *)
-(* Which expression shapes the kernels cover                           *)
-(* ------------------------------------------------------------------ *)
-
-(* CASE is the one value shape left to the row interpreter: its arms are
-   evaluated lazily per row, and replicating that masking for arbitrary
-   nesting buys little (CASE predicates are rare in this workload).
-   Aggregates never appear in scalar position. Everything else either has
-   a typed kernel or a boxed per-row fallback through Eval. *)
-let rec expr_ok = function
-  | E.Const _ | E.Col _ -> true
-  | E.Unop (("-" | "NOT"), e) -> expr_ok e
-  | E.Unop _ -> false
-  | E.Binop (_, a, b) -> expr_ok a && expr_ok b
-  | E.Fncall (_, es) -> List.for_all expr_ok es
-  | E.Is_null (e, _) -> expr_ok e
-  | E.Agg _ -> false
-  | E.Case _ -> false
-
-let box_supported (body : B.body) =
-  match body with
-  | B.Base _ -> true
-  | B.Select s ->
-      List.for_all expr_ok s.sel_preds
-      && List.for_all (fun (_, e) -> expr_ok e) s.sel_outs
-  | B.Group g ->
-      (* DISTINCT aggregates keep a per-group seen-set: row path *)
-      List.for_all (fun (_, a) -> not a.B.agg.E.distinct) g.grp_aggs
-  | B.Union _ -> false
-
-(* ------------------------------------------------------------------ *)
 (* Vectorized expression evaluation                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A select box's working set: columns addressed by (quantifier, column)
-   like the row engine's layout, one column vector per slot. *)
+(* A select box's working set: columns addressed by (quantifier, column),
+   one column vector per slot. *)
 type lbatch = { lay : (int * string) array; lcols : C.t array; ln : int }
 
 type vv = Vec of C.t | Scal of V.t
@@ -193,7 +166,7 @@ let cmp_test = function
   | ">=" -> Some (fun c -> c >= 0)
   | _ -> None
 
-(* Per-row fallback through the scalar kernel: exact row-engine semantics
+(* Per-row fallback through the scalar kernel: exact scalar semantics
    (including error messages) at boxed speed, for odd type combinations. *)
 let boxed_binop op n a b =
   let va = Array.init n (fun i -> Eval.apply_binop op (vv_get n a i) (vv_get n b i)) in
@@ -483,16 +456,20 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
             if C.is_null c i = positive then Bytes.unsafe_set bits i '\001'
           done;
           Vec { C.data = C.Bools bits; nulls = None })
-  | E.Case _ -> err "CASE is not vectorized (row fallback expected)"
+  | E.Case _ ->
+      (* boxed per-row fallback, like [eval_fn]'s: Eval tries the arms
+         lazily per row, so an arm never runs on rows its WHEN excludes *)
+      let e = E.map_col (lookup_col ctx) e in
+      Vec (C.of_values (Array.init n (fun i -> Eval.eval (fun c -> C.get c i) e)))
 
-(* AND/OR with the row engine's short-circuit: the right operand is only
-   evaluated on rows where the left side does not already decide. *)
+(* AND/OR with Eval's short-circuit: the right operand is only evaluated
+   on rows where the left side does not already decide. *)
 and and_or ctx ~op a b =
   let n = ctx.ln in
   let va = eval ctx a in
   let short = if op = "AND" then 0 else 1 in
   let ta = tri_at op va in
-  (* rows the row engine would evaluate [b] on *)
+  (* rows scalar evaluation would evaluate [b] on *)
   let live = ibuf_create n in
   let tas = Bytes.make n '\000' in
   for i = 0 to n - 1 do
@@ -679,9 +656,9 @@ let rec pred_safe = function
   | E.Agg _ | E.Case _ -> false
 
 (* Single-int-key hash join: head table plus a next-index chain, built back
-   to front so each chain enumerates build rows in ascending order (the row
-   engine's match order). Pushes (probe, build) index pairs onto [li]/[ri].
-   Probe rows with [probe_null] are skipped; a [probe_key] with no build
+   to front so each chain enumerates build rows in ascending order (the
+   generic path's match order). Pushes (probe, build) index pairs onto
+   [li]/[ri]. Probe rows with [probe_null] are skipped; a [probe_key] with no build
    entry (e.g. the -1 sentinel from dictionary translation) simply misses. *)
 let chain_join (build : C.ints) (bnulls : Bytes.t option) n_build
     (probe_null : int -> bool) (probe_key : int -> int) n_probe li ri =
@@ -720,6 +697,21 @@ let generic_join_matches (build_key : int -> V.t list option) n_build
   done;
   fun p ->
     match probe_key p with None -> [] | Some k -> List.rev (VH.find_all ht k)
+
+(* Keep the first occurrence of every row under SQL grouping equality:
+   SELECT DISTINCT and UNION without ALL. *)
+let distinct_rows (b : C.batch) : C.batch =
+  let seen = VH.create 64 in
+  let keep = ibuf_create b.C.nrows in
+  for i = 0 to b.C.nrows - 1 do
+    let key = Array.to_list (Array.map (fun c -> C.get c i) b.C.cols) in
+    if not (VH.mem seen key) then begin
+      VH.add seen key ();
+      ibuf_push keep i
+    end
+  done;
+  let sel, k = ibuf_sel keep in
+  { b with C.cols = Array.map (fun c -> C.gather c sel k) b.C.cols; nrows = k }
 
 let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
   let { B.sel_quants = quants; sel_preds = preds; sel_outs = outs; sel_distinct = distinct } =
@@ -840,8 +832,8 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
               | _ -> true)
             !pending;
         (* push single-quant predicates below the join: filtering one input
-           keeps both the probe-major and per-chain orders, so results match
-           the row engine row for row *)
+           keeps both the probe-major and per-chain orders, so the output
+           order does not depend on the pushdown *)
         let pushed, rest =
           List.partition (fun (p, qs) -> qs = [ q.B.q_id ] && pred_safe p) !pending
         in
@@ -901,7 +893,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
           let ri = ibuf_create (max 16 (max nl nr)) in
           (match key_pairs with
           | [] ->
-              (* cross product, left-major like the row engine *)
+              (* cross product, left-major *)
               for l = 0 to nl - 1 do
                 for r = 0 to nr - 1 do
                   ibuf_push li l;
@@ -999,24 +991,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
       nrows = !ctx.ln;
     }
   in
-  if not distinct then result
-  else begin
-    let seen = VH.create 64 in
-    let keep = ibuf_create result.C.nrows in
-    for i = 0 to result.C.nrows - 1 do
-      let key = Array.to_list (Array.map (fun c -> C.get c i) result.C.cols) in
-      if not (VH.mem seen key) then begin
-        VH.add seen key ();
-        ibuf_push keep i
-      end
-    done;
-    let sel, k = ibuf_sel keep in
-    {
-      result with
-      C.cols = Array.map (fun c -> C.gather c sel k) result.C.cols;
-      nrows = k;
-    }
-  end
+  if distinct then distinct_rows result else result
 
 (* ------------------------------------------------------------------ *)
 (* Group box: dense group ids + typed aggregate folds                  *)
@@ -1098,20 +1073,34 @@ let group_ids (cb : C.batch) (key_idx : int list) : C.ints * V.t list array * in
       done);
   (gids, Array.of_list (List.rev !keys), !ngroups)
 
-(* Fold one aggregate over the batch in a typed loop; yields per-gid V.t. *)
-let fold_agg (cb : C.batch) (gids : C.ints) ngroups (agg : E.agg)
-    (arg_i : int option) counts : int -> V.t =
-  let n = cb.C.nrows in
+(* DISTINCT aggregates: NULL out every repeat of a (group, value) pair, so
+   the ordinary fold below sees each distinct value once per group. Values
+   compare under SQL grouping equality, like group keys. *)
+let mask_repeats n (gids : C.ints) (c : C.t) : C.t =
+  let seen = VH.create 64 in
+  let out = Array.make n V.Null in
+  for i = 0 to n - 1 do
+    let v = C.get c i in
+    let key = [ V.Int (BA1.unsafe_get gids i); v ] in
+    if not (V.is_null v || VH.mem seen key) then begin
+      VH.add seen key ();
+      out.(i) <- v
+    end
+  done;
+  C.of_values out
+
+(* Fold one aggregate over [n] rows in a typed loop; yields per-gid V.t. *)
+let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : C.t option) counts
+    : int -> V.t =
   match agg.E.fn with
   | E.Count_star -> fun g -> V.Int counts.(g)
   | _ -> (
-      match arg_i with
+      match arg with
       | None ->
           (* COUNT/SUM/... over no argument: every input is NULL *)
           fun _ ->
             (match agg.E.fn with E.Count -> V.Int 0 | _ -> V.Null)
-      | Some ci -> (
-          let c = cb.C.cols.(ci) in
+      | Some c -> (
           let nonnull = Array.make ngroups 0 in
           let tally i g = if not (C.is_null c i) then nonnull.(g) <- nonnull.(g) + 1 in
           for i = 0 to n - 1 do
@@ -1150,7 +1139,7 @@ let fold_agg (cb : C.batch) (gids : C.ints) ngroups (agg : E.agg)
                   done;
                   fun g -> finish_sum g 0 sums.(g) false
               | _ ->
-                  (* boxed fallback: same V.add fold as the row engine *)
+                  (* boxed fallback: the scalar V.add fold *)
                   let sums = Array.make ngroups V.Null in
                   for i = 0 to n - 1 do
                     if not (C.is_null c i) then begin
@@ -1233,7 +1222,9 @@ let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =
   let union_cols = B.grouping_union grp.B.grp_grouping in
   let out_names = union_cols @ List.map fst grp.B.grp_aggs in
   let agg_specs =
-    List.map (fun (_, { B.agg; arg }) -> (agg, Option.map idx arg)) grp.B.grp_aggs
+    List.map
+      (fun (_, { B.agg; arg }) -> (agg, Option.map (fun a -> cb.C.cols.(idx a)) arg))
+      grp.B.grp_aggs
   in
   Obs.Metrics.add x_batch_rows cb.C.nrows;
   let cuboid set : V.t array list (* per output column, per-gid values *) * int =
@@ -1261,8 +1252,11 @@ let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =
     in
     let agg_vals =
       List.map
-        (fun (agg, arg_i) ->
-          let at = fold_agg cb gids ngroups agg arg_i counts in
+        (fun (agg, arg) ->
+          let arg =
+            if agg.E.distinct then Option.map (mask_repeats n gids) arg else arg
+          in
+          let at = fold_agg n gids ngroups agg arg counts in
           Array.init ngroups at)
         agg_specs
     in
@@ -1283,3 +1277,30 @@ let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =
         C.of_values vals)
   in
   { C.names = Array.of_list out_names; cols = Array.of_list out_cols; nrows = total }
+
+(* ------------------------------------------------------------------ *)
+(* Union box: column-wise concatenation of the branches                *)
+(* ------------------------------------------------------------------ *)
+
+let exec_union ~(child : B.quant -> C.batch) (u : B.union_body) : C.batch =
+  let arity = List.length u.B.un_cols in
+  let branches =
+    List.map
+      (fun q ->
+        let b = child q in
+        if Array.length b.C.cols <> arity then err "UNION branch arity mismatch";
+        b)
+      u.B.un_quants
+  in
+  let result =
+    {
+      C.names = Array.of_list u.B.un_cols;
+      cols =
+        Array.init arity (fun j ->
+            C.of_values
+              (Array.concat (List.map (fun b -> C.to_values b.C.cols.(j)) branches)));
+      nrows = List.fold_left (fun acc b -> acc + b.C.nrows) 0 branches;
+    }
+  in
+  Obs.Metrics.add x_batch_rows result.C.nrows;
+  if u.B.un_all then result else distinct_rows result
