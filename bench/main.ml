@@ -617,24 +617,23 @@ let () =
       verify_modes
   in
   (* The point of verify:Static — whole query classes with certified
-     plans stop paying the double execution. Requires the prover on. *)
-  (if Prove.Level.rewrite_on () then
-     let stat label field =
-       match List.assoc label verify_rows with
-       | Json.Obj fields -> (
-           match List.assoc field fields with Json.Int n -> n | _ -> 0)
-       | _ -> 0
-     in
-     let skips = stat "static" "verify_static_skips"
-     and runs_static = stat "static" "verify_runs"
-     and runs_always = stat "always" "verify_runs" in
-     if skips = 0 || runs_static >= runs_always then begin
-       incr fails;
-       Printf.printf
-         "PERF5 FAILURE: verify:static skipped %d run(s) (static ran %d, \
-          always ran %d) — no query class has a certified plan\n"
-         skips runs_static runs_always
-     end);
+     plans stop paying the double execution. *)
+  (let stat label field =
+     match List.assoc label verify_rows with
+     | Json.Obj fields -> (
+         match List.assoc field fields with Json.Int n -> n | _ -> 0)
+     | _ -> 0
+   in
+   let skips = stat "static" "verify_static_skips"
+   and runs_static = stat "static" "verify_runs"
+   and runs_always = stat "always" "verify_runs" in
+   if skips = 0 || runs_static >= runs_always then begin
+     incr fails;
+     Printf.printf
+       "PERF5 FAILURE: verify:static skipped %d run(s) (static ran %d, \
+        always ran %d) — no query class has a certified plan\n"
+       skips runs_static runs_always
+   end);
   print_newline ();
 
   (* ---------------- PERF11: partition certificates ------------------- *)
@@ -750,7 +749,6 @@ let () =
   proving_obj :=
     Json.Obj
       [
-        ("level", Json.Str (Prove.Level.to_string (Prove.Level.current ())));
         ("sizes", Json.List prove_rows);
         ("attempts", Json.Int (prove_counter "prove.attempts"));
         ("proved", Json.Int (prove_counter "prove.proved"));

@@ -448,9 +448,9 @@ let verify_arg =
   let doc =
     "Runtime result verification of rewritten queries: $(b,off), \
      $(b,always), $(b,static) (verify unless the static prover certified \
-     every applied rewrite step — needs ASTQL_PROVE >= 1), or $(b,sample:P) \
-     (verify a deterministic fraction P of rewritten queries). On mismatch \
-     the summary table is quarantined and the base plan's answer is served."
+     every applied rewrite step), or $(b,sample:P) (verify a deterministic \
+     fraction P of rewritten queries). On mismatch the summary table is \
+     quarantined and the base plan's answer is served."
   in
   Arg.(value & opt verify_conv Mvstore.Session.Off & info [ "verify" ] ~doc)
 

@@ -8,7 +8,9 @@
    aid-from-faid derivation). *)
 let equivalence_classes = ref true
 
-(* Constant-relaxation predicate subsumption (footnote 4). *)
+(* Predicate subsumption in condition 2 (footnote 4): when on, a summary
+   predicate that is not one of the query-side predicates passes if the
+   prover shows their conjunction entails it. *)
 let predicate_subsumption = ref true
 
 (* Greedy largest-subexpression cover during derivation (section 6). When

@@ -8,7 +8,10 @@ val equivalence_classes : bool ref
 (** Column-equivalence classes from join predicates (section 6). *)
 
 val predicate_subsumption : bool ref
-(** Constant-relaxation predicate subsumption (footnote 4). *)
+(** Predicate subsumption in condition 2 (footnote 4): a summary predicate
+    that is not one of the query-side predicates may still pass when the
+    prover shows their conjunction entails it. Off, only syntactic hits
+    pass. *)
 
 val greedy_derivation : bool ref
 (** Greedy largest-subexpression cover during derivation (section 6). *)

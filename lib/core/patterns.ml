@@ -204,6 +204,21 @@ let txref_ty ctx (r_sel : B.select_body) (asg : Mctx.assignment)
         (fun q -> Qgm.Typing.col_type ctx.Mctx.cat ctx.Mctx.qg q.B.q_box col)
         (List.find_opt (fun q -> q.B.q_id = quant) asg.Mctx.rejoins)
 
+(* Condition 2 (4.1.1, 4.2.3, 4.2.4): every remaining subsumer predicate is
+   one of the subsumee / child-compensation predicates or, with predicate
+   subsumption on, is entailed by their conjunction (footnote 4: x > 10
+   subsumes x > 20; bounds split across conjuncts count too).  The prover
+   state is built at most once, and only when some predicate is not a
+   syntactic hit.  This is matching work, so it is not deadline-gated. *)
+let cond2 ctx r_sel asg ~r_preds_canon ~strong_canon =
+  let ty = Prove.key_ty ~col:(txref_ty ctx r_sel asg) in
+  let st = lazy (Prove.state_of ~ty strong_canon) in
+  List.for_all
+    (fun pr ->
+      List.mem pr strong_canon
+      || (!Config.predicate_subsumption && Prove.entails ~ty (Lazy.force st) pr))
+    r_preds_canon
+
 (* Region-equality certificate for a flat SELECT/SELECT match.  Given all
    child pairs certified, [summary AND compensation] selects exactly the
    query's rows over the shared child space iff (1) every summary predicate
@@ -213,9 +228,7 @@ let txref_ty ctx (r_sel : B.select_body) (asg : Mctx.assignment)
    leaves the match usable but uncertified (runtime verification applies). *)
 let certify_select_flat ctx asg ~equiv ~r_outs ~r_preds_canon ~strong_canon
     ~comp_preds (r_sel : B.select_body) =
-  if not (Prove.Level.rewrite_on ()) then
-    Prove.Unknown "prover off (ASTQL_PROVE=0)"
-  else if Govern.Budget.deadline_spent ctx.Mctx.budget then
+  if Govern.Budget.deadline_spent ctx.Mctx.budget then
     Prove.Unknown "planning deadline spent"
   else
     let child =
@@ -491,35 +504,7 @@ and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
         (child_comp_levels asg)
     in
     let strong_canon = List.map (canon_tx equiv) (e_preds_t @ cc_preds) in
-    (* condition 2: every remaining subsumer predicate matches or subsumes a
-       subsumee / child-compensation predicate.  With the prover on, a
-       conjunction-level entailment pass additionally catches bounds split
-       across conjuncts (a BETWEEN conjunct vs two comparisons). *)
-    let tyo = txref_ty ctx r_sel asg in
-    let pstate =
-      if
-        !Config.predicate_subsumption
-        && Prove.Level.rewrite_on ()
-        && not (Govern.Budget.deadline_spent ctx.Mctx.budget)
-      then Some (Prove.state_of ~ty:(Prove.key_ty ~col:tyo) strong_canon)
-      else None
-    in
-    let cond2 =
-      List.for_all
-        (fun pr ->
-          List.exists
-            (fun pe ->
-               pr = pe
-               || (!Config.predicate_subsumption
-                  && Subsume.subsumes ~ty:tyo ~weak:pr ~strong:pe))
-            strong_canon
-          ||
-          match pstate with
-          | Some st -> Prove.entails ~ty:(Prove.key_ty ~col:tyo) st pr
-          | None -> false)
-        r_preds_canon
-    in
-    if not cond2 then begin
+    if not (cond2 ctx r_sel asg ~r_preds_canon ~strong_canon) then begin
       Mctx.reject ctx Obs.Trace.Summary_pred_unmatched;
       None
     end
@@ -641,19 +626,7 @@ and select_select_grouped ctx asg (e_sel : B.select_body)
           List.map (fun (_, t) -> canon_tx equiv t) e_preds_t
           @ List.map (canon_tx equiv) cc_preds
         in
-        let cond2 =
-          List.for_all
-            (fun pr ->
-              List.exists
-                (fun pe ->
-               pr = pe
-               || (!Config.predicate_subsumption
-                  && Subsume.subsumes ~ty:(txref_ty ctx r_sel asg) ~weak:pr
-                       ~strong:pe))
-                strong_canon)
-            r_preds_canon
-        in
-        if not cond2 then begin
+        if not (cond2 ctx r_sel asg ~r_preds_canon ~strong_canon) then begin
           Mctx.reject ctx Obs.Trace.Summary_pred_unmatched;
           None
         end
@@ -867,30 +840,25 @@ and match_group_group ctx (e_grp : B.group_body) (r_grp : B.group_body) =
           (match res with
           | None -> ()
           | Some _ ->
+              let both_simple =
+                (match e_grp.B.grp_grouping with
+                | B.Simple _ -> true
+                | B.Gsets _ -> false)
+                &&
+                match r_grp.B.grp_grouping with
+                | B.Simple _ -> true
+                | B.Gsets _ -> false
+              in
               set_proof ctx
-                (if not (Prove.Level.rewrite_on ()) then
-                   Prove.Unknown "prover off (ASTQL_PROVE=0)"
+                (if not both_simple then
+                   Prove.Unknown "grouping-sets (cube) rewrite not certified"
                  else
-                   let both_simple =
-                     (match e_grp.B.grp_grouping with
-                     | B.Simple _ -> true
-                     | B.Gsets _ -> false)
-                     &&
-                     match r_grp.B.grp_grouping with
-                     | B.Simple _ -> true
-                     | B.Gsets _ -> false
-                   in
-                   if not both_simple then
-                     Prove.Unknown
-                       "grouping-sets (cube) rewrite not certified"
-                   else
-                     match
-                       Hashtbl.find_opt ctx.Mctx.proofs
-                         ( e_grp.B.grp_quant.B.q_box,
-                           r_grp.B.grp_quant.B.q_box )
-                     with
-                     | Some p -> p
-                     | None -> Prove.Unknown "child pair not certified"));
+                   match
+                     Hashtbl.find_opt ctx.Mctx.proofs
+                       (e_grp.B.grp_quant.B.q_box, r_grp.B.grp_quant.B.q_box)
+                   with
+                   | Some p -> p
+                   | None -> Prove.Unknown "child pair not certified"));
           res
         end
       end

@@ -166,32 +166,21 @@ let lint ?(existing = []) ?incremental cat g =
                    without a grouping id (section 5.1)"
                   c)
             union));
-  (* L105: same footprint and grouping as an existing summary. At
-     ASTQL_PROVE=2 (define-time proving) the prover refines the verdict:
-     two summaries whose restriction ranges are provably disjoint are
-     complementary shards of one logical summary — not redundant, so no
-     diagnostic; otherwise the message says the ranges were not provably
-     disjoint. *)
+  (* L105: same footprint and grouping as an existing summary, unless the
+     prover shows the two restriction ranges disjoint: such summaries are
+     complementary shards of one logical summary, not redundant. *)
   let fp = footprint g and key = grouping_key g in
   List.iter
     (fun (name, g') ->
       if footprint g' = fp && grouping_key g' = key then
-        if Prove.Level.define_on () then begin
-          let cert = Prove.disjoint_graphs ~cat g g' in
-          match cert.Prove.pc_status with
-          | Prove.Proved -> () (* provably disjoint shards — fine *)
-          | Prove.Unknown _ ->
-              push "L105" "overlapping-summary"
-                "same base-table footprint and grouping as existing summary \
-                 %s, and their restriction ranges are not provably \
-                 disjoint; one of the two is likely redundant"
-                name
-        end
-        else
-          push "L105" "overlapping-summary"
-            "same base-table footprint and grouping as existing summary %s; \
-             one of the two is likely redundant"
-            name)
+        match (Prove.disjoint_graphs ~cat g g').Prove.pc_status with
+        | Prove.Proved -> ()
+        | Prove.Unknown _ ->
+            push "L105" "overlapping-summary"
+              "same base-table footprint and grouping as existing summary \
+               %s, and their restriction ranges are not provably disjoint; \
+               one of the two is likely redundant"
+              name)
     existing;
   (match incremental with
   | Some false ->

@@ -199,8 +199,7 @@ let check ?cat ?(deep = false) g =
                     push ~box:id "V107" "aggregate in SELECT box predicate";
                   check_pred_type id s.B.sel_quants p)
                 s.B.sel_preds;
-              if deep && Prove.Level.rewrite_on () && s.B.sel_preds <> []
-              then begin
+              if deep && s.B.sel_preds <> [] then begin
                 let col_ty { B.quant; col } =
                   match cat with
                   | None -> None

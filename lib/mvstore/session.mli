@@ -21,8 +21,7 @@ exception Session_error of string
     [Static] verifies like [Always] {e except} when the static prover
     certified every applied rewrite step at match time ([Proved]): those
     queries skip the runtime re-execution entirely (counted in
-    [verify_static_skips] and the [prove.verify_skips] metric). Requires
-    [ASTQL_PROVE] ≥ 1 to ever skip. *)
+    [verify_static_skips] and the [prove.verify_skips] metric). *)
 type verify = Off | Sampled of float | Always | Static
 
 (** [create ()] starts with an empty catalog. [?rewrite] (default true)

@@ -27,7 +27,6 @@ module G = Qgm.Graph
 module Bx = Qgm.Box
 module V = Data.Value
 
-module Level = Level
 module Domain = Domain
 
 type status = Proved | Unknown of string

@@ -361,6 +361,18 @@ let advisor_session () =
         INSERT INTO orders VALUES ('e', 'web', 10), ('w', NULL, 3);");
   sn
 
+(* V118: the prover shows the WHERE conjunction can never hold *)
+let test_v118_unsat_predicate () =
+  let cat = Engine.Db.catalog (Sess.db (advisor_session ())) in
+  let g =
+    Qgm.Builder.build cat
+      (parse "SELECT region, amount FROM orders WHERE amount < 5 AND amount > 10")
+  in
+  Alcotest.(check bool) "deep check flags V118" true
+    (List.mem "V118" (codes (Val.check ~cat ~deep:true g)));
+  Alcotest.(check bool) "shallow check skips V118" false
+    (List.mem "V118" (codes (Val.check ~cat g)))
+
 let diags_of sn name =
   match List.assoc_opt name (Sess.lint_summaries sn) with
   | Some ds -> List.map (fun d -> d.Lint.Advisor.d_code) ds
@@ -395,6 +407,43 @@ let test_advisor_codes () =
        "CREATE SUMMARY TABLE twin AS SELECT region, SUM(amount) AS s, \
         COUNT(*) AS c FROM orders GROUP BY region;");
   expect_diag sn "twin" "L105"
+
+(* L105 is refined by the prover: range shards that provably share no row
+   are complementary, not redundant; an overlapping third one is flagged. *)
+let test_advisor_l105_disjoint_shards () =
+  let sn = advisor_session () in
+  let shard name where =
+    ignore
+      (Sess.exec_sql sn
+         (Printf.sprintf
+            "CREATE SUMMARY TABLE %s AS SELECT region, SUM(amount) AS s, \
+             COUNT(*) AS c FROM orders WHERE %s GROUP BY region;"
+            name where))
+  in
+  shard "low" "amount < 100";
+  shard "high" "amount >= 100";
+  let no_l105 name =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s has no L105" name)
+      false
+      (List.mem "L105" (diags_of sn name))
+  in
+  no_l105 "low";
+  no_l105 "high";
+  shard "mid" "amount >= 50";
+  let l105 =
+    List.filter
+      (fun d -> d.Lint.Advisor.d_code = "L105")
+      (List.assoc "mid" (Sess.lint_summaries sn))
+  in
+  Alcotest.(check bool) "overlapping shard has L105" true (l105 <> []);
+  List.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "L105 names the overlap (got %S)" d.Lint.Advisor.d_msg)
+        true
+        (contains d.Lint.Advisor.d_msg "not provably disjoint"))
+    l105
 
 let test_advisor_clean_definition () =
   let sn = advisor_session () in
@@ -527,6 +576,10 @@ let suite =
     Alcotest.test_case "advisor L-codes" `Quick test_advisor_codes;
     Alcotest.test_case "advisor clean definition" `Quick
       test_advisor_clean_definition;
+    Alcotest.test_case "advisor L105 disjoint shards" `Quick
+      test_advisor_l105_disjoint_shards;
+    Alcotest.test_case "V118 unsatisfiable predicate" `Quick
+      test_v118_unsat_predicate;
     Alcotest.test_case "CREATE SUMMARY warns inline" `Quick
       test_create_summary_warns_inline;
     Alcotest.test_case "corrupt caught statically" `Quick
