@@ -126,7 +126,6 @@ let figure_rows : Json.t list ref = ref []
 let workload_rows : Json.t list ref = ref []
 let planning_obj : Json.t ref = ref (Json.Obj [])
 let governed_obj : Json.t ref = ref (Json.Obj [])
-let validated_obj : Json.t ref = ref (Json.Obj [])
 let proving_obj : Json.t ref = ref (Json.Obj [])
 
 let () =
@@ -757,73 +756,6 @@ let () =
       ];
   print_newline ();
 
-  (* ---------------- PERF7: static-validation overhead ---------------- *)
-  (* Cold rewrite planning over the PERF4 store (32 MVs) at the three
-     ASTQL_VALIDATE levels. Level 0 must cost nothing — every hook is one
-     int compare — so the smoke gate fails when the off path regresses
-     against every-candidate beyond a loose noise bound. Fresh planner per
-     sample: the cold path is where validation runs live. *)
-  Printf.printf
-    "=== PERF7: static IR validation overhead (cold planning, %d MVs) ===\n"
-    n_mvs;
-  let vlevels =
-    [
-      ("off", Lint.Level.Off);
-      ("final-plan", Lint.Level.Final);
-      ("every-candidate", Lint.Level.Candidates);
-    ]
-  in
-  let vrounds7 = if smoke then 4 else 25 in
-  let vpass level =
-    Lint.Level.with_level level @@ fun () ->
-    let lats = ref [] in
-    for _ = 1 to vrounds7 do
-      List.iter
-        (fun g ->
-          let planner = Plancache.Planner.create () in
-          let t0 = Unix.gettimeofday () in
-          ignore
-            (Plancache.Planner.plan planner ~cat:pcat
-               ~epoch:(Mvstore.Store.epoch pstore)
-               ~mvs:(Mvstore.Store.rewritable pstore)
-               g);
-          lats := ((Unix.gettimeofday () -. t0) *. 1000.) :: !lats)
-        graphs
-    done;
-    List.sort compare !lats
-  in
-  let vrows =
-    List.map
-      (fun (label, level) ->
-        let lats = vpass level in
-        Printf.printf "validate %-16s p50 %8.3f ms   p95 %8.3f ms\n" label
-          (pct lats 0.50) (pct lats 0.95);
-        ( label,
-          Json.Obj
-            [
-              ("p50_ms", Json.Num (pct lats 0.50));
-              ("p95_ms", Json.Num (pct lats 0.95));
-              ("samples", Json.Int (List.length lats));
-            ] ))
-      vlevels
-  in
-  let vp50 label =
-    match List.assoc label vrows with
-    | Json.Obj fields -> (
-        match List.assoc "p50_ms" fields with Json.Num v -> v | _ -> 0.)
-    | _ -> 0.
-  in
-  let p50_off = vp50 "off" and p50_all = vp50 "every-candidate" in
-  if p50_off > (p50_all *. 2.0) +. 1.0 then begin
-    incr fails;
-    Printf.printf
-      "VALIDATION FAILURE: planning with validation off (p50 %.3f ms) \
-       regressed past every-candidate (p50 %.3f ms)\n"
-      p50_off p50_all
-  end;
-  validated_obj := Json.Obj (("mvs", Json.Int n_mvs) :: vrows);
-  print_newline ();
-
   (* ---------------- PERF8: multi-core socket serving ----------------- *)
   (* Boot the real server (TCP, ephemeral port) at increasing domain
      counts and drive it with concurrent client threads issuing a mixed
@@ -1124,7 +1056,6 @@ let () =
              ] );
          ("planning", !planning_obj);
          ("governed_planning", !governed_obj);
-         ("validated_planning", !validated_obj);
          ("serving", serving_obj);
          ("durability", durability_obj);
          ("verification", Json.Obj verify_rows);

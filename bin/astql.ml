@@ -328,20 +328,6 @@ let repl ?durable session =
   in
   loop ()
 
-(* Per-statement resource limits: the environment defaults
-   (ASTQL_DEADLINE_MS / ASTQL_MATCH_BUDGET) overridden by the flags. *)
-let limits_of ~deadline_ms ~match_budget =
-  let module B = Govern.Budget in
-  let l = B.default_limits () in
-  let l =
-    match deadline_ms with
-    | None -> l
-    | Some ms -> { l with B.bl_deadline_ms = Some ms }
-  in
-  match match_budget with
-  | None -> l
-  | Some n -> { l with B.bl_matches = Some n }
-
 let make_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale =
   if demo then begin
     let params = Workload.Star_schema.scaled scale in
@@ -420,10 +406,6 @@ let with_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale
 
 open Cmdliner
 
-let rewrite_flag =
-  let doc = "Disable transparent summary-table rewriting." in
-  Arg.(value & flag & info [ "no-rewrite" ] ~doc)
-
 let verify_conv =
   let parse s =
     match String.lowercase_ascii (String.trim s) with
@@ -454,149 +436,6 @@ let verify_arg =
   in
   Arg.(value & opt verify_conv Mvstore.Session.Off & info [ "verify" ] ~doc)
 
-let fault_arg =
-  let doc =
-    "Arm deterministic fault-injection points (testing): comma-separated \
-     $(i,point)[:$(i,N)] where point is navigate, match, compensate, \
-     translate, corrupt, refresh, delay or accept — the Nth hit of that \
-     point fails (default 1; $(b,delay) instead stalls every hit from the \
-     Nth on, for exercising deadlines; $(b,accept) crashes a server \
-     connection handler, for exercising containment)."
-  in
-  Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC" ~doc)
-
-let deadline_arg =
-  let doc =
-    "Per-statement wall-clock deadline in milliseconds. When planning \
-     overruns it, the best-so-far (possibly unrewritten) plan is used and \
-     EXPLAIN REWRITE reports $(b,degraded); when rewritten execution \
-     overruns it, the base plan is re-run unbudgeted. Defaults to \
-     $(b,ASTQL_DEADLINE_MS) from the environment, else unlimited."
-  in
-  Arg.(
-    value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-
-let match_budget_arg =
-  let doc =
-    "Per-statement cap on match-function invocations during rewrite \
-     planning. Defaults to $(b,ASTQL_MATCH_BUDGET) from the environment, \
-     else unlimited."
-  in
-  Arg.(value & opt (some int) None & info [ "match-budget" ] ~docv:"N" ~doc)
-
-let validate_conv =
-  let parse s =
-    match Lint.Level.of_string s with
-    | Some l -> Ok l
-    | None -> Error (`Msg "expected 0|off, 1|final-plan, or 2|every-candidate")
-  in
-  let print fmt l = Format.pp_print_string fmt (Lint.Level.to_string l) in
-  Arg.conv (parse, print)
-
-let validate_arg =
-  let doc =
-    "Static IR validation level: $(b,0)/$(b,off) disables it, \
-     $(b,1)/$(b,final-plan) checks the final rewritten plan before it is \
-     cached or executed (the default), $(b,2)/$(b,every-candidate) also \
-     checks builder output and every compensation the rewriter builds \
-     (an ill-formed candidate is rejected and its summary table \
-     quarantined). Defaults to $(b,ASTQL_VALIDATE) from the environment."
-  in
-  Arg.(
-    value
-    & opt (some validate_conv) None
-    & info [ "validate" ] ~docv:"LEVEL" ~doc)
-
-let set_validate = function None -> () | Some l -> Lint.Level.set l
-
-let auto_maint_flag =
-  let doc =
-    "Self-healing maintenance: auto-refresh summary tables that DML left \
-     stale, at statement boundaries under the session budget, with \
-     exponential backoff and quarantine after repeated refresh failures."
-  in
-  Arg.(value & flag & info [ "auto-maint" ] ~doc)
-
-let arm_faults = function
-  | None -> ()
-  | Some spec -> (
-      match Guard.Fault.arm_spec spec with
-      | Ok () -> ()
-      | Error m ->
-          Printf.eprintf "bad --fault spec: %s\n" m;
-          Stdlib.exit 2)
-
-let crash_arg =
-  let doc =
-    "Arm crash-injection points (testing): comma-separated \
-     $(i,point)[:$(i,N)] over $(b,wal_append), $(b,wal_fsync), \
-     $(b,checkpoint_write), $(b,checkpoint_rename) — the Nth hit SIGKILLs \
-     the process at that exact durability step, exactly like kill -9."
-  in
-  let env = Cmd.Env.info "ASTQL_CRASH" ~doc:"Default crash spec." in
-  Arg.(value & opt (some string) None & info [ "crash" ] ~env ~docv:"SPEC" ~doc)
-
-let arm_crashes = function
-  | None -> ()
-  | Some spec -> (
-      match Guard.Fault.arm_crash_spec spec with
-      | Ok () -> ()
-      | Error m ->
-          Printf.eprintf "bad --crash spec: %s\n" m;
-          Stdlib.exit 2)
-
-let durability_arg =
-  let doc =
-    "Durability directory (WAL + checkpoints). On boot the newest valid \
-     checkpoint is loaded and the WAL suffix replayed; afterwards every \
-     committed write statement is logged before it is published, and a \
-     final checkpoint is taken on exit. Unset = in-memory only."
-  in
-  let env =
-    Cmd.Env.info "ASTQL_DURABILITY" ~doc:"Default durability directory."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "durability" ] ~env ~docv:"DIR" ~doc)
-
-let fsync_conv =
-  let parse s =
-    match Durable.Wal.fsync_policy_of_string s with
-    | Ok p -> Ok p
-    | Error m -> Error (`Msg m)
-  in
-  let print fmt p =
-    Format.pp_print_string fmt (Durable.Wal.fsync_policy_to_string p)
-  in
-  Arg.conv (parse, print)
-
-let fsync_arg =
-  let doc =
-    "WAL fsync policy: $(b,always) (every commit), $(b,interval:N) (every \
-     N commits), or $(b,off) (the OS decides)."
-  in
-  let env = Cmd.Env.info "ASTQL_FSYNC" ~doc:"Default WAL fsync policy." in
-  Arg.(
-    value
-    & opt fsync_conv Durable.Wal.Always
-    & info [ "fsync" ] ~env ~docv:"POLICY" ~doc)
-
-let checkpoint_every_arg =
-  let doc =
-    "Fold the WAL into a fresh checkpoint every $(docv) commits (0 = only \
-     at exit)."
-  in
-  let env =
-    Cmd.Env.info "ASTQL_CHECKPOINT_EVERY" ~doc:"Default checkpoint interval."
-  in
-  Arg.(value & opt int 64 & info [ "checkpoint-every" ] ~env ~docv:"N" ~doc)
-
-let scale_arg =
-  let doc = "Demo data scale factor." in
-  Arg.(value & opt int 1 & info [ "scale" ] ~doc)
-
-let files_arg =
-  Arg.(value & pos_all non_dir_file [] & info [] ~docv:"FILE")
-
 let stats_flag =
   let doc = "Print rewrite-planner counters (cache hits/misses, filtered candidates) after execution." in
   Arg.(value & flag & info [ "stats" ] ~doc)
@@ -625,14 +464,12 @@ let dump_metrics = function
 let run_cmd =
   let doc = "Execute SQL script files." in
   let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      validate stats health metrics_out durability fsync
-      checkpoint_every files =
-    arm_faults fault;
-    arm_crashes crash;
-    set_validate validate;
+      stats health metrics_out durability fsync checkpoint_every files =
+    Cli.arm_faults fault;
+    Cli.arm_crashes crash;
     let ok =
       with_session ~rewrite:(not no_rewrite) ~verify
-        ~budget:(limits_of ~deadline_ms ~match_budget)
+        ~budget:(Cli.limits_of ~deadline_ms ~match_budget)
         ~auto_maint ~demo:false ~scale:1 ~durability ~fsync ~checkpoint_every
         (fun session durable ->
           let ok =
@@ -652,51 +489,49 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ rewrite_flag $ verify_arg $ fault_arg $ crash_arg
-      $ deadline_arg $ match_budget_arg $ auto_maint_flag $ validate_arg
-      $ stats_flag $ health_flag $ metrics_out_arg
-      $ durability_arg $ fsync_arg $ checkpoint_every_arg $ files_arg)
+      const run $ Cli.no_rewrite_flag $ verify_arg $ Cli.fault_arg
+      $ Cli.crash_arg $ Cli.deadline_arg $ Cli.match_budget_arg
+      $ Cli.auto_maint_flag $ stats_flag $ health_flag $ metrics_out_arg
+      $ Cli.durability_arg $ Cli.fsync_arg $ Cli.checkpoint_every_arg
+      $ Cli.files_arg)
 
 let repl_cmd =
   let doc = "Interactive shell over an empty database." in
   let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      validate metrics_out durability fsync checkpoint_every =
-    arm_faults fault;
-    arm_crashes crash;
-    set_validate validate;
+      metrics_out durability fsync checkpoint_every =
+    Cli.arm_faults fault;
+    Cli.arm_crashes crash;
     with_session ~rewrite:(not no_rewrite) ~verify
-      ~budget:(limits_of ~deadline_ms ~match_budget)
+      ~budget:(Cli.limits_of ~deadline_ms ~match_budget)
       ~auto_maint ~demo:false ~scale:1 ~durability ~fsync ~checkpoint_every
       (fun session durable -> repl ?durable session);
     dump_metrics metrics_out
   in
   Cmd.v (Cmd.info "repl" ~doc)
     Term.(
-      const run $ rewrite_flag $ verify_arg $ fault_arg $ crash_arg
-      $ deadline_arg $ match_budget_arg $ auto_maint_flag $ validate_arg
-      $ metrics_out_arg $ durability_arg $ fsync_arg
-      $ checkpoint_every_arg)
+      const run $ Cli.no_rewrite_flag $ verify_arg $ Cli.fault_arg
+      $ Cli.crash_arg $ Cli.deadline_arg $ Cli.match_budget_arg
+      $ Cli.auto_maint_flag $ metrics_out_arg $ Cli.durability_arg
+      $ Cli.fsync_arg $ Cli.checkpoint_every_arg)
 
 let demo_cmd =
   let doc = "Interactive shell preloaded with the paper's star schema." in
   let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      validate scale metrics_out durability fsync checkpoint_every
-      =
-    arm_faults fault;
-    arm_crashes crash;
-    set_validate validate;
+      scale metrics_out durability fsync checkpoint_every =
+    Cli.arm_faults fault;
+    Cli.arm_crashes crash;
     with_session ~rewrite:(not no_rewrite) ~verify
-      ~budget:(limits_of ~deadline_ms ~match_budget)
+      ~budget:(Cli.limits_of ~deadline_ms ~match_budget)
       ~auto_maint ~demo:true ~scale ~durability ~fsync ~checkpoint_every
       (fun session durable -> repl ?durable session);
     dump_metrics metrics_out
   in
   Cmd.v (Cmd.info "demo" ~doc)
     Term.(
-      const run $ rewrite_flag $ verify_arg $ fault_arg $ crash_arg
-      $ deadline_arg $ match_budget_arg $ auto_maint_flag $ validate_arg
-      $ scale_arg $ metrics_out_arg $ durability_arg $ fsync_arg
-      $ checkpoint_every_arg)
+      const run $ Cli.no_rewrite_flag $ verify_arg $ Cli.fault_arg
+      $ Cli.crash_arg $ Cli.deadline_arg $ Cli.match_budget_arg
+      $ Cli.auto_maint_flag $ Cli.scale_arg $ metrics_out_arg
+      $ Cli.durability_arg $ Cli.fsync_arg $ Cli.checkpoint_every_arg)
 
 let advise_cmd =
   let doc =
@@ -723,7 +558,7 @@ let advise_cmd =
           Printf.printf "CREATE SUMMARY TABLE %s AS %s;\n\n" r.rec_name r.rec_sql)
         recs
   in
-  Cmd.v (Cmd.info "advise" ~doc) Term.(const run $ files_arg)
+  Cmd.v (Cmd.info "advise" ~doc) Term.(const run $ Cli.files_arg)
 
 let strict_flag =
   let doc =
@@ -768,7 +603,7 @@ let lint_cmd =
       (if ok then "" else ", errors found");
     if (not ok) || (strict && !warnings > 0) then Stdlib.exit 1
   in
-  Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ strict_flag $ files_arg)
+  Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ strict_flag $ Cli.files_arg)
 
 (* --- connect: remote shell over the wire protocol ----------------------- *)
 

@@ -125,29 +125,6 @@ let build_group g ~below ~below_cols ~grouping ~(aggs : (string * E.agg * M.cref
   in
   (g, body)
 
-(* Plan-time graph corruption for the Corrupt injection point: repoint the
-   compensation's first quantifier at a box id that does not exist. Every
-   compensated box has at least one quantifier (the one ranging over the
-   summary table), so the damage is always present and always statically
-   detectable (validator code V103) — no runtime oracle needed. *)
-let corrupt_compensation g target =
-  let b = G.box g target in
-  let dangle q = { q with B.q_box = 1_000_000 + q.B.q_box } in
-  let body =
-    match b.B.body with
-    | B.Select s -> (
-        match s.B.sel_quants with
-        | q :: rest -> B.Select { s with B.sel_quants = dangle q :: rest }
-        | [] -> b.B.body)
-    | B.Group grp -> B.Group { grp with B.grp_quant = dangle grp.B.grp_quant }
-    | B.Union u -> (
-        match u.B.un_quants with
-        | q :: rest -> B.Union { u with B.un_quants = dangle q :: rest }
-        | [] -> b.B.body)
-    | B.Base _ -> b.B.body
-  in
-  G.update_box g target body
-
 let apply ~query ~target ~result ~mv_table ~mv_cols =
   Guard.Fault.hit Guard.Fault.Compensate;
   let g, mv_box =
@@ -193,15 +170,7 @@ let apply ~query ~target ~result ~mv_table ~mv_cols =
         let g, id = G.add_box g body in
         install g id (B.output_cols (G.box g id)) rest
   in
-  let g' = install g mv_box mv_cols levels in
-  (* When the validator checks every candidate (ASTQL_VALIDATE=2), an
-     armed Corrupt fault strikes *here*, at the translate/compensate
-     product, and must be caught statically by Lint.Validate. At lower
-     levels the fault stays armed for the runtime site in Session, where
-     the verify oracle catches it dynamically. *)
-  if Lint.Level.candidates_on () && Guard.Fault.fire Guard.Fault.Corrupt then
-    corrupt_compensation g' target
-  else g'
+  install g mv_box mv_cols levels
 
 (* ------------------------------------------------------------------ *)
 (* Cost-based routing                                                  *)
@@ -235,22 +204,6 @@ let guarded on_error mv_name fallback f =
 let rw_candidates = Obs.Metrics.counter "rewrite.candidates"
 let rw_steps = Obs.Metrics.counter "rewrite.steps"
 let rw_route_ms = Obs.Metrics.histogram "rewrite.route_ms"
-let rw_lint_rejects = Obs.Metrics.counter "lint.candidate_rejects"
-
-(* Level-2 static check of one candidate graph. A violation is recorded as
-   a typed trace reject and raised as Guard.Error.Invalid_ir so the
-   planner's containment path classifies it (stage Validate) and
-   quarantines the (fingerprint x summary x version) pair. *)
-let validate_candidate ?trace cat mv_name g' =
-  if Lint.Level.candidates_on () then
-    match Lint.Validate.check ~cat g' with
-    | [] -> ()
-    | vs ->
-        Obs.Metrics.incr rw_lint_rejects;
-        let msg = Lint.Validate.summary vs in
-        Obs.Trace.reject trace ~kind:"validate" ~label:mv_name
-          (Obs.Trace.Ir_invalid msg);
-        raise (Guard.Error.Invalid_ir msg)
 
 let rewrite_candidates ?on_error ?trace ?budget cat g mvs =
   List.concat_map
@@ -280,7 +233,6 @@ let rewrite_candidates ?on_error ?trace ?budget cat g mvs =
                         apply ~query:g ~target:site_box ~result:site_result
                           ~mv_table:mv.mv_name ~mv_cols)
                   in
-                  validate_candidate ?trace cat mv.mv_name g';
                   ( g',
                     {
                       used_mv = mv.mv_name;

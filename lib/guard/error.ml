@@ -26,18 +26,12 @@ type kind =
   | Div_zero                 (* Division_by_zero (e.g. constant folding) *)
   | Failed of string         (* Failure / failwith *)
   | Resource of string       (* Stack_overflow / Out_of_memory *)
-  | Ill_formed of string     (* Invalid_ir: static IR validation failed *)
+  | Ill_formed of string     (* static IR validation failed *)
   | Unexpected of string     (* anything else, via Printexc *)
 
 type t = { err_stage : stage; err_kind : kind; err_mv : string option }
 
 exception Fatal of t
-
-(* Raised by the static IR validator (Lint.Validate) when a graph breaks a
-   QGM well-formedness invariant. Classified as stage Validate regardless
-   of where it was caught, so EXPLAIN distinguishes a statically rejected
-   candidate from a dynamically contained one. *)
-exception Invalid_ir of string
 
 let stage_name = function
   | Navigate -> "navigate"
@@ -58,6 +52,7 @@ let stage_of_point = function
   | Fault.Compensate -> Compensate
   | Fault.Translate -> Translate
   | Fault.Corrupt -> Verify
+  | Fault.Corrupt_plan -> Validate
   | Fault.Refresh -> Refresh
   | Fault.Delay -> Match
   | Fault.Accept -> Accept
@@ -84,7 +79,6 @@ let classify ~stage ?mv exn =
   let stage, kind =
     match exn with
     | Fault.Injected p -> (stage_of_point p, Injected)
-    | Invalid_ir m -> (Validate, Ill_formed m)
     | Assert_failure _ -> (stage, Assertion)
     | Invalid_argument m -> (stage, Invalid m)
     | Division_by_zero -> (stage, Div_zero)

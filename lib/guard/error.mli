@@ -25,7 +25,7 @@ type kind =
   | Div_zero              (** [Division_by_zero] (e.g. constant folding) *)
   | Failed of string      (** [Failure] *)
   | Resource of string    (** [Stack_overflow] / [Out_of_memory] *)
-  | Ill_formed of string  (** {!Invalid_ir}: static IR validation failed *)
+  | Ill_formed of string  (** the planner's final static IR check failed *)
   | Unexpected of string  (** anything else, rendered via [Printexc] *)
 
 type t = {
@@ -39,11 +39,6 @@ type t = {
     classified context rides along so outer layers can report where the
     resource ran out, but no fallback path treats it as containable. *)
 exception Fatal of t
-
-(** Raised by the static IR validator (Lint.Validate) on a graph that
-    breaks a QGM well-formedness invariant; {!classify} maps it to stage
-    {!Validate} / kind {!Ill_formed} wherever it was caught. *)
-exception Invalid_ir of string
 
 (** [classify ~stage ?mv exn] — the stage is overridden by the injection
     point when [exn] is {!Fault.Injected} (the fault knows exactly where it

@@ -2,11 +2,12 @@
 
    Each injection point carries a one-shot countdown: [arm p ~after:n] makes
    the [n]th subsequent hit of [p] fire (raise {!Injected}, or — for
-   [Corrupt], which is consumed with {!fire} rather than {!hit} — return
-   true), after which the point disarms itself. Tests use this to prove the
-   fallback/quarantine/verification invariants instead of hoping for them:
-   the pipeline code calls [hit] unconditionally, so an armed fault strikes
-   at an exact, reproducible call count. Disarmed hits cost one array read. *)
+   [Corrupt] and [Corrupt_plan], which are consumed with {!fire} rather
+   than {!hit} — return true), after which the point disarms itself. Tests
+   use this to prove the fallback/quarantine/verification invariants
+   instead of hoping for them: the pipeline code calls [hit]
+   unconditionally, so an armed fault strikes at an exact, reproducible
+   call count. Disarmed hits cost one array read. *)
 
 type point =
   | Navigate
@@ -14,6 +15,7 @@ type point =
   | Compensate
   | Translate
   | Corrupt
+  | Corrupt_plan
   | Refresh
   | Delay
   | Accept
@@ -34,6 +36,7 @@ let point_name = function
   | Compensate -> "compensate"
   | Translate -> "translate"
   | Corrupt -> "corrupt"
+  | Corrupt_plan -> "corrupt_plan"
   | Refresh -> "refresh"
   | Delay -> "delay"
   | Accept -> "accept"
@@ -48,8 +51,8 @@ let point_name = function
 
 let all_points =
   [
-    Navigate; Match; Compensate; Translate; Corrupt; Refresh; Delay; Accept;
-    Wal_append; Wal_fsync; Checkpoint_write; Checkpoint_rename;
+    Navigate; Match; Compensate; Translate; Corrupt; Corrupt_plan; Refresh;
+    Delay; Accept; Wal_append; Wal_fsync; Checkpoint_write; Checkpoint_rename;
     Wire_partial_write; Wire_stall_read; Wire_disconnect; Wire_corrupt;
   ]
 
@@ -70,8 +73,9 @@ let idx = function
   | Wire_stall_read -> 13
   | Wire_disconnect -> 14
   | Wire_corrupt -> 15
+  | Corrupt_plan -> 16
 
-let n_points = 16
+let n_points = 17
 
 (* remaining hits before the point fires; None = disarmed *)
 let countdown : int option array = Array.make n_points None

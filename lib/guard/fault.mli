@@ -5,8 +5,10 @@
     translation); tests {!arm} a point so that its [N]th subsequent hit
     raises {!Injected} — once — proving that the fallback, quarantine and
     verification invariants hold under failure at an exact, reproducible
-    position. [Corrupt] is not raised but polled with {!fire} by the
-    session's verification path to perturb a rewritten result. Disarmed
+    position. [Corrupt] and [Corrupt_plan] are not raised but polled with
+    {!fire}: [Corrupt] by the session to perturb a rewritten result (the
+    verify oracle's job to catch), [Corrupt_plan] by the planner to break
+    the chosen plan's IR (the final static check's job to catch). Disarmed
     hits cost one array read, so the hooks stay in production builds. *)
 
 type point =
@@ -14,7 +16,8 @@ type point =
   | Match        (** each {!Astmatch.Patterns.match_boxes} call *)
   | Compensate   (** {!Astmatch.Rewrite.apply} (compensation construction) *)
   | Translate    (** {!Astmatch.Translate.through_comp} *)
-  | Corrupt      (** result corruption under verification (via {!fire}) *)
+  | Corrupt      (** rewritten-result corruption at run time (via {!fire}) *)
+  | Corrupt_plan (** plan IR corruption before the final check (via {!fire}) *)
   | Refresh      (** summary-table refresh (maintenance path) *)
   | Delay        (** stall at the match site (via {!maybe_delay}) *)
   | Accept       (** server connection accept/handler path *)
@@ -48,9 +51,9 @@ val fire : point -> bool
 val hit : point -> unit
 
 (** Parse and arm a spec like ["match:3,compensate"] (missing count = 1).
-    Point names: navigate, match, compensate, translate, corrupt, refresh,
-    delay, accept, and the wire points (wire_partial_write,
-    wire_stall_read, wire_disconnect, wire_corrupt). *)
+    Point names: navigate, match, compensate, translate, corrupt,
+    corrupt_plan, refresh, delay, accept, and the wire points
+    (wire_partial_write, wire_stall_read, wire_disconnect, wire_corrupt). *)
 val arm_spec : string -> (unit, string) result
 
 (** How long a fired [Delay] point stalls (default 10 ms). *)

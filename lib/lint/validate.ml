@@ -40,7 +40,7 @@
           definition)
 
    [check ~deep:true] additionally runs the V118 prover pass (used by
-   [astql lint]; the plan-time candidate validation stays shallow — an
+   [astql lint]; the plan-time final-plan check stays shallow — an
    unsatisfiable predicate is legal IR, just useless).
 
    [check] walks only the boxes reachable from the root: the rewriter
@@ -294,13 +294,3 @@ let check ?cat ?(deep = false) g =
   let vs = List.rev !problems in
   Obs.Metrics.add m_violations (List.length vs);
   vs
-
-let ok ?cat g = check ?cat g = []
-
-(* Raise the guard-classifiable rejection the planner's containment
-   machinery understands (stage Validate, kind Ill_formed). *)
-let check_exn ?cat ~what g =
-  match check ?cat g with
-  | [] -> ()
-  | vs ->
-      raise (Guard.Error.Invalid_ir (Printf.sprintf "%s: %s" what (summary vs)))

@@ -48,10 +48,10 @@ type t = {
 
 type outcome = Msg of string | Table of R.t | Plan of string
 
-let create ?(rewrite = true) ?plan_capacity ?(verify = Off)
-    ?(verify_oracle = false) ?budget ?(auto_maint = false) () =
+let make ~rewrite ?plan_capacity ~verify ~verify_oracle ?budget ~auto_maint
+    db =
   {
-    sdb = Engine.Db.create Catalog.empty;
+    sdb = db;
     sstore = Store.empty;
     sshared = None;
     srewrite = rewrite;
@@ -72,29 +72,15 @@ let create ?(rewrite = true) ?plan_capacity ?(verify = Off)
     scopy_rows = [];
   }
 
+let create ?(rewrite = true) ?plan_capacity ?(verify = Off)
+    ?(verify_oracle = false) ?budget ?(auto_maint = false) () =
+  make ~rewrite ?plan_capacity ~verify ~verify_oracle ?budget ~auto_maint
+    (Engine.Db.create Catalog.empty)
+
 let of_tables ?(rewrite = true) ?plan_capacity ?(verify = Off)
     ?(verify_oracle = false) ?budget ?(auto_maint = false) cat tables =
-  {
-    sdb = Engine.Db.of_tables cat tables;
-    sstore = Store.empty;
-    sshared = None;
-    srewrite = rewrite;
-    sverify = verify;
-    sverify_acc = 0.;
-    sverify_oracle = verify_oracle;
-    splanner = Plancache.Planner.create ?capacity:plan_capacity ();
-    strace = false;
-    straces = Obs.Trace.ring ();
-    slimits =
-      (match budget with
-      | Some l -> l
-      | None -> Govern.Budget.default_limits ());
-    sdegraded = [];
-    sauto_maint = auto_maint;
-    smaint = Maint.create ();
-    son_commit = None;
-    scopy_rows = [];
-  }
+  make ~rewrite ?plan_capacity ~verify ~verify_oracle ?budget ~auto_maint
+    (Engine.Db.of_tables cat tables)
 
 (* ---------------- shared-state binding ---------------- *)
 
@@ -107,14 +93,13 @@ let of_tables ?(rewrite = true) ?plan_capacity ?(verify = Off)
 let attach ?(rewrite = true) ?plan_capacity ?(verify = Off)
     ?(verify_oracle = false) ?budget ?(auto_maint = false) shared =
   let snap = Shared.snapshot shared in
-  let t =
-    create ~rewrite ?plan_capacity ~verify ~verify_oracle ?budget ~auto_maint
-      ()
-  in
-  t.sdb <- snap.Shared.sn_db;
-  t.sstore <- snap.Shared.sn_store;
-  t.sshared <- Some shared;
-  t
+  {
+    (make ~rewrite ?plan_capacity ~verify ~verify_oracle ?budget ~auto_maint
+       snap.Shared.sn_db)
+    with
+    sstore = snap.Shared.sn_store;
+    sshared = Some shared;
+  }
 
 let share t =
   match t.sshared with
@@ -401,20 +386,8 @@ let do_copy_to t table path =
 (* ---------------- queries ---------------- *)
 
 let build_query t q =
-  let g =
-    try Qgm.Builder.build (Engine.Db.catalog t.sdb) q
-    with Qgm.Builder.Sem_error m -> err "semantic error: %s" m
-  in
-  (* At ASTQL_VALIDATE=2 the builder's output is held to the same static
-     invariants as every rewrite candidate; a failure here is an engine
-     bug surfaced as a session error, not a crash. *)
-  if Lint.Level.candidates_on () then
-    (match Lint.Validate.check ~cat:(Engine.Db.catalog t.sdb) g with
-    | [] -> ()
-    | vs ->
-        err "internal error: builder produced ill-formed IR (%s)"
-          (Lint.Validate.summary vs));
-  g
+  try Qgm.Builder.build (Engine.Db.catalog t.sdb) q
+  with Qgm.Builder.Sem_error m -> err "semantic error: %s" m
 
 (* The single planning entry point: run_query, EXPLAIN REWRITE and EXPLAIN
    all route through here, so what EXPLAIN reports is exactly what
@@ -643,11 +616,7 @@ let explain_in_snapshot ?(verbose = false) t q =
   addf "cache: %s\n" (if r.Plancache.Planner.pr_hit then "hit" else "miss");
   addf "candidates: %d attempted, %d filtered (of %d fresh)\n" r.pr_attempted
     r.pr_filtered (List.length fresh);
-  addf "validated: %s%s\n"
-    (Lint.Level.to_string (Lint.Level.current ()))
-    (if r.pr_validated > 0 then
-       Printf.sprintf " (%d graph(s) checked)" r.pr_validated
-     else "");
+  addf "validated: %d graph(s) checked\n" r.pr_validated;
   if r.pr_quarantined > 0 then
     addf "quarantine: %d candidate(s) held\n" r.pr_quarantined;
   (match r.pr_degraded with

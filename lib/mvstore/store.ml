@@ -203,12 +203,11 @@ let define store db ~name ~sql =
     try Qgm.Builder.build (Engine.Db.catalog db) ast_q
     with Qgm.Builder.Sem_error m -> err "invalid summary definition: %s" m
   in
-  (if Lint.Level.candidates_on () then
-     match Lint.Validate.check ~cat:(Engine.Db.catalog db) graph with
-     | [] -> ()
-     | vs ->
-         err "summary definition produced ill-formed IR (%s)"
-           (Lint.Validate.summary vs));
+  (match Lint.Validate.check ~cat:(Engine.Db.catalog db) graph with
+  | [] -> ()
+  | vs ->
+      err "summary definition produced ill-formed IR (%s)"
+        (Lint.Validate.summary vs));
   let cols = Qgm.Typing.infer_outputs (Engine.Db.catalog db) graph in
   let contents = Engine.Exec.run db graph in
   let db = register_catalog db name cols in

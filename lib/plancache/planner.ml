@@ -92,8 +92,27 @@ let m_quarantine_skips = Obs.Metrics.counter "plan.quarantine_skips"
 let m_errors = Obs.Metrics.counter "plan.contained_errors"
 let m_plan_ms = Obs.Metrics.histogram "plan.ms"
 let m_degraded = Obs.Metrics.counter "govern.degraded_plans"
-let m_lint_runs = Obs.Metrics.counter "lint.validate.runs"
 let m_lint_final = Obs.Metrics.counter "lint.final_rejects"
+
+(* The Corrupt_plan fault: repoint the first quantifier of the last
+   step's compensation at a box id that does not exist. That box is
+   reachable in the final plan and always has a quantifier (the one
+   ranging over the summary table or the compensation level below), so
+   the damage is always statically detectable (V103). *)
+let corrupt_plan g (steps : Astmatch.Rewrite.step list) =
+  let module B = Qgm.Box in
+  let target = (List.hd (List.rev steps)).target in
+  let dangle q = { q with B.q_box = 1_000_000 + q.B.q_box } in
+  let body =
+    match (Qgm.Graph.box g target).B.body with
+    | B.Select ({ B.sel_quants = q :: rest; _ } as s) ->
+        B.Select { s with B.sel_quants = dangle q :: rest }
+    | B.Group grp -> B.Group { grp with B.grp_quant = dangle grp.B.grp_quant }
+    | B.Union ({ B.un_quants = q :: rest; _ } as u) ->
+        B.Union { u with B.un_quants = dangle q :: rest }
+    | body -> body
+  in
+  Qgm.Graph.update_box g target body
 
 let plan_raw ?trace ?budget t ~cat ~epoch ~mvs g =
   let st = t.p_stats in
@@ -149,7 +168,6 @@ let plan_raw ?trace ?budget t ~cat ~epoch ~mvs g =
             then st.Stats.quarantined <- st.Stats.quarantined + 1
         | None -> ()
       in
-      let v_runs0 = Obs.Metrics.counter_value m_lint_runs in
       let decision =
         match Astmatch.Rewrite.best ~cat ~on_error ?trace ?budget g kept with
         | None -> No_rewrite
@@ -157,14 +175,18 @@ let plan_raw ?trace ?budget t ~cat ~epoch ~mvs g =
             Obs.Metrics.incr m_rewrites;
             Rewrite (g', steps)
       in
-      (* final-plan static check (ASTQL_VALIDATE >= 1): a rewritten plan
-         that fails validation never executes — its summaries are
-         quarantined and the query degrades to the base plan. Candidates
-         were already checked individually at level 2, so at that level
-         this is a cheap re-check of the winner. *)
+      (* the final static check: a rewritten plan that fails validation
+         never executes — its summaries are quarantined and the query
+         degrades to the base plan *)
+      let validated = match decision with Rewrite _ -> 1 | No_rewrite -> 0 in
       let decision =
         match decision with
-        | Rewrite (g', steps) when Lint.Level.final_on () -> (
+        | Rewrite (g', steps) -> (
+            let g' =
+              if Guard.Fault.fire Guard.Fault.Corrupt_plan then
+                corrupt_plan g' steps
+              else g'
+            in
             match Lint.Validate.check ~cat g' with
             | [] -> decision
             | vs ->
@@ -198,9 +220,8 @@ let plan_raw ?trace ?budget t ~cat ~epoch ~mvs g =
                     | None -> ())
                   steps;
                 No_rewrite)
-        | _ -> decision
+        | No_rewrite -> decision
       in
-      let validated = Obs.Metrics.counter_value m_lint_runs - v_runs0 in
       (* a contained failure that left the query unrewritten is a fallback
          to the base plan; if another AST still served it, it is not *)
       if !errors <> [] && decision = No_rewrite then

@@ -9,6 +9,10 @@
     rewrite") are cached too, so a hot query that cannot be rewritten stops
     paying for matching as well.
 
+    A rewritten decision is checked by {!Lint.Validate} before it is
+    cached: a plan that breaks an IR invariant quarantines every summary
+    table it used and the query gets the base plan.
+
     Planning never raises: any exception inside the rewrite pipeline is
     contained ({!Guard.Sandbox}), classified, counted, quarantines the
     offending (fingerprint x summary-table) pair, and at worst degrades the
@@ -35,8 +39,8 @@ type report = {
           is best-so-far (possibly the base plan), was {e not} cached, and
           a re-plan under an adequate budget will try again *)
   pr_validated : int;
-      (** static-validator runs during this planning (candidates plus the
-          final plan, per the ASTQL_VALIDATE level; 0 on a hit) *)
+      (** static-validator runs during this planning (1 when a rewritten
+          plan was checked, 0 on a hit or an unrewritten plan) *)
 }
 (** On a cache hit, [pr_attempted]/[pr_filtered]/[pr_quarantined] report
     the counts from the planning that produced the entry (nothing was

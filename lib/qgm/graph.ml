@@ -78,108 +78,6 @@ let quant_in b qid = List.find_opt (fun q -> q.Box.q_id = qid) (Box.quants_of b)
 let quant_cols g q = Box.output_cols (box g q.Box.q_box)
 
 (* ------------------------------------------------------------------ *)
-(* Validation                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let validate g =
-  let problems = ref [] in
-  let complain fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
-  if box_opt g g.root_id = None then complain "root box %d missing" g.root_id;
-  (* acyclicity via DFS with colors *)
-  let color = Hashtbl.create 16 in
-  let rec dfs id =
-    match Hashtbl.find_opt color id with
-    | Some `Done -> ()
-    | Some `Active -> complain "cycle through box %d" id
-    | None -> (
-        Hashtbl.replace color id `Active;
-        (match box_opt g id with
-        | None -> complain "dangling box reference %d" id
-        | Some b -> List.iter dfs (Box.children_ids b));
-        Hashtbl.replace color id `Done)
-  in
-  IM.iter (fun id _ -> dfs id) g.boxes;
-  let check_unique_outs id cols =
-    let sorted = List.sort compare (List.map String.lowercase_ascii cols) in
-    let rec dup = function
-      | a :: b :: _ when a = b -> Some a
-      | _ :: rest -> dup rest
-      | [] -> None
-    in
-    match dup sorted with
-    | Some c -> complain "box %d: duplicate output column %s" id c
-    | None -> ()
-  in
-  let check_expr id quants ~allow_agg e =
-    let find_quant qid = List.find_opt (fun q -> q.Box.q_id = qid) quants in
-    List.iter
-      (fun { Box.quant; col } ->
-        match find_quant quant with
-        | None -> complain "box %d: reference to foreign quantifier %d" id quant
-        | Some q -> (
-            match box_opt g q.Box.q_box with
-            | None -> ()
-            | Some child ->
-                let cols = List.map String.lowercase_ascii (Box.output_cols child) in
-                if not (List.mem (String.lowercase_ascii col) cols) then
-                  complain "box %d: column %s not produced by child box %d" id
-                    col q.Box.q_box))
-      (Expr.cols e);
-    if (not allow_agg) && Expr.contains_agg e then
-      complain "box %d: aggregate in SELECT box expression" id
-  in
-  IM.iter
-    (fun id b ->
-      match b.Box.body with
-      | Box.Base { bt_cols; _ } -> check_unique_outs id bt_cols
-      | Box.Select s ->
-          check_unique_outs id (List.map fst s.sel_outs);
-          List.iter (fun (_, e) -> check_expr id s.sel_quants ~allow_agg:false e) s.sel_outs;
-          List.iter (check_expr id s.sel_quants ~allow_agg:false) s.sel_preds
-      | Box.Union u ->
-          check_unique_outs id u.un_cols;
-          List.iter
-            (fun q ->
-              match box_opt g q.Box.q_box with
-              | None -> ()
-              | Some child ->
-                  if
-                    List.length (Box.output_cols child)
-                    <> List.length u.un_cols
-                  then
-                    complain "box %d: UNION branch %d has mismatched arity" id
-                      q.Box.q_box)
-            u.un_quants
-      | Box.Group grp -> (
-          check_unique_outs id (Box.output_cols b);
-          match box_opt g grp.grp_quant.Box.q_box with
-          | None -> complain "box %d: dangling group child" id
-          | Some child ->
-              let child_cols =
-                List.map String.lowercase_ascii (Box.output_cols child)
-              in
-              let check_col what c =
-                if not (List.mem (String.lowercase_ascii c) child_cols) then
-                  complain "box %d: %s column %s not produced by child" id what c
-              in
-              List.iter (check_col "grouping")
-                (Box.grouping_union grp.grp_grouping);
-              List.iter
-                (fun (_, { Box.agg; arg }) ->
-                  (match arg with
-                  | Some c -> check_col "aggregate" c
-                  | None ->
-                      if agg.Expr.fn <> Expr.Count_star then
-                        complain "box %d: aggregate without argument" id);
-                  match (agg.Expr.fn, arg) with
-                  | Expr.Count_star, Some _ ->
-                      complain "box %d: COUNT(*) with argument" id
-                  | _ -> ())
-                grp.grp_aggs))
-    g.boxes;
-  List.rev !problems
-
-(* ------------------------------------------------------------------ *)
 (* Debug printing                                                      *)
 (* ------------------------------------------------------------------ *)
 

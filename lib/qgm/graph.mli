@@ -48,12 +48,5 @@ val quant_in : Box.box -> Box.quant_id -> Box.quant option
 (** Output columns of the box a quantifier ranges over. *)
 val quant_cols : t -> Box.quant -> string list
 
-(** Structural validation; returns human-readable problems (empty = valid).
-    Checks: root exists, quantifier targets exist, acyclicity, column
-    references resolve against child outputs, aggregates appear only in
-    GROUP BY boxes, grouping columns exist in the child, output names are
-    unique. *)
-val validate : t -> string list
-
 (** Debug dump. *)
 val pp : Format.formatter -> t -> unit

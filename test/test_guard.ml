@@ -269,11 +269,6 @@ let test_injection_matrix () =
    (resurrect) the observation recorded against the old one *)
 let test_quarantine_not_resurrected_by_recreate () =
   with_clean_faults @@ fun () ->
-  (* pin validation off: this test is about the *runtime* verify oracle
-     catching the corruption; at ASTQL_VALIDATE=2 the Corrupt fault would
-     strike at plan time and be caught statically instead (covered by
-     test_lint.ml) *)
-  Lint.Level.with_level Lint.Level.Off @@ fun () ->
   let sn, plain, both = grouped_pair ~verify:Sess.Always () in
   let q = "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
   F.arm F.Corrupt ~after:1;
@@ -335,8 +330,6 @@ let test_other_ast_still_tried () =
 
 let test_verify_catches_corruption () =
   with_clean_faults @@ fun () ->
-  (* runtime-oracle path: see test_quarantine_not_resurrected_by_recreate *)
-  Lint.Level.with_level Lint.Level.Off @@ fun () ->
   let sn, plain, both = grouped_pair ~verify:Sess.Always () in
   let q = "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
   F.arm F.Corrupt ~after:1;
@@ -448,7 +441,10 @@ let test_randomized_workload () =
       "SELECT g, v FROM t";
     |]
   in
-  let points = [| F.Navigate; F.Match; F.Compensate; F.Translate; F.Corrupt |] in
+  let points =
+    [| F.Navigate; F.Match; F.Compensate; F.Translate; F.Corrupt;
+       F.Corrupt_plan |]
+  in
   for step = 1 to 120 do
     (match Random.State.int rng 10 with
     | 0 ->

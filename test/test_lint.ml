@@ -4,11 +4,12 @@
    The validator tests hand-build ill-formed graphs with the Graph API and
    check each one is caught with the right V-code; the advisor tests drive
    whole sessions through SQL and look for L-codes on the definitions.
-   The acceptance test at the bottom arms the Corrupt fault at
-   ASTQL_VALIDATE=2 with runtime verification OFF and shows the corruption
-   is rejected *statically* at plan time: typed invalid-ir rejection in
-   EXPLAIN REWRITE VERBOSE, candidate quarantined, correct answer served
-   from the base plan. *)
+   The tests at the bottom cover the planner's one validation site, the
+   final plan: it runs once per rewritten plan-cache miss and never on a
+   hit, and with the Corrupt_plan fault armed and runtime verification
+   OFF the broken plan is rejected *statically* — typed invalid-ir
+   rejection in EXPLAIN REWRITE VERBOSE, summary quarantined, correct
+   answer served from the base plan. *)
 
 module B = Qgm.Box
 module E = Qgm.Expr
@@ -306,50 +307,6 @@ let test_builder_output_clean () =
       "SELECT COUNT(DISTINCT faid) AS u FROM Trans";
     ]
 
-(* ---------------- the level knob ---------------- *)
-
-let test_level_parsing () =
-  let check s expect =
-    Alcotest.(check bool)
-      (Printf.sprintf "parse %S" s)
-      true
-      (Lint.Level.of_string s = expect)
-  in
-  check "0" (Some Lint.Level.Off);
-  check "off" (Some Lint.Level.Off);
-  check "1" (Some Lint.Level.Final);
-  check "final-plan" (Some Lint.Level.Final);
-  check "2" (Some Lint.Level.Candidates);
-  check "every-candidate" (Some Lint.Level.Candidates);
-  check "ALL" (Some Lint.Level.Candidates);
-  check "bogus" None;
-  Lint.Level.with_level Lint.Level.Off (fun () ->
-      Alcotest.(check bool) "off disables final" false (Lint.Level.final_on ());
-      Alcotest.(check bool) "off disables candidates" false
-        (Lint.Level.candidates_on ()));
-  Lint.Level.with_level Lint.Level.Final (fun () ->
-      Alcotest.(check bool) "final on" true (Lint.Level.final_on ());
-      Alcotest.(check bool) "candidates off at final" false
-        (Lint.Level.candidates_on ()));
-  Lint.Level.with_level Lint.Level.Candidates (fun () ->
-      Alcotest.(check bool) "candidates on" true (Lint.Level.candidates_on ()))
-
-(* With the knob off, planning never invokes the validator. *)
-let test_off_is_free () =
-  Lint.Level.with_level Lint.Level.Off @@ fun () ->
-  let sn = Sess.create () in
-  ignore
-    (Sess.exec_sql sn
-       "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
-        INSERT INTO t VALUES (1, 10), (2, 5); \
-        CREATE SUMMARY TABLE m AS SELECT g, SUM(v) AS s, COUNT(*) AS c \
-        FROM t GROUP BY g;");
-  let runs = Obs.Metrics.counter "lint.validate.runs" in
-  let before = Obs.Metrics.counter_value runs in
-  let _ = Sess.run_query sn (parse "SELECT g, SUM(v) AS s FROM t GROUP BY g") in
-  Alcotest.(check int) "no validator runs at level off" before
-    (Obs.Metrics.counter_value runs)
-
 (* ---------------- advisor L-codes, end to end ---------------- *)
 
 let advisor_session () =
@@ -469,79 +426,76 @@ let test_create_summary_warns_inline () =
         (contains m "L101")
   | _ -> Alcotest.fail "expected a single message outcome"
 
-(* ---------------- static containment of Corrupt ---------------- *)
+(* ---------------- the final-plan check ---------------- *)
 
 let with_clean_faults f =
   F.disarm_all ();
   Fun.protect ~finally:F.disarm_all f
 
-(* Acceptance: at ASTQL_VALIDATE=2 with runtime verification OFF, an armed
-   Corrupt injection is caught *statically*: the ill-formed compensation is
-   rejected at plan time with a typed invalid-ir reason, the candidate is
-   quarantined, and the query is still answered correctly from the base
+let grouped_session ?rewrite () =
+  let sn = Sess.create ?rewrite () in
+  ignore
+    (Sess.exec_sql sn
+       "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
+        INSERT INTO t VALUES (1, 10), (1, 20), (2, 5), (3, 8); \
+        CREATE SUMMARY TABLE m AS SELECT g, SUM(v) AS s, COUNT(*) AS c \
+        FROM t GROUP BY g;");
+  sn
+
+let grouped_query = parse "SELECT g, SUM(v) AS s FROM t GROUP BY g"
+
+(* The cost of validation: one run per rewritten plan-cache miss, none on
+   a hit. *)
+let test_one_run_per_miss () =
+  let sn = grouped_session () in
+  let runs = Obs.Metrics.counter "lint.validate.runs" in
+  let ticks () =
+    let before = Obs.Metrics.counter_value runs in
+    let _, steps = Sess.run_query sn grouped_query in
+    Alcotest.(check bool) "rewritten" true (steps <> []);
+    Obs.Metrics.counter_value runs - before
+  in
+  Alcotest.(check int) "one validator run on a miss" 1 (ticks ());
+  Alcotest.(check int) "no validator run on a hit" 0 (ticks ())
+
+(* Acceptance: with runtime verification OFF, an armed Corrupt_plan fault
+   breaks the chosen plan's IR and the final check rejects it
+   *statically*: a typed invalid-ir rejection in EXPLAIN, the summary
+   quarantined, and the query still answered correctly from the base
    plan. *)
 let test_corrupt_caught_statically () =
   with_clean_faults @@ fun () ->
-  Lint.Level.with_level Lint.Level.Candidates @@ fun () ->
-  let sn = Sess.create () (* verify defaults to Off *) in
-  let plain = Sess.create ~rewrite:false () in
-  let both sql =
-    ignore (Sess.exec_sql sn sql);
-    ignore (Sess.exec_sql plain sql)
-  in
-  both
-    "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
-     INSERT INTO t VALUES (1, 10), (1, 20), (2, 5), (3, 8); \
-     CREATE SUMMARY TABLE m AS SELECT g, SUM(v) AS s, COUNT(*) AS c FROM t \
-     GROUP BY g;";
-  let q = parse "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
+  let sn = grouped_session () (* verify defaults to Off *) in
+  let plain = grouped_session ~rewrite:false () in
   (* sanity: rewrites when healthy *)
-  let _, steps = Sess.run_query sn q in
+  let _, steps = Sess.run_query sn grouped_query in
   Alcotest.(check bool) "rewrites when healthy" true (steps <> []);
   (* new epoch so the cached healthy plan cannot be served *)
-  both "INSERT INTO t VALUES (4, 2);";
+  ignore (Sess.exec_sql sn "INSERT INTO t VALUES (4, 2);");
+  ignore (Sess.exec_sql plain "INSERT INTO t VALUES (4, 2);");
   let st0 = Sess.stats sn in
-  let rejects = Obs.Metrics.counter "lint.candidate_rejects" in
-  let r0 = Obs.Metrics.counter_value rejects in
-  F.arm F.Corrupt ~after:1;
-  let explain = Sess.explain ~verbose:true sn q in
-  Alcotest.(check bool) "corrupt fault consumed at plan time" false
-    (F.armed F.Corrupt);
+  let quarantined0 = st0.P.Stats.quarantined in
+  let final_rejects = Obs.Metrics.counter "lint.final_rejects" in
+  let r0 = Obs.Metrics.counter_value final_rejects in
+  F.arm F.Corrupt_plan ~after:1;
+  let explain = Sess.explain ~verbose:true sn grouped_query in
+  Alcotest.(check bool) "corrupt_plan fault consumed at plan time" false
+    (F.armed F.Corrupt_plan);
   Alcotest.(check bool)
     (Printf.sprintf "typed invalid-ir rejection in EXPLAIN (got %s)" explain)
     true (contains explain "invalid-ir");
   Alcotest.(check bool) "V-code visible in the rejection reason" true
     (contains explain "V10");
-  Alcotest.(check bool) "candidate reject metric ticked" true
-    (Obs.Metrics.counter_value rejects > r0);
-  let st1 = Sess.stats sn in
-  Alcotest.(check bool) "candidate quarantined" true
-    (st1.P.Stats.quarantined > st0.P.Stats.quarantined);
-  (* the corrupted candidate never executes: answer equals rewrite-off *)
-  let via, steps = Sess.run_query sn q in
+  Alcotest.(check int) "final-plan reject metric ticked" (r0 + 1)
+    (Obs.Metrics.counter_value final_rejects);
+  Alcotest.(check int) "the step's summary quarantined" (quarantined0 + 1)
+    (Sess.stats sn).P.Stats.quarantined;
+  (* the corrupted plan never executes: answer equals rewrite-off *)
+  let via, steps = Sess.run_query sn grouped_query in
   Alcotest.(check bool) "degraded to base plan" true (steps = []);
-  let direct, _ = Sess.run_query plain q in
+  let direct, _ = Sess.run_query plain grouped_query in
   Alcotest.(check bool) "result equals rewrite-off session" true
     (Data.Relation.bag_equal_approx via direct)
-
-(* the plan-time corruption site only exists at level 2: at level 1 the
-   armed fault is left for the runtime site (test_guard covers it) *)
-let test_corrupt_site_respects_level () =
-  with_clean_faults @@ fun () ->
-  Lint.Level.with_level Lint.Level.Final @@ fun () ->
-  let sn = Sess.create () in
-  ignore
-    (Sess.exec_sql sn
-       "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
-        INSERT INTO t VALUES (1, 10), (2, 5); \
-        CREATE SUMMARY TABLE m AS SELECT g, SUM(v) AS s, COUNT(*) AS c \
-        FROM t GROUP BY g;");
-  let q = parse "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
-  F.arm F.Corrupt ~after:1;
-  let _, steps = Sess.run_query sn q in
-  Alcotest.(check bool) "rewrite goes through at level 1" true (steps <> []);
-  Alcotest.(check bool) "fault consumed by the runtime site" false
-    (F.armed F.Corrupt)
 
 let suite =
   [
@@ -571,8 +525,6 @@ let suite =
     Alcotest.test_case "V117 no quantifiers" `Quick test_v117_no_quantifiers;
     Alcotest.test_case "builder output is clean" `Quick
       test_builder_output_clean;
-    Alcotest.test_case "level knob parsing" `Quick test_level_parsing;
-    Alcotest.test_case "level off costs nothing" `Quick test_off_is_free;
     Alcotest.test_case "advisor L-codes" `Quick test_advisor_codes;
     Alcotest.test_case "advisor clean definition" `Quick
       test_advisor_clean_definition;
@@ -582,8 +534,8 @@ let suite =
       test_v118_unsat_predicate;
     Alcotest.test_case "CREATE SUMMARY warns inline" `Quick
       test_create_summary_warns_inline;
+    Alcotest.test_case "one validator run per rewritten miss" `Quick
+      test_one_run_per_miss;
     Alcotest.test_case "corrupt caught statically" `Quick
       test_corrupt_caught_statically;
-    Alcotest.test_case "corrupt site respects level" `Quick
-      test_corrupt_site_respects_level;
   ]
