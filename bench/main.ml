@@ -291,7 +291,7 @@ let () =
       (fun (c : Workload.Paper_queries.case) -> c.expect_rewrite)
       Workload.Paper_queries.cases
   in
-  let decide () =
+  let decide config =
     (* cheap decision run on a small database *)
     let tables =
       W.generate { W.default_params with n_custs = 2; trans_per_acct_year = 10 }
@@ -302,16 +302,19 @@ let () =
         let cat = Engine.Db.catalog db in
         let qg = build cat c.query in
         let ag = build cat c.ast in
-        (c.name, Astmatch.Navigator.find_matches cat ~query:qg ~ast:ag <> []))
+        ( c.name,
+          Astmatch.Navigator.find_matches ~config cat ~query:qg ~ast:ag <> []
+        ))
       positive
   in
-  let baseline = decide () in
+  let d = Astmatch.Config.default in
+  let baseline = decide d in
   let ablations =
     [
-      ("equivalence classes", Astmatch.Config.equivalence_classes);
-      ("predicate subsumption", Astmatch.Config.predicate_subsumption);
-      ("greedy derivation", Astmatch.Config.greedy_derivation);
-      ("smallest cuboid", Astmatch.Config.smallest_cuboid);
+      ("equivalence classes", { d with equivalence_classes = false });
+      ("predicate subsumption", { d with predicate_subsumption = false });
+      ("greedy derivation", { d with greedy_derivation = false });
+      ("smallest cuboid", { d with smallest_cuboid = false });
     ]
   in
   Printf.printf "%-24s %9s   lost rewrites\n" "feature disabled" "matches";
@@ -319,8 +322,8 @@ let () =
     (List.length (List.filter snd baseline))
     (List.length baseline);
   List.iter
-    (fun (label, switch) ->
-      let rows = Astmatch.Config.without switch decide in
+    (fun (label, config) ->
+      let rows = decide config in
       let lost =
         List.filter_map
           (fun ((name, ok), (_, ok0)) ->
@@ -576,7 +579,11 @@ let () =
   let verify_rows =
     List.map
       (fun (label, mode) ->
-        let vsn = Mvstore.Session.of_tables ~verify:mode (W.catalog ()) tiny in
+        let vsn =
+          Mvstore.Session.of_tables
+            ~config:{ (Mvstore.Session.default_config ()) with verify = mode }
+            (W.catalog ()) tiny
+        in
         List.iter
           (fun (name, sql) ->
             ignore

@@ -125,35 +125,35 @@ let print_metrics () = print_string (Obs.Metrics.to_text ())
 
 let print_limits session =
   Printf.printf "limits: %s\n"
-    (Govern.Budget.describe (Mvstore.Session.limits session))
+    (Govern.Budget.describe (Mvstore.Session.config session).limits)
 
-(* \limits [off | deadline MS | matches N | candidates N | rows N] *)
+(* \limits [off | deadline MS | matches N | candidates N | rows N], each
+   value under the same validity rule as the flags and the environment *)
 let set_limits session args =
   let module B = Govern.Budget in
-  let cur = Mvstore.Session.limits session in
+  let cfg = Mvstore.Session.config session in
+  let cur = cfg.limits in
+  let set l = Mvstore.Session.set_config session { cfg with limits = l } in
   let bad () =
     print_endline
       "usage: \\limits [off | deadline MS | matches N | candidates N | rows N]"
   in
+  let count v f =
+    match B.parse_count ~name:"count" v with
+    | Ok n -> set (f n)
+    | Error _ -> bad ()
+  in
   (match args with
   | [] -> ()
-  | [ "off" ] -> Mvstore.Session.set_limits session B.unlimited
+  | [ "off" ] -> set B.unlimited
   | [ "deadline"; v ] -> (
-      match float_of_string_opt v with
-      | Some ms when ms > 0. ->
-          Mvstore.Session.set_limits session
-            { cur with B.bl_deadline_ms = Some ms }
-      | _ -> bad ())
-  | [ key; v ] -> (
-      match (key, int_of_string_opt v) with
-      | "matches", Some n when n > 0 ->
-          Mvstore.Session.set_limits session { cur with B.bl_matches = Some n }
-      | "candidates", Some n when n > 0 ->
-          Mvstore.Session.set_limits session
-            { cur with B.bl_candidates = Some n }
-      | "rows", Some n when n > 0 ->
-          Mvstore.Session.set_limits session { cur with B.bl_rows = Some n }
-      | _ -> bad ())
+      match B.parse_deadline_ms ~name:"deadline" v with
+      | Ok ms -> set { cur with B.bl_deadline_ms = Some ms }
+      | Error _ -> bad ())
+  | [ "matches"; v ] -> count v (fun n -> { cur with B.bl_matches = Some n })
+  | [ "candidates"; v ] ->
+      count v (fun n -> { cur with B.bl_candidates = Some n })
+  | [ "rows"; v ] -> count v (fun n -> { cur with B.bl_rows = Some n })
   | _ -> bad ());
   print_limits session
 
@@ -328,27 +328,9 @@ let repl ?durable session =
   in
   loop ()
 
-let make_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale =
-  if demo then begin
-    let params = Workload.Star_schema.scaled scale in
-    let tables = Workload.Star_schema.generate params in
-    let session =
-      Mvstore.Session.of_tables ~rewrite ~verify ~budget ~auto_maint
-        (Workload.Star_schema.catalog ()) tables
-    in
-    Printf.printf "loaded star schema (%d transactions)\n"
-      (Data.Relation.cardinality (List.assoc "Trans" tables));
-    session
-  end
-  else Mvstore.Session.create ~rewrite ~verify ~budget ~auto_maint ()
-
-(* With --durability, the recovered shared state is canonical: demo seed
-   data only applies when the database was recovered empty (and is folded
-   into a checkpoint immediately so it survives a crash before the first
-   commit). *)
-let state_empty shared =
-  let snap = Mvstore.Shared.snapshot shared in
-  Catalog.tables (Engine.Db.catalog snap.Mvstore.Shared.sn_db) = []
+let make_session ~config ~demo ~scale =
+  if demo then Cli.demo_session ~config ~scale ~log:print_endline
+  else Mvstore.Session.create ~config ()
 
 (* Build the session for run/repl/demo and hand it to [k] together with
    the durability manager when one is active. Without --durability this
@@ -359,41 +341,23 @@ let state_empty shared =
    degraded recovery are queued for self-healing rebuild, and — however
    [k] returns or raises — a final checkpoint folds the WAL away so the
    next boot replays nothing. *)
-let with_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale
-    ~durability ~fsync ~checkpoint_every k =
+let with_session ~config ~demo ~scale ~durability ~fsync ~checkpoint_every k
+    =
   match durability with
-  | None ->
-      k (make_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale) None
+  | None -> k (make_session ~config ~demo ~scale) None
   | Some dir ->
-      let cfg =
-        {
-          Durable.Manager.c_dir = dir;
-          c_fsync = fsync;
-          c_checkpoint_every = checkpoint_every;
-        }
+      let mgr, shared, report =
+        Cli.recover ~label:"" ~dir ~fsync ~checkpoint_every
       in
-      let mgr, shared, report = Durable.Manager.recover cfg in
-      Printf.eprintf "durability on — %s\n%!"
-        (Durable.Manager.describe_report report);
-      if demo then
-        if state_empty shared then begin
-          let seed =
-            make_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale
-          in
-          Mvstore.Shared.with_write shared (fun _ ->
-              ( {
-                  Mvstore.Shared.sn_db = Mvstore.Session.db seed;
-                  sn_store = Mvstore.Session.store seed;
-                },
-                () ));
-          Durable.Manager.checkpoint mgr
-        end
-        else
-          Printf.eprintf
-            "recovered state is non-empty; ignoring demo seed data\n%!";
-      let session =
-        Mvstore.Session.attach ~rewrite ~verify ~budget ~auto_maint shared
-      in
+      if
+        demo
+        && not
+             (Cli.seed_durable mgr shared (fun () ->
+                  make_session ~config ~demo ~scale))
+      then
+        Printf.eprintf
+          "recovered state is non-empty; ignoring demo seed data\n%!";
+      let session = Mvstore.Session.attach ~config shared in
       Durable.Manager.bind mgr session;
       List.iter
         (Mvstore.Maint.enqueue (Mvstore.Session.maint session))
@@ -436,6 +400,11 @@ let verify_arg =
   in
   Arg.(value & opt verify_conv Mvstore.Session.Off & info [ "verify" ] ~doc)
 
+(* The shared session flags plus --verify, which only astql takes. *)
+let config_term =
+  let with_verify c verify = { c with Mvstore.Session.verify } in
+  Term.(const with_verify $ Cli.config_term $ verify_arg)
+
 let stats_flag =
   let doc = "Print rewrite-planner counters (cache hits/misses, filtered candidates) after execution." in
   Arg.(value & flag & info [ "stats" ] ~doc)
@@ -463,14 +432,13 @@ let dump_metrics = function
 
 let run_cmd =
   let doc = "Execute SQL script files." in
-  let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      stats health metrics_out durability fsync checkpoint_every files =
+  let run config fault crash stats health metrics_out durability fsync
+      checkpoint_every files =
     Cli.arm_faults fault;
     Cli.arm_crashes crash;
     let ok =
-      with_session ~rewrite:(not no_rewrite) ~verify
-        ~budget:(Cli.limits_of ~deadline_ms ~match_budget)
-        ~auto_maint ~demo:false ~scale:1 ~durability ~fsync ~checkpoint_every
+      with_session ~config ~demo:false ~scale:1 ~durability ~fsync
+        ~checkpoint_every
         (fun session durable ->
           let ok =
             List.fold_left
@@ -489,49 +457,40 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ Cli.no_rewrite_flag $ verify_arg $ Cli.fault_arg
-      $ Cli.crash_arg $ Cli.deadline_arg $ Cli.match_budget_arg
-      $ Cli.auto_maint_flag $ stats_flag $ health_flag $ metrics_out_arg
-      $ Cli.durability_arg $ Cli.fsync_arg $ Cli.checkpoint_every_arg
-      $ Cli.files_arg)
+      const run $ config_term $ Cli.fault_arg $ Cli.crash_arg $ stats_flag
+      $ health_flag $ metrics_out_arg $ Cli.durability_arg $ Cli.fsync_arg
+      $ Cli.checkpoint_every_arg $ Cli.files_arg)
 
 let repl_cmd =
   let doc = "Interactive shell over an empty database." in
-  let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      metrics_out durability fsync checkpoint_every =
+  let run config fault crash metrics_out durability fsync checkpoint_every =
     Cli.arm_faults fault;
     Cli.arm_crashes crash;
-    with_session ~rewrite:(not no_rewrite) ~verify
-      ~budget:(Cli.limits_of ~deadline_ms ~match_budget)
-      ~auto_maint ~demo:false ~scale:1 ~durability ~fsync ~checkpoint_every
-      (fun session durable -> repl ?durable session);
+    with_session ~config ~demo:false ~scale:1 ~durability ~fsync
+      ~checkpoint_every (fun session durable -> repl ?durable session);
     dump_metrics metrics_out
   in
   Cmd.v (Cmd.info "repl" ~doc)
     Term.(
-      const run $ Cli.no_rewrite_flag $ verify_arg $ Cli.fault_arg
-      $ Cli.crash_arg $ Cli.deadline_arg $ Cli.match_budget_arg
-      $ Cli.auto_maint_flag $ metrics_out_arg $ Cli.durability_arg
-      $ Cli.fsync_arg $ Cli.checkpoint_every_arg)
+      const run $ config_term $ Cli.fault_arg $ Cli.crash_arg
+      $ metrics_out_arg $ Cli.durability_arg $ Cli.fsync_arg
+      $ Cli.checkpoint_every_arg)
 
 let demo_cmd =
   let doc = "Interactive shell preloaded with the paper's star schema." in
-  let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      scale metrics_out durability fsync checkpoint_every =
+  let run config fault crash scale metrics_out durability fsync
+      checkpoint_every =
     Cli.arm_faults fault;
     Cli.arm_crashes crash;
-    with_session ~rewrite:(not no_rewrite) ~verify
-      ~budget:(Cli.limits_of ~deadline_ms ~match_budget)
-      ~auto_maint ~demo:true ~scale ~durability ~fsync ~checkpoint_every
-      (fun session durable -> repl ?durable session);
+    with_session ~config ~demo:true ~scale ~durability ~fsync
+      ~checkpoint_every (fun session durable -> repl ?durable session);
     dump_metrics metrics_out
   in
   Cmd.v (Cmd.info "demo" ~doc)
     Term.(
-      const run $ Cli.no_rewrite_flag $ verify_arg $ Cli.fault_arg
-      $ Cli.crash_arg $ Cli.deadline_arg $ Cli.match_budget_arg
-      $ Cli.auto_maint_flag $ Cli.scale_arg $ metrics_out_arg
-      $ Cli.durability_arg $ Cli.fsync_arg $ Cli.checkpoint_every_arg)
+      const run $ config_term $ Cli.fault_arg $ Cli.crash_arg $ Cli.scale_arg
+      $ metrics_out_arg $ Cli.durability_arg $ Cli.fsync_arg
+      $ Cli.checkpoint_every_arg)
 
 let advise_cmd =
   let doc =
@@ -577,7 +536,11 @@ let lint_cmd =
      on syntax errors, semantic errors or validator violations."
   in
   let run strict files =
-    let session = Mvstore.Session.create ~rewrite:false () in
+    let session =
+      Mvstore.Session.create
+        ~config:{ (Mvstore.Session.default_config ()) with rewrite = false }
+        ()
+    in
     let warnings = ref 0 in
     let checked = ref 0 in
     let ok =

@@ -19,38 +19,20 @@ let preload session file =
       Printf.eprintf "%s: %s\n" file m;
       Stdlib.exit 1
 
-let seed_session ~rewrite ~budget ~auto_maint ~demo ~scale files =
+let seed_session ~config ~demo ~scale files =
   let session =
-    if demo then begin
-      let params = Workload.Star_schema.scaled scale in
-      let tables = Workload.Star_schema.generate params in
-      let session =
-        Mvstore.Session.of_tables ~rewrite ~budget ~auto_maint
-          (Workload.Star_schema.catalog ()) tables
-      in
-      Printf.eprintf "loaded star schema (%d transactions)\n%!"
-        (Data.Relation.cardinality (List.assoc "Trans" tables));
-      session
-    end
-    else Mvstore.Session.create ~rewrite ~budget ~auto_maint ()
+    if demo then
+      Cli.demo_session ~config ~scale ~log:(Printf.eprintf "%s\n%!")
+    else Mvstore.Session.create ~config ()
   in
   List.iter (preload session) files;
   session
 
-(* With durability on, the recovered shared state is canonical. Seed data
-   (demo/FILEs) only applies to a database recovered empty — the WAL and
-   checkpoints already hold everything else — and is folded into a
-   checkpoint immediately so it survives a crash before the first commit. *)
-let state_empty shared =
-  let snap = Mvstore.Shared.snapshot shared in
-  Catalog.tables (Engine.Db.catalog snap.Mvstore.Shared.sn_db) = []
-
 let m_ckpt_skipped = Obs.Metrics.counter "durable.checkpoint_skipped"
 
-let serve addr domains queue_depth backlog no_rewrite auto_maint deadline_ms
-    match_budget request_deadline_ms idle_timeout_ms io_timeout_ms
-    degrade_watermark retry_after_ms fault crash metrics_out demo scale
-    durability fsync checkpoint_every drain_ms files =
+let serve addr domains queue_depth backlog config request_deadline_ms
+    idle_timeout_ms io_timeout_ms degrade_watermark retry_after_ms fault crash
+    metrics_out demo scale durability fsync checkpoint_every drain_ms files =
   Cli.arm_faults fault;
   Cli.arm_crashes crash;
   (* chaos-harness knob: how long an armed wire_stall_read fault stalls *)
@@ -60,8 +42,6 @@ let serve addr domains queue_depth backlog no_rewrite auto_maint deadline_ms
       | Some ms when ms >= 0. -> Guard.Fault.set_wire_stall_ms ms
       | _ -> ())
   | None -> ());
-  let rewrite = not no_rewrite in
-  let budget = Cli.limits_of ~deadline_ms ~match_budget in
   let cf_addr =
     match Server.Listener.parse_addr addr with
     | Ok a -> a
@@ -73,39 +53,21 @@ let serve addr domains queue_depth backlog no_rewrite auto_maint deadline_ms
     match durability with
     | None -> None
     | Some dir ->
-        let cfg =
-          {
-            Durable.Manager.c_dir = dir;
-            c_fsync = fsync;
-            c_checkpoint_every = checkpoint_every;
-          }
-        in
-        let mgr, shared, report = Durable.Manager.recover cfg in
-        Printf.eprintf "astql-server: durability on — %s\n%!"
-          (Durable.Manager.describe_report report);
-        Some (mgr, shared, report)
+        Some
+          (Cli.recover ~label:"astql-server: " ~dir ~fsync ~checkpoint_every)
   in
   let shared =
     match durable with
     | None ->
-        Mvstore.Session.share
-          (seed_session ~rewrite ~budget ~auto_maint ~demo ~scale files)
+        Mvstore.Session.share (seed_session ~config ~demo ~scale files)
     | Some (mgr, shared, _) ->
-        if demo || files <> [] then
-          if state_empty shared then begin
-            let seed =
-              seed_session ~rewrite ~budget ~auto_maint ~demo ~scale files
-            in
-            Mvstore.Shared.with_write shared (fun _ ->
-                ( {
-                    Mvstore.Shared.sn_db = Mvstore.Session.db seed;
-                    sn_store = Mvstore.Session.store seed;
-                  },
-                  () ));
-            Durable.Manager.checkpoint mgr
-          end
-          else
-            Printf.eprintf
+        if
+          (demo || files <> [])
+          && not
+               (Cli.seed_durable mgr shared (fun () ->
+                    seed_session ~config ~demo ~scale files))
+        then
+          Printf.eprintf
               "astql-server: recovered state is non-empty; ignoring seed \
                data (--demo/FILE)\n\
                %!";
@@ -115,7 +77,7 @@ let serve addr domains queue_depth backlog no_rewrite auto_maint deadline_ms
     match durable with Some (_, _, r) -> r.Durable.Manager.r_quarantined | None -> []
   in
   let mk_session () =
-    let s = Mvstore.Session.attach ~rewrite ~budget ~auto_maint shared in
+    let s = Mvstore.Session.attach ~config shared in
     (match durable with
     | Some (mgr, _, _) -> Durable.Manager.bind mgr s
     | None -> ());
@@ -310,8 +272,7 @@ let () =
        (Cmd.v info
           Term.(
             const serve $ addr_arg $ domains_arg $ queue_depth_arg
-            $ backlog_arg $ Cli.no_rewrite_flag $ Cli.auto_maint_flag
-            $ Cli.deadline_arg $ Cli.match_budget_arg $ request_deadline_arg
+            $ backlog_arg $ Cli.config_term $ request_deadline_arg
             $ idle_timeout_arg $ io_timeout_arg $ degrade_watermark_arg
             $ retry_after_arg $ Cli.fault_arg $ Cli.crash_arg
             $ metrics_out_arg $ demo_flag $ Cli.scale_arg $ Cli.durability_arg

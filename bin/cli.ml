@@ -5,19 +5,31 @@
 
 open Cmdliner
 
+(* A bad setting stops the binary with exit status 2. *)
+let die msg =
+  prerr_endline msg;
+  Stdlib.exit 2
+
 (* Per-statement resource limits: the environment defaults
-   (ASTQL_DEADLINE_MS / ASTQL_MATCH_BUDGET) overridden by the flags. *)
+   (ASTQL_DEADLINE_MS / ASTQL_MATCH_BUDGET) overridden by the flags. Both
+   go through the one validity rule in Govern.Budget, so a malformed,
+   negative, zero or nan value fails naming its variable or flag. *)
 let limits_of ~deadline_ms ~match_budget =
   let module B = Govern.Budget in
-  let l = B.default_limits () in
-  let l =
-    match deadline_ms with
-    | None -> l
-    | Some ms -> { l with B.bl_deadline_ms = Some ms }
+  let l = try B.default_limits () with Invalid_argument m -> die m in
+  let flag parse name v env =
+    match v with
+    | None -> env
+    | Some s -> (
+        match parse ~name s with Ok v -> Some v | Error m -> die m)
   in
-  match match_budget with
-  | None -> l
-  | Some n -> { l with B.bl_matches = Some n }
+  {
+    l with
+    B.bl_deadline_ms =
+      flag B.parse_deadline_ms "--deadline-ms" deadline_ms l.B.bl_deadline_ms;
+    bl_matches =
+      flag B.parse_count "--match-budget" match_budget l.B.bl_matches;
+  }
 
 let arm_with ~flag arm = function
   | None -> ()
@@ -66,18 +78,21 @@ let deadline_arg =
      overruns it, the best-so-far (possibly unrewritten) plan is used and \
      EXPLAIN REWRITE reports $(b,degraded); when rewritten execution \
      overruns it, the base plan is re-run unbudgeted. Defaults to \
-     $(b,ASTQL_DEADLINE_MS) from the environment, else unlimited."
+     $(b,ASTQL_DEADLINE_MS) from the environment, else unlimited. Either \
+     must be a finite number > 0; anything else exits with status 2."
   in
   Arg.(
-    value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+    value & opt (some string) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
 
 let match_budget_arg =
   let doc =
     "Per-statement cap on match-function invocations during rewrite \
      planning. Defaults to $(b,ASTQL_MATCH_BUDGET) from the environment, \
-     else unlimited."
+     else unlimited. Either must be an integer > 0; anything else exits \
+     with status 2."
   in
-  Arg.(value & opt (some int) None & info [ "match-budget" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (some string) None & info [ "match-budget" ] ~docv:"N" ~doc)
 
 let auto_maint_flag =
   let doc =
@@ -86,6 +101,65 @@ let auto_maint_flag =
      exponential backoff and quarantine after repeated refresh failures."
   in
   Arg.(value & flag & info [ "auto-maint" ] ~doc)
+
+(* The session settings both binaries take from their flags, built once
+   per process (astql adds --verify on top). *)
+let config_term =
+  let make no_rewrite deadline_ms match_budget auto_maint =
+    {
+      Mvstore.Session.rewrite = not no_rewrite;
+      verify = Mvstore.Session.Off;
+      limits = limits_of ~deadline_ms ~match_budget;
+      auto_maint;
+    }
+  in
+  Term.(
+    const make $ no_rewrite_flag $ deadline_arg $ match_budget_arg
+    $ auto_maint_flag)
+
+(* The paper's star schema at [scale], loaded into a private session. *)
+let demo_session ~config ~scale ~log =
+  let tables =
+    Workload.Star_schema.generate (Workload.Star_schema.scaled scale)
+  in
+  log
+    (Printf.sprintf "loaded star schema (%d transactions)"
+       (Data.Relation.cardinality (List.assoc "Trans" tables)));
+  Mvstore.Session.of_tables ~config (Workload.Star_schema.catalog ()) tables
+
+(* Boot-time recovery from the durability directory, reported on
+   stderr after [label]. *)
+let recover ~label ~dir ~fsync ~checkpoint_every =
+  let mgr, shared, report =
+    Durable.Manager.recover
+      {
+        Durable.Manager.c_dir = dir;
+        c_fsync = fsync;
+        c_checkpoint_every = checkpoint_every;
+      }
+  in
+  Printf.eprintf "%sdurability on — %s\n%!" label
+    (Durable.Manager.describe_report report);
+  (mgr, shared, report)
+
+(* With durability on, the recovered shared state is canonical: seed data
+   applies only to a database recovered empty, and is folded into a
+   checkpoint at once so it survives a crash before the first commit.
+   [false] when the recovered state was non-empty and [seed] was not run. *)
+let seed_durable mgr shared seed =
+  let snap = Mvstore.Shared.snapshot shared in
+  Catalog.tables (Engine.Db.catalog snap.Mvstore.Shared.sn_db) = []
+  && begin
+       let s = seed () in
+       Mvstore.Shared.with_write shared (fun _ ->
+           ( {
+               Mvstore.Shared.sn_db = Mvstore.Session.db s;
+               sn_store = Mvstore.Session.store s;
+             },
+             () ));
+       Durable.Manager.checkpoint mgr;
+       true
+     end
 
 let durability_arg =
   let doc =

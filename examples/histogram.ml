@@ -26,9 +26,8 @@ let () =
   print_string (Mvstore.Session.explain session q);
   print_newline ();
 
-  Mvstore.Session.set_rewrite session false;
-  let direct, _ = Mvstore.Session.run_query session q in
-  Mvstore.Session.set_rewrite session true;
+  let base_only = { (Mvstore.Session.config session) with rewrite = false } in
+  let direct, _ = Mvstore.Session.run_query ~config:base_only session q in
   let via, steps = Mvstore.Session.run_query session q in
   Printf.printf "rewritten: %b, results equal: %b\n" (steps <> [])
     (Data.Relation.bag_equal_approx direct via);

@@ -32,10 +32,9 @@ let () =
 
   (* 4. Run it both ways and compare. *)
   let t0 = Unix.gettimeofday () in
-  Mvstore.Session.set_rewrite session false;
-  let direct, _ = Mvstore.Session.run_query session q in
+  let base_only = { (Mvstore.Session.config session) with rewrite = false } in
+  let direct, _ = Mvstore.Session.run_query ~config:base_only session q in
   let t1 = Unix.gettimeofday () in
-  Mvstore.Session.set_rewrite session true;
   let rewritten, steps = Mvstore.Session.run_query session q in
   let t2 = Unix.gettimeofday () in
   Printf.printf

@@ -56,9 +56,13 @@ let () =
     (fun (title, sql) ->
       Printf.printf "=== %s ===\n" title;
       let q = Sqlsyn.Parser.parse_query sql in
-      Mvstore.Session.set_rewrite session false;
-      let direct, ms_direct = time (fun () -> fst (Mvstore.Session.run_query session q)) in
-      Mvstore.Session.set_rewrite session true;
+      let base_only =
+        { (Mvstore.Session.config session) with rewrite = false }
+      in
+      let direct, ms_direct =
+        time (fun () ->
+            fst (Mvstore.Session.run_query ~config:base_only session q))
+      in
       let (via, steps), ms_mv =
         time (fun () -> Mvstore.Session.run_query session q)
       in

@@ -8,9 +8,9 @@ let norm = String.lowercase_ascii
 (* Scalar derivation (SELECT patterns)                                 *)
 (* ------------------------------------------------------------------ *)
 
-let scalar ~equiv ~r_outs t =
+let scalar ~(config : Config.t) ~equiv ~r_outs t =
   let canon e =
-    if !Config.equivalence_classes then E.normalize (Equiv.canon equiv e)
+    if config.equivalence_classes then E.normalize (Equiv.canon equiv e)
     else E.normalize e
   in
   let canon_outs = List.map (fun (n, o) -> (n, canon o)) r_outs in
@@ -23,7 +23,7 @@ let scalar ~equiv ~r_outs t =
     (* with greedy derivation off, only the whole expression and bare
        column leaves may be covered (ablation switch) *)
     let coverable =
-      !Config.greedy_derivation || !whole
+      config.greedy_derivation || !whole
       || match t with E.Col _ -> true | _ -> false
     in
     whole := false;

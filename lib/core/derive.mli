@@ -8,12 +8,14 @@
     "minimum number of subsumer QCLs" preference (Figure 5's [amt] derived
     from [value] and [disc] rather than [qty], [price], [disc]). *)
 
-(** [scalar ~equiv ~r_outs t] covers translated expression [t] by the
-    subsumer outputs [r_outs]: equal (canonicalized, normalized)
+(** [scalar ~config ~equiv ~r_outs t] covers translated expression [t] by
+    the subsumer outputs [r_outs]: equal (canonicalized, normalized)
     subexpressions become [Below] references, rejoin leaves become
     [Rejoin], constants stay. [None] when an [Rin] leaf or aggregate
-    remains uncovered. *)
+    remains uncovered. [config] supplies the equivalence-class and
+    greedy-derivation switches. *)
 val scalar :
+  config:Config.t ->
   equiv:Mtypes.txref Equiv.t ->
   r_outs:(string * Mtypes.txref Qgm.Expr.t) list ->
   Mtypes.txref Qgm.Expr.t ->

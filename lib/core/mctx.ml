@@ -9,6 +9,7 @@ type t = {
   memo : (int * int, Mtypes.result option) Hashtbl.t;
   trace : Obs.Trace.t option;  (* when set, spans and rejections recorded *)
   budget : Govern.Budget.t option;  (* when set, match calls are metered *)
+  config : Config.t;  (* feature switches (ablations only) *)
   (* Static-proof ledger: per successful (subsumee, subsumer) pair, whether
      the rewrite region equality was certified by the prover.  A match
      pattern deposits its certificate in [pending_proof]; [match_boxes]
@@ -17,9 +18,9 @@ type t = {
   mutable pending_proof : Prove.status option;
 }
 
-let create ?trace ?budget cat ~query ~ast =
+let create ?trace ?budget ?(config = Config.default) cat ~query ~ast =
   { cat; qg = query; ag = ast; memo = Hashtbl.create 64; trace; budget;
-    proofs = Hashtbl.create 64; pending_proof = None }
+    config; proofs = Hashtbl.create 64; pending_proof = None }
 
 (* Record the typed reason why the current candidate pair was rejected.
    Diagnostics only — never consulted by the algorithm. *)

@@ -25,13 +25,13 @@ let covers_outputs g e_id (res : Mtypes.result) =
   in
   List.for_all (fun c -> List.mem c produced) wanted
 
-let find_matches ?trace ?budget cat ~query ~ast =
+let find_matches ?trace ?budget ?config cat ~query ~ast =
   Guard.Fault.hit Guard.Fault.Navigate;
   Obs.Metrics.incr nav_runs;
   Obs.Metrics.time nav_ms (fun () ->
       Obs.Trace.with_span trace ~kind:"navigate" ~label:"bottom-up over query boxes"
         (fun () ->
-          let ctx = Mctx.create ?trace ?budget cat ~query ~ast in
+          let ctx = Mctx.create ?trace ?budget ?config cat ~query ~ast in
           let r_root = Qgm.Graph.root ast in
           let boxes = Qgm.Graph.reachable query (Qgm.Graph.root query) in
           let sites =

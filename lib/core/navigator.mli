@@ -19,9 +19,12 @@ type site = {
     a [navigate] span with per-pair match spans and typed rejection reasons
     is recorded in it (diagnostics for EXPLAIN REWRITE and [\trace]).
     When [budget] is given, every match-function invocation is metered
-    against it and may raise {!Govern.Budget.Budget_exhausted}. *)
+    against it and may raise {!Govern.Budget.Budget_exhausted}. [config]
+    (default {!Config.default}) turns matching features off for the
+    ablations; the planner always uses the default. *)
 val find_matches :
-  ?trace:Obs.Trace.t -> ?budget:Govern.Budget.t -> Catalog.t ->
+  ?trace:Obs.Trace.t -> ?budget:Govern.Budget.t -> ?config:Config.t ->
+  Catalog.t ->
   query:Qgm.Graph.t -> ast:Qgm.Graph.t ->
   site list
 

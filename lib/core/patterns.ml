@@ -216,7 +216,8 @@ let cond2 ctx r_sel asg ~r_preds_canon ~strong_canon =
   List.for_all
     (fun pr ->
       List.mem pr strong_canon
-      || (!Config.predicate_subsumption && Prove.entails ~ty (Lazy.force st) pr))
+      || ctx.Mctx.config.Config.predicate_subsumption
+         && Prove.entails ~ty (Lazy.force st) pr)
     r_preds_canon
 
 (* Region-equality certificate for a flat SELECT/SELECT match.  Given all
@@ -474,7 +475,7 @@ and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
     =
   pattern ctx "4.1.1/4.2.3 SELECT compensation over matched children";
   let equiv =
-    if !Config.equivalence_classes then
+    if ctx.Mctx.config.Config.equivalence_classes then
       Equiv.of_preds (List.map (E.map_col (fun q -> M.Rin q)) r_sel.B.sel_preds)
     else Equiv.of_equalities []
   in
@@ -516,7 +517,7 @@ and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
       List.iter
         (fun t ->
           if not (List.mem (canon_tx equiv t) r_preds_canon) then
-            match Derive.scalar ~equiv ~r_outs t with
+            match Derive.scalar ~config:ctx.Mctx.config ~equiv ~r_outs t with
             | Some d -> comp_preds := !comp_preds @ [ d ]
             | None ->
                 Mctx.reject ctx (Obs.Trace.Pred_not_derivable (show_tx t));
@@ -534,7 +535,7 @@ and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
               match Translate.to_subsumer asg e with
               | None -> None
               | Some t ->
-                  Option.map (fun d -> (n, d)) (Derive.scalar ~equiv ~r_outs t))
+                  Option.map (fun d -> (n, d)) (Derive.scalar ~config:ctx.Mctx.config ~equiv ~r_outs t))
             e_sel.B.sel_outs
         in
         if outs = [] && e_sel.B.sel_outs <> [] then begin
@@ -593,7 +594,7 @@ and select_select_grouped ctx asg (e_sel : B.select_body)
   match asg.Mctx.pairs with
   | [ (qe, rq, M.Comp levels) ] -> (
       let equiv =
-        if !Config.equivalence_classes then
+        if ctx.Mctx.config.Config.equivalence_classes then
           Equiv.of_preds
             (List.map (E.map_col (fun q -> M.Rin q)) r_sel.B.sel_preds)
         else Equiv.of_equalities []
@@ -954,7 +955,8 @@ and match_group_nested ctx ~levels ~(e_grp : B.group_body)
 and match_group_spec ctx ~keys ~sets ~simple ~aggs ~pulled_preds ~rejoins
     ~(r_grp : B.group_body) =
   let equiv =
-    if !Config.equivalence_classes then Equiv.of_preds pulled_preds
+    if ctx.Mctx.config.Config.equivalence_classes then
+      Equiv.of_preds pulled_preds
     else Equiv.of_equalities []
   in
   let r_sets = B.grouping_sets r_grp.B.grp_grouping in
@@ -1270,7 +1272,7 @@ and regroup_compensation ctx ~keys ~regroup_grouping ~aggs ~equiv ~r_sets
       r_sets
   in
   let smallest =
-    if !Config.smallest_cuboid then
+    if ctx.Mctx.config.Config.smallest_cuboid then
       List.sort
         (fun (a, _, _, _) (b, _, _, _) ->
           compare (List.length a) (List.length b))

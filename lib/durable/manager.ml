@@ -367,7 +367,9 @@ let recover cfg =
   let wal = Wal.read wal_path in
   if wal.Wal.torn_bytes > 0 then
     Wal.truncate wal_path wal.Wal.valid_bytes;
-  let sess = Se.attach ~rewrite:false ~auto_maint:false shared in
+  let sess =
+    Se.attach ~config:{ (Se.default_config ()) with rewrite = false } shared
+  in
   let last = ref ckpt_lsn in
   let replayed = ref 0 and errors = ref 0 in
   List.iter

@@ -5,6 +5,8 @@
    - [Reference]: the naive oracle's operators ({!Reference}), runnable
      under the same memoized recursion so the full test suite can exercise
      it via [ASTQL_EXEC=reference].
+   The environment is read once into the immutable [default_engine]; a
+   caller picks another engine per call with [~engine].
 
    The recursion skeleton ([run_box_memo]) is engine-agnostic: one memo
    slot per box (holding the result as a relation, a column batch, or
@@ -27,19 +29,14 @@ type engine = Vector | Reference
 
 (* [ASTQL_EXEC=reference] runs the whole process on the oracle; anything
    else runs the vectorized engine rather than failing startup: the knob
-   is a test switch, not a correctness switch *)
-let current_engine =
-  Atomic.make
-    (match Sys.getenv_opt "ASTQL_EXEC" with
-    | Some s when List.mem (String.lowercase_ascii (String.trim s)) [ "reference"; "ref" ]
-      ->
-        Reference
-    | _ -> Vector)
-
-let with_engine e f =
-  let saved = Atomic.get current_engine in
-  Atomic.set current_engine e;
-  Fun.protect ~finally:(fun () -> Atomic.set current_engine saved) f
+   is a test switch, not a correctness switch. Read once, at startup. *)
+let default_engine =
+  match Sys.getenv_opt "ASTQL_EXEC" with
+  | Some s
+    when List.mem (String.lowercase_ascii (String.trim s)) [ "reference"; "ref" ]
+    ->
+      Reference
+  | _ -> Vector
 
 (* ------------------------------------------------------------------ *)
 (* Memoized recursion over boxes                                       *)
@@ -96,7 +93,7 @@ let vex f = try slot_of_batch (f ()) with Vexec.Error m -> raise (Exec_error m)
 let refx f =
   try slot_of_rel (f ()) with Reference.Reference_error m -> raise (Exec_error m)
 
-let rec run_box_memo ?budget db g memo id : slot =
+let rec run_box_memo ?budget ~engine db g memo id : slot =
   match Hashtbl.find_opt memo id with
   | Some s ->
       Obs.Metrics.incr x_memo_hits;
@@ -106,8 +103,10 @@ let rec run_box_memo ?budget db g memo id : slot =
          before starting (possibly expensive) work on this box *)
       Govern.Budget.check_deadline budget;
       Obs.Metrics.incr x_boxes;
-      let child_rel q = slot_rel (run_box_memo ?budget db g memo q.B.q_box) in
-      let child_batch q = slot_batch (run_box_memo ?budget db g memo q.B.q_box) in
+      let child_rel q = slot_rel (run_box_memo ?budget ~engine db g memo q.B.q_box) in
+      let child_batch q =
+        slot_batch (run_box_memo ?budget ~engine db g memo q.B.q_box)
+      in
       let body = (G.box g id).B.body in
       let hist =
         match body with
@@ -118,7 +117,7 @@ let rec run_box_memo ?budget db g memo id : slot =
       in
       let s =
         Obs.Metrics.time hist @@ fun () ->
-        match (Atomic.get current_engine, body) with
+        match (engine, body) with
         | Vector, B.Base bt -> vex (fun () -> Vexec.exec_base db bt)
         | Vector, B.Select sel -> vex (fun () -> Vexec.exec_select ~child:child_batch sel)
         | Vector, B.Group grp -> vex (fun () -> Vexec.exec_group ~child:child_batch grp)
@@ -138,18 +137,18 @@ let rec run_box_memo ?budget db g memo id : slot =
 
 (* ------------------------------------------------------------------ *)
 
-let run_box ?budget db g id =
+let run_box ?budget ?(engine = default_engine) db g id =
   (* arm the scratch arena for this run: every kernel buffer allocated
      below dies when the memo does, so the outermost bracket recycles the
      chunks wholesale (results are boxed relations by then) *)
   C.scratch_begin ();
   Fun.protect ~finally:C.scratch_end @@ fun () ->
-  slot_rel (run_box_memo ?budget db g (Hashtbl.create 16) id)
+  slot_rel (run_box_memo ?budget ~engine db g (Hashtbl.create 16) id)
 
-let run ?budget db g =
+let run ?budget ?engine db g =
   Obs.Metrics.incr x_runs;
   Obs.Metrics.time x_run_ms @@ fun () ->
-  let rel = run_box ?budget db g (G.root g) in
+  let rel = run_box ?budget ?engine db g (G.root g) in
   let { G.order_by; limit } = G.presentation g in
   let rel =
     if order_by = [] then rel

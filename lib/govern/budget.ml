@@ -25,20 +25,32 @@ let limits ?deadline_ms ?matches ?candidates ?rows () =
   { bl_deadline_ms = deadline_ms; bl_matches = matches;
     bl_candidates = candidates; bl_rows = rows }
 
-let env_float name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some s -> float_of_string_opt s
+(* The one validity rule for a configured limit, shared by the environment,
+   the command-line flags and astql's \limits: a deadline is a finite
+   number of milliseconds > 0, a count an integer > 0. A negative deadline
+   would exhaust every statement and nan none, so neither may pass. *)
+let parse_deadline_ms ~name s =
+  match float_of_string_opt (String.trim s) with
+  | Some d when Float.is_finite d && d > 0. -> Ok d
+  | _ ->
+      Error
+        (Printf.sprintf "bad %s %S (expected a finite number of ms > 0)" name s)
 
-let env_int name =
+let parse_count ~name s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n > 0 -> Ok n
+  | _ -> Error (Printf.sprintf "bad %s %S (expected an integer > 0)" name s)
+
+let env parse name =
   match Sys.getenv_opt name with
   | None | Some "" -> None
-  | Some s -> int_of_string_opt s
+  | Some s -> (
+      match parse ~name s with Ok v -> Some v | Error m -> invalid_arg m)
 
 let default_limits () =
   { unlimited with
-    bl_deadline_ms = env_float "ASTQL_DEADLINE_MS";
-    bl_matches = env_int "ASTQL_MATCH_BUDGET" }
+    bl_deadline_ms = env parse_deadline_ms "ASTQL_DEADLINE_MS";
+    bl_matches = env parse_count "ASTQL_MATCH_BUDGET" }
 
 let describe l =
   let parts =

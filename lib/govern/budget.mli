@@ -40,10 +40,20 @@ val limits :
   ?deadline_ms:float -> ?matches:int -> ?candidates:int -> ?rows:int ->
   unit -> limits
 
+val parse_deadline_ms : name:string -> string -> (float, string) result
+(** The validity rule for a configured deadline: a finite number of
+    milliseconds > 0.  The error message names the setting [name] (an
+    environment variable or a flag). *)
+
+val parse_count : name:string -> string -> (int, string) result
+(** The validity rule for a configured cap: an integer > 0. *)
+
 val default_limits : unit -> limits
 (** {!unlimited} overridden by the environment: [ASTQL_DEADLINE_MS]
-    (float, milliseconds) and [ASTQL_MATCH_BUDGET] (int).  Read on every
-    call so tests can adjust the environment. *)
+    ({!parse_deadline_ms}) and [ASTQL_MATCH_BUDGET] ({!parse_count}).
+    Read on every call so tests can adjust the environment.  Raises
+    [Invalid_argument] naming the variable when a set value is
+    malformed. *)
 
 val describe : limits -> string
 (** One-line human rendering, e.g. ["deadline=10ms matches=5000"];

@@ -9,6 +9,17 @@ let norm = String.lowercase_ascii
 
 type verify = Off | Sampled of float | Always | Static
 
+type config = {
+  rewrite : bool;
+  verify : verify;
+  limits : Govern.Budget.limits;
+  auto_maint : bool;
+}
+
+let default_config () =
+  { rewrite = true; verify = Off; limits = Govern.Budget.default_limits ();
+    auto_maint = false }
+
 (* What the durability layer logs for one committed write statement. SQL
    statements re-execute verbatim at replay; COPY FROM logs the loaded rows
    themselves (the source file may be gone by recovery time). *)
@@ -23,19 +34,15 @@ type t = {
       (* when set, [sdb]/[sstore] are a per-statement cache of the shared
          snapshot: refreshed at statement entry, published (atomically,
          under the writer lock) only by mutating statements *)
-  mutable srewrite : bool;
-  mutable sverify : verify;
+  mutable sconfig : config;     (* defaults for every statement *)
   mutable sverify_acc : float;  (* deterministic sampling accumulator *)
-  sverify_oracle : bool;
   splanner : Plancache.Planner.t;
   mutable strace : bool;        (* record a span trace per planning attempt *)
   straces : Obs.Trace.ring;     (* recent traces (astql \trace show) *)
-  mutable slimits : Govern.Budget.limits;  (* per-statement default budget *)
   mutable sdegraded : string list;
       (* budget-exhaustion reasons recorded since the last [reset_degraded]
          — the server annotates replies with them so a client can tell a
          full-quality answer from a degraded-but-correct one *)
-  mutable sauto_maint : bool;   (* drain the maintenance queue at boundaries *)
   smaint : Maint.t;             (* deferred-maintenance queue *)
   mutable son_commit : (commit -> unit) option;
       (* durability hook: called inside the write-snapshot closure after the
@@ -48,39 +55,26 @@ type t = {
 
 type outcome = Msg of string | Table of R.t | Plan of string
 
-let make ~rewrite ?plan_capacity ~verify ~verify_oracle ?budget ~auto_maint
-    db =
+let make ?(config = default_config ()) db =
   {
     sdb = db;
     sstore = Store.empty;
     sshared = None;
-    srewrite = rewrite;
-    sverify = verify;
+    sconfig = config;
     sverify_acc = 0.;
-    sverify_oracle = verify_oracle;
-    splanner = Plancache.Planner.create ?capacity:plan_capacity ();
+    splanner = Plancache.Planner.create ();
     strace = false;
     straces = Obs.Trace.ring ();
-    slimits =
-      (match budget with
-      | Some l -> l
-      | None -> Govern.Budget.default_limits ());
     sdegraded = [];
-    sauto_maint = auto_maint;
     smaint = Maint.create ();
     son_commit = None;
     scopy_rows = [];
   }
 
-let create ?(rewrite = true) ?plan_capacity ?(verify = Off)
-    ?(verify_oracle = false) ?budget ?(auto_maint = false) () =
-  make ~rewrite ?plan_capacity ~verify ~verify_oracle ?budget ~auto_maint
-    (Engine.Db.create Catalog.empty)
+let create ?config () = make ?config (Engine.Db.create Catalog.empty)
 
-let of_tables ?(rewrite = true) ?plan_capacity ?(verify = Off)
-    ?(verify_oracle = false) ?budget ?(auto_maint = false) cat tables =
-  make ~rewrite ?plan_capacity ~verify ~verify_oracle ?budget ~auto_maint
-    (Engine.Db.of_tables cat tables)
+let of_tables ?config cat tables =
+  make ?config (Engine.Db.of_tables cat tables)
 
 (* ---------------- shared-state binding ---------------- *)
 
@@ -90,13 +84,10 @@ let of_tables ?(rewrite = true) ?plan_capacity ?(verify = Off)
    itself stays single-threaded (one connection, one domain); parallelism
    comes from many sessions over one Shared.t. *)
 
-let attach ?(rewrite = true) ?plan_capacity ?(verify = Off)
-    ?(verify_oracle = false) ?budget ?(auto_maint = false) shared =
+let attach ?config shared =
   let snap = Shared.snapshot shared in
   {
-    (make ~rewrite ?plan_capacity ~verify ~verify_oracle ?budget ~auto_maint
-       snap.Shared.sn_db)
-    with
+    (make ?config snap.Shared.sn_db) with
     sstore = snap.Shared.sn_store;
     sshared = Some shared;
   }
@@ -133,21 +124,16 @@ let with_snapshot t ~write f =
       end
 
 let set_on_commit t hook = t.son_commit <- hook
-let set_rewrite t b = t.srewrite <- b
-let rewrite_enabled t = t.srewrite
-let limits t = t.slimits
-let set_limits t l = t.slimits <- l
-let auto_maint t = t.sauto_maint
-let set_auto_maint t b = t.sauto_maint <- b
+let config t = t.sconfig
 let maint t = t.smaint
 let set_trace t b = t.strace <- b
 let trace_enabled t = t.strace
 let traces t = Obs.Trace.items t.straces
 let clear_traces t = Obs.Trace.clear t.straces
 
-let set_verify t v =
-  t.sverify <- v;
-  t.sverify_acc <- 0.
+let set_config t c =
+  if c.verify <> t.sconfig.verify then t.sverify_acc <- 0.;
+  t.sconfig <- c
 
 (* Degradation annotations: every place the budget ladder trades quality
    for survival records the typed reason here; the server resets before a
@@ -182,7 +168,7 @@ let health t =
     st.Plancache.Stats.quarantine_skips st.Plancache.Stats.verify_runs
     st.Plancache.Stats.verify_mismatches
     st.Plancache.Stats.verify_static_skips
-    (Govern.Budget.describe t.slimits)
+    (Govern.Budget.describe t.sconfig.limits)
     st.Plancache.Stats.degraded
     (Maint.describe t.smaint)
 
@@ -421,8 +407,8 @@ let m_exec_degraded = Obs.Metrics.counter "govern.exec_degraded"
    stale summary table under the session's maintenance budget. Failures are
    classified and backed off (quarantine after max retries); a refresh cut
    short by the budget is deferred to the next boundary without penalty. *)
-let drain_due t due =
-  let budget = budget_of_limits t.slimits in
+let drain_due t ~limits due =
+  let budget = budget_of_limits limits in
   List.iter
     (fun name ->
       match Store.find t.sstore name with
@@ -460,12 +446,14 @@ let drain_due t due =
 
 (* In shared mode the drain is a write: refreshed summaries must publish
    atomically with the store that considers them fresh. *)
-let drain_maintenance t =
-  if t.sauto_maint then begin
+let drain_maintenance t cfg =
+  if cfg.auto_maint then begin
     Maint.tick t.smaint;
     match Maint.due t.smaint with
     | [] -> ()
-    | due -> with_snapshot t ~write:true (fun () -> drain_due t due)
+    | due ->
+        with_snapshot t ~write:true (fun () ->
+            drain_due t ~limits:cfg.limits due)
   end
 
 (* Deterministic sampling: verify whenever the accumulated rate crosses an
@@ -473,8 +461,8 @@ let drain_maintenance t =
    query — reproducible, no RNG state. *)
 let m_static_skips = Obs.Metrics.counter "prove.verify_skips"
 
-let should_verify t =
-  match t.sverify with
+let should_verify t verify =
+  match verify with
   | Off -> false
   | Always -> true
   | Static -> true (* the proved-plan skip is decided at the call site *)
@@ -511,7 +499,7 @@ let corrupt_relation rel =
    raises, exactly as a rewrite:false session would. *)
 let run_query_unrewritten t g = (Engine.Exec.run t.sdb g, [])
 
-let run_query_routed ?budget t g =
+let run_query_routed ?budget ~verify t g =
   let r = plan_query ?budget t g in
   (match r.Plancache.Planner.pr_degraded with
   | Some reason -> note_degraded t (Govern.Budget.reason_name reason)
@@ -554,7 +542,7 @@ let run_query_routed ?budget t g =
             else rel
           in
           let static_skip =
-            t.sverify = Static
+            verify = Static
             && Prove.is_proved (Astmatch.Rewrite.steps_proof steps)
           in
           if static_skip then begin
@@ -566,14 +554,11 @@ let run_query_routed ?budget t g =
             Obs.Metrics.incr m_static_skips;
             (rel, steps)
           end
-          else if not (should_verify t) then (rel, steps)
+          else if not (should_verify t verify) then (rel, steps)
           else begin
             st.Plancache.Stats.verify_runs <-
               st.Plancache.Stats.verify_runs + 1;
-            let reference =
-              if t.sverify_oracle then Engine.Reference.run t.sdb g
-              else Engine.Exec.run t.sdb g
-            in
+            let reference = Engine.Exec.run t.sdb g in
             if R.bag_equal_approx rel reference then (rel, steps)
             else begin
               Printf.eprintf
@@ -593,17 +578,19 @@ let run_query_routed ?budget t g =
             end
           end)
 
-let run_query ?limits t q =
-  drain_maintenance t;
-  let limits = Option.value ~default:t.slimits limits in
+let run_query ?config t q =
+  let cfg = Option.value config ~default:t.sconfig in
+  drain_maintenance t cfg;
   with_snapshot t ~write:false (fun () ->
       try
         let g = build_query t q in
-        if not t.srewrite then run_query_unrewritten t g
-        else run_query_routed ?budget:(budget_of_limits limits) t g
+        if not cfg.rewrite then run_query_unrewritten t g
+        else
+          run_query_routed ?budget:(budget_of_limits cfg.limits)
+            ~verify:cfg.verify t g
       with Division_by_zero -> err "division by zero in SELECT")
 
-let explain_in_snapshot ?(verbose = false) t q =
+let explain_in_snapshot ?(verbose = false) t cfg q =
   let g = build_query t q in
   let cat = Engine.Db.catalog t.sdb in
   let buf = Buffer.create 256 in
@@ -611,7 +598,7 @@ let explain_in_snapshot ?(verbose = false) t q =
   addf "original cost estimate: %.0f\n" (Astmatch.Cost.graph_cost cat g);
   (* plan under the session's limits, so what EXPLAIN reports — including
      budget degradation — is what an execution right now would do *)
-  let r = plan_query ?budget:(budget_of_limits t.slimits) t g in
+  let r = plan_query ?budget:(budget_of_limits cfg.limits) t g in
   let fresh = Store.rewritable t.sstore in
   addf "cache: %s\n" (if r.Plancache.Planner.pr_hit then "hit" else "miss");
   addf "candidates: %d attempted, %d filtered (of %d fresh)\n" r.pr_attempted
@@ -720,7 +707,8 @@ let explain_in_snapshot ?(verbose = false) t q =
   Buffer.contents buf
 
 let explain ?verbose t q =
-  with_snapshot t ~write:false (fun () -> explain_in_snapshot ?verbose t q)
+  with_snapshot t ~write:false (fun () ->
+      explain_in_snapshot ?verbose t t.sconfig q)
 
 (* ---------------- statements ---------------- *)
 
@@ -756,7 +744,7 @@ let stmt_label = function
   | A.Explain_rewrite _ -> "EXPLAIN REWRITE"
   | A.Explain_plan _ -> "EXPLAIN"
 
-let exec_stmt_dispatch t stmt =
+let exec_stmt_dispatch t cfg stmt =
   match stmt with
   | A.Create_table { ct_name; ct_cols; ct_constraints } ->
       do_create_table t ct_name ct_cols ct_constraints
@@ -804,15 +792,16 @@ let exec_stmt_dispatch t stmt =
         Msg (Printf.sprintf "summary table %s refreshed" name)
       with Store.Mv_error m -> err "%s" m)
   | A.Select q ->
-      let rel, _ = run_query t q in
+      let rel, _ = run_query ~config:cfg t q in
       Table rel
-  | A.Explain_rewrite (q, verbose) -> Plan (explain ~verbose t q)
+  | A.Explain_rewrite (q, verbose) ->
+      Plan (explain_in_snapshot ~verbose t cfg q)
   | A.Explain_plan q ->
       let g = build_query t q in
       let cat = Engine.Db.catalog t.sdb in
       (* show the plan that would actually run, after routing *)
       let g =
-        if not t.srewrite then g
+        if not cfg.rewrite then g
         else (plan_query t g).Plancache.Planner.pr_graph
       in
       Plan (Astmatch.Cost.explain cat g)
@@ -839,13 +828,14 @@ let commit_of t stmt =
 (* Division_by_zero is a raw OCaml exception wherever the engine evaluates
    expressions (constant folding, INSERT values, predicates, outputs);
    surface it as a proper session error with statement context. *)
-let exec_stmt t stmt =
-  drain_maintenance t;
+let exec_stmt ?config t stmt =
+  let cfg = Option.value config ~default:t.sconfig in
+  drain_maintenance t cfg;
   let write = stmt_writes stmt in
   with_snapshot t ~write (fun () ->
       t.scopy_rows <- [];
       let out =
-        try exec_stmt_dispatch t stmt
+        try exec_stmt_dispatch t cfg stmt
         with Division_by_zero -> err "division by zero in %s" (stmt_label stmt)
       in
       (* append-before-publish: a hook failure aborts the whole statement
@@ -881,7 +871,7 @@ let replay_rows t ~table ~rows =
       in
       t.sdb <- Engine.Db.put db' table (R.append current rows))
 
-let exec_sql t sql =
+let exec_sql ?config t sql =
   (* statement-at-a-time: statements before a syntax error have executed
      and their effects persist; the error then surfaces *)
   let cursor =
@@ -895,6 +885,6 @@ let exec_sql t sql =
           err "parse error at offset %d: %s" p m
     with
     | None -> List.rev acc
-    | Some stmt -> loop (exec_stmt t stmt :: acc)
+    | Some stmt -> loop (exec_stmt ?config t stmt :: acc)
   in
   loop []

@@ -24,40 +24,34 @@ exception Session_error of string
     [verify_static_skips] and the [prove.verify_skips] metric). *)
 type verify = Off | Sampled of float | Always | Static
 
-(** [create ()] starts with an empty catalog. [?rewrite] (default true)
-    controls transparent AST routing for SELECTs; [?plan_capacity] bounds
-    the LRU plan cache (default 256 entries); [?verify] (default [Off])
-    enables runtime result verification; [?verify_oracle] (default false)
-    checks against the naive {!Engine.Reference} evaluator instead of the
-    optimized executor (slow — differential tests only); [?budget] sets
-    the per-statement resource limits (default
-    {!Govern.Budget.default_limits}, i.e. unlimited unless the
-    [ASTQL_DEADLINE_MS]/[ASTQL_MATCH_BUDGET] environment knobs say
-    otherwise); [?auto_maint] (default false) drains the deferred
-    maintenance queue at statement boundaries, auto-refreshing summary
-    tables that DML left stale (with backoff and quarantine on repeated
-    failure). *)
-val create :
-  ?rewrite:bool ->
-  ?plan_capacity:int ->
-  ?verify:verify ->
-  ?verify_oracle:bool ->
-  ?budget:Govern.Budget.limits ->
-  ?auto_maint:bool ->
-  unit ->
-  t
+(** A session's settings, one immutable value.
+    - [rewrite]: transparent summary-table routing for SELECTs.
+    - [verify]: runtime result verification (above).
+    - [limits]: the per-statement resource budget (admission control).
+    - [auto_maint]: drain the deferred-maintenance queue at statement
+      boundaries, auto-refreshing summary tables that DML left stale (with
+      backoff and quarantine on repeated failure). Stale tables are
+      {e always} enqueued; this only controls whether the queue drains. *)
+type config = {
+  rewrite : bool;
+  verify : verify;
+  limits : Govern.Budget.limits;
+  auto_maint : bool;
+}
+
+(** [rewrite = true], [verify = Off], [auto_maint = false], and [limits]
+    from {!Govern.Budget.default_limits} (unlimited unless the
+    [ASTQL_DEADLINE_MS]/[ASTQL_MATCH_BUDGET] environment variables say
+    otherwise; a malformed value raises [Invalid_argument]). *)
+val default_config : unit -> config
+
+(** [create ()] starts with an empty catalog. [config] defaults to
+    {!default_config}[ ()]. *)
+val create : ?config:config -> unit -> t
 
 (** Start from an existing catalog and table contents. *)
 val of_tables :
-  ?rewrite:bool ->
-  ?plan_capacity:int ->
-  ?verify:verify ->
-  ?verify_oracle:bool ->
-  ?budget:Govern.Budget.limits ->
-  ?auto_maint:bool ->
-  Catalog.t ->
-  (string * Data.Relation.t) list ->
-  t
+  ?config:config -> Catalog.t -> (string * Data.Relation.t) list -> t
 
 (** [attach shared] creates a session bound to {!Shared} database state, so
     many sessions — typically one per server connection, running on
@@ -70,15 +64,7 @@ val of_tables :
     {!Shared}. Planner, plan cache and quarantine stay per-session
     (epoch-keyed, so they self-invalidate when another session publishes a
     write). *)
-val attach :
-  ?rewrite:bool ->
-  ?plan_capacity:int ->
-  ?verify:verify ->
-  ?verify_oracle:bool ->
-  ?budget:Govern.Budget.limits ->
-  ?auto_maint:bool ->
-  Shared.t ->
-  t
+val attach : ?config:config -> Shared.t -> t
 
 (** [share t] returns the session's shared state, promoting a private
     session to shared mode first if needed (its current db/store become the
@@ -112,16 +98,14 @@ val set_on_commit : t -> (commit -> unit) option -> unit
 val replay_rows :
   t -> table:string -> rows:Data.Relation.row list -> unit
 
-val set_rewrite : t -> bool -> unit
-val rewrite_enabled : t -> bool
-val set_verify : t -> verify -> unit
+(** The session's settings, used by every statement that is not given
+    its own [?config]. *)
+val config : t -> config
 
-(** The session's default per-statement resource limits (admission
-    control). [set_limits] takes effect from the next statement; it never
-    interrupts one in flight. *)
-val limits : t -> Govern.Budget.limits
-
-val set_limits : t -> Govern.Budget.limits -> unit
+(** [set_config t c] takes effect from the next statement; it never
+    interrupts one in flight. Changing [verify] restarts the sampling
+    accumulator. *)
+val set_config : t -> config -> unit
 
 (** Budget-degradation annotations. Whenever the ladder trades quality for
     survival — planning stopped at the best-so-far plan, or rewritten
@@ -139,13 +123,6 @@ val reset_degraded : t -> unit
     mutate the database, i.e. those that serialize through the writer lock
     and must not be blindly retried after an ambiguous acknowledgement. *)
 val stmt_writes : Sqlsyn.Ast.stmt -> bool
-
-(** Deferred-maintenance drain on/off (see [?auto_maint] above). Stale
-    tables are {e always} enqueued; this only controls whether the queue
-    drains automatically. *)
-val auto_maint : t -> bool
-
-val set_auto_maint : t -> bool -> unit
 
 (** The session's deferred-maintenance queue (inspection; the astql
     [\health] command renders it). *)
@@ -186,25 +163,27 @@ val stats : t -> Plancache.Stats.t
 val health : t -> string
 
 (** Execute one statement. Raises {!Session_error} (with parse/semantic
-    context) on bad input. *)
-val exec_stmt : t -> Sqlsyn.Ast.stmt -> outcome
+    context) on bad input. [config] replaces the session's settings for
+    this statement only; the session never stores it. *)
+val exec_stmt : ?config:config -> t -> Sqlsyn.Ast.stmt -> outcome
 
-(** Execute a semicolon-separated script. *)
-val exec_sql : t -> string -> outcome list
+(** Execute a semicolon-separated script, each statement under [config]
+    (default: the session's own). *)
+val exec_sql : ?config:config -> t -> string -> outcome list
 
 (** Run a query, returning the result plus the rewrite steps applied (empty
     when the original plan ran — including when a contained rewrite failure
     or verification mismatch fell back to it). Never raises because of the
     rewrite pipeline: the only exceptions are those the base plan itself
-    produces, exactly as a [~rewrite:false] session would.
+    produces, exactly as a session with [rewrite = false] would.
 
-    [?limits] overrides the session's default budget for this statement
-    only. A budget exhausted during planning degrades to the best-so-far
-    (possibly base) plan; exhausted during rewritten execution, the base
-    plan is re-run unbudgeted — resource pressure can cost performance,
-    never correctness. *)
+    [config] replaces the session's settings for this statement only. A
+    budget exhausted during planning degrades to the best-so-far (possibly
+    base) plan; exhausted during rewritten execution, the base plan is
+    re-run unbudgeted — resource pressure can cost performance, never
+    correctness. *)
 val run_query :
-  ?limits:Govern.Budget.limits ->
+  ?config:config ->
   t ->
   Sqlsyn.Ast.query ->
   Data.Relation.t * Astmatch.Rewrite.step list

@@ -105,32 +105,17 @@ let disconnect_all t =
 
 (* --- per-connection serving --------------------------------------------- *)
 
-(* Run the statements under the request's effective settings, restoring the
-   session's own afterwards. Under queue pressure ([pressured]) the rewrite
+(* The request's effective settings, derived from the session's own and
+   never stored on it. Under queue pressure ([pressured]) the rewrite
    search is skipped outright — base plans cost no planning and no match
    work, which is exactly the capacity the overloaded server needs back —
-   and an explicit [opts.rewrite=true] does not override the ladder. *)
-let exec_request session (rq : Wire.request) ~pressured ~limits =
-  let saved_rw = Mvstore.Session.rewrite_enabled session in
-  let saved_limits = Mvstore.Session.limits session in
-  let rw =
-    (match rq.Wire.rq_rewrite with None -> saved_rw | Some b -> b)
-    && not pressured
-  in
-  Mvstore.Session.set_rewrite session rw;
-  Mvstore.Session.set_limits session limits;
-  Fun.protect
-    ~finally:(fun () ->
-      Mvstore.Session.set_rewrite session saved_rw;
-      Mvstore.Session.set_limits session saved_limits)
-    (fun () -> Mvstore.Session.exec_sql session rq.Wire.rq_sql)
-
-(* The request's effective budget: the tighter of the session's own
-   deadline and the per-request one (explicit [opts.deadline_ms], else the
-   server default). A request can only tighten the admission-control
-   limits, never loosen them. *)
-let effective_limits t session (rq : Wire.request) =
-  let l = Mvstore.Session.limits session in
+   and an explicit [opts.rewrite=true] does not override the ladder. The
+   deadline is the tighter of the session's own and the per-request one
+   (explicit [opts.deadline_ms], else the server default): a request can
+   only tighten the admission-control limits, never loosen them. *)
+let request_config t session (rq : Wire.request) ~pressured =
+  let c = Mvstore.Session.config session in
+  let l = c.Mvstore.Session.limits in
   let requested =
     match rq.Wire.rq_deadline_ms with
     | Some d -> Some d
@@ -138,11 +123,20 @@ let effective_limits t session (rq : Wire.request) =
         if t.request_deadline_ms > 0. then Some t.request_deadline_ms
         else None
   in
-  match (requested, l.Govern.Budget.bl_deadline_ms) with
-  | None, _ -> l
-  | Some r, None -> { l with Govern.Budget.bl_deadline_ms = Some r }
-  | Some r, Some d ->
-      { l with Govern.Budget.bl_deadline_ms = Some (Float.min r d) }
+  let limits =
+    match (requested, l.Govern.Budget.bl_deadline_ms) with
+    | None, _ -> l
+    | Some r, None -> { l with Govern.Budget.bl_deadline_ms = Some r }
+    | Some r, Some d ->
+        { l with Govern.Budget.bl_deadline_ms = Some (Float.min r d) }
+  in
+  {
+    c with
+    Mvstore.Session.rewrite =
+      Option.value rq.Wire.rq_rewrite ~default:c.Mvstore.Session.rewrite
+      && not pressured;
+    limits;
+  }
 
 let process t session line =
   match Wire.request_of_line line with
@@ -156,9 +150,9 @@ let process t session line =
         t.degrade_watermark >= 0
         && Pool.queued t.pool >= t.degrade_watermark
       in
-      let limits = effective_limits t session rq in
+      let config = request_config t session rq ~pressured in
       Mvstore.Session.reset_degraded session;
-      match exec_request session rq ~pressured ~limits with
+      match Mvstore.Session.exec_sql ~config session rq.Wire.rq_sql with
       | outcomes ->
           let degraded =
             (if pressured then [ "overload" ] else [])

@@ -72,6 +72,25 @@ grep -q '"server.connections"' "$METRICS" || {
   echo "FAIL: server.connections missing from metrics dump"; exit 1;
 }
 
+echo "== malformed limits exit 2, naming the setting =="
+# the env variable and the flag share one validity rule (finite, > 0);
+# the server must refuse to start rather than run unlimited or exhausted
+expect_bad_limit() {
+  local name=$1; shift
+  local status=0
+  "$@" >"$ERRTXT" 2>&1 || status=$?
+  [ "$status" -eq 2 ] || {
+    echo "FAIL: $* exited $status, expected 2"; cat "$ERRTXT"; exit 1;
+  }
+  grep -q -- "$name" "$ERRTXT" || {
+    echo "FAIL: message does not name $name:"; cat "$ERRTXT"; exit 1;
+  }
+}
+expect_bad_limit ASTQL_DEADLINE_MS \
+  env ASTQL_DEADLINE_MS=abc ./_build/default/bin/astql_server.exe --addr "$SOCK"
+expect_bad_limit --deadline-ms \
+  ./_build/default/bin/astql_server.exe --addr "$SOCK" --deadline-ms=-1
+
 echo "== durability: drain on SIGTERM, final checkpoint, recovery =="
 ./_build/default/bin/astql_server.exe \
   --addr "$SOCK" --domains 2 --durability "$DURDIR" --drain-ms 2000 &

@@ -134,3 +134,15 @@ let check_rows msg expected actual =
 
 let sorted_rows rel =
   List.sort compare (List.map Array.to_list (R.rows rel))
+
+let contains hay needle =
+  let h = String.length hay and n = String.length needle in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* Session settings with rewriting off: the defaults for a plain
+   comparison session, or a session's own for one base-plan statement. *)
+let no_rewrite () =
+  { (Mvstore.Session.default_config ()) with rewrite = false }
+
+let base_only sn = { (Mvstore.Session.config sn) with rewrite = false }

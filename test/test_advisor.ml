@@ -55,9 +55,7 @@ let test_recommendations_answer_workload () =
   List.iteri
     (fun idx sql ->
       let q = Sqlsyn.Parser.parse_query sql in
-      Sess.set_rewrite sn false;
-      let direct, _ = Sess.run_query sn q in
-      Sess.set_rewrite sn true;
+      let direct, _ = Sess.run_query ~config:(Helpers.base_only sn) sn q in
       let via, steps = Sess.run_query sn q in
       if idx < 4 then
         Alcotest.(check bool)

@@ -27,9 +27,7 @@ let session =
 let run_case (q : Workload.Decision_support.query) () =
   let sn = Lazy.force session in
   let parsed = Sqlsyn.Parser.parse_query q.dq_sql in
-  Sess.set_rewrite sn false;
-  let direct, _ = Sess.run_query sn parsed in
-  Sess.set_rewrite sn true;
+  let direct, _ = Sess.run_query ~config:(Helpers.base_only sn) sn parsed in
   let via, steps = Sess.run_query sn parsed in
   Alcotest.(check bool)
     (Printf.sprintf "%s: rewrite expectation" q.dq_name)

@@ -120,7 +120,7 @@ let agree spec =
   let db = Lazy.force db in
   let sql = sql_of spec in
   let g = build (Engine.Db.catalog db) sql in
-  let fast = Engine.Exec.with_engine Engine.Exec.Vector (fun () -> Engine.Exec.run db g) in
+  let fast = Engine.Exec.run ~engine:Engine.Exec.Vector db g in
   let slow = Engine.Reference.run db g in
   if not (R.bag_equal_approx fast slow) then
     QCheck.Test.fail_reportf
@@ -173,7 +173,7 @@ let test_fixed () =
       let g = build (Engine.Db.catalog db) sql in
       Alcotest.(check bool) sql true
         (R.bag_equal_approx
-           (Engine.Exec.with_engine Engine.Exec.Vector (fun () -> Engine.Exec.run db g))
+           (Engine.Exec.run ~engine:Engine.Exec.Vector db g)
            (Engine.Reference.run db g)))
     fixed_cases
 

@@ -17,7 +17,14 @@ module B = Govern.Budget
 
 let script sn sql = ignore (Sess.exec_sql sn sql)
 let parse = Sqlsyn.Parser.parse_query
-let run ?limits sn sql = Sess.run_query ?limits sn (parse sql)
+(* [limits] replaces the session's budget for this statement only *)
+let run ?limits sn sql =
+  let config =
+    Option.map (fun limits -> { (Sess.config sn) with limits }) limits
+  in
+  Sess.run_query ?config sn (parse sql)
+
+let set_limits sn limits = Sess.set_config sn { (Sess.config sn) with limits }
 
 let with_clean_faults f =
   F.disarm_all ();
@@ -103,7 +110,30 @@ let test_env_knobs () =
   Unix.putenv "ASTQL_DEADLINE_MS" "";
   Unix.putenv "ASTQL_MATCH_BUDGET" "";
   Alcotest.(check bool) "empty env is unlimited" true
-    (B.is_unlimited (B.default_limits ()))
+    (B.is_unlimited (B.default_limits ()));
+  (* a malformed, negative, zero or nan value is refused by name — never
+     read as "unlimited" nor as a deadline that every statement blows *)
+  List.iter
+    (fun (var, v) ->
+      Unix.putenv "ASTQL_DEADLINE_MS" "";
+      Unix.putenv "ASTQL_MATCH_BUDGET" "";
+      Unix.putenv var v;
+      match B.default_limits () with
+      | _ -> Alcotest.failf "%s=%s accepted" var v
+      | exception Invalid_argument m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s=%s names the variable" var v)
+            true (contains m var))
+    [
+      ("ASTQL_DEADLINE_MS", "abc");
+      ("ASTQL_DEADLINE_MS", "-5");
+      ("ASTQL_DEADLINE_MS", "0");
+      ("ASTQL_DEADLINE_MS", "nan");
+      ("ASTQL_MATCH_BUDGET", "abc");
+      ("ASTQL_MATCH_BUDGET", "-5");
+      ("ASTQL_MATCH_BUDGET", "0");
+      ("ASTQL_MATCH_BUDGET", "nan");
+    ]
 
 (* ---------------- deadline degradation at scale ---------------- *)
 
@@ -111,7 +141,7 @@ let test_env_knobs () =
    summary tables so that routing has real work to truncate. *)
 let many_mv_pair n =
   let sn = Sess.create () in
-  let plain = Sess.create ~rewrite:false () in
+  let plain = Sess.create ~config:(Helpers.no_rewrite ()) () in
   let both sql =
     script sn sql;
     script plain sql
@@ -217,13 +247,13 @@ let test_explain_reports_degraded () =
   with_clean_faults @@ fun () ->
   let sn, _ = many_mv_pair 2 in
   let q = parse "SELECT g, h, SUM(v) AS s FROM t GROUP BY g, h" in
-  Sess.set_limits sn (B.limits ~matches:1 ());
+  set_limits sn (B.limits ~matches:1 ());
   let plan = Sess.explain sn q in
   Alcotest.(check bool) "EXPLAIN mentions degraded" true
     (contains plan "degraded: match-budget");
   Alcotest.(check bool) "EXPLAIN says not cached" true
     (contains plan "not cached");
-  Sess.set_limits sn B.unlimited;
+  set_limits sn B.unlimited;
   let plan = Sess.explain sn q in
   Alcotest.(check bool) "no degraded line when ungoverned" false
     (contains plan "degraded:")
@@ -233,8 +263,10 @@ let test_explain_reports_degraded () =
 (* A HAVING summary is not incrementally maintainable: INSERT leaves it
    stale, which is what the maintenance queue exists to heal. *)
 let maint_pair () =
-  let sn = Sess.create ~auto_maint:true () in
-  let plain = Sess.create ~rewrite:false () in
+  let sn =
+    Sess.create ~config:{ (Sess.default_config ()) with auto_maint = true } ()
+  in
+  let plain = Sess.create ~config:(Helpers.no_rewrite ()) () in
   let both sql =
     script sn sql;
     script plain sql
@@ -377,14 +409,14 @@ let test_maint_budget_defers_without_penalty () =
   (* a session budget tight enough that the refresh recomputation cannot
      finish: the drain defers the task — no failure, no backoff penalty *)
   let d0 = counter_value "govern.maint.deferred" in
-  Sess.set_limits sn (B.limits ~rows:1 ());
+  set_limits sn (B.limits ~rows:1 ());
   ignore (run sn maint_q);
   Alcotest.(check bool) "deferred, still queued" true (Maint.is_queued mq "m");
   Alcotest.(check int) "not a failure" 0 (Maint.failures mq);
   Alcotest.(check bool) "deferral counted" true
     (counter_value "govern.maint.deferred" > d0);
   (* budget restored: the next boundary heals it *)
-  Sess.set_limits sn B.unlimited;
+  set_limits sn B.unlimited;
   let via, steps = run sn maint_q in
   Alcotest.(check bool) "healed once the budget allows" true (steps <> []);
   let direct, _ = run plain maint_q in

@@ -29,9 +29,9 @@ let default_summary =
   "CREATE SUMMARY TABLE m AS SELECT g, SUM(v) AS s, COUNT(*) AS c FROM t \
    GROUP BY g;"
 
-let grouped_pair ?verify ?(summary = default_summary) () =
-  let sn = Sess.create ?verify () in
-  let plain = Sess.create ~rewrite:false () in
+let grouped_pair ?(verify = Sess.Off) ?(summary = default_summary) () =
+  let sn = Sess.create ~config:{ (Sess.default_config ()) with verify } () in
+  let plain = Sess.create ~config:(Helpers.no_rewrite ()) () in
   let both sql =
     script sn sql;
     script plain sql
@@ -294,7 +294,7 @@ let test_quarantine_not_resurrected_by_recreate () =
 let test_other_ast_still_tried () =
   with_clean_faults @@ fun () ->
   let sn = Sess.create () in
-  let plain = Sess.create ~rewrite:false () in
+  let plain = Sess.create ~config:(Helpers.no_rewrite ()) () in
   let both sql =
     script sn sql;
     script plain sql
@@ -376,22 +376,6 @@ let test_verify_sampling_deterministic () =
   Alcotest.(check int) "no mismatches" 0
     (Sess.stats sn).P.Stats.verify_mismatches
 
-let test_verify_oracle () =
-  with_clean_faults @@ fun () ->
-  let sn = Sess.create ~verify:Sess.Always ~verify_oracle:true () in
-  script sn
-    "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
-     INSERT INTO t VALUES (1, 10), (1, 20), (2, 5); \
-     CREATE SUMMARY TABLE m AS SELECT g, SUM(v) AS s, COUNT(*) AS c FROM t \
-     GROUP BY g;";
-  let _, steps = run sn "SELECT g, COUNT(*) AS c FROM t GROUP BY g" in
-  Alcotest.(check bool) "rewritten" true (steps <> []);
-  let st = Sess.stats sn in
-  Alcotest.(check int) "verified against the reference evaluator" 1
-    st.P.Stats.verify_runs;
-  Alcotest.(check int) "rewrite agrees with the oracle" 0
-    st.P.Stats.verify_mismatches
-
 (* ---------------- planner never raises ---------------- *)
 
 let test_planner_sandbox () =
@@ -419,8 +403,10 @@ let test_randomized_workload () =
   (* verify:Always so that every randomly injected result corruption is
      caught in the act — under sampling a corruption may (by design) be
      served unverified, which is the cost/coverage trade-off, not a bug *)
-  let sn = Sess.create ~verify:Sess.Always () in
-  let plain = Sess.create ~rewrite:false () in
+  let sn =
+    Sess.create ~config:{ (Sess.default_config ()) with verify = Always } ()
+  in
+  let plain = Sess.create ~config:(Helpers.no_rewrite ()) () in
   let both sql =
     script sn sql;
     script plain sql
@@ -545,7 +531,6 @@ let suite =
       test_verify_catches_corruption;
     Alcotest.test_case "verify sampling deterministic" `Quick
       test_verify_sampling_deterministic;
-    Alcotest.test_case "verify against oracle" `Quick test_verify_oracle;
     Alcotest.test_case "full injection never escapes" `Quick
       test_planner_sandbox;
     Alcotest.test_case "randomized workload under injection" `Quick

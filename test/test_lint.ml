@@ -432,8 +432,8 @@ let with_clean_faults f =
   F.disarm_all ();
   Fun.protect ~finally:F.disarm_all f
 
-let grouped_session ?rewrite () =
-  let sn = Sess.create ?rewrite () in
+let grouped_session ?config () =
+  let sn = Sess.create ?config () in
   ignore
     (Sess.exec_sql sn
        "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
@@ -466,7 +466,7 @@ let test_one_run_per_miss () =
 let test_corrupt_caught_statically () =
   with_clean_faults @@ fun () ->
   let sn = grouped_session () (* verify defaults to Off *) in
-  let plain = grouped_session ~rewrite:false () in
+  let plain = grouped_session ~config:(Helpers.no_rewrite ()) () in
   (* sanity: rewrites when healthy *)
   let _, steps = Sess.run_query sn grouped_query in
   Alcotest.(check bool) "rewrites when healthy" true (steps <> []);

@@ -103,6 +103,44 @@ let test_table1_positive_control () =
   Alcotest.(check bool) "match without HAVING" true rewritten;
   Alcotest.(check bool) "result correct (4)" true equal
 
+(* EXPERIMENTS.md's "Ablations" table: the positive figures still matched
+   with one matching feature switched off, and exactly which are lost. *)
+let test_ablations () =
+  let cat = Workload.Star_schema.catalog () in
+  let positive =
+    List.filter
+      (fun (c : Workload.Paper_queries.case) -> c.expect_rewrite)
+      Workload.Paper_queries.cases
+  in
+  let lost config =
+    List.filter_map
+      (fun (c : Workload.Paper_queries.case) ->
+        let query = build cat c.query and ast = build cat c.ast in
+        if Astmatch.Navigator.find_matches ~config cat ~query ~ast = [] then
+          Some c.name
+        else None)
+      positive
+  in
+  let d = Astmatch.Config.default in
+  Alcotest.(check int) "11 positive figures" 11 (List.length positive);
+  List.iter
+    (fun (label, config, expected) ->
+      Alcotest.(check (list string)) label expected (lost config))
+    [
+      ("baseline: 11/11", d, []);
+      ( "without equivalence classes: FIG5 lost",
+        { d with equivalence_classes = false },
+        [ "fig5_q2" ] );
+      ( "without greedy derivation: 6/11",
+        { d with greedy_derivation = false },
+        [ "fig7_q6"; "fig13_q11_1"; "fig13_q11_2"; "fig14_q12_1";
+          "fig14_q12_2" ] );
+      ( "without predicate subsumption: 11/11",
+        { d with predicate_subsumption = false },
+        [] );
+      ("without smallest cuboid: 11/11", { d with smallest_cuboid = false }, []);
+    ]
+
 let suite =
   List.map
     (fun (c : Workload.Paper_queries.case) ->
@@ -112,4 +150,5 @@ let suite =
       Alcotest.test_case "Table 1 sample data" `Quick test_table1_scenario;
       Alcotest.test_case "Table 1 positive control" `Quick
         test_table1_positive_control;
+      Alcotest.test_case "ablation table" `Quick test_ablations;
     ]

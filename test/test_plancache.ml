@@ -11,7 +11,7 @@ module P = Plancache
 
 let script sn sql = ignore (Sess.exec_sql sn sql)
 let parse = Sqlsyn.Parser.parse_query
-let run sn sql = Sess.run_query sn (parse sql)
+let run ?config sn sql = Sess.run_query ?config sn (parse sql)
 
 let grouped_session () =
   let sn = Sess.create () in
@@ -46,8 +46,7 @@ let test_warm_cache_no_matching () =
     (Astmatch.Patterns.match_count ());
   let st = Sess.stats sn in
   Alcotest.(check bool) "cache hit recorded" true (st.P.Stats.hits >= 1);
-  Sess.set_rewrite sn false;
-  let direct, _ = run sn q in
+  let direct, _ = run ~config:(Helpers.base_only sn) sn q in
   Alcotest.(check bool) "cached plan correct" true
     (R.bag_equal_approx direct rel2)
 
@@ -140,7 +139,7 @@ let test_ri_extra_table_not_filtered () =
 
 let test_invalidation_insert_refresh () =
   let sn = Sess.create () in
-  let plain = Sess.create ~rewrite:false () in
+  let plain = Sess.create ~config:(Helpers.no_rewrite ()) () in
   let both sql =
     script sn sql;
     script plain sql
@@ -194,8 +193,7 @@ let test_invalidation_drop () =
   script sn "DROP SUMMARY TABLE m;";
   let rel, steps = run sn q in
   Alcotest.(check bool) "dropped MV no longer used" true (steps = []);
-  Sess.set_rewrite sn false;
-  let direct, _ = run sn q in
+  let direct, _ = run ~config:(Helpers.base_only sn) sn q in
   Alcotest.(check bool) "results correct after drop" true
     (R.bag_equal_approx direct rel);
   check_index_agrees "after drop" sn
@@ -211,8 +209,7 @@ let test_incremental_insert_still_rewrites () =
   script sn "INSERT INTO t VALUES (3, 7);";
   let rel, steps = run sn q in
   Alcotest.(check bool) "rewritten after incremental insert" true (steps <> []);
-  Sess.set_rewrite sn false;
-  let direct, _ = run sn q in
+  let direct, _ = run ~config:(Helpers.base_only sn) sn q in
   Alcotest.(check bool) "incrementally maintained contents" true
     (R.bag_equal_approx direct rel)
 
@@ -226,28 +223,35 @@ let test_ddl_bumps_epoch () =
 (* ---------------- LRU bound ---------------- *)
 
 let test_lru_eviction () =
-  let sn = Sess.create ~plan_capacity:2 () in
+  let sn = Sess.create () in
   script sn
     "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
      INSERT INTO t VALUES (1, 10);";
-  ignore (run sn "SELECT g FROM t");
-  ignore (run sn "SELECT v FROM t");
-  ignore (run sn "SELECT g, v FROM t");
-  let st = Sess.stats sn in
+  let planner = P.Planner.create ~capacity:2 () in
+  let cat = Engine.Db.catalog (Sess.db sn) in
+  let plan sql =
+    ignore
+      (P.Planner.plan planner ~cat ~epoch:(Store.epoch (Sess.store sn))
+         ~mvs:(Store.rewritable (Sess.store sn))
+         (Qgm.Builder.build cat (parse sql)))
+  in
+  plan "SELECT g FROM t";
+  plan "SELECT v FROM t";
+  plan "SELECT g, v FROM t";
+  let st = P.Planner.stats planner in
   Alcotest.(check bool) "eviction happened" true (st.P.Stats.evicted >= 1);
-  Alcotest.(check int) "cache stays bounded" 2
-    (P.Planner.cache_length (Sess.planner sn));
+  Alcotest.(check int) "cache stays bounded" 2 (P.Planner.cache_length planner);
   (* the evicted (least recently used) query re-plans as a miss *)
   let misses0 = st.P.Stats.misses in
-  ignore (run sn "SELECT g FROM t");
+  plan "SELECT g FROM t";
   Alcotest.(check int) "evicted entry is a miss again" (misses0 + 1)
-    (Sess.stats sn).P.Stats.misses
+    (P.Planner.stats planner).P.Stats.misses
 
 (* ---------------- differential: interleaved workload ---------------- *)
 
 let test_differential_interleaved () =
   let rw = Sess.create () in
-  let plain = Sess.create ~rewrite:false () in
+  let plain = Sess.create ~config:(Helpers.no_rewrite ()) () in
   let both sql =
     script rw sql;
     script plain sql;

@@ -300,8 +300,10 @@ let test_partition () =
 
 let script session sql = ignore (Sess.exec_sql session sql)
 
+let static () = { (Sess.default_config ()) with verify = Sess.Static }
+
 let setup_grouped () =
-  let sn = Sess.create ~verify:Sess.Static () in
+  let sn = Sess.create ~config:(static ()) () in
   script sn
     "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
      INSERT INTO t VALUES (1, 10), (1, 20), (2, 5); \
@@ -321,14 +323,13 @@ let test_static_verify_skips () =
   Alcotest.(check int) "one static skip" 1
     st.Plancache.Stats.verify_static_skips;
   (* the served answer is still right *)
-  Sess.set_rewrite sn false;
-  let direct, _ = Sess.run_query sn q in
+  let direct, _ = Sess.run_query ~config:(Helpers.base_only sn) sn q in
   Alcotest.(check bool) "bag-equal" true (R.bag_equal_approx rel direct)
 
 let test_static_verify_falls_back () =
   (* a cube slice is not certified (its synthesized IS NULL predicates lie
      outside the certificate), so Static behaves like Always *)
-  let sn = Sess.create ~verify:Sess.Static () in
+  let sn = Sess.create ~config:(static ()) () in
   let rows =
     List.init 300 (fun i -> Printf.sprintf "(%d, %d, %d)" (i mod 7) (i mod 11) i)
   in

@@ -332,12 +332,29 @@ let test_unix_socket_and_rewrite_opt () =
           in
           Alcotest.(check bool) "rewrites against the summary" true
             (contains with_rw "sales_by_region");
-          match Server.Client.request c ~rewrite:false sql with
+          (match Server.Client.request c ~rewrite:false sql with
           | Ok r ->
               let without = plan_of r in
               Alcotest.(check bool) "opts.rewrite=false suppresses routing"
                 true (without <> with_rw)
-          | Error e -> Alcotest.fail (Server.Wire.error_to_string e)));
+          | Error e -> Alcotest.fail (Server.Wire.error_to_string e));
+          (* the executed plan (EXPLAIN) shows routing: the override holds
+             for its own request only, and the next plain request on the
+             same connection routes through the summary again *)
+          let explain ?rewrite () =
+            match
+              Server.Client.request c ?rewrite
+                "EXPLAIN SELECT region, SUM(amount) AS total FROM sales \
+                 GROUP BY region;"
+            with
+            | Ok r -> plan_of r
+            | Error e -> Alcotest.fail (Server.Wire.error_to_string e)
+          in
+          Alcotest.(check bool) "opts.rewrite=false plans the base table"
+            false
+            (contains (explain ~rewrite:false ()) "sales_by_region");
+          Alcotest.(check bool) "next plain request routes again" true
+            (contains (explain ()) "sales_by_region")));
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
 (* --- adversarial request decoding --------------------------------------- *)

@@ -62,12 +62,44 @@ let test_transparent_rewrite_and_toggle () =
   let q = Sqlsyn.Parser.parse_query "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
   let _, steps = Sess.run_query sn q in
   Alcotest.(check bool) "rewritten" true (steps <> []);
-  Sess.set_rewrite sn false;
+  Sess.set_config sn (Helpers.base_only sn);
   let direct, steps' = Sess.run_query sn q in
   Alcotest.(check bool) "toggle off" true (steps' = []);
-  Sess.set_rewrite sn true;
+  Sess.set_config sn { (Sess.config sn) with rewrite = true };
   let via, _ = Sess.run_query sn q in
   Alcotest.(check bool) "equal either way" true (R.bag_equal_approx direct via)
+
+(* A per-statement [~config] applies to that statement only: the
+   session's own settings are untouched and the next statement uses them. *)
+let test_per_statement_config () =
+  let sn = Sess.create () in
+  ignore
+    (script sn
+       "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
+        INSERT INTO t VALUES (1, 10), (1, 20), (2, 5); \
+        CREATE SUMMARY TABLE m AS SELECT g, SUM(v) AS s, COUNT(*) AS c FROM \
+        t GROUP BY g;");
+  let before = Sess.config sn in
+  let config =
+    {
+      Sess.rewrite = false;
+      verify = Sess.Always;
+      limits = Govern.Budget.limits ~matches:1 ();
+      auto_maint = true;
+    }
+  in
+  let plan_of = function
+    | [ Sess.Plan p ] -> p
+    | _ -> Alcotest.fail "expected a plan"
+  in
+  let q = "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
+  let scans_m outcomes = Helpers.contains (plan_of outcomes) "SCAN m" in
+  Alcotest.(check bool) "the override applies to its statement" false
+    (scans_m (Sess.exec_sql ~config sn ("EXPLAIN " ^ q)));
+  Alcotest.(check bool) "session config unchanged" true
+    (Sess.config sn = before);
+  Alcotest.(check bool) "the next statement routes again" true
+    (scans_m (Sess.exec_sql sn ("EXPLAIN " ^ q)))
 
 let test_explain_reports () =
   let sn = Sess.create () in
@@ -150,6 +182,7 @@ let suite =
     Alcotest.test_case "expression values" `Quick test_insert_expression_values;
     Alcotest.test_case "transparent rewrite toggle" `Quick
       test_transparent_rewrite_and_toggle;
+    Alcotest.test_case "per-statement config" `Quick test_per_statement_config;
     Alcotest.test_case "explain" `Quick test_explain_reports;
     Alcotest.test_case "summary lifecycle" `Quick test_summary_lifecycle;
     Alcotest.test_case "query summary directly" `Quick
