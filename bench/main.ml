@@ -105,6 +105,15 @@ let time_ms f =
   in
   List.nth (List.sort compare runs) 2
 
+(* Lifetime counts live only in the metrics registry, and nothing resets
+   it: a section counts its own work as deltas. [since names] snapshots the
+   named counters and returns a reader of each one's growth since then. *)
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
+let since names =
+  let before = List.map (fun n -> (n, counter n)) names in
+  fun n -> counter n - List.assoc n before
+
 let time_once f =
   let t0 = Unix.gettimeofday () in
   ignore (Sys.opaque_identity (f ()));
@@ -127,6 +136,11 @@ let workload_rows : Json.t list ref = ref []
 let planning_obj : Json.t ref = ref (Json.Obj [])
 let governed_obj : Json.t ref = ref (Json.Obj [])
 let proving_obj : Json.t ref = ref (Json.Obj [])
+
+(* Deterministic counts (PERF4 planning, PERF5 verification): the gate
+   requires them to equal the baseline exactly. *)
+let planning_counts : (string * Json.t) list ref = ref []
+let verification_counts : (string * Json.t) list ref = ref []
 
 let () =
   Printf.printf "=== astrw bench: scale %d ===\n%!" scale;
@@ -423,14 +437,17 @@ let () =
              ~mvs:(Mvstore.Store.rewritable pstore) g))
       graphs
   in
+  let planned =
+    since
+      [ "plan.cache_hits"; "plan.cache_misses"; "plan.attempted"; "plan.filtered" ]
+  in
   let t_cold = time_once plan_pass in
-  Astmatch.Patterns.reset_match_count ();
+  let warm = since [ "match.calls" ] in
   let t_warm = time_once (fun () -> for _ = 1 to rounds do plan_pass () done) in
-  let warm_matches = Astmatch.Patterns.match_count () in
+  let warm_matches = warm "match.calls" in
   let per_q_uncached = t_uncached /. float_of_int (rounds * List.length mix) in
   let per_q_warm = t_warm /. float_of_int (rounds * List.length mix) in
   let speedup = per_q_uncached /. per_q_warm in
-  let st = Mvstore.Session.stats psn in
   Printf.printf "MVs: %d, query mix: %d, rounds: %d\n" n_mvs (List.length mix)
     rounds;
   Printf.printf "uncached planning: %8.3f ms/query\n" per_q_uncached;
@@ -439,10 +456,21 @@ let () =
   Printf.printf "warm planning:     %8.3f ms/query (hit)\n" per_q_warm;
   Printf.printf "warm speedup:      %8.1fx  (match_boxes calls while warm: %d)\n"
     speedup warm_matches;
-  Printf.printf "%s\n\n%!" (Plancache.Stats.to_string st);
+  Printf.printf "plan cache: %d hit(s), %d miss(es)\n" (planned "plan.cache_hits")
+    (planned "plan.cache_misses");
+  Printf.printf "candidates: %d attempted, %d filtered\n\n%!"
+    (planned "plan.attempted") (planned "plan.filtered");
+  planning_counts :=
+    [
+      ("warm_match_boxes_calls", Json.Int warm_matches);
+      ("cache_hits", Json.Int (planned "plan.cache_hits"));
+      ("cache_misses", Json.Int (planned "plan.cache_misses"));
+      ("candidates_attempted", Json.Int (planned "plan.attempted"));
+      ("candidates_filtered", Json.Int (planned "plan.filtered"));
+    ];
   planning_obj :=
     Json.Obj
-      [
+      ([
         ("mvs", Json.Int n_mvs);
         ("distinct_queries", Json.Int (List.length mix));
         ("rounds", Json.Int rounds);
@@ -450,12 +478,8 @@ let () =
         ("cold_ms_per_query", Json.Num (t_cold /. float_of_int (List.length mix)));
         ("warm_ms_per_query", Json.Num per_q_warm);
         ("warm_speedup", Json.Num speedup);
-        ("warm_match_boxes_calls", Json.Int warm_matches);
-        ("cache_hits", Json.Int st.Plancache.Stats.hits);
-        ("cache_misses", Json.Int st.Plancache.Stats.misses);
-        ("candidates_attempted", Json.Int st.Plancache.Stats.attempted);
-        ("candidates_filtered", Json.Int st.Plancache.Stats.filtered);
-      ];
+      ]
+      @ !planning_counts);
 
   (* ---------------- PERF6: governed planning at 64 summary tables ---- *)
   (* Tail-latency control: cold rewrite planning over a store of 64
@@ -596,6 +620,10 @@ let () =
               Sqlsyn.Parser.parse_query q.dq_sql)
             Workload.Decision_support.queries
         in
+        let verified =
+          since
+            [ "guard.verify_runs"; "guard.verify_mismatches"; "prove.verify_skips" ]
+        in
         let t =
           time_once (fun () ->
               for _ = 1 to vrounds do
@@ -604,22 +632,23 @@ let () =
                   parsed
               done)
         in
-        let st = Mvstore.Session.stats vsn in
+        let runs = verified "guard.verify_runs"
+        and mismatches = verified "guard.verify_mismatches"
+        and skips = verified "prove.verify_skips" in
         let per_q = t /. float_of_int (vrounds * List.length parsed) in
         Printf.printf
           "verify %-12s %8.3f ms/query  (%d verification run(s), %d \
            mismatch(es), %d static skip(s))\n"
-          label per_q st.Plancache.Stats.verify_runs
-          st.Plancache.Stats.verify_mismatches
-          st.Plancache.Stats.verify_static_skips;
-        ( label,
-          Json.Obj
-            [
-              ("ms_per_query", Json.Num per_q);
-              ("verify_runs", Json.Int st.Plancache.Stats.verify_runs);
-              ("verify_mismatches", Json.Int st.Plancache.Stats.verify_mismatches);
-              ("verify_static_skips", Json.Int st.Plancache.Stats.verify_static_skips);
-            ] ))
+          label per_q runs mismatches skips;
+        let counts =
+          [
+            ("verify_runs", Json.Int runs);
+            ("verify_mismatches", Json.Int mismatches);
+            ("verify_static_skips", Json.Int skips);
+          ]
+        in
+        verification_counts := !verification_counts @ [ (label, Json.Obj counts) ];
+        (label, Json.Obj (("ms_per_query", Json.Num per_q) :: counts)))
       verify_modes
   in
   (* The point of verify:Static — whole query classes with certified
@@ -749,17 +778,14 @@ let () =
           ])
       [ 32; 64 ]
   in
-  let prove_counter name =
-    Obs.Metrics.counter_value (Obs.Metrics.counter name)
-  in
   proving_obj :=
     Json.Obj
       [
         ("sizes", Json.List prove_rows);
-        ("attempts", Json.Int (prove_counter "prove.attempts"));
-        ("proved", Json.Int (prove_counter "prove.proved"));
-        ("unknown", Json.Int (prove_counter "prove.unknown"));
-        ("verify_skips", Json.Int (prove_counter "prove.verify_skips"));
+        ("attempts", Json.Int (counter "prove.attempts"));
+        ("proved", Json.Int (counter "prove.proved"));
+        ("unknown", Json.Int (counter "prove.unknown"));
+        ("verify_skips", Json.Int (counter "prove.verify_skips"));
       ];
   print_newline ();
 
@@ -1079,7 +1105,9 @@ let () =
   (* bench/baseline.json records per-query workload timings at smoke
      scale; --gate compares this run against it and fails on a >30%
      exec_ms regression (plus 0.5 ms absolute slack, so sub-millisecond
-     rows don't gate on scheduler noise). *)
+     rows don't gate on scheduler noise). The deterministic outputs gate
+     exactly: each row's routed_via, the proof counts, and the PERF4 and
+     PERF5 counts. *)
   (match baseline_out with
   | Some path ->
       Json.to_file path
@@ -1088,6 +1116,8 @@ let () =
              ("scale", Json.Int scale);
              ("workload", Json.List !workload_rows);
              ("proving", !proving_obj);
+             ("planning_counts", Json.Obj !planning_counts);
+             ("verification_counts", Json.Obj !verification_counts);
            ]);
       Printf.printf "wrote baseline %s\n%!" path
   | None -> ());
@@ -1144,10 +1174,50 @@ let () =
               let c_exec = num (Json.member "exec_ms" r) in
               let limit = (b_exec *. 1.30) +. 0.5 in
               let ok = (not (Float.is_nan c_exec)) && c_exec <= limit in
-              if not ok then incr gate_fails;
+              (* the route is deterministic: any change is a routing
+                 regression (or an intended one that needs a new baseline) *)
+              let b_route = Json.member "routed_via" brow
+              and c_route = Json.member "routed_via" r in
+              let rerouted = b_route = None || b_route <> c_route in
+              if (not ok) || rerouted then incr gate_fails;
               Printf.printf "%-24s %13.2f %13.2f %10s\n" name b_exec c_exec
-                (if ok then "ok" else "REGRESSED"))
+                (if rerouted then "REROUTED"
+                 else if ok then "ok"
+                 else "REGRESSED");
+              if rerouted then
+                Printf.printf "  routed_via: baseline %s, now %s\n"
+                  (Option.fold ~none:"-" ~some:Json.to_string b_route)
+                  (Option.fold ~none:"-" ~some:Json.to_string c_route))
         rows;
+      (* exact-count gate: the PERF4 planning and PERF5 verification
+         counts are deterministic, so any difference from the baseline is
+         a behaviour change, never noise *)
+      let rec exact path base now =
+        match base with
+        | Json.Obj fields ->
+            List.iter
+              (fun (k, b) ->
+                exact (path ^ "." ^ k) b
+                  (Option.bind now (Json.member k)))
+              fields
+        | b when Some b = now -> ()
+        | b ->
+            incr gate_fails;
+            Printf.printf "count %s: baseline %s, now %s\n" path
+              (Json.to_string b)
+              (Option.fold ~none:"MISSING" ~some:Json.to_string now)
+      in
+      List.iter
+        (fun (key, now) ->
+          match Json.member key base with
+          | Some b -> exact key b (Some (Json.Obj now))
+          | None ->
+              incr gate_fails;
+              Printf.printf "baseline has no %s object\n" key)
+        [
+          ("planning_counts", !planning_counts);
+          ("verification_counts", !verification_counts);
+        ];
       (* prover-coverage gate: the partition proved count is a
          deterministic integer (counting, not timing), so any drop below
          the recorded baseline is a real capability regression, not

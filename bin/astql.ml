@@ -112,8 +112,7 @@ let exec_text session text =
       Printf.printf "%s at %s: %s\n" label ctx m)
     text
 
-let print_stats session =
-  print_endline (Plancache.Stats.to_string (Mvstore.Session.stats session))
+let print_stats () = print_string (Obs.Metrics.to_text ~prefix:"plan." ())
 
 let print_health ?durable session =
   print_endline (Mvstore.Session.health session);
@@ -267,7 +266,7 @@ let repl ?durable session =
         let trimmed = String.trim line in
         if trimmed = "\\q" || trimmed = "quit" then ()
         else if trimmed = "\\stats" then begin
-          print_stats session;
+          print_stats ();
           loop ()
         end
         else if trimmed = "\\health" then begin
@@ -406,7 +405,11 @@ let config_term =
   Term.(const with_verify $ Cli.config_term $ verify_arg)
 
 let stats_flag =
-  let doc = "Print rewrite-planner counters (cache hits/misses, filtered candidates) after execution." in
+  let doc =
+    "Print the rewrite-planner counters (the metrics registry's plan.* \
+     entries: requests, cache hits/misses, attempted and filtered \
+     candidates) after execution."
+  in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
 let health_flag =
@@ -448,7 +451,7 @@ let run_cmd =
                 && ok)
               true files
           in
-          if stats then print_stats session;
+          if stats then print_stats ();
           if health then print_health ?durable session;
           ok)
     in

@@ -196,6 +196,14 @@ let fsync_arg =
     & opt fsync_conv Durable.Wal.Always
     & info [ "fsync" ] ~env ~docv:"POLICY" ~doc)
 
+let non_negative_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a non-negative integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let checkpoint_every_arg =
   let doc =
     "Fold the WAL into a fresh checkpoint every $(docv) commits (0 = only \
@@ -204,7 +212,10 @@ let checkpoint_every_arg =
   let env =
     Cmd.Env.info "ASTQL_CHECKPOINT_EVERY" ~doc:"Default checkpoint interval."
   in
-  Arg.(value & opt int 64 & info [ "checkpoint-every" ] ~env ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt non_negative_int 64
+    & info [ "checkpoint-every" ] ~env ~docv:"N" ~doc)
 
 let scale_arg =
   let doc = "Demo data scale factor." in

@@ -15,10 +15,3 @@
 
 val match_boxes :
   Mctx.t -> Qgm.Box.box_id -> Qgm.Box.box_id -> Mtypes.result option
-
-(** Instrumentation: total {!match_boxes} invocations (recursive calls
-    included) since start or the last reset. The plan-cache tests use this
-    to assert that a warm cache performs zero matching work. *)
-val match_count : unit -> int
-
-val reset_match_count : unit -> unit

@@ -33,30 +33,6 @@ type config = {
 let default_config dir =
   { c_dir = dir; c_fsync = Wal.Always; c_checkpoint_every = 64 }
 
-let config_of_env () =
-  match Sys.getenv_opt "ASTQL_DURABILITY" with
-  | None | Some "" -> Ok None
-  | Some dir -> (
-      let fsync =
-        match Sys.getenv_opt "ASTQL_FSYNC" with
-        | None | Some "" -> Ok Wal.Always
-        | Some s -> Wal.fsync_policy_of_string s
-      in
-      match fsync with
-      | Error e -> Error e
-      | Ok f -> (
-          match Sys.getenv_opt "ASTQL_CHECKPOINT_EVERY" with
-          | None | Some "" ->
-              Ok (Some { c_dir = dir; c_fsync = f; c_checkpoint_every = 64 })
-          | Some s -> (
-              match int_of_string_opt s with
-              | Some n when n >= 0 ->
-                  Ok (Some { c_dir = dir; c_fsync = f; c_checkpoint_every = n })
-              | _ ->
-                  Error
-                    (Printf.sprintf "bad ASTQL_CHECKPOINT_EVERY %S (expected \
-                                     a non-negative integer)" s))))
-
 type report = {
   r_ckpt_lsn : int option;
   r_ckpt_skipped : int;

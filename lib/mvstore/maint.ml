@@ -28,8 +28,6 @@ type t = {
   mutable tasks : task list;           (* FIFO within the same due tick *)
   mutable held : quarantined list;
   mutable tick : int;
-  mutable refreshed : int;             (* lifetime successes *)
-  mutable failures : int;              (* lifetime failed attempts *)
 }
 
 let create ?(max_retries = 3) ?(backoff_base = 2) () =
@@ -41,8 +39,6 @@ let create ?(max_retries = 3) ?(backoff_base = 2) () =
     tasks = [];
     held = [];
     tick = 0;
-    refreshed = 0;
-    failures = 0;
   }
 
 let norm = String.lowercase_ascii
@@ -53,8 +49,6 @@ let is_quarantined t name = List.exists (fun q -> same q.mq_mv name) t.held
 let depth t = List.length t.tasks
 let quarantined t = t.held
 let tasks t = t.tasks
-let refreshed t = t.refreshed
-let failures t = t.failures
 
 let enqueue t name =
   if not (is_queued t name || is_quarantined t name) then
@@ -76,8 +70,14 @@ let due t =
 
 let find_task t name = List.find_opt (fun k -> same k.mt_mv name) t.tasks
 
+(* Lifetime counts live in the metrics registry, ticked where the events
+   happen. *)
+let m_auto_refreshes = Obs.Metrics.counter "govern.maint.auto_refreshes"
+let m_refresh_failures = Obs.Metrics.counter "govern.maint.refresh_failures"
+let m_quarantined = Obs.Metrics.counter "govern.maint.quarantined"
+
 let record_success t name =
-  t.refreshed <- t.refreshed + 1;
+  Obs.Metrics.incr m_auto_refreshes;
   t.tasks <- List.filter (fun k -> not (same k.mt_mv name)) t.tasks
 
 let defer t name =
@@ -89,9 +89,10 @@ let record_failure t name error =
   match find_task t name with
   | None -> ()
   | Some k ->
-      t.failures <- t.failures + 1;
+      Obs.Metrics.incr m_refresh_failures;
       k.mt_attempts <- k.mt_attempts + 1;
       if k.mt_attempts >= t.max_retries then begin
+        Obs.Metrics.incr m_quarantined;
         t.tasks <- List.filter (fun k' -> not (same k'.mt_mv name)) t.tasks;
         t.held <- t.held @ [ { mq_mv = k.mt_mv; mq_error = error } ]
       end
@@ -106,7 +107,9 @@ let describe t =
     (Printf.sprintf
        "maintenance: %d queued, %d quarantined, %d auto-refreshed, %d failed \
         attempt(s)"
-       (depth t) (List.length t.held) t.refreshed t.failures);
+       (depth t) (List.length t.held)
+       (Obs.Metrics.counter_value m_auto_refreshes)
+       (Obs.Metrics.counter_value m_refresh_failures));
   List.iter
     (fun k ->
       Buffer.add_string b

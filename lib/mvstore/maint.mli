@@ -41,7 +41,12 @@ val tick : t -> unit
 (** Tables whose next attempt is due at the current tick. *)
 val due : t -> string list
 
+(** [record_success] ticks [govern.maint.auto_refreshes];
+    [record_failure] ticks [govern.maint.refresh_failures] and, when the
+    failure quarantines the table, [govern.maint.quarantined]. These
+    registry counters are the queue's only lifetime counts. *)
 val record_success : t -> string -> unit
+
 val record_failure : t -> string -> Guard.Error.t -> unit
 
 (** Budget ran out before the refresh finished: retry next tick, no
@@ -57,10 +62,6 @@ val depth : t -> int
 val tasks : t -> task list
 val quarantined : t -> quarantined list
 
-(** Lifetime successful auto-refreshes / failed attempts. *)
-val refreshed : t -> int
-
-val failures : t -> int
-
-(** Multi-line rendering for [\health]. *)
+(** Multi-line rendering for [\health]; the auto-refresh and failure
+    counts are the process-wide registry counters. *)
 val describe : t -> string

@@ -149,11 +149,10 @@ let reset_degraded t = t.sdegraded <- []
 let db t = t.sdb
 let store t = t.sstore
 let planner t = t.splanner
-let stats t = Plancache.Stats.copy (Plancache.Planner.stats t.splanner)
 let touch_store t = t.sstore <- Store.touch t.sstore
 
 let health t =
-  let st = Plancache.Planner.stats t.splanner in
+  let count name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
   Printf.sprintf
     "fallbacks:        %d\n\
      rewrite errors:   %d\n\
@@ -162,14 +161,16 @@ let health t =
      verification:     %d run(s), %d mismatch(es), %d static skip(s)\n\
      budget:           %s (%d degraded plan(s))\n\
      %s"
-    st.Plancache.Stats.fallbacks st.Plancache.Stats.rw_errors
-    st.Plancache.Stats.quarantined
+    (count "guard.fallbacks")
+    (count "plan.contained_errors")
+    (count "guard.quarantined")
     (Plancache.Planner.quarantine_length t.splanner)
-    st.Plancache.Stats.quarantine_skips st.Plancache.Stats.verify_runs
-    st.Plancache.Stats.verify_mismatches
-    st.Plancache.Stats.verify_static_skips
+    (count "plan.quarantine_skips")
+    (count "guard.verify_runs")
+    (count "guard.verify_mismatches")
+    (count "prove.verify_skips")
     (Govern.Budget.describe t.sconfig.limits)
-    st.Plancache.Stats.degraded
+    (count "govern.degraded_plans")
     (Maint.describe t.smaint)
 
 (* ---------------- DDL ---------------- *)
@@ -238,6 +239,23 @@ let const_eval (e : A.expr) =
   try Engine.Eval.eval (fun (_ : unit) -> V.Null) (conv e)
   with Engine.Eval.Eval_error m -> err "bad INSERT value: %s" m
 
+(* The one append path: INSERT, COPY FROM and WAL replay all fold the new
+   rows through summary maintenance first (it needs the delta in
+   isolation), queue the summaries that went stale, then append. *)
+let append_rows t tbl rows =
+  let table = tbl.Catalog.tbl_name in
+  let store', db', went_stale =
+    Store.apply_insert t.sstore t.sdb ~table ~rows
+  in
+  t.sstore <- store';
+  List.iter (Maint.enqueue t.smaint) went_stale;
+  let current =
+    match Engine.Db.get db' table with
+    | Some r -> r
+    | None -> R.empty (Catalog.column_names tbl)
+  in
+  t.sdb <- Engine.Db.put db' table (R.append current rows)
+
 let do_insert t table cols_opt rows =
   let cat = Engine.Db.catalog t.sdb in
   let tbl =
@@ -274,18 +292,7 @@ let do_insert t table cols_opt rows =
     row
   in
   let new_rows = List.map mkrow rows in
-  (* incremental maintenance first (needs the delta in isolation) *)
-  let store', db', went_stale =
-    Store.apply_insert t.sstore t.sdb ~table ~rows:new_rows
-  in
-  t.sstore <- store';
-  List.iter (Maint.enqueue t.smaint) went_stale;
-  let current =
-    match Engine.Db.get db' table with
-    | Some r -> r
-    | None -> R.empty all_cols
-  in
-  t.sdb <- Engine.Db.put db' table (R.append current new_rows);
+  append_rows t tbl new_rows;
   Msg (Printf.sprintf "%d row(s) inserted into %s" (List.length new_rows) table)
 
 let do_delete t table where =
@@ -342,18 +349,9 @@ let do_copy_from t table path header =
           if (not c.Catalog.nullable) && row.(i) = V.Null then
             err "NULL value for NOT NULL column %s.%s" table
               c.Catalog.col_name)
-        tbl.Catalog.tbl_cols;
-      ignore row)
+        tbl.Catalog.tbl_cols)
     rows;
-  let store', db', went_stale = Store.apply_insert t.sstore t.sdb ~table ~rows in
-  t.sstore <- store';
-  List.iter (Maint.enqueue t.smaint) went_stale;
-  let current =
-    match Engine.Db.get db' table with
-    | Some r -> r
-    | None -> R.empty (Catalog.column_names tbl)
-  in
-  t.sdb <- Engine.Db.put db' table (R.append current rows);
+  append_rows t tbl rows;
   (* stash for the commit record: the CSV file may not exist at replay *)
   t.scopy_rows <- rows;
   Msg (Printf.sprintf "%d row(s) copied into %s" (List.length rows) table)
@@ -397,9 +395,6 @@ let budget_of_limits l =
 
 (* ---------------- deferred maintenance ---------------- *)
 
-let m_auto_refreshes = Obs.Metrics.counter "govern.maint.auto_refreshes"
-let m_refresh_failures = Obs.Metrics.counter "govern.maint.refresh_failures"
-let m_maint_quarantined = Obs.Metrics.counter "govern.maint.quarantined"
 let m_maint_deferred = Obs.Metrics.counter "govern.maint.deferred"
 let m_exec_degraded = Obs.Metrics.counter "govern.exec_degraded"
 
@@ -426,22 +421,18 @@ let drain_due t ~limits due =
           | Ok (store', db') ->
               t.sstore <- store';
               t.sdb <- db';
-              Obs.Metrics.incr m_auto_refreshes;
               Maint.record_success t.smaint name
           | Error err ->
-              Obs.Metrics.incr m_refresh_failures;
               Printf.eprintf
                 "astrw maint: auto-refresh of %s failed (%s)\n%!" name
                 (Guard.Error.to_string err);
               Maint.record_failure t.smaint name err;
-              if Maint.is_quarantined t.smaint name then begin
-                Obs.Metrics.incr m_maint_quarantined;
+              if Maint.is_quarantined t.smaint name then
                 Printf.eprintf
                   "astrw maint: %s quarantined after repeated refresh \
                    failures; REFRESH or DROP it manually\n\
                    %!"
-                  name
-              end))
+                  name))
     due
 
 (* In shared mode the drain is a write: refreshed summaries must publish
@@ -456,11 +447,17 @@ let drain_maintenance t cfg =
             drain_due t ~limits:cfg.limits due)
   end
 
+(* The execution-side guard counts: the planner and the maintenance queue
+   tick the rest. Like every count, they live only in the registry. *)
+let m_errors = Obs.Metrics.counter "plan.contained_errors"
+let m_fallbacks = Obs.Metrics.counter "guard.fallbacks"
+let m_verify_runs = Obs.Metrics.counter "guard.verify_runs"
+let m_verify_mismatches = Obs.Metrics.counter "guard.verify_mismatches"
+let m_static_skips = Obs.Metrics.counter "prove.verify_skips"
+
 (* Deterministic sampling: verify whenever the accumulated rate crosses an
    integer boundary, so [Sampled 0.25] verifies exactly every 4th rewritten
    query — reproducible, no RNG state. *)
-let m_static_skips = Obs.Metrics.counter "prove.verify_skips"
-
 let should_verify t verify =
   match verify with
   | Off -> false
@@ -507,7 +504,6 @@ let run_query_routed ?budget ~verify t g =
   match r.Plancache.Planner.pr_steps with
   | [] -> run_query_unrewritten t g
   | steps -> (
-      let st = Plancache.Planner.stats t.splanner in
       let quarantine_used () =
         Plancache.Planner.quarantine t.splanner ~fp:r.pr_fingerprint
           (List.filter_map
@@ -527,13 +523,13 @@ let run_query_routed ?budget ~verify t g =
              not. The base plan runs unbudgeted: correctness first. *)
           note_degraded t (Govern.Budget.reason_name reason);
           Obs.Metrics.incr m_exec_degraded;
-          st.Plancache.Stats.fallbacks <- st.Plancache.Stats.fallbacks + 1;
+          Obs.Metrics.incr m_fallbacks;
           run_query_unrewritten t g
       | Error e ->
           Printf.eprintf "astrw guard: %s; serving the base plan\n%!"
             (Guard.Error.to_string e);
-          st.Plancache.Stats.rw_errors <- st.Plancache.Stats.rw_errors + 1;
-          st.Plancache.Stats.fallbacks <- st.Plancache.Stats.fallbacks + 1;
+          Obs.Metrics.incr m_errors;
+          Obs.Metrics.incr m_fallbacks;
           quarantine_used ();
           run_query_unrewritten t g
       | Ok rel ->
@@ -549,15 +545,12 @@ let run_query_routed ?budget ~verify t g =
             (* every applied step carries a static certificate: the rewrite
                is equivalent by construction, so the runtime re-execution
                would only confirm what is already proved *)
-            st.Plancache.Stats.verify_static_skips <-
-              st.Plancache.Stats.verify_static_skips + 1;
             Obs.Metrics.incr m_static_skips;
             (rel, steps)
           end
           else if not (should_verify t verify) then (rel, steps)
           else begin
-            st.Plancache.Stats.verify_runs <-
-              st.Plancache.Stats.verify_runs + 1;
+            Obs.Metrics.incr m_verify_runs;
             let reference = Engine.Exec.run t.sdb g in
             if R.bag_equal_approx rel reference then (rel, steps)
             else begin
@@ -569,10 +562,8 @@ let run_query_routed ?budget ~verify t g =
                    (List.map
                       (fun (s : Astmatch.Rewrite.step) -> s.used_mv)
                       steps));
-              st.Plancache.Stats.verify_mismatches <-
-                st.Plancache.Stats.verify_mismatches + 1;
-              st.Plancache.Stats.fallbacks <-
-                st.Plancache.Stats.fallbacks + 1;
+              Obs.Metrics.incr m_verify_mismatches;
+              Obs.Metrics.incr m_fallbacks;
               quarantine_used ();
               (reference, [])
             end
@@ -854,22 +845,9 @@ let exec_stmt ?config t stmt =
 let replay_rows t ~table ~rows =
   with_snapshot t ~write:true (fun () ->
       let cat = Engine.Db.catalog t.sdb in
-      let tbl =
-        match Catalog.find_table cat table with
-        | Some tbl -> tbl
-        | None -> err "unknown table %s" table
-      in
-      let store', db', went_stale =
-        Store.apply_insert t.sstore t.sdb ~table ~rows
-      in
-      t.sstore <- store';
-      List.iter (Maint.enqueue t.smaint) went_stale;
-      let current =
-        match Engine.Db.get db' table with
-        | Some r -> r
-        | None -> R.empty (Catalog.column_names tbl)
-      in
-      t.sdb <- Engine.Db.put db' table (R.append current rows))
+      match Catalog.find_table cat table with
+      | Some tbl -> append_rows t tbl rows
+      | None -> err "unknown table %s" table)
 
 let exec_sql ?config t sql =
   (* statement-at-a-time: statements before a syntax error have executed

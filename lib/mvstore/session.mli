@@ -152,14 +152,13 @@ val lint_summaries : t -> (string * Lint.Advisor.diag list) list
 (** The session's rewrite planner (candidate index + plan cache). *)
 val planner : t -> Plancache.Planner.t
 
-(** Snapshot of the planning counters: cache hits/misses, invalidations,
-    evictions, candidates attempted vs. filtered, contained rewrite errors,
-    fallbacks, quarantine activity, verification runs/mismatches. *)
-val stats : t -> Plancache.Stats.t
-
-(** Human-readable fault-isolation report: fallbacks, contained rewrite
-    errors, quarantine adds/holdings/skips, verification runs and
-    mismatches (the astql [\health] command). *)
+(** Human-readable fault-isolation report (the astql [\health] command):
+    fallbacks, contained rewrite errors, quarantine adds/holdings/skips,
+    verification runs and mismatches, degraded plans and the maintenance
+    queue. The counts are the process-wide {!Obs.Metrics} counters
+    ([guard.*], [plan.contained_errors], [plan.quarantine_skips],
+    [prove.verify_skips], [govern.*]); the holdings and the queue are this
+    session's. *)
 val health : t -> string
 
 (** Execute one statement. Raises {!Session_error} (with parse/semantic

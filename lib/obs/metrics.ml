@@ -116,17 +116,6 @@ let time h f =
       observe h (now_ms () -. t0);
       raise e
 
-let reset () =
-  with_registry @@ fun () ->
-  Hashtbl.iter (fun _ c -> Atomic.set c.c_v 0) counters;
-  Hashtbl.iter (fun _ g -> Atomic.set g.g_v 0.) gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      Array.iter (fun cell -> Atomic.set cell 0) h.h_counts;
-      Atomic.set h.h_count 0;
-      Atomic.set h.h_sum 0.)
-    histograms
-
 (* ---------------- export ---------------- *)
 
 let selected ?(prefix = "") tbl =

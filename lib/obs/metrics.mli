@@ -8,7 +8,10 @@
 
     The registry is deliberately global: the planning layers tick it
     unconditionally, so live sessions ([\metrics], [--metrics-out]) and the
-    bench harness ([BENCH_results.json]) report through one schema.
+    bench harness ([BENCH_results.json]) report through one schema. It is
+    also the only store of lifetime counts: nothing resets it, so every
+    counter is monotonic for the life of the process and a reader counts
+    one piece of work as a delta (read before, read after).
 
     Safe for concurrent writers: counters, gauges and histogram buckets are
     atomic cells and interning/export is serialized on a registry mutex, so
@@ -55,9 +58,6 @@ val now_ms : unit -> float
 (** [time h f] runs [f] and records its wall-clock duration in [h] — also
     on exception, which is re-raised. *)
 val time : histogram -> (unit -> 'a) -> 'a
-
-(** Zero every registered metric (registrations and handles survive). *)
-val reset : unit -> unit
 
 (** The metrics object schema, shared with [BENCH_results.json]:
     [{"counters": {..}, "gauges": {..}, "histograms": {name: {"count",

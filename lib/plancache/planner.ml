@@ -11,7 +11,6 @@ type entry = {
 
 type t = {
   p_cache : entry Cache.t;
-  p_stats : Stats.t;
   p_quarantine : Guard.Quarantine.t;
   mutable p_index : Candidates.t;
   mutable p_index_epoch : int;
@@ -33,22 +32,38 @@ type report = {
 let create ?(capacity = 256) ?quarantine_capacity () =
   {
     p_cache = Cache.create ~capacity;
-    p_stats = Stats.create ();
     p_quarantine = Guard.Quarantine.create ?capacity:quarantine_capacity ();
     p_index = Candidates.build [];
     p_index_epoch = min_int;
   }
 
-let stats t = t.p_stats
 let cache_length t = Cache.length t.p_cache
 let quarantine_length t = Guard.Quarantine.entries t.p_quarantine
 
+let m_requests = Obs.Metrics.counter "plan.requests"
+let m_hits = Obs.Metrics.counter "plan.cache_hits"
+let m_misses = Obs.Metrics.counter "plan.cache_misses"
+let m_invalidated = Obs.Metrics.counter "plan.cache_invalidated"
+let m_evictions = Obs.Metrics.counter "plan.cache_evictions"
+let m_rewrites = Obs.Metrics.counter "plan.rewrites"
+let m_attempted = Obs.Metrics.counter "plan.attempted"
+let m_filtered = Obs.Metrics.counter "plan.filtered"
+let m_quarantine_skips = Obs.Metrics.counter "plan.quarantine_skips"
+let m_errors = Obs.Metrics.counter "plan.contained_errors"
+let m_plan_ms = Obs.Metrics.histogram "plan.ms"
+let m_fallbacks = Obs.Metrics.counter "guard.fallbacks"
+let m_quarantined = Obs.Metrics.counter "guard.quarantined"
+let m_degraded = Obs.Metrics.counter "govern.degraded_plans"
+let m_lint_final = Obs.Metrics.counter "lint.final_rejects"
+
+(* Quarantine one (fingerprint x summary-table) pair, counting it only when
+   it is new. *)
+let hold t ~fp ~version mv =
+  if Guard.Quarantine.add t.p_quarantine ~version ~fp ~mv then
+    Obs.Metrics.incr m_quarantined
+
 let quarantine t ~fp mvs =
-  List.iter
-    (fun (mv, version) ->
-      if Guard.Quarantine.add t.p_quarantine ~version ~fp ~mv then
-        t.p_stats.Stats.quarantined <- t.p_stats.Stats.quarantined + 1)
-    mvs;
+  List.iter (fun (mv, version) -> hold t ~fp ~version mv) mvs;
   (* the cached decision (if any) embeds the now-discredited candidate *)
   Cache.remove t.p_cache fp
 
@@ -83,17 +98,6 @@ let report_of g fp ~hit ~errors ?(validated = 0) (e : entry) =
     pr_validated = validated;
   }
 
-let m_requests = Obs.Metrics.counter "plan.requests"
-let m_hits = Obs.Metrics.counter "plan.cache_hits"
-let m_misses = Obs.Metrics.counter "plan.cache_misses"
-let m_rewrites = Obs.Metrics.counter "plan.rewrites"
-let m_filtered = Obs.Metrics.counter "plan.filtered"
-let m_quarantine_skips = Obs.Metrics.counter "plan.quarantine_skips"
-let m_errors = Obs.Metrics.counter "plan.contained_errors"
-let m_plan_ms = Obs.Metrics.histogram "plan.ms"
-let m_degraded = Obs.Metrics.counter "govern.degraded_plans"
-let m_lint_final = Obs.Metrics.counter "lint.final_rejects"
-
 (* The Corrupt_plan fault: repoint the first quantifier of the last
    step's compensation at a box id that does not exist. That box is
    reachable in the final plan and always has a quantifier (the one
@@ -115,17 +119,14 @@ let corrupt_plan g (steps : Astmatch.Rewrite.step list) =
   Qgm.Graph.update_box g target body
 
 let plan_raw ?trace ?budget t ~cat ~epoch ~mvs g =
-  let st = t.p_stats in
   let fp = Qgm.Fingerprint.of_graph g in
   match Cache.find t.p_cache ~epoch fp with
   | Cache.Hit e ->
-      st.Stats.hits <- st.Stats.hits + 1;
       Obs.Metrics.incr m_hits;
       Obs.Trace.accept trace ~kind:"cache" ~label:fp "hit";
       report_of g fp ~hit:true ~errors:[] e
   | (Cache.Stale | Cache.Absent) as l ->
-      if l = Cache.Stale then st.Stats.invalidated <- st.Stats.invalidated + 1;
-      st.Stats.misses <- st.Stats.misses + 1;
+      if l = Cache.Stale then Obs.Metrics.incr m_invalidated;
       Obs.Metrics.incr m_misses;
       let versions = versions_of mvs in
       let kept, skipped = classify t ~cat ~epoch ~mvs g in
@@ -146,10 +147,7 @@ let plan_raw ?trace ?budget t ~cat ~epoch ~mvs g =
           Obs.Trace.reject trace ~kind:"candidate" ~label:mv.mv_name
             Obs.Trace.Quarantined)
         held;
-      st.Stats.quarantine_skips <-
-        st.Stats.quarantine_skips + List.length held;
-      st.Stats.attempted <- st.Stats.attempted + List.length kept;
-      st.Stats.filtered <- st.Stats.filtered + List.length skipped;
+      Obs.Metrics.add m_attempted (List.length kept);
       Obs.Metrics.add m_filtered (List.length skipped);
       Obs.Metrics.add m_quarantine_skips (List.length held);
       (* contained failures: the offending summary table is quarantined for
@@ -158,15 +156,12 @@ let plan_raw ?trace ?budget t ~cat ~epoch ~mvs g =
       let on_error mv_name exn =
         let err = Guard.Error.classify ~stage:Guard.Error.Match ~mv:mv_name exn in
         errors := err :: !errors;
-        st.Stats.rw_errors <- st.Stats.rw_errors + 1;
         Obs.Metrics.incr m_errors;
         Obs.Trace.reject trace ~kind:"candidate" ~label:mv_name
           (Obs.Trace.Contained_error (Guard.Error.to_string err));
-        match List.assoc_opt mv_name versions with
-        | Some version ->
-            if Guard.Quarantine.add t.p_quarantine ~version ~fp ~mv:mv_name
-            then st.Stats.quarantined <- st.Stats.quarantined + 1
-        | None -> ()
+        Option.iter
+          (fun version -> hold t ~fp ~version mv_name)
+          (List.assoc_opt mv_name versions)
       in
       let decision =
         match Astmatch.Rewrite.best ~cat ~on_error ?trace ?budget g kept with
@@ -204,20 +199,14 @@ let plan_raw ?trace ?budget t ~cat ~epoch ~mvs g =
                     err_mv = mv0;
                   }
                   :: !errors;
-                st.Stats.rw_errors <- st.Stats.rw_errors + 1;
                 Obs.Metrics.incr m_errors;
                 Obs.Trace.reject trace ~kind:"plan" ~label:"final plan"
                   (Obs.Trace.Ir_invalid msg);
                 List.iter
                   (fun (s : Astmatch.Rewrite.step) ->
-                    match List.assoc_opt s.used_mv versions with
-                    | Some version ->
-                        if
-                          Guard.Quarantine.add t.p_quarantine ~version ~fp
-                            ~mv:s.used_mv
-                        then
-                          st.Stats.quarantined <- st.Stats.quarantined + 1
-                    | None -> ())
+                    Option.iter
+                      (fun version -> hold t ~fp ~version s.used_mv)
+                      (List.assoc_opt s.used_mv versions))
                   steps;
                 No_rewrite)
         | No_rewrite -> decision
@@ -225,7 +214,7 @@ let plan_raw ?trace ?budget t ~cat ~epoch ~mvs g =
       (* a contained failure that left the query unrewritten is a fallback
          to the base plan; if another AST still served it, it is not *)
       if !errors <> [] && decision = No_rewrite then
-        st.Stats.fallbacks <- st.Stats.fallbacks + 1;
+        Obs.Metrics.incr m_fallbacks;
       let e =
         {
           en_decision = decision;
@@ -238,12 +227,9 @@ let plan_raw ?trace ?budget t ~cat ~epoch ~mvs g =
       (* a budget-truncated decision is best-so-far, not the planner's
          answer for this query: serving it again from the cache would make
          a transient resource shortage permanent, so it is never stored *)
-      if degraded = None then begin
-        st.Stats.evicted <- st.Stats.evicted + Cache.put t.p_cache ~epoch fp e;
-        st.Stats.inserted <- st.Stats.inserted + 1
-      end
+      if degraded = None then
+        Obs.Metrics.add m_evictions (Cache.put t.p_cache ~epoch fp e)
       else begin
-        st.Stats.degraded <- st.Stats.degraded + 1;
         Obs.Metrics.incr m_degraded;
         Obs.Trace.event trace ~kind:"budget"
           ~label:
@@ -290,15 +276,12 @@ let plan ?trace ?budget t ~cat ~epoch ~mvs g =
   with
   | Ok r -> r
   | Error err ->
-      let st = t.p_stats in
-      st.Stats.rw_errors <- st.Stats.rw_errors + 1;
-      st.Stats.fallbacks <- st.Stats.fallbacks + 1;
+      Obs.Metrics.incr m_errors;
+      Obs.Metrics.incr m_fallbacks;
       base_report g ~errors:[ err ] ~degraded:None
   | exception Govern.Budget.Budget_exhausted reason ->
       (* belt and braces: Rewrite.best already absorbs exhaustion, so this
          only triggers if a budget check fires outside the routing loop —
          still a graceful base-plan degradation, never an error *)
-      let st = t.p_stats in
-      st.Stats.degraded <- st.Stats.degraded + 1;
       Obs.Metrics.incr m_degraded;
       base_report g ~errors:[] ~degraded:(Some reason)

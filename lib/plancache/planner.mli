@@ -16,7 +16,13 @@
     Planning never raises: any exception inside the rewrite pipeline is
     contained ({!Guard.Sandbox}), classified, counted, quarantines the
     offending (fingerprint x summary-table) pair, and at worst degrades the
-    report to the unrewritten input graph. *)
+    report to the unrewritten input graph.
+
+    Every count lives in the process-wide {!Obs.Metrics} registry: the
+    [plan.*] counters (requests, cache hits/misses/invalidations/evictions,
+    candidates attempted/filtered/quarantine-skipped, contained errors),
+    [guard.fallbacks], [guard.quarantined] and [govern.degraded_plans].
+    The planner keeps no counters of its own. *)
 
 type t
 
@@ -87,15 +93,11 @@ val classify :
 (** [quarantine t ~fp mvs] quarantines each [(summary table, definition
     version)] pair in [mvs] for the query fingerprinted [fp] (used by the
     session when a rewritten plan failed at execution or mis-verified),
-    counts the newly added pairs in the stats, and drops the
+    counts the newly added pairs in [guard.quarantined], and drops the
     now-discredited cache entry for [fp]. Entries expire when the table's
     definition version moves (REFRESH / re-CREATE), not on unrelated
     epoch churn. *)
 val quarantine : t -> fp:string -> (string * int) list -> unit
-
-(** Live counters (mutated by subsequent planning; {!Stats.copy} to
-    snapshot). *)
-val stats : t -> Stats.t
 
 (** Entries currently cached. *)
 val cache_length : t -> int

@@ -2,8 +2,11 @@
 # Server smoke test: boots astql-server on a Unix-domain socket and drives
 # the whole client path against it — every example script, a typed-error
 # round trip (bad SQL must yield a structured error AND a non-zero client
-# exit without killing the connection for the next request), and a check
-# that the server.* metrics actually counted the traffic. Run from anywhere;
+# exit without killing the connection for the next request), a check that
+# the server.* metrics counted the traffic and that the shutdown dump
+# carries the planning and guard counters (the registry is the only place
+# a server's planning counts live), and refusal of malformed settings. Run
+# from anywhere;
 # it cd's to the repo root. CI runs it in the server-smoke job next to the
 # PERF8 serving gate (ASTRW_SMOKE=1 bench run).
 set -euo pipefail
@@ -71,6 +74,15 @@ grep -q '"server.requests"' "$METRICS" || {
 grep -q '"server.connections"' "$METRICS" || {
   echo "FAIL: server.connections missing from metrics dump"; exit 1;
 }
+plan_requests=$(grep -o '"plan\.requests": *[0-9]*' "$METRICS" | grep -o '[0-9]*$' || true)
+[ "${plan_requests:-0}" -gt 0 ] || {
+  echo "FAIL: plan.requests is '${plan_requests}', expected > 0"; exit 1;
+}
+for key in guard.fallbacks guard.verify_mismatches; do
+  grep -q "\"$key\"" "$METRICS" || {
+    echo "FAIL: $key missing from metrics dump"; exit 1;
+  }
+done
 
 echo "== malformed limits exit 2, naming the setting =="
 # the env variable and the flag share one validity rule (finite, > 0);
@@ -90,6 +102,30 @@ expect_bad_limit ASTQL_DEADLINE_MS \
   env ASTQL_DEADLINE_MS=abc ./_build/default/bin/astql_server.exe --addr "$SOCK"
 expect_bad_limit --deadline-ms \
   ./_build/default/bin/astql_server.exe --addr "$SOCK" --deadline-ms=-1
+
+echo "== negative checkpoint interval is refused =="
+# a negative interval would never checkpoint; cmdliner rejects it (exit
+# 124) for the flag and the env variable alike, naming the setting. The
+# timeout only bounds a server that wrongly started; its exit carries no
+# message, so it still fails the name check.
+expect_bad_checkpoint() {
+  local name=$1; shift
+  local status=0
+  "$@" >"$ERRTXT" 2>&1 || status=$?
+  [ "$status" -ne 0 ] || {
+    echo "FAIL: $* accepted a negative checkpoint interval"; exit 1;
+  }
+  grep -q -- "$name" "$ERRTXT" || {
+    echo "FAIL: $* exited $status without naming $name:"
+    cat "$ERRTXT"; exit 1;
+  }
+}
+expect_bad_checkpoint checkpoint-every timeout 10 \
+  ./_build/default/bin/astql_server.exe --addr "$SOCK" --checkpoint-every=-1
+expect_bad_checkpoint checkpoint-every \
+  ./_build/default/bin/astql.exe run --checkpoint-every=-1 /dev/null
+expect_bad_checkpoint ASTQL_CHECKPOINT_EVERY \
+  env ASTQL_CHECKPOINT_EVERY=-3 ./_build/default/bin/astql.exe run /dev/null
 
 echo "== durability: drain on SIGTERM, final checkpoint, recovery =="
 ./_build/default/bin/astql_server.exe \

@@ -146,3 +146,8 @@ let no_rewrite () =
   { (Mvstore.Session.default_config ()) with rewrite = false }
 
 let base_only sn = { (Mvstore.Session.config sn) with rewrite = false }
+
+(* A metrics-registry counter's current value. Counters never reset, so a
+   test counts the work under test as a delta across it — only around
+   single-threaded code, since the registry is process-wide. *)
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)

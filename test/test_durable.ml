@@ -468,43 +468,6 @@ let test_torn_wal_tail_recovery () =
     (R.create [ "a" ] [ [| V.Int 1 |] ])
     (table_of sess2 "SELECT a FROM t;")
 
-let test_config_of_env () =
-  (* config_of_env reads ASTQL_DURABILITY/ASTQL_FSYNC/ASTQL_CHECKPOINT_EVERY;
-     keep the environment clean for the other tests *)
-  let with_env kvs f =
-    let olds = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) kvs in
-    List.iter (fun (k, v) -> Unix.putenv k v) kvs;
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter
-          (fun (k, old) -> Unix.putenv k (Option.value old ~default:""))
-          olds)
-      f
-  in
-  (match M.config_of_env () with
-  | Ok None -> ()
-  | Ok (Some _) -> Alcotest.fail "durability should default to off"
-  | Error m -> Alcotest.fail m);
-  with_env
-    [
-      ("ASTQL_DURABILITY", "/tmp/d");
-      ("ASTQL_FSYNC", "interval:8");
-      ("ASTQL_CHECKPOINT_EVERY", "16");
-    ]
-    (fun () ->
-      match M.config_of_env () with
-      | Ok (Some c) ->
-          Alcotest.(check string) "dir" "/tmp/d" c.M.c_dir;
-          Alcotest.(check bool) "fsync" true (c.M.c_fsync = W.Interval 8);
-          Alcotest.(check int) "every" 16 c.M.c_checkpoint_every
-      | Ok None -> Alcotest.fail "should be on"
-      | Error m -> Alcotest.fail m);
-  with_env [ ("ASTQL_DURABILITY", "/tmp/d"); ("ASTQL_FSYNC", "banana") ]
-    (fun () ->
-      match M.config_of_env () with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "bad ASTQL_FSYNC must be rejected")
-
 let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32;
@@ -532,5 +495,4 @@ let suite =
     Alcotest.test_case "undecodable summary dropped" `Quick
       test_undecodable_summary_dropped;
     Alcotest.test_case "torn wal tail recovery" `Quick test_torn_wal_tail_recovery;
-    Alcotest.test_case "config from environment" `Quick test_config_of_env;
   ]

@@ -30,7 +30,7 @@ let with_clean_faults f =
   F.disarm_all ();
   Fun.protect ~finally:F.disarm_all f
 
-let counter_value name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+let counter = Helpers.counter
 
 let check_equal what sn plain q =
   let via, _ = run sn q in
@@ -177,7 +177,8 @@ let test_deadline_degrades_never_wrong () =
   F.set_delay_ms 2.0;
   F.arm F.Delay ~after:2;
   let limits = B.limits ~deadline_ms:1.0 () in
-  let c0 = counter_value "govern.budget_exhausted" in
+  let c0 = counter "govern.budget_exhausted"
+  and degraded0 = counter "govern.degraded_plans" in
   List.iter
     (fun q ->
       let via, _ = run ~limits sn q in
@@ -188,9 +189,9 @@ let test_deadline_degrades_never_wrong () =
         (R.bag_equal_approx via direct))
     mix;
   Alcotest.(check bool) "budget exhaustion counted" true
-    (counter_value "govern.budget_exhausted" > c0);
+    (counter "govern.budget_exhausted" > c0);
   Alcotest.(check bool) "degraded plans counted" true
-    ((Sess.stats sn).P.Stats.degraded >= 1);
+    (counter "govern.degraded_plans" > degraded0);
   F.disarm_all ();
   (* back under the unlimited session default the same queries rewrite *)
   let _, steps = run sn "SELECT g, h, SUM(v) AS s FROM t GROUP BY g, h" in
@@ -201,13 +202,14 @@ let test_degraded_plan_not_cached () =
   let sn, plain = many_mv_pair 2 in
   let q = "SELECT g, h, SUM(v) AS s FROM t GROUP BY g, h" in
   let tight = B.limits ~matches:1 () in
+  let degraded0 = counter "govern.degraded_plans" in
   let via, steps = run ~limits:tight sn q in
   Alcotest.(check bool) "truncated to the base plan" true (steps = []);
   let direct, _ = run plain q in
   Alcotest.(check bool) "truncated result correct" true
     (R.bag_equal_approx via direct);
-  Alcotest.(check bool) "degraded counted" true
-    ((Sess.stats sn).P.Stats.degraded >= 1);
+  Alcotest.(check int) "degraded counted" (degraded0 + 1)
+    (counter "govern.degraded_plans");
   Alcotest.(check int) "best-so-far decision not cached" 0
     (P.Planner.cache_length (Sess.planner sn));
   (* warm re-plan under the adequate (unlimited) default re-attempts and
@@ -226,16 +228,16 @@ let test_exec_row_budget_falls_back () =
   Alcotest.(check bool) "rewrites when ungoverned" true (steps <> []);
   (* the rewritten plan reads 6 summary rows: a 2-row budget trips at an
      executor operator boundary and the base plan is re-run unbudgeted *)
-  let d0 = counter_value "govern.exec_degraded" in
-  let fb0 = (Sess.stats sn).P.Stats.fallbacks in
+  let d0 = counter "govern.exec_degraded" in
+  let fb0 = counter "guard.fallbacks" in
   let via, steps = run ~limits:(B.limits ~rows:2 ()) sn q in
   Alcotest.(check bool) "served by the base plan" true (steps = []);
   let direct, _ = run plain q in
   Alcotest.(check bool) "result correct" true (R.bag_equal_approx via direct);
   Alcotest.(check bool) "exec degradation counted" true
-    (counter_value "govern.exec_degraded" > d0);
-  Alcotest.(check bool) "fallback counted" true
-    ((Sess.stats sn).P.Stats.fallbacks > fb0);
+    (counter "govern.exec_degraded" > d0);
+  Alcotest.(check int) "fallback counted" (fb0 + 1)
+    (counter "guard.fallbacks");
   (* the plan itself was fine: nothing may have been quarantined *)
   Alcotest.(check int) "no quarantine for a budget fallback" 0
     (P.Planner.quarantine_length (Sess.planner sn));
@@ -286,7 +288,7 @@ let test_auto_refresh_heals_stale () =
   let sn, plain, both = maint_pair () in
   let _, steps = run sn maint_q in
   Alcotest.(check bool) "rewrites while fresh" true (steps <> []);
-  let r0 = counter_value "govern.maint.auto_refreshes" in
+  let r0 = counter "govern.maint.auto_refreshes" in
   both "INSERT INTO t VALUES (2, 100);";
   Alcotest.(check bool) "stale after insert" false
     (Option.get (Store.find (Sess.store sn) "m")).Store.e_fresh;
@@ -303,9 +305,8 @@ let test_auto_refresh_heals_stale () =
   Alcotest.(check bool) "fresh again" true
     (Option.get (Store.find (Sess.store sn) "m")).Store.e_fresh;
   Alcotest.(check bool) "dequeued" false (Maint.is_queued (Sess.maint sn) "m");
-  Alcotest.(check int) "success counted" 1 (Maint.refreshed (Sess.maint sn));
-  Alcotest.(check bool) "auto-refresh metric ticked" true
-    (counter_value "govern.maint.auto_refreshes" > r0)
+  Alcotest.(check int) "success counted" (r0 + 1)
+    (counter "govern.maint.auto_refreshes")
 
 let test_auto_maint_is_opt_in () =
   with_clean_faults @@ fun () ->
@@ -333,7 +334,7 @@ let test_refresh_backoff_and_quarantine () =
   let sn, plain, both = maint_pair () in
   both "INSERT INTO t VALUES (2, 100);";
   let mq = Sess.maint sn in
-  let f0 = counter_value "govern.maint.refresh_failures" in
+  let f0 = counter "govern.maint.refresh_failures" in
   (* attempt 1: the injected refresh fault fails it *)
   F.arm F.Refresh ~after:1;
   let via, steps = run sn maint_q in
@@ -342,9 +343,8 @@ let test_refresh_backoff_and_quarantine () =
   let direct, _ = run plain maint_q in
   Alcotest.(check bool) "result correct despite failure" true
     (R.bag_equal_approx via direct);
-  Alcotest.(check int) "one failed attempt" 1 (Maint.failures mq);
-  Alcotest.(check bool) "failure metric ticked" true
-    (counter_value "govern.maint.refresh_failures" > f0);
+  Alcotest.(check int) "one failed attempt" (f0 + 1)
+    (counter "govern.maint.refresh_failures");
   Alcotest.(check bool) "still queued (will retry)" true
     (Maint.is_queued mq "m");
   (* exponential backoff: the immediately following boundary must NOT
@@ -353,24 +353,27 @@ let test_refresh_backoff_and_quarantine () =
   ignore (run sn maint_q);
   Alcotest.(check bool) "backoff: no retry one boundary later" true
     (F.armed F.Refresh);
-  Alcotest.(check int) "no new attempt during backoff" 1 (Maint.failures mq);
+  Alcotest.(check int) "no new attempt during backoff" (f0 + 1)
+    (counter "govern.maint.refresh_failures");
   (* attempt 2 fires at the backed-off boundary (base * 2^0 = 2 ticks) *)
   ignore (run sn maint_q);
   Alcotest.(check bool) "retry at the backed-off tick" false
     (F.armed F.Refresh);
-  Alcotest.(check int) "second failed attempt" 2 (Maint.failures mq);
+  Alcotest.(check int) "second failed attempt" (f0 + 2)
+    (counter "govern.maint.refresh_failures");
   (* attempt 3 (base * 2^1 = 4 ticks out) exhausts max_retries = 3 *)
-  let q0 = counter_value "govern.maint.quarantined" in
+  let q0 = counter "govern.maint.quarantined" in
   F.arm F.Refresh ~after:1;
   for _ = 1 to 4 do
     ignore (run sn maint_q)
   done;
-  Alcotest.(check int) "third failed attempt" 3 (Maint.failures mq);
+  Alcotest.(check int) "third failed attempt" (f0 + 3)
+    (counter "govern.maint.refresh_failures");
   Alcotest.(check bool) "quarantined after max retries" true
     (Maint.is_quarantined mq "m");
   Alcotest.(check bool) "off the retry queue" false (Maint.is_queued mq "m");
-  Alcotest.(check bool) "quarantine metric ticked" true
-    (counter_value "govern.maint.quarantined" > q0);
+  Alcotest.(check int) "quarantine metric ticked" (q0 + 1)
+    (counter "govern.maint.quarantined");
   (match Maint.quarantined mq with
   | [ held ] ->
       Alcotest.(check bool) "hold records the classified refresh error" true
@@ -408,13 +411,15 @@ let test_maint_budget_defers_without_penalty () =
   let mq = Sess.maint sn in
   (* a session budget tight enough that the refresh recomputation cannot
      finish: the drain defers the task — no failure, no backoff penalty *)
-  let d0 = counter_value "govern.maint.deferred" in
+  let d0 = counter "govern.maint.deferred"
+  and f0 = counter "govern.maint.refresh_failures" in
   set_limits sn (B.limits ~rows:1 ());
   ignore (run sn maint_q);
   Alcotest.(check bool) "deferred, still queued" true (Maint.is_queued mq "m");
-  Alcotest.(check int) "not a failure" 0 (Maint.failures mq);
+  Alcotest.(check int) "not a failure" f0
+    (counter "govern.maint.refresh_failures");
   Alcotest.(check bool) "deferral counted" true
-    (counter_value "govern.maint.deferred" > d0);
+    (counter "govern.maint.deferred" > d0);
   (* budget restored: the next boundary heals it *)
   set_limits sn B.unlimited;
   let via, steps = run sn maint_q in

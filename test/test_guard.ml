@@ -11,7 +11,6 @@
 module Sess = Mvstore.Session
 module Store = Mvstore.Store
 module R = Data.Relation
-module P = Plancache
 module F = Guard.Fault
 module GE = Guard.Error
 module Q = Guard.Quarantine
@@ -19,6 +18,7 @@ module Q = Guard.Quarantine
 let script sn sql = ignore (Sess.exec_sql sn sql)
 let parse = Sqlsyn.Parser.parse_query
 let run sn sql = Sess.run_query sn (parse sql)
+let counter = Helpers.counter
 
 (* every test starts and ends with no armed faults *)
 let with_clean_faults f =
@@ -204,7 +204,9 @@ let test_injection_matrix () =
         (steps <> []);
       (* new epoch so the cached healthy plan cannot be served *)
       both "INSERT INTO t VALUES (4, 2);";
-      let st0 = Sess.stats sn in
+      let errors0 = counter "plan.contained_errors"
+      and fallbacks0 = counter "guard.fallbacks"
+      and quarantined0 = counter "guard.quarantined" in
       F.arm point ~after:1;
       let via, steps = run sn q in
       let fired = not (F.armed point) in
@@ -214,13 +216,12 @@ let test_injection_matrix () =
       let direct, _ = run plain q in
       Alcotest.(check bool) (name ^ ": result equals rewrite-off") true
         (R.bag_equal_approx via direct);
-      let st1 = Sess.stats sn in
-      Alcotest.(check bool) (name ^ ": error counted") true
-        (st1.P.Stats.rw_errors > st0.P.Stats.rw_errors);
-      Alcotest.(check bool) (name ^ ": fallback counted") true
-        (st1.P.Stats.fallbacks > st0.P.Stats.fallbacks);
-      Alcotest.(check bool) (name ^ ": candidate quarantined") true
-        (st1.P.Stats.quarantined > st0.P.Stats.quarantined);
+      Alcotest.(check int) (name ^ ": error counted") (errors0 + 1)
+        (counter "plan.contained_errors");
+      Alcotest.(check int) (name ^ ": fallback counted") (fallbacks0 + 1)
+        (counter "guard.fallbacks");
+      Alcotest.(check int) (name ^ ": candidate quarantined")
+        (quarantined0 + 1) (counter "guard.quarantined");
       (* repeat query: no fault armed any more, still served correctly *)
       check_equal (name ^ ": repeat query") sn plain q;
       (* unrelated DML bumps the epoch but not the table's definition
@@ -271,6 +272,7 @@ let test_quarantine_not_resurrected_by_recreate () =
   with_clean_faults @@ fun () ->
   let sn, plain, both = grouped_pair ~verify:Sess.Always () in
   let q = "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
+  let mismatches0 = counter "guard.verify_mismatches" in
   F.arm F.Corrupt ~after:1;
   ignore (run sn q);
   Alcotest.(check bool) "corruption fired" false (F.armed F.Corrupt);
@@ -287,8 +289,8 @@ let test_quarantine_not_resurrected_by_recreate () =
   let _, steps = run sn q in
   Alcotest.(check bool) "re-created table rewrites" true (steps <> []);
   check_equal "after re-create" sn plain q;
-  Alcotest.(check int) "no further mismatch" 1
-    (Sess.stats sn).P.Stats.verify_mismatches
+  Alcotest.(check int) "no further mismatch" (mismatches0 + 1)
+    (counter "guard.verify_mismatches")
 
 (* a failure in one candidate must not take down the others *)
 let test_other_ast_still_tried () =
@@ -308,6 +310,8 @@ let test_other_ast_still_tried () =
      GROUP BY g;";
   let q = "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
   (* the first match-function call (candidate m1) dies; m2 must serve *)
+  let errors0 = counter "plan.contained_errors"
+  and fallbacks0 = counter "guard.fallbacks" in
   F.arm F.Match ~after:1;
   let via, steps = run sn q in
   Alcotest.(check bool) "fault fired" false (F.armed F.Match);
@@ -320,11 +324,10 @@ let test_other_ast_still_tried () =
     steps;
   let direct, _ = run plain q in
   Alcotest.(check bool) "result correct" true (R.bag_equal_approx via direct);
-  let st = Sess.stats sn in
-  Alcotest.(check bool) "error contained and counted" true
-    (st.P.Stats.rw_errors >= 1);
-  Alcotest.(check int) "not a fallback: another AST answered" 0
-    st.P.Stats.fallbacks
+  Alcotest.(check int) "error contained and counted" (errors0 + 1)
+    (counter "plan.contained_errors");
+  Alcotest.(check int) "not a fallback: another AST answered" fallbacks0
+    (counter "guard.fallbacks")
 
 (* ---------------- runtime verification ---------------- *)
 
@@ -332,6 +335,10 @@ let test_verify_catches_corruption () =
   with_clean_faults @@ fun () ->
   let sn, plain, both = grouped_pair ~verify:Sess.Always () in
   let q = "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
+  let mismatches0 = counter "guard.verify_mismatches"
+  and fallbacks0 = counter "guard.fallbacks"
+  and quarantined0 = counter "guard.quarantined"
+  and skips0 = counter "plan.quarantine_skips" in
   F.arm F.Corrupt ~after:1;
   let via, steps = run sn q in
   Alcotest.(check bool) "corruption fired" false (F.armed F.Corrupt);
@@ -339,20 +346,22 @@ let test_verify_catches_corruption () =
   let direct, _ = run plain q in
   Alcotest.(check bool) "served result is correct" true
     (R.bag_equal_approx via direct);
-  let st = Sess.stats sn in
-  Alcotest.(check int) "mismatch recorded" 1 st.P.Stats.verify_mismatches;
-  Alcotest.(check bool) "summary table quarantined" true
-    (st.P.Stats.quarantined >= 1);
+  Alcotest.(check int) "mismatch recorded" (mismatches0 + 1)
+    (counter "guard.verify_mismatches");
+  Alcotest.(check int) "mismatch is a fallback" (fallbacks0 + 1)
+    (counter "guard.fallbacks");
+  Alcotest.(check int) "summary table quarantined" (quarantined0 + 1)
+    (counter "guard.quarantined");
   (* repeat at the same epoch: the discredited candidate is skipped *)
   let via, steps = run sn q in
   Alcotest.(check bool) "repeat skips the quarantined candidate" true
     (steps = []);
   Alcotest.(check bool) "repeat result correct" true
     (R.bag_equal_approx via direct);
-  let st = Sess.stats sn in
-  Alcotest.(check bool) "quarantine skip counted" true
-    (st.P.Stats.quarantine_skips >= 1);
-  Alcotest.(check int) "no further mismatch" 1 st.P.Stats.verify_mismatches;
+  Alcotest.(check int) "quarantine skip counted" (skips0 + 1)
+    (counter "plan.quarantine_skips");
+  Alcotest.(check int) "no further mismatch" (mismatches0 + 1)
+    (counter "guard.verify_mismatches");
   (* REFRESH moves the epoch: quarantine expires, rewriting comes back and
      now verifies cleanly *)
   both "REFRESH SUMMARY TABLE m;";
@@ -360,21 +369,22 @@ let test_verify_catches_corruption () =
   Alcotest.(check bool) "rewrite restored after REFRESH" true (steps <> []);
   Alcotest.(check bool) "restored result verified correct" true
     (R.bag_equal_approx via direct);
-  let st = Sess.stats sn in
-  Alcotest.(check int) "still exactly one mismatch ever" 1
-    st.P.Stats.verify_mismatches
+  Alcotest.(check int) "still exactly one mismatch ever" (mismatches0 + 1)
+    (counter "guard.verify_mismatches")
 
 let test_verify_sampling_deterministic () =
   with_clean_faults @@ fun () ->
   let sn, _, _ = grouped_pair ~verify:(Sess.Sampled 0.25) () in
   let q = "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
+  let runs0 = counter "guard.verify_runs"
+  and mismatches0 = counter "guard.verify_mismatches" in
   for _ = 1 to 8 do
     ignore (run sn q)
   done;
-  Alcotest.(check int) "exactly every 4th rewritten query verified" 2
-    (Sess.stats sn).P.Stats.verify_runs;
-  Alcotest.(check int) "no mismatches" 0
-    (Sess.stats sn).P.Stats.verify_mismatches
+  Alcotest.(check int) "exactly every 4th rewritten query verified"
+    (runs0 + 2) (counter "guard.verify_runs");
+  Alcotest.(check int) "no mismatches" mismatches0
+    (counter "guard.verify_mismatches")
 
 (* ---------------- planner never raises ---------------- *)
 
@@ -431,6 +441,8 @@ let test_randomized_workload () =
     [| F.Navigate; F.Match; F.Compensate; F.Translate; F.Corrupt;
        F.Corrupt_plan |]
   in
+  let mismatches0 = counter "guard.verify_mismatches"
+  and quarantined0 = counter "guard.quarantined" in
   for step = 1 to 120 do
     (match Random.State.int rng 10 with
     | 0 ->
@@ -455,9 +467,9 @@ let test_randomized_workload () =
   done;
   (* every verification mismatch (injected corruption caught in the act)
      must have quarantined the candidate that produced it *)
-  let st = Sess.stats sn in
   Alcotest.(check bool) "mismatches all quarantined" true
-    (st.P.Stats.verify_mismatches <= st.P.Stats.quarantined)
+    (counter "guard.verify_mismatches" - mismatches0
+    <= counter "guard.quarantined" - quarantined0)
 
 (* ---------------- error-surface satellites ---------------- *)
 

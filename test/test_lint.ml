@@ -18,7 +18,6 @@ module V = Data.Value
 module Val = Lint.Validate
 module Sess = Mvstore.Session
 module F = Guard.Fault
-module P = Plancache
 
 let parse = Sqlsyn.Parser.parse_query
 
@@ -473,8 +472,7 @@ let test_corrupt_caught_statically () =
   (* new epoch so the cached healthy plan cannot be served *)
   ignore (Sess.exec_sql sn "INSERT INTO t VALUES (4, 2);");
   ignore (Sess.exec_sql plain "INSERT INTO t VALUES (4, 2);");
-  let st0 = Sess.stats sn in
-  let quarantined0 = st0.P.Stats.quarantined in
+  let quarantined0 = Helpers.counter "guard.quarantined" in
   let final_rejects = Obs.Metrics.counter "lint.final_rejects" in
   let r0 = Obs.Metrics.counter_value final_rejects in
   F.arm F.Corrupt_plan ~after:1;
@@ -489,7 +487,7 @@ let test_corrupt_caught_statically () =
   Alcotest.(check int) "final-plan reject metric ticked" (r0 + 1)
     (Obs.Metrics.counter_value final_rejects);
   Alcotest.(check int) "the step's summary quarantined" (quarantined0 + 1)
-    (Sess.stats sn).P.Stats.quarantined;
+    (Helpers.counter "guard.quarantined");
   (* the corrupted plan never executes: answer equals rewrite-off *)
   let via, steps = Sess.run_query sn grouped_query in
   Alcotest.(check bool) "degraded to base plan" true (steps = []);

@@ -12,6 +12,7 @@ module P = Plancache
 let script sn sql = ignore (Sess.exec_sql sn sql)
 let parse = Sqlsyn.Parser.parse_query
 let run ?config sn sql = Sess.run_query ?config sn (parse sql)
+let counter = Helpers.counter
 
 let grouped_session () =
   let sn = Sess.create () in
@@ -39,13 +40,13 @@ let test_warm_cache_no_matching () =
   let q = "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
   let _, steps1 = run sn q in
   Alcotest.(check bool) "first run rewritten" true (steps1 <> []);
-  let calls_before = Astmatch.Patterns.match_count () in
+  let calls0 = counter "match.calls" and hits0 = counter "plan.cache_hits" in
   let rel2, steps2 = run sn q in
   Alcotest.(check bool) "second run rewritten" true (steps2 <> []);
-  Alcotest.(check int) "zero match_boxes calls when warm" calls_before
-    (Astmatch.Patterns.match_count ());
-  let st = Sess.stats sn in
-  Alcotest.(check bool) "cache hit recorded" true (st.P.Stats.hits >= 1);
+  Alcotest.(check int) "zero match_boxes calls when warm" calls0
+    (counter "match.calls");
+  Alcotest.(check int) "cache hit recorded" (hits0 + 1)
+    (counter "plan.cache_hits");
   let direct, _ = run ~config:(Helpers.base_only sn) sn q in
   Alcotest.(check bool) "cached plan correct" true
     (R.bag_equal_approx direct rel2)
@@ -56,11 +57,11 @@ let test_negative_decision_cached () =
   let q = "SELECT g, MIN(v) AS mn FROM t GROUP BY g" in
   let _, steps1 = run sn q in
   Alcotest.(check bool) "not rewritten" true (steps1 = []);
-  let calls_before = Astmatch.Patterns.match_count () in
+  let calls0 = counter "match.calls" in
   let _, steps2 = run sn q in
   Alcotest.(check bool) "still not rewritten" true (steps2 = []);
-  Alcotest.(check int) "negative entry also skips matching" calls_before
-    (Astmatch.Patterns.match_count ())
+  Alcotest.(check int) "negative entry also skips matching" calls0
+    (counter "match.calls")
 
 (* ---------------- candidate filtering ---------------- *)
 
@@ -68,30 +69,29 @@ let test_footprint_filter () =
   let sn = grouped_session () in
   script sn
     "CREATE TABLE u (x INT NOT NULL); INSERT INTO u VALUES (1), (2);";
-  let st0 = Sess.stats sn in
+  let filtered0 = counter "plan.filtered"
+  and attempted0 = counter "plan.attempted" in
   (* query over u only: the MV over t is not footprint-eligible *)
   let _, steps = run sn "SELECT x, COUNT(*) AS c FROM u GROUP BY x" in
   Alcotest.(check bool) "no rewrite" true (steps = []);
-  let st1 = Sess.stats sn in
-  Alcotest.(check int) "MV filtered, not attempted" (st0.P.Stats.filtered + 1)
-    st1.P.Stats.filtered;
-  Alcotest.(check int) "nothing attempted" st0.P.Stats.attempted
-    st1.P.Stats.attempted
+  Alcotest.(check int) "MV filtered, not attempted" (filtered0 + 1)
+    (counter "plan.filtered");
+  Alcotest.(check int) "nothing attempted" attempted0
+    (counter "plan.attempted")
 
 let test_dedup_bit_filter () =
   let sn = grouped_session () in
-  let st0 = Sess.stats sn in
+  let filtered0 = counter "plan.filtered" in
   (* plain scan: a grouped summary can never answer it *)
   let _, steps = run sn "SELECT g, v FROM t" in
   Alcotest.(check bool) "no rewrite" true (steps = []);
-  let st1 = Sess.stats sn in
-  Alcotest.(check int) "grouped MV filtered for scan query"
-    (st0.P.Stats.filtered + 1) st1.P.Stats.filtered;
+  Alcotest.(check int) "grouped MV filtered for scan query" (filtered0 + 1)
+    (counter "plan.filtered");
   (* a DISTINCT query has a dedup path: the grouped MV must be eligible *)
+  let attempted1 = counter "plan.attempted" in
   let _ = run sn "SELECT DISTINCT g FROM t" in
-  let st2 = Sess.stats sn in
-  Alcotest.(check bool) "grouped MV attempted for DISTINCT query" true
-    (st2.P.Stats.attempted > st1.P.Stats.attempted)
+  Alcotest.(check int) "grouped MV attempted for DISTINCT query"
+    (attempted1 + 1) (counter "plan.attempted")
 
 let test_candidates_unit () =
   let sn = grouped_session () in
@@ -159,20 +159,23 @@ let test_invalidation_insert_refresh () =
   (* warm the cache *)
   let _, steps = run sn q in
   Alcotest.(check bool) "rewritten while fresh" true (steps <> []);
+  let hits0 = counter "plan.cache_hits" in
   let _, steps = run sn q in
   Alcotest.(check bool) "served warm" true (steps <> []);
+  Alcotest.(check int) "warm hit counted" (hits0 + 1)
+    (counter "plan.cache_hits");
   check_index_agrees "fresh" sn;
-  let hits0 = (Sess.stats sn).P.Stats.hits in
-  Alcotest.(check bool) "warm hit counted" true (hits0 >= 1);
   (* the HAVING summary is not incrementally maintainable: INSERT makes it
      stale AND must drop the cached plan *)
   both "INSERT INTO t VALUES (1, 100);";
-  let inval0 = (Sess.stats sn).P.Stats.invalidated in
+  let inval0 = counter "plan.cache_invalidated"
+  and hits0 = counter "plan.cache_hits" in
   let _, steps = run sn q in
   Alcotest.(check bool) "stale MV not used after insert" true (steps = []);
-  Alcotest.(check bool) "cached plan was invalidated, not served" true
-    ((Sess.stats sn).P.Stats.invalidated > inval0
-    || (Sess.stats sn).P.Stats.misses > 0);
+  Alcotest.(check int) "cached plan was invalidated" (inval0 + 1)
+    (counter "plan.cache_invalidated");
+  Alcotest.(check int) "stale plan not served" hits0
+    (counter "plan.cache_hits");
   compare_against_plain "after insert";
   check_index_agrees "stale" sn;
   Alcotest.(check int) "stale MV out of the index" 0
@@ -235,17 +238,18 @@ let test_lru_eviction () =
          ~mvs:(Store.rewritable (Sess.store sn))
          (Qgm.Builder.build cat (parse sql)))
   in
+  let evicted0 = counter "plan.cache_evictions" in
   plan "SELECT g FROM t";
   plan "SELECT v FROM t";
   plan "SELECT g, v FROM t";
-  let st = P.Planner.stats planner in
-  Alcotest.(check bool) "eviction happened" true (st.P.Stats.evicted >= 1);
+  Alcotest.(check int) "eviction happened" (evicted0 + 1)
+    (counter "plan.cache_evictions");
   Alcotest.(check int) "cache stays bounded" 2 (P.Planner.cache_length planner);
   (* the evicted (least recently used) query re-plans as a miss *)
-  let misses0 = st.P.Stats.misses in
+  let misses0 = counter "plan.cache_misses" in
   plan "SELECT g FROM t";
   Alcotest.(check int) "evicted entry is a miss again" (misses0 + 1)
-    (P.Planner.stats planner).P.Stats.misses
+    (counter "plan.cache_misses")
 
 (* ---------------- differential: interleaved workload ---------------- *)
 
