@@ -51,7 +51,8 @@ let fault_arg =
   let doc =
     "Arm deterministic fault-injection points (testing): comma-separated \
      $(i,point)[:$(i,N)] — the Nth hit of that point fails (default 1). \
-     Points: $(b,navigate), $(b,match), $(b,compensate), $(b,translate); \
+     Points: $(b,plan), $(b,navigate), $(b,match), $(b,compensate), \
+     $(b,translate), $(b,execute) (running a rewritten plan); \
      $(b,corrupt) perturbs a rewritten result at run time (the verify \
      oracle catches it); $(b,corrupt_plan) breaks the chosen plan's IR \
      before the final static check (which rejects it); $(b,refresh); \

@@ -69,13 +69,30 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* A 64-bit finalizer (murmur3's fmix, constants cut to OCaml's 63-bit
+   ints): spreads every input bit over the low bits a hash table masks. *)
+let mix h =
+  let h = h lxor (h lsr 33) in
+  let h = h * 0x3f51afd7ed558ccd in
+  let h = h lxor (h lsr 33) in
+  let h = h * 0x04ceb9fe1a85ec53 in
+  (h lxor (h lsr 33)) land max_int
+
+(* Int and Float hash through one float-bits mix, so numerically equal
+   values hash equally; -0.0 and every NaN are first normalized to the
+   value [compare] treats them as. Nothing here allocates: the bits stay
+   unboxed in native code. *)
+let[@inline] hash_float x =
+  let x = if x = 0.0 then 0.0 else if Float.is_nan x then Float.nan else x in
+  mix (Int64.to_int (Int64.bits_of_float x))
+
 let hash = function
   | Null -> 17
-  | Int x -> Hashtbl.hash (float_of_int x)
-  | Float x -> Hashtbl.hash x
+  | Int x -> hash_float (float_of_int x)
+  | Float x -> hash_float x
   | Str s -> Hashtbl.hash s
-  | Bool b -> Hashtbl.hash b
-  | Date d -> Hashtbl.hash (`Date d)
+  | Bool b -> if b then 0x2b else 0x2a
+  | Date d -> mix (d lxor 0x5a17)
 
 (* Constructor match, NOT polymorphic [v = Null]: structural equality
    descends into boxed floats, where a NaN payload makes (=) lie

@@ -176,6 +176,10 @@ let length c =
   | Dict (codes, _) -> BA1.dim codes
   | Boxed a -> Array.length a
 
+(* every row is NULL (vacuously so for an empty column) *)
+let is_all_null c =
+  match c.nulls with Some m -> not (Bytes.contains m '\000') | None -> length c = 0
+
 let is_null c i =
   match c.nulls with None -> false | Some m -> Bytes.unsafe_get m i = '\001'
 
@@ -392,6 +396,99 @@ let gather (c : t) (idx : ints) (k : int) : t =
         if no_nulls m' then None else Some m'
   in
   { data; nulls }
+
+(* The column with every row of [m] ('\001') NULL, padding zeroed; [m]
+   must already cover [c]'s own NULLs. Boxed columns are re-classified,
+   like any boxed kernel output. *)
+let with_nulls (c : t) (m : Bytes.t) : t =
+  let k = Bytes.length m in
+  let masked i = Bytes.unsafe_get m i = '\001' in
+  let nulls = if no_nulls m then None else Some m in
+  let ints a =
+    let out = scratch_ints k in
+    for i = 0 to k - 1 do
+      BA1.unsafe_set out i (if masked i then 0 else BA1.unsafe_get a i)
+    done;
+    out
+  in
+  match c.data with
+  | Ints a -> { data = Ints (ints a); nulls }
+  | Dates a -> { data = Dates (ints a); nulls }
+  | Dict (codes, dict) -> { data = Dict (ints codes, dict); nulls }
+  | Floats a ->
+      let out = scratch_floats k in
+      for i = 0 to k - 1 do
+        BA1.unsafe_set out i (if masked i then 0.0 else BA1.unsafe_get a i)
+      done;
+      { data = Floats out; nulls }
+  | Bools b ->
+      { data = Bools (Bytes.init k (fun i -> if masked i then '\000' else Bytes.get b i)); nulls }
+  | Boxed a -> of_values (Array.init k (fun i -> if masked i then V.Null else a.(i)))
+
+(* Concatenate columns. Pieces of one physical kind (dictionary pieces:
+   one shared dictionary) concatenate typed, all-NULL pieces fitting any
+   kind; anything else is re-classified from boxed values. *)
+let concat (cs : t list) : t =
+  match cs with
+  | [ c ] -> c
+  | _ -> (
+      let total = List.fold_left (fun acc c -> acc + length c) 0 cs in
+      let live = List.filter (fun c -> not (is_all_null c)) cs in
+      let nulls =
+        if List.for_all (fun c -> c.nulls = None) cs then None
+        else begin
+          let m = Bytes.make total '\000' in
+          ignore
+            (List.fold_left
+               (fun off c ->
+                 Option.iter (fun cm -> Bytes.blit cm 0 m off (length c)) c.nulls;
+                 off + length c)
+               0 cs);
+          Some m
+        end
+      in
+      (* copy each live piece's buffer to its offset; NULL pieces stay 0 *)
+      let place blit =
+        ignore
+          (List.fold_left
+             (fun off c ->
+               if not (is_all_null c) then blit c off;
+               off + length c)
+             0 cs)
+      in
+      let same_kind a b =
+        match (a.data, b.data) with
+        | Ints _, Ints _ | Dates _, Dates _ | Floats _, Floats _ -> true
+        | Dict (_, d1), Dict (_, d2) -> d1 == d2
+        | _ -> false
+      in
+      match live with
+      | first :: rest when List.for_all (same_kind first) rest -> (
+          match first.data with
+          | Ints _ | Dates _ | Dict _ ->
+              let out = scratch_ints total in
+              BA1.fill out 0;
+              place (fun c off ->
+                  match c.data with
+                  | Ints a | Dates a | Dict (a, _) -> BA1.blit a (BA1.sub out off (BA1.dim a))
+                  | _ -> assert false);
+              let data =
+                match first.data with
+                | Dates _ -> Dates out
+                | Dict (_, dict) -> Dict (out, dict)
+                | _ -> Ints out
+              in
+              { data; nulls }
+          | Floats _ ->
+              let out = scratch_floats total in
+              BA1.fill out 0.0;
+              place (fun c off ->
+                  match c.data with
+                  | Floats a -> BA1.blit a (BA1.sub out off (BA1.dim a))
+                  | _ -> assert false);
+              { data = Floats out; nulls }
+          | _ -> of_values (Array.concat (List.map to_values cs)))
+      | _ -> of_values (Array.concat (List.map to_values cs)))
 
 (* ------------------------------------------------------------------ *)
 (* Decode cache                                                        *)

@@ -53,6 +53,9 @@ type batch = { names : string array; cols : t array; nrows : int }
 val length : t -> int
 val is_null : t -> int -> bool
 
+(** Every row is NULL (vacuously so for an empty column). *)
+val is_all_null : t -> bool
+
 (** Boxed view of one slot (NULL-aware). *)
 val get : t -> int -> Data.Value.t
 
@@ -69,6 +72,15 @@ val to_relation : batch -> Data.Relation.t
 
 (** [gather c idx k] takes rows of [c] at [idx.(0..k-1)], in order. *)
 val gather : t -> ints -> int -> t
+
+(** [with_nulls c m] is [c] with every row [m] marks ['\001'] NULL (the
+    data under it zeroed). [m] must already mark [c]'s own NULLs. *)
+val with_nulls : t -> Bytes.t -> t
+
+(** Concatenate columns, typed when every piece that is not all NULL has
+    one physical kind (dictionary pieces: one shared dictionary),
+    re-classified from boxed values otherwise. *)
+val concat : t list -> t
 
 (** Decode through the process-wide LRU cache, keyed by
     {!Data.Relation.id}. Safe to call from multiple domains. *)

@@ -4,11 +4,12 @@
    decodes a base table once (through Column's LRU cache), filter evaluates
    predicates as vector kernels producing selection indices, joins build
    hash tables on key columns and gather matching rows, and aggregation
-   assigns dense group ids in one pass then folds each aggregate in a tight
-   typed loop. The few shapes without a typed kernel run here too, on
-   boxed values: CASE evaluates per row through Eval, DISTINCT aggregates
-   mask repeated (group, value) pairs to NULL before the ordinary fold,
-   and UNION concatenates its branches column by column.
+   assigns dense group ids through one packed-key kernel then folds each
+   aggregate in a tight typed loop into typed outputs. The same kernel
+   dedupes DISTINCT aggregates (repeated (group, value) pairs are masked
+   to NULL before the ordinary fold), SELECT DISTINCT and UNION; keys it
+   cannot pack fall back to boxed hashing. CASE, which has no typed
+   kernel, evaluates per row through Eval.
 
    Semantics notes (checked against the Reference oracle by the
    differential fuzz in test/test_differential.ml):
@@ -698,20 +699,193 @@ let generic_join_matches (build_key : int -> V.t list option) n_build
   fun p ->
     match probe_key p with None -> [] | Some k -> List.rev (VH.find_all ht k)
 
+(* ------------------------------------------------------------------ *)
+(* Grouping kernel: packed int keys, boxed fallback                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Which path each grouping call took, and how often an open-addressing
+   table doubled: the kernel's own coverage, read by its property test. *)
+let x_group_dense = Obs.Metrics.counter "exec.group_dense"
+let x_group_probe = Obs.Metrics.counter "exec.group_probe"
+let x_group_boxed = Obs.Metrics.counter "exec.group_boxed"
+let x_group_grows = Obs.Metrics.counter "exec.group_grows"
+
+(* A growable int buffer on the OCaml heap, for group-sized state: it
+   grows by doubling, which inside the scratch arena would strand every
+   outgrown copy until the run ends. *)
+type gbuf = { mutable g_arr : int array; mutable g_len : int }
+
+let gbuf_create () = { g_arr = Array.make 256 0; g_len = 0 }
+
+let gbuf_push b x =
+  if b.g_len = Array.length b.g_arr then begin
+    let bigger = Array.make (2 * b.g_len) 0 in
+    Array.blit b.g_arr 0 bigger 0 b.g_len;
+    b.g_arr <- bigger
+  end;
+  Array.unsafe_set b.g_arr b.g_len x;
+  b.g_len <- b.g_len + 1
+
+let gbuf_to_ints b =
+  let out = C.scratch_ints b.g_len in
+  for i = 0 to b.g_len - 1 do
+    BA1.unsafe_set out i (Array.unsafe_get b.g_arr i)
+  done;
+  out
+
+(* Int-backed columns, whose physical codes are equal exactly when the
+   values are equal under grouping equality (dictionary entries are
+   distinct, so a string has one code). *)
+let int_codes (c : C.t) =
+  match c.C.data with C.Ints a | C.Dates a | C.Dict (a, _) -> Some a | _ -> None
+
+(* Pack every row's key into [out] as one int, column at a time: column
+   [j] contributes its slot times the product of the radices before it,
+   where slot 0 is NULL (NULL groups with NULL) and value [x] is slot
+   [x - lo + 1]. A column with no non-NULL row adds nothing, whatever its
+   representation. Returns the key-space size, or [None] when a column is
+   not int-backed or the radix product overflows. *)
+let pack_keys n (cols : C.t list) (out : C.ints) : int option =
+  let rec plan acc space = function
+    | [] -> Some (List.rev acc, space)
+    | c :: rest -> (
+        match int_codes c with
+        | None when C.is_all_null c -> plan acc space rest (* one slot: adds 0 *)
+        | None -> None
+        | Some a ->
+            let lo = ref max_int and hi = ref min_int in
+            for i = 0 to n - 1 do
+              if not (C.is_null c i) then begin
+                let x = BA1.unsafe_get a i in
+                if x < !lo then lo := x;
+                if x > !hi then hi := x
+              end
+            done;
+            let radix =
+              if !lo > !hi then Some 1 (* no non-NULL rows: only slot 0 *)
+              else
+                let span = !hi - !lo in
+                (* a negative span is a wrapped subtraction *)
+                if span < 0 || span > max_int - 2 then None else Some (span + 2)
+            in
+            match radix with
+            | Some r when space <= max_int / r ->
+                plan ((c, a, !lo, space) :: acc) (space * r) rest
+            | _ -> None)
+  in
+  match plan [] 1 cols with
+  | None -> None
+  | Some (specs, space) ->
+      if specs = [] then BA1.fill out 0;
+      List.iteri
+        (fun j (c, a, lo, stride) ->
+          let base = 1 - lo and nulls = c.C.nulls in
+          for i = 0 to n - 1 do
+            let slot =
+              match nulls with
+              | Some m when Bytes.unsafe_get m i = '\001' -> 0
+              | _ -> BA1.unsafe_get a i + base
+            in
+            let acc = if j = 0 then 0 else BA1.unsafe_get out i in
+            BA1.unsafe_set out i (acc + (slot * stride))
+          done)
+        specs;
+      Some space
+
+(* Replace every packed key in [keys] by its group id, in first-seen
+   order; returns each group's first row and the group count. A key space
+   up to twice the row count (or 1024) indexes a dense array; a larger one
+   probes an open-addressing table that starts small and doubles at half
+   load. *)
+let assign_packed n (keys : C.ints) space : C.ints * int =
+  let firsts = gbuf_create () in
+  if space <= max 1024 (2 * n) then begin
+    Obs.Metrics.incr x_group_dense;
+    let gid_of = Array.make space (-1) in
+    for i = 0 to n - 1 do
+      let k = BA1.unsafe_get keys i in
+      let g = Array.unsafe_get gid_of k in
+      if g >= 0 then BA1.unsafe_set keys i g
+      else begin
+        let g = firsts.g_len in
+        Array.unsafe_set gid_of k g;
+        gbuf_push firsts i;
+        BA1.unsafe_set keys i g
+      end
+    done
+  end
+  else begin
+    Obs.Metrics.incr x_group_probe;
+    let gkeys = gbuf_create () in
+    let bits = ref 8 in
+    let table = ref (Array.make (1 lsl !bits) (-1)) in
+    (* Fibonacci hashing: the top [bits] bits of a multiplicative mix *)
+    let home k = (k * 0x1e3779b97f4a7c15) lsr (63 - !bits) in
+    let mask () = Array.length !table - 1 in
+    let rec slot k j =
+      let g = Array.unsafe_get !table j in
+      if g < 0 || Array.unsafe_get gkeys.g_arr g = k then j
+      else slot k ((j + 1) land mask ())
+    in
+    let grow () =
+      Obs.Metrics.incr x_group_grows;
+      incr bits;
+      table := Array.make (1 lsl !bits) (-1);
+      for g = 0 to gkeys.g_len - 1 do
+        let k = Array.unsafe_get gkeys.g_arr g in
+        Array.unsafe_set !table (slot k (home k)) g
+      done
+    in
+    for i = 0 to n - 1 do
+      let k = BA1.unsafe_get keys i in
+      let j = slot k (home k) in
+      let g = Array.unsafe_get !table j in
+      if g >= 0 then BA1.unsafe_set keys i g
+      else begin
+        let g = gkeys.g_len in
+        Array.unsafe_set !table j g;
+        gbuf_push gkeys k;
+        gbuf_push firsts i;
+        BA1.unsafe_set keys i g;
+        if 2 * gkeys.g_len > Array.length !table then grow ()
+      end
+    done
+  end;
+  (gbuf_to_ints firsts, firsts.g_len)
+
+(* The fallback for FLOAT, BOOL and boxed keys, and for packed keys that
+   overflow: boxed key lists under SQL grouping equality. *)
+let assign_boxed n (cols : C.t list) (gids : C.ints) : C.ints * int =
+  Obs.Metrics.incr x_group_boxed;
+  let ht = VH.create 256 and firsts = gbuf_create () in
+  for i = 0 to n - 1 do
+    let k = List.map (fun c -> C.get c i) cols in
+    match VH.find_opt ht k with
+    | Some g -> BA1.unsafe_set gids i g
+    | None ->
+        let g = firsts.g_len in
+        VH.add ht k g;
+        gbuf_push firsts i;
+        BA1.unsafe_set gids i g
+  done;
+  (gbuf_to_ints firsts, firsts.g_len)
+
+(* Group [n] rows by the key columns [cols]: a dense group id per row in
+   first-seen order, each group's first row, and the group count. *)
+let group_rows n (cols : C.t list) : C.ints * C.ints * int =
+  let gids = C.scratch_ints n in
+  let firsts, ngroups =
+    match pack_keys n cols gids with
+    | Some space -> assign_packed n gids space
+    | None -> assign_boxed n cols gids
+  in
+  (gids, firsts, ngroups)
+
 (* Keep the first occurrence of every row under SQL grouping equality:
    SELECT DISTINCT and UNION without ALL. *)
 let distinct_rows (b : C.batch) : C.batch =
-  let seen = VH.create 64 in
-  let keep = ibuf_create b.C.nrows in
-  for i = 0 to b.C.nrows - 1 do
-    let key = Array.to_list (Array.map (fun c -> C.get c i) b.C.cols) in
-    if not (VH.mem seen key) then begin
-      VH.add seen key ();
-      ibuf_push keep i
-    end
-  done;
-  let sel, k = ibuf_sel keep in
-  { b with C.cols = Array.map (fun c -> C.gather c sel k) b.C.cols; nrows = k }
+  let _, firsts, k = group_rows b.C.nrows (Array.to_list b.C.cols) in
+  { b with C.cols = Array.map (fun c -> C.gather c firsts k) b.C.cols; nrows = k }
 
 let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
   let { B.sel_quants = quants; sel_preds = preds; sel_outs = outs; sel_distinct = distinct } =
@@ -997,286 +1171,197 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
 (* Group box: dense group ids + typed aggregate folds                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Pass 1 result: per-row dense group id (first-seen order), the boxed key
-   per group (for output), and the group count. *)
-let group_ids (cb : C.batch) (key_idx : int list) : C.ints * V.t list array * int =
-  let n = cb.C.nrows in
-  let gids = C.scratch_ints n in
-  let keys = ref [] and ngroups = ref 0 in
-  (match key_idx with
-  | [ ki ] -> (
-      let c = cb.C.cols.(ki) in
-      match c.C.data with
-      | C.Ints a | C.Dates a ->
-          let mk =
-            match c.C.data with C.Dates _ -> fun x -> V.Date x | _ -> fun x -> V.Int x
-          in
-          let ht = Hashtbl.create 256 in
-          let null_gid = ref (-1) in
-          for i = 0 to n - 1 do
-            if C.is_null c i then begin
-              if !null_gid < 0 then begin
-                null_gid := !ngroups;
-                keys := [ V.Null ] :: !keys;
-                incr ngroups
-              end;
-              BA1.unsafe_set gids i !null_gid
-            end
-            else
-              let k = BA1.unsafe_get a i in
-              match Hashtbl.find_opt ht k with
-              | Some g -> BA1.unsafe_set gids i g
-              | None ->
-                  Hashtbl.add ht k !ngroups;
-                  BA1.unsafe_set gids i !ngroups;
-                  keys := [ mk k ] :: !keys;
-                  incr ngroups
-          done
-      | C.Dict (codes, dict) ->
-          (* dictionary codes are already dense group candidates *)
-          let by_code = Array.make (Array.length dict + 1) (-1) in
-          let nullslot = Array.length dict in
-          for i = 0 to n - 1 do
-            let slot = if C.is_null c i then nullslot else BA1.unsafe_get codes i in
-            if by_code.(slot) < 0 then begin
-              by_code.(slot) <- !ngroups;
-              keys :=
-                (if slot = nullslot then [ V.Null ] else [ V.Str dict.(slot) ]) :: !keys;
-              incr ngroups
-            end;
-            BA1.unsafe_set gids i by_code.(slot)
-          done
-      | _ ->
-          let ht = VH.create 256 in
-          for i = 0 to n - 1 do
-            let k = [ C.get c i ] in
-            match VH.find_opt ht k with
-            | Some g -> BA1.unsafe_set gids i g
-            | None ->
-                VH.add ht k !ngroups;
-                BA1.unsafe_set gids i !ngroups;
-                keys := k :: !keys;
-                incr ngroups
-          done)
-  | _ ->
-      let cols = List.map (fun i -> cb.C.cols.(i)) key_idx in
-      let ht = VH.create 256 in
-      for i = 0 to n - 1 do
-        let k = List.map (fun c -> C.get c i) cols in
-        match VH.find_opt ht k with
-        | Some g -> BA1.unsafe_set gids i g
-        | None ->
-            VH.add ht k !ngroups;
-            BA1.unsafe_set gids i !ngroups;
-            keys := k :: !keys;
-            incr ngroups
-      done);
-  (gids, Array.of_list (List.rev !keys), !ngroups)
-
 (* DISTINCT aggregates: NULL out every repeat of a (group, value) pair, so
-   the ordinary fold below sees each distinct value once per group. Values
-   compare under SQL grouping equality, like group keys. *)
+   the ordinary fold below sees each distinct value once per group. The
+   pairs group through the kernel, so values compare under SQL grouping
+   equality, like group keys. *)
 let mask_repeats n (gids : C.ints) (c : C.t) : C.t =
-  let seen = VH.create 64 in
-  let out = Array.make n V.Null in
+  let ids, _, _ = group_rows n [ { C.data = C.Ints gids; nulls = None }; c ] in
+  let m = Bytes.make n '\000' and next = ref 0 in
   for i = 0 to n - 1 do
-    let v = C.get c i in
-    let key = [ V.Int (BA1.unsafe_get gids i); v ] in
-    if not (V.is_null v || VH.mem seen key) then begin
-      VH.add seen key ();
-      out.(i) <- v
-    end
+    (* ids are first-seen: a row opens a new pair iff it takes the next id *)
+    let fresh = BA1.unsafe_get ids i = !next in
+    if fresh then incr next;
+    if (not fresh) || C.is_null c i then Bytes.unsafe_set m i '\001'
   done;
-  C.of_values out
+  C.with_nulls c m
 
-(* Fold one aggregate over [n] rows in a typed loop; yields per-gid V.t. *)
-let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : C.t option) counts
-    : int -> V.t =
-  match agg.E.fn with
-  | E.Count_star -> fun g -> V.Int counts.(g)
-  | _ -> (
-      match arg with
-      | None ->
-          (* COUNT/SUM/... over no argument: every input is NULL *)
-          fun _ ->
-            (match agg.E.fn with E.Count -> V.Int 0 | _ -> V.Null)
-      | Some c -> (
-          let nonnull = Array.make ngroups 0 in
-          let tally i g = if not (C.is_null c i) then nonnull.(g) <- nonnull.(g) + 1 in
-          for i = 0 to n - 1 do
-            tally i (BA1.unsafe_get gids i)
-          done;
-          match agg.E.fn with
-          | E.Count_star -> assert false
-          | E.Count -> fun g -> V.Int nonnull.(g)
-          | E.Sum | E.Avg -> (
-              let finish_sum g sum_int sum_float is_int =
-                if nonnull.(g) = 0 then V.Null
-                else if agg.E.fn = E.Sum then
-                  if is_int then V.Int sum_int else V.Float sum_float
-                else
-                  V.Float
-                    ((if is_int then float_of_int sum_int else sum_float)
-                    /. float_of_int nonnull.(g))
-              in
-              match c.C.data with
-              | C.Ints a ->
-                  let sums = Array.make ngroups 0 in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
-                      sums.(g) <- sums.(g) + BA1.unsafe_get a i
-                    end
-                  done;
-                  fun g -> finish_sum g sums.(g) 0.0 true
-              | C.Floats a ->
-                  let sums = Array.make ngroups 0.0 in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
-                      sums.(g) <- sums.(g) +. BA1.unsafe_get a i
-                    end
-                  done;
-                  fun g -> finish_sum g 0 sums.(g) false
-              | _ ->
-                  (* boxed fallback: the scalar V.add fold *)
-                  let sums = Array.make ngroups V.Null in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
-                      let v = C.get c i in
-                      sums.(g) <- (if V.is_null sums.(g) then v else V.add sums.(g) v)
-                    end
-                  done;
-                  fun g ->
-                    if V.is_null sums.(g) then V.Null
-                    else if agg.E.fn = E.Sum then sums.(g)
-                    else V.Float (V.to_float sums.(g) /. float_of_int nonnull.(g)))
-          | E.Min | E.Max -> (
-              let better =
-                if agg.E.fn = E.Min then fun c -> c < 0 else fun c -> c > 0
-              in
-              match c.C.data with
-              | C.Ints a | C.Dates a ->
-                  let best = Array.make ngroups 0 in
-                  let seen = Array.make ngroups false in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
-                      let x = BA1.unsafe_get a i in
-                      if (not seen.(g)) || better (compare x best.(g)) then begin
-                        best.(g) <- x;
-                        seen.(g) <- true
-                      end
-                    end
-                  done;
-                  let mk =
-                    match c.C.data with
-                    | C.Dates _ -> fun x -> V.Date x
-                    | _ -> fun x -> V.Int x
-                  in
-                  fun g -> if seen.(g) then mk best.(g) else V.Null
-              | C.Floats a ->
-                  let best = Array.make ngroups 0.0 in
-                  let seen = Array.make ngroups false in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
-                      let x = BA1.unsafe_get a i in
-                      if (not seen.(g)) || better (Float.compare x best.(g)) then begin
-                        best.(g) <- x;
-                        seen.(g) <- true
-                      end
-                    end
-                  done;
-                  fun g -> if seen.(g) then V.Float best.(g) else V.Null
-              | C.Dict (codes, dict) ->
-                  let best = Array.make ngroups "" in
-                  let seen = Array.make ngroups false in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
-                      let s = dict.(BA1.unsafe_get codes i) in
-                      if (not seen.(g)) || better (String.compare s best.(g)) then begin
-                        best.(g) <- s;
-                        seen.(g) <- true
-                      end
-                    end
-                  done;
-                  fun g -> if seen.(g) then V.Str best.(g) else V.Null
-              | _ ->
-                  let best = Array.make ngroups V.Null in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
-                      let v = C.get c i in
-                      if V.is_null best.(g) || better (V.compare v best.(g)) then
-                        best.(g) <- v
-                    end
-                  done;
-                  fun g -> best.(g))))
+(* NULL exactly where a group saw no non-NULL input *)
+let empty_groups ngroups (nonnull : int array) =
+  if Array.for_all (fun k -> k > 0) nonnull then None
+  else Some (Bytes.init ngroups (fun g -> if nonnull.(g) = 0 then '\001' else '\000'))
+
+let ints_of_array (a : int array) : C.t =
+  let out = C.scratch_ints (Array.length a) in
+  Array.iteri (fun g x -> BA1.unsafe_set out g x) a;
+  { C.data = C.Ints out; nulls = None }
+
+(* Fold one aggregate over [n] rows in a typed loop, into a typed column
+   of [ngroups] rows; only boxed arguments fold and re-classify boxed. *)
+let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : C.t option)
+    (counts : int array) : C.t =
+  match (agg.E.fn, arg) with
+  | E.Count_star, _ -> ints_of_array counts
+  | E.Count, None -> ints_of_array (Array.make ngroups 0)
+  | _, None -> all_null ngroups (* SUM/MIN/... over no argument *)
+  | fn, Some c -> (
+      (* per-group non-NULL inputs; without a mask that is the row count *)
+      let nonnull =
+        match c.C.nulls with
+        | None -> counts
+        | Some m ->
+            let k = Array.make ngroups 0 in
+            for i = 0 to n - 1 do
+              if Bytes.unsafe_get m i = '\000' then begin
+                let g = BA1.unsafe_get gids i in
+                Array.unsafe_set k g (Array.unsafe_get k g + 1)
+              end
+            done;
+            k
+      in
+      let nulls = empty_groups ngroups nonnull in
+      let valid i = not (C.is_null c i) in
+      let boxed f = C.of_values (Array.init ngroups f) in
+      match fn with
+      | E.Count_star -> assert false
+      | E.Count -> ints_of_array nonnull
+      | E.Sum | E.Avg -> (
+          let avg sum_at =
+            let out = C.scratch_floats ngroups in
+            for g = 0 to ngroups - 1 do
+              BA1.unsafe_set out g
+                (if nonnull.(g) = 0 then 0.0 else sum_at g /. float_of_int nonnull.(g))
+            done;
+            { C.data = C.Floats out; nulls }
+          in
+          match c.C.data with
+          | C.Ints a ->
+              let sums = C.scratch_ints ngroups in
+              BA1.fill sums 0;
+              for i = 0 to n - 1 do
+                if valid i then begin
+                  let g = BA1.unsafe_get gids i in
+                  BA1.unsafe_set sums g (BA1.unsafe_get sums g + BA1.unsafe_get a i)
+                end
+              done;
+              if fn = E.Sum then { C.data = C.Ints sums; nulls }
+              else avg (fun g -> float_of_int (BA1.unsafe_get sums g))
+          | C.Floats a ->
+              let sums = C.scratch_floats ngroups in
+              BA1.fill sums 0.0;
+              for i = 0 to n - 1 do
+                if valid i then begin
+                  let g = BA1.unsafe_get gids i in
+                  BA1.unsafe_set sums g (BA1.unsafe_get sums g +. BA1.unsafe_get a i)
+                end
+              done;
+              if fn = E.Sum then { C.data = C.Floats sums; nulls }
+              else avg (fun g -> BA1.unsafe_get sums g)
+          | _ ->
+              (* boxed fallback: the scalar V.add fold *)
+              let sums = Array.make ngroups V.Null in
+              for i = 0 to n - 1 do
+                if valid i then begin
+                  let g = BA1.unsafe_get gids i in
+                  let v = C.get c i in
+                  sums.(g) <- (if V.is_null sums.(g) then v else V.add sums.(g) v)
+                end
+              done;
+              boxed (fun g ->
+                  if V.is_null sums.(g) || fn = E.Sum then sums.(g)
+                  else V.Float (V.to_float sums.(g) /. float_of_int nonnull.(g))))
+      | E.Min | E.Max -> (
+          let better = if fn = E.Min then fun c -> c < 0 else fun c -> c > 0 in
+          (* the best row per group so far, -1 before the first *)
+          let best = Array.make ngroups (-1) in
+          let fold cmp =
+            for i = 0 to n - 1 do
+              if valid i then begin
+                let g = BA1.unsafe_get gids i in
+                let b = Array.unsafe_get best g in
+                if b < 0 || better (cmp i b) then Array.unsafe_set best g i
+              end
+            done
+          in
+          let pick_ints a =
+            let out = C.scratch_ints ngroups in
+            Array.iteri
+              (fun g b -> BA1.unsafe_set out g (if b < 0 then 0 else BA1.unsafe_get a b))
+              best;
+            out
+          in
+          match c.C.data with
+          | C.Ints a | C.Dates a ->
+              fold (fun i b -> compare (BA1.unsafe_get a i) (BA1.unsafe_get a b));
+              let out = pick_ints a in
+              let data = match c.C.data with C.Dates _ -> C.Dates out | _ -> C.Ints out in
+              { C.data; nulls }
+          | C.Dict (codes, dict) ->
+              fold (fun i b ->
+                  String.compare dict.(BA1.unsafe_get codes i) dict.(BA1.unsafe_get codes b));
+              { C.data = C.Dict (pick_ints codes, dict); nulls }
+          | C.Floats a ->
+              fold (fun i b -> Float.compare (BA1.unsafe_get a i) (BA1.unsafe_get a b));
+              let out = C.scratch_floats ngroups in
+              Array.iteri
+                (fun g b -> BA1.unsafe_set out g (if b < 0 then 0.0 else BA1.unsafe_get a b))
+                best;
+              { C.data = C.Floats out; nulls }
+          | _ ->
+              fold (fun i b -> V.compare (C.get c i) (C.get c b));
+              boxed (fun g -> if best.(g) < 0 then V.Null else C.get c best.(g))))
 
 let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =
   let cb = child grp.B.grp_quant in
-  let idx name = batch_col_index cb name in
+  let n = cb.C.nrows in
+  let col name = cb.C.cols.(batch_col_index cb name) in
   let union_cols = B.grouping_union grp.B.grp_grouping in
   let out_names = union_cols @ List.map fst grp.B.grp_aggs in
   let agg_specs =
-    List.map
-      (fun (_, { B.agg; arg }) -> (agg, Option.map (fun a -> cb.C.cols.(idx a)) arg))
-      grp.B.grp_aggs
+    List.map (fun (_, { B.agg; arg }) -> (agg, Option.map col arg)) grp.B.grp_aggs
   in
-  Obs.Metrics.add x_batch_rows cb.C.nrows;
-  let cuboid set : V.t array list (* per output column, per-gid values *) * int =
+  Obs.Metrics.add x_batch_rows n;
+  (* one grouping set's rows: a column per output column *)
+  let cuboid set : C.t list * int =
     let set_l = List.map String.lowercase_ascii set in
-    let key_idx = List.map idx set in
-    let gids, keys, ngroups = group_ids cb key_idx in
-    let keys, ngroups =
-      if ngroups = 0 && set = [] then ([| [] |], 1) else (keys, ngroups)
-    in
+    let gids, firsts, ngroups = group_rows n (List.map col set) in
+    (* a global aggregate over no rows still yields its one row *)
+    let ngroups = if ngroups = 0 && set = [] then 1 else ngroups in
     let counts = Array.make ngroups 0 in
-    let n = cb.C.nrows in
     for i = 0 to n - 1 do
       let g = BA1.unsafe_get gids i in
-      counts.(g) <- counts.(g) + 1
+      Array.unsafe_set counts g (Array.unsafe_get counts g + 1)
     done;
-    let union_vals =
+    let key_vals =
       List.map
-        (fun col ->
-          match
-            List.find_index (fun c -> c = String.lowercase_ascii col) set_l
-          with
-          | Some j -> Array.map (fun key -> List.nth key j) keys
-          | None -> Array.make ngroups V.Null)
+        (fun c ->
+          if List.mem (String.lowercase_ascii c) set_l then
+            (* each group's key is its first row's *)
+            let k = C.gather (col c) firsts ngroups in
+            match k.C.data with C.Boxed a -> C.of_values a | _ -> k
+          else all_null ngroups)
         union_cols
     in
     let agg_vals =
       List.map
         (fun (agg, arg) ->
-          let arg =
-            if agg.E.distinct then Option.map (mask_repeats n gids) arg else arg
-          in
-          let at = fold_agg n gids ngroups agg arg counts in
-          Array.init ngroups at)
+          let arg = if agg.E.distinct then Option.map (mask_repeats n gids) arg else arg in
+          fold_agg n gids ngroups agg arg counts)
         agg_specs
     in
-    (union_vals @ agg_vals, ngroups)
+    (key_vals @ agg_vals, ngroups)
   in
   let pieces = List.map cuboid (B.grouping_sets grp.B.grp_grouping) in
-  let total = List.fold_left (fun acc (_, k) -> acc + k) 0 pieces in
-  let ncols = List.length out_names in
   let out_cols =
-    List.init ncols (fun ci ->
-        let vals = Array.make total V.Null in
-        let off = ref 0 in
-        List.iter
-          (fun (cols, k) ->
-            Array.blit (List.nth cols ci) 0 vals !off k;
-            off := !off + k)
-          pieces;
-        C.of_values vals)
+    List.mapi
+      (fun ci _ -> C.concat (List.map (fun (cols, _) -> List.nth cols ci) pieces))
+      out_names
   in
-  { C.names = Array.of_list out_names; cols = Array.of_list out_cols; nrows = total }
+  {
+    C.names = Array.of_list out_names;
+    cols = Array.of_list out_cols;
+    nrows = List.fold_left (fun acc (_, k) -> acc + k) 0 pieces;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Union box: column-wise concatenation of the branches                *)
@@ -1295,10 +1380,7 @@ let exec_union ~(child : B.quant -> C.batch) (u : B.union_body) : C.batch =
   let result =
     {
       C.names = Array.of_list u.B.un_cols;
-      cols =
-        Array.init arity (fun j ->
-            C.of_values
-              (Array.concat (List.map (fun b -> C.to_values b.C.cols.(j)) branches)));
+      cols = Array.init arity (fun j -> C.concat (List.map (fun b -> b.C.cols.(j)) branches));
       nrows = List.fold_left (fun acc b -> acc + b.C.nrows) 0 branches;
     }
   in

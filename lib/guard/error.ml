@@ -56,6 +56,8 @@ let stage_of_point = function
   | Fault.Refresh -> Refresh
   | Fault.Delay -> Match
   | Fault.Accept -> Accept
+  | Fault.Plan -> Plan
+  | Fault.Execute -> Execute
   (* wire faults strike while a connection is being served; same
      containment domain as the accept/handler path *)
   | Fault.Wire_partial_write | Fault.Wire_stall_read | Fault.Wire_disconnect

@@ -27,6 +27,8 @@ type point =
   | Wire_stall_read
   | Wire_disconnect
   | Wire_corrupt
+  | Plan
+  | Execute
 
 exception Injected of point
 
@@ -48,12 +50,15 @@ let point_name = function
   | Wire_stall_read -> "wire_stall_read"
   | Wire_disconnect -> "wire_disconnect"
   | Wire_corrupt -> "wire_corrupt"
+  | Plan -> "plan"
+  | Execute -> "execute"
 
 let all_points =
   [
     Navigate; Match; Compensate; Translate; Corrupt; Corrupt_plan; Refresh;
     Delay; Accept; Wal_append; Wal_fsync; Checkpoint_write; Checkpoint_rename;
-    Wire_partial_write; Wire_stall_read; Wire_disconnect; Wire_corrupt;
+    Wire_partial_write; Wire_stall_read; Wire_disconnect; Wire_corrupt; Plan;
+    Execute;
   ]
 
 let idx = function
@@ -74,8 +79,10 @@ let idx = function
   | Wire_disconnect -> 14
   | Wire_corrupt -> 15
   | Corrupt_plan -> 16
+  | Plan -> 17
+  | Execute -> 18
 
-let n_points = 17
+let n_points = 19
 
 (* remaining hits before the point fires; None = disarmed *)
 let countdown : int option array = Array.make n_points None

@@ -1,11 +1,11 @@
 (** Deterministic, seed-free fault injection for the rewrite pipeline.
 
-    The pipeline calls {!hit} at fixed places (navigator entry, each
-    match-function invocation, compensation construction, expression
-    translation); tests {!arm} a point so that its [N]th subsequent hit
-    raises {!Injected} — once — proving that the fallback, quarantine and
-    verification invariants hold under failure at an exact, reproducible
-    position. [Corrupt] and [Corrupt_plan] are not raised but polled with
+    The pipeline calls {!hit} at fixed places (planner entry, navigator
+    entry, each match-function invocation, compensation construction,
+    expression translation, execution of a rewritten plan); tests {!arm}
+    a point so that its [N]th subsequent hit raises {!Injected} — once —
+    proving that the fallback, quarantine and verification invariants
+    hold under failure at an exact, reproducible position. [Corrupt] and [Corrupt_plan] are not raised but polled with
     {!fire}: [Corrupt] by the session to perturb a rewritten result (the
     verify oracle's job to catch), [Corrupt_plan] by the planner to break
     the chosen plan's IR (the final static check's job to catch). Disarmed
@@ -29,6 +29,8 @@ type point =
   | Wire_stall_read    (** serving loop stalls before the next read *)
   | Wire_disconnect    (** connection dropped after execution, before reply *)
   | Wire_corrupt       (** reply bytes corrupted in flight (line intact) *)
+  | Plan         (** {!Plancache.Planner.plan}, inside its outer sandbox *)
+  | Execute      (** execution of a rewritten plan, inside its sandbox *)
 
 exception Injected of point
 
@@ -52,7 +54,7 @@ val hit : point -> unit
 
 (** Parse and arm a spec like ["match:3,compensate"] (missing count = 1).
     Point names: navigate, match, compensate, translate, corrupt,
-    corrupt_plan, refresh, delay, accept, and the wire points
+    corrupt_plan, refresh, delay, accept, plan, execute, and the wire points
     (wire_partial_write, wire_stall_read, wire_disconnect, wire_corrupt). *)
 val arm_spec : string -> (unit, string) result
 

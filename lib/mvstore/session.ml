@@ -515,6 +515,7 @@ let run_query_routed ?budget ~verify t g =
       in
       match
         Guard.Sandbox.protect ~stage:Guard.Error.Execute (fun () ->
+            Guard.Fault.hit Guard.Fault.Execute;
             Engine.Exec.run ?budget t.sdb r.pr_graph)
       with
       | exception Govern.Budget.Budget_exhausted reason ->

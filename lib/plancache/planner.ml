@@ -272,7 +272,9 @@ let plan ?trace ?budget t ~cat ~epoch ~mvs g =
                             (List.map
                                (fun (s : Astmatch.Rewrite.step) -> s.used_mv)
                                steps))))
-              (fun () -> plan_raw ?trace ?budget t ~cat ~epoch ~mvs g)))
+              (fun () ->
+                Guard.Fault.hit Guard.Fault.Plan;
+                plan_raw ?trace ?budget t ~cat ~epoch ~mvs g)))
   with
   | Ok r -> r
   | Error err ->

@@ -404,6 +404,41 @@ let test_planner_sandbox () =
   F.disarm_all ();
   check_equal "after disarm" sn plain q
 
+(* The two containment nets outside any one candidate: the planner's outer
+   sandbox, and the sandbox around executing a rewritten plan (the net that
+   catches an executor bug while serving). Each contained failure counts
+   once as an error and once as a fallback; only a failed execution
+   quarantines the summaries it used. *)
+let test_containment_paths () =
+  with_clean_faults @@ fun () ->
+  List.iter
+    (fun (point, quarantines) ->
+      let name = F.point_name point in
+      let sn, plain, _ = grouped_pair () in
+      let q = "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
+      let _, steps = run sn q in
+      Alcotest.(check bool) (name ^ ": rewrites when healthy") true
+        (steps <> []);
+      let errors0 = counter "plan.contained_errors"
+      and fallbacks0 = counter "guard.fallbacks"
+      and quarantined0 = counter "guard.quarantined" in
+      F.arm point ~after:1;
+      let via, steps = run sn q in
+      Alcotest.(check bool) (name ^ ": fault consumed") false (F.armed point);
+      Alcotest.(check bool) (name ^ ": served unrewritten") true (steps = []);
+      let direct, _ = run plain q in
+      Alcotest.(check bool) (name ^ ": result equals the base plan") true
+        (R.bag_equal_approx via direct);
+      Alcotest.(check int) (name ^ ": error counted once") (errors0 + 1)
+        (counter "plan.contained_errors");
+      Alcotest.(check int) (name ^ ": fallback counted once") (fallbacks0 + 1)
+        (counter "guard.fallbacks");
+      Alcotest.(check int) (name ^ ": quarantine")
+        (quarantined0 + if quarantines then 1 else 0)
+        (counter "guard.quarantined");
+      check_equal (name ^ ": repeat query") sn plain q)
+    [ (F.Plan, false); (F.Execute, true) ]
+
 (* ---------------- randomized workload under injection ---------------- *)
 
 let test_randomized_workload () =
@@ -545,6 +580,8 @@ let suite =
       test_verify_sampling_deterministic;
     Alcotest.test_case "full injection never escapes" `Quick
       test_planner_sandbox;
+    Alcotest.test_case "planning and execution containment" `Quick
+      test_containment_paths;
     Alcotest.test_case "randomized workload under injection" `Quick
       test_randomized_workload;
     Alcotest.test_case "division by zero surfaced" `Quick

@@ -60,6 +60,28 @@ let test_order_and_hash () =
     (V.compare (V.Int 3) (V.Float 3.0));
   Alcotest.(check bool) "equal implies same hash" true
     (V.hash (V.Int 3) = V.hash (V.Float 3.0));
+  Alcotest.(check int) "signed zeros compare equal" 0
+    (V.compare (V.Float (-0.0)) (V.Float 0.0));
+  Alcotest.(check bool) "signed zeros hash equally" true
+    (V.hash (V.Float (-0.0)) = V.hash (V.Float 0.0)
+    && V.hash (V.Float (-0.0)) = V.hash (V.Int 0));
+  let nan2 = Int64.float_of_bits 0x7ff0000000000001L in
+  Alcotest.(check int) "NaNs compare equal" 0
+    (V.compare (V.Float Float.nan) (V.Float nan2));
+  Alcotest.(check bool) "every NaN hashes equally" true
+    (V.hash (V.Float Float.nan) = V.hash (V.Float nan2)
+    && V.hash (V.Float Float.nan) = V.hash (V.Float (-.Float.nan)));
+  (* hashing must not allocate: the boxed-key fallback and the generic
+     join hash every key column of every row *)
+  let vals = [| V.Int 7; V.Float 2.5; V.Date 19940102; V.Bool true; V.Null |] in
+  let before = Gc.minor_words () in
+  let acc = ref 0 in
+  for k = 0 to 9_999 do
+    acc := !acc lxor V.hash vals.(k mod Array.length vals)
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check bool) "hash allocates nothing" true (words < 100.);
   Alcotest.(check bool) "dates ordered" true
     (V.compare (V.date 1994 1 2) (V.date 1994 1 10) < 0)
 
@@ -81,6 +103,17 @@ let arb_value =
         always Data.Value.Null;
         map (fun n -> Data.Value.Int n) small_signed_int;
         map (fun x -> Data.Value.Float x) (float_range (-1e6) 1e6);
+        (* values whose equality caml_hash used to normalize: integral
+           floats (equal to an Int), signed zeros and NaN payloads *)
+        map (fun n -> Data.Value.Float (float_of_int n)) small_signed_int;
+        oneofl
+          [
+            Data.Value.Float 0.0;
+            Data.Value.Float (-0.0);
+            Data.Value.Float Float.nan;
+            Data.Value.Float (-.Float.nan);
+            Data.Value.Float (Int64.float_of_bits 0x7ff0000000000001L);
+          ];
         map (fun s -> Data.Value.Str s) (string_of_size (Gen.return 3));
         map (fun b -> Data.Value.Bool b) bool;
         map
