@@ -176,7 +176,7 @@ let addr_arg =
 let domains_arg =
   let doc = "Worker domains serving connections in parallel." in
   let env = Cmd.Env.info "ASTQL_DOMAINS" ~doc:"Default worker domain count." in
-  Arg.(value & opt int 4 & info [ "domains" ] ~env ~docv:"N" ~doc)
+  Arg.(value & opt Cli.positive_int 4 & info [ "domains" ] ~env ~docv:"N" ~doc)
 
 let queue_depth_arg =
   let doc =
@@ -185,11 +185,12 @@ let queue_depth_arg =
      queue never grows without bound."
   in
   let env = Cmd.Env.info "ASTQL_QUEUE_DEPTH" ~doc:"Default waiting-queue depth." in
-  Arg.(value & opt int 64 & info [ "queue-depth" ] ~env ~docv:"N" ~doc)
+  Arg.(
+    value & opt Cli.non_negative_int 64 & info [ "queue-depth" ] ~env ~docv:"N" ~doc)
 
 let backlog_arg =
   let doc = "listen(2) backlog for connection bursts." in
-  Arg.(value & opt int 64 & info [ "backlog" ] ~docv:"N" ~doc)
+  Arg.(value & opt Cli.positive_int 64 & info [ "backlog" ] ~docv:"N" ~doc)
 
 let request_deadline_arg =
   let doc =
@@ -202,7 +203,9 @@ let request_deadline_arg =
     Cmd.Env.info "ASTQL_REQUEST_DEADLINE_MS" ~doc:"Default request deadline."
   in
   Arg.(
-    value & opt float 0. & info [ "request-deadline-ms" ] ~env ~docv:"MS" ~doc)
+    value
+    & opt Cli.non_negative_ms 0.
+    & info [ "request-deadline-ms" ] ~env ~docv:"MS" ~doc)
 
 let idle_timeout_arg =
   let doc =
@@ -211,7 +214,10 @@ let idle_timeout_arg =
      $(b,server.idle_reaped)). 0 disables."
   in
   let env = Cmd.Env.info "ASTQL_IDLE_TIMEOUT_MS" ~doc:"Default idle timeout." in
-  Arg.(value & opt float 0. & info [ "idle-timeout-ms" ] ~env ~docv:"MS" ~doc)
+  Arg.(
+    value
+    & opt Cli.non_negative_ms 0.
+    & info [ "idle-timeout-ms" ] ~env ~docv:"MS" ~doc)
 
 let io_timeout_arg =
   let doc =
@@ -220,7 +226,8 @@ let io_timeout_arg =
      costs one connection, never a worker. 0 disables."
   in
   let env = Cmd.Env.info "ASTQL_IO_TIMEOUT_MS" ~doc:"Default io timeout." in
-  Arg.(value & opt float 0. & info [ "io-timeout-ms" ] ~env ~docv:"MS" ~doc)
+  Arg.(
+    value & opt Cli.non_negative_ms 0. & info [ "io-timeout-ms" ] ~env ~docv:"MS" ~doc)
 
 let degrade_watermark_arg =
   let doc =
@@ -234,7 +241,7 @@ let degrade_watermark_arg =
   in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (Cli.int_at_least (-1) "-1 or a non-negative integer")) None
     & info [ "degrade-watermark" ] ~env ~docv:"N" ~doc)
 
 let retry_after_arg =
@@ -243,7 +250,10 @@ let retry_after_arg =
      well-behaved clients wait at least this long before reconnecting."
   in
   let env = Cmd.Env.info "ASTQL_RETRY_AFTER_MS" ~doc:"Default backoff hint." in
-  Arg.(value & opt int 50 & info [ "retry-after-ms" ] ~env ~docv:"MS" ~doc)
+  Arg.(
+    value
+    & opt Cli.non_negative_int 50
+    & info [ "retry-after-ms" ] ~env ~docv:"MS" ~doc)
 
 let drain_ms_arg =
   let doc =
@@ -251,7 +261,8 @@ let drain_ms_arg =
      milliseconds to finish and flush before forcing disconnection."
   in
   let env = Cmd.Env.info "ASTQL_DRAIN_MS" ~doc:"Default drain bound." in
-  Arg.(value & opt int 2000 & info [ "drain-ms" ] ~env ~docv:"MS" ~doc)
+  Arg.(
+    value & opt Cli.non_negative_int 2000 & info [ "drain-ms" ] ~env ~docv:"MS" ~doc)
 
 let metrics_out_arg =
   let doc =

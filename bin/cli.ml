@@ -197,13 +197,28 @@ let fsync_arg =
     & opt fsync_conv Durable.Wal.Always
     & info [ "fsync" ] ~env ~docv:"POLICY" ~doc)
 
-let non_negative_int =
+(* Integer settings with a lower bound: cmdliner rejects anything else,
+   from the flag or its environment variable, naming the setting and
+   exiting non-zero before the binary does any work. *)
+let int_at_least lo what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "%S is not a non-negative integer" s))
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let non_negative_int = int_at_least 0 "a non-negative integer"
+let positive_int = int_at_least 1 "a positive integer"
+
+(* Milliseconds: a finite number >= 0 (0 conventionally disables). *)
+let non_negative_ms =
+  let parse s =
+    match float_of_string_opt s with
+    | Some ms when Float.is_finite ms && ms >= 0. -> Ok ms
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a finite number >= 0" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let checkpoint_every_arg =
   let doc =
@@ -219,8 +234,8 @@ let checkpoint_every_arg =
     & info [ "checkpoint-every" ] ~env ~docv:"N" ~doc)
 
 let scale_arg =
-  let doc = "Demo data scale factor." in
-  Arg.(value & opt int 1 & info [ "scale" ] ~doc)
+  let doc = "Demo data scale factor (a positive integer)." in
+  Arg.(value & opt positive_int 1 & info [ "scale" ] ~doc)
 
 let files_arg =
   Arg.(value & pos_all non_dir_file [] & info [] ~docv:"FILE")

@@ -425,9 +425,12 @@ let with_nulls (c : t) (m : Bytes.t) : t =
       { data = Bools (Bytes.init k (fun i -> if masked i then '\000' else Bytes.get b i)); nulls }
   | Boxed a -> of_values (Array.init k (fun i -> if masked i then V.Null else a.(i)))
 
-(* Concatenate columns. Pieces of one physical kind (dictionary pieces:
-   one shared dictionary) concatenate typed, all-NULL pieces fitting any
-   kind; anything else is re-classified from boxed values. *)
+(* Concatenate columns. Pieces of one physical kind concatenate typed,
+   all-NULL pieces fitting any kind; anything else is re-classified from
+   boxed values. Dictionary pieces sharing the first one's dictionary blit
+   their codes; the others are recoded into a merged dictionary: the first
+   piece's entries, then each new string in order of first appearance, so
+   entries stay distinct. *)
 let concat (cs : t list) : t =
   match cs with
   | [ c ] -> c
@@ -458,8 +461,8 @@ let concat (cs : t list) : t =
       in
       let same_kind a b =
         match (a.data, b.data) with
-        | Ints _, Ints _ | Dates _, Dates _ | Floats _, Floats _ -> true
-        | Dict (_, d1), Dict (_, d2) -> d1 == d2
+        | Ints _, Ints _ | Dates _, Dates _ | Floats _, Floats _ | Dict _, Dict _ ->
+            true
         | _ -> false
       in
       match live with
@@ -468,14 +471,48 @@ let concat (cs : t list) : t =
           | Ints _ | Dates _ | Dict _ ->
               let out = scratch_ints total in
               BA1.fill out 0;
+              let d0 = match first.data with Dict (_, d) -> d | _ -> [||] in
+              (* the merged dictionary: [d0]'s codes, then [added] (newest
+                 first) from code [Array.length d0] on *)
+              let code_of =
+                lazy
+                  (let tbl = Hashtbl.create (2 * Array.length d0) in
+                   Array.iteri (fun code s -> Hashtbl.replace tbl s code) d0;
+                   tbl)
+              in
+              let added = ref [] and next = ref (Array.length d0) in
+              let merged_code s =
+                let tbl = Lazy.force code_of in
+                match Hashtbl.find_opt tbl s with
+                | Some code -> code
+                | None ->
+                    let code = !next in
+                    Hashtbl.add tbl s code;
+                    added := s :: !added;
+                    incr next;
+                    code
+              in
               place (fun c off ->
                   match c.data with
-                  | Ints a | Dates a | Dict (a, _) -> BA1.blit a (BA1.sub out off (BA1.dim a))
+                  | Ints a | Dates a -> BA1.blit a (BA1.sub out off (BA1.dim a))
+                  | Dict (codes, d) when d == d0 ->
+                      BA1.blit codes (BA1.sub out off (BA1.dim codes))
+                  | Dict (codes, d) ->
+                      let remap = Array.make (Array.length d) (-1) in
+                      for i = 0 to BA1.dim codes - 1 do
+                        if not (is_null c i) then begin
+                          let x = BA1.unsafe_get codes i in
+                          if remap.(x) < 0 then remap.(x) <- merged_code d.(x);
+                          BA1.unsafe_set out (off + i) remap.(x)
+                        end
+                      done
                   | _ -> assert false);
               let data =
                 match first.data with
                 | Dates _ -> Dates out
-                | Dict (_, dict) -> Dict (out, dict)
+                | Dict _ when !added = [] -> Dict (out, d0)
+                | Dict _ ->
+                    Dict (out, Array.append d0 (Array.of_list (List.rev !added)))
                 | _ -> Ints out
               in
               { data; nulls }

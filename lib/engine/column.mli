@@ -78,8 +78,11 @@ val gather : t -> ints -> int -> t
 val with_nulls : t -> Bytes.t -> t
 
 (** Concatenate columns, typed when every piece that is not all NULL has
-    one physical kind (dictionary pieces: one shared dictionary),
-    re-classified from boxed values otherwise. *)
+    one physical kind, re-classified from boxed values otherwise.
+    Dictionary pieces with different dictionaries merge into one: the
+    first piece's entries, then each new string in order of first
+    appearance, so entries stay distinct. Pieces sharing the first one's
+    dictionary keep their codes. *)
 val concat : t list -> t
 
 (** Decode through the process-wide LRU cache, keyed by

@@ -1,8 +1,8 @@
 (** QGM executor (engine dispatcher).
 
     Executes a QGM graph directly against a {!Db}: base-table scans,
-    select-project-join with incremental hash joins on equality predicates,
-    scalar subqueries, DISTINCT, hash aggregation, UNION, and
+    select-project-join with hash joins on equality predicates (one join per
+    quantifier, through the shared grouping kernel), scalar subqueries, DISTINCT, hash aggregation, UNION, and
     multidimensional grouping sets (one cuboid per set, NULL-padded to the
     union of grouping columns, per the paper's section 5 semantics). The
     root's presentation (ORDER BY / LIMIT) is applied last.

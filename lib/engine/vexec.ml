@@ -639,7 +639,7 @@ let exec_base db { B.bt_table; bt_cols } : C.batch =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Select box: incremental hash join over batches                      *)
+(* Select box: joins over batches                                      *)
 (* ------------------------------------------------------------------ *)
 
 let pred_quant_set p = List.sort_uniq compare (List.map (fun r -> r.B.quant) (E.cols p))
@@ -655,49 +655,6 @@ let rec pred_safe = function
   | E.Fncall ("mod", _) -> false
   | E.Fncall (_, args) -> List.for_all pred_safe args
   | E.Agg _ | E.Case _ -> false
-
-(* Single-int-key hash join: head table plus a next-index chain, built back
-   to front so each chain enumerates build rows in ascending order (the
-   generic path's match order). Pushes (probe, build) index pairs onto
-   [li]/[ri]. Probe rows with [probe_null] are skipped; a [probe_key] with no build
-   entry (e.g. the -1 sentinel from dictionary translation) simply misses. *)
-let chain_join (build : C.ints) (bnulls : Bytes.t option) n_build
-    (probe_null : int -> bool) (probe_key : int -> int) n_probe li ri =
-  let head = Hashtbl.create (max 16 n_build) in
-  let next = Array.make (max 1 n_build) (-1) in
-  for i = n_build - 1 downto 0 do
-    let isnull =
-      match bnulls with Some m -> Bytes.unsafe_get m i = '\001' | None -> false
-    in
-    if not isnull then begin
-      let k = BA1.unsafe_get build i in
-      (match Hashtbl.find_opt head k with
-      | Some j -> Array.unsafe_set next i j
-      | None -> ());
-      Hashtbl.replace head k i
-    end
-  done;
-  for l = 0 to n_probe - 1 do
-    if not (probe_null l) then
-      match Hashtbl.find_opt head (probe_key l) with
-      | None -> ()
-      | Some j0 ->
-          let j = ref j0 in
-          while !j >= 0 do
-            ibuf_push li l;
-            ibuf_push ri !j;
-            j := Array.unsafe_get next !j
-          done
-  done
-
-let generic_join_matches (build_key : int -> V.t list option) n_build
-    (probe_key : int -> V.t list option) : int -> int list =
-  let ht = VH.create (max 16 n_build) in
-  for i = 0 to n_build - 1 do
-    match build_key i with None -> () | Some k -> VH.add ht k i
-  done;
-  fun p ->
-    match probe_key p with None -> [] | Some k -> List.rev (VH.find_all ht k)
 
 (* ------------------------------------------------------------------ *)
 (* Grouping kernel: packed int keys, boxed fallback                    *)
@@ -881,6 +838,42 @@ let group_rows n (cols : C.t list) : C.ints * C.ints * int =
   in
   (gids, firsts, ngroups)
 
+(* Equi-join [nb] build rows with [np] probe rows on [key_pairs] (build
+   column, probe column): the matching probe rows, the matching build rows
+   and the match count, probe-major with build rows ascending. Both sides
+   group together through the kernel; build rows chain per group back to
+   front, and each probe row walks its group's chain. A row with a NULL key
+   column joins nothing; with no key pair every row shares one group, so
+   the same loop emits the cross product. *)
+let join_rows key_pairs ~nb ~np : C.ints * C.ints * int =
+  let keys = List.map (fun (b, p) -> C.concat [ b; p ]) key_pairs in
+  let gids, _, ngroups = group_rows (nb + np) keys in
+  let has_null i = List.exists (fun c -> C.is_null c i) keys in
+  (* chain links in the scratch arena: a build side of base-table size
+     would otherwise leave a heap array per join for the major GC *)
+  let head = C.scratch_ints ngroups and next = C.scratch_ints nb in
+  BA1.fill head (-1);
+  let li = ibuf_create (max nb np) and ri = ibuf_create (max nb np) in
+  for i = nb - 1 downto 0 do
+    if not (has_null i) then begin
+      let g = BA1.unsafe_get gids i in
+      BA1.unsafe_set next i (BA1.unsafe_get head g);
+      BA1.unsafe_set head g i
+    end
+  done;
+  for l = 0 to np - 1 do
+    if not (has_null (nb + l)) then begin
+      let j = ref (BA1.unsafe_get head (BA1.unsafe_get gids (nb + l))) in
+      while !j >= 0 do
+        ibuf_push li l;
+        ibuf_push ri !j;
+        j := BA1.unsafe_get next !j
+      done
+    end
+  done;
+  let lsel, k = ibuf_sel li and rsel, _ = ibuf_sel ri in
+  (lsel, rsel, k)
+
 (* Keep the first occurrence of every row under SQL grouping equality:
    SELECT DISTINCT and UNION without ALL. *)
 let distinct_rows (b : C.batch) : C.batch =
@@ -1063,80 +1056,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
         else begin
           let lpruned = prune_lbatch need !ctx in
           let nl = !ctx.ln and nr = !cbatch.ln in
-          let li = ibuf_create (max 16 (max nl nr)) in
-          let ri = ibuf_create (max 16 (max nl nr)) in
-          (match key_pairs with
-          | [] ->
-              (* cross product, left-major *)
-              for l = 0 to nl - 1 do
-                for r = 0 to nr - 1 do
-                  ibuf_push li l;
-                  ibuf_push ri r
-                done
-              done
-          | [ (bc, pc) ] -> (
-              (* single-key fast paths on physical representation *)
-              match (bc.C.data, pc.C.data) with
-              | C.Ints ba, C.Ints pa | C.Dates ba, C.Dates pa ->
-                  chain_join ba bc.C.nulls nr
-                    (fun l -> C.is_null pc l)
-                    (fun l -> BA1.unsafe_get pa l)
-                    nl li ri
-              | C.Dict (bcodes, bdict), C.Dict (pcodes, pdict) ->
-                  (* translate probe codes into the build dictionary; bdict
-                     has unique strings by construction, but Dict columns
-                     built via [const] may repeat — first wins *)
-                  let by_str = Hashtbl.create (Array.length bdict) in
-                  Array.iteri
-                    (fun code s ->
-                      if not (Hashtbl.mem by_str s) then Hashtbl.add by_str s code)
-                    bdict;
-                  let trans =
-                    Array.map
-                      (fun s ->
-                        match Hashtbl.find_opt by_str s with
-                        | Some c -> c
-                        | None -> -1)
-                      pdict
-                  in
-                  chain_join bcodes bc.C.nulls nr
-                    (fun l -> C.is_null pc l)
-                    (fun l -> Array.unsafe_get trans (BA1.unsafe_get pcodes l))
-                    nl li ri
-              | _ ->
-                  let matches =
-                    generic_join_matches
-                      (fun i ->
-                        let v = C.get bc i in
-                        if V.is_null v then None else Some [ v ])
-                      nr
-                      (fun i ->
-                        let v = C.get pc i in
-                        if V.is_null v then None else Some [ v ])
-                  in
-                  for l = 0 to nl - 1 do
-                    List.iter
-                      (fun r ->
-                        ibuf_push li l;
-                        ibuf_push ri r)
-                      (matches l)
-                  done)
-          | _ ->
-              let key_of cols i =
-                let vs = List.map (fun c -> C.get c i) cols in
-                if List.exists V.is_null vs then None else Some vs
-              in
-              let bcols = List.map fst key_pairs
-              and pcols = List.map snd key_pairs in
-              let matches = generic_join_matches (key_of bcols) nr (key_of pcols) in
-              for l = 0 to nl - 1 do
-                List.iter
-                  (fun r ->
-                    ibuf_push li l;
-                    ibuf_push ri r)
-                  (matches l)
-              done);
-          let lsel, lk = ibuf_sel li and rsel, _ = ibuf_sel ri in
+          let lsel, rsel, lk = join_rows key_pairs ~nb:nr ~np:nl in
           ctx :=
             {
               lay = Array.append lpruned.lay cpruned.lay;

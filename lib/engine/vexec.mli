@@ -12,10 +12,13 @@ exception Error of string
     [Relation.project]. *)
 val exec_base : Db.t -> Qgm.Box.base_body -> Column.batch
 
-(** [exec_select ~child body] — filters, incremental hash joins, output
-    projection, DISTINCT. [child] resolves a quantifier to its input
-    batch. Output row order is deterministic: left-major joins,
-    build-side order within a probe match. *)
+(** [exec_select ~child body] — filters, joins, output projection,
+    DISTINCT. [child] resolves a quantifier to its input batch. Each
+    quantifier joins the working set through the grouping kernel: its
+    equi-join keys and the working set's group together, and with no key
+    the same loop emits the cross product. Output row order is
+    deterministic: probe-major (the working set's order), build rows
+    ascending within a probe row's matches. *)
 val exec_select :
   child:(Qgm.Box.quant -> Column.batch) -> Qgm.Box.select_body -> Column.batch
 

@@ -5,10 +5,9 @@
 # exit without killing the connection for the next request), a check that
 # the server.* metrics counted the traffic and that the shutdown dump
 # carries the planning and guard counters (the registry is the only place
-# a server's planning counts live), and refusal of malformed settings. Run
-# from anywhere;
-# it cd's to the repo root. CI runs it in the server-smoke job next to the
-# PERF8 serving gate (ASTRW_SMOKE=1 bench run).
+# a server's planning counts live), and refusal of malformed or
+# out-of-range settings. Run from anywhere; it cd's to the repo root. CI
+# runs it in the server-smoke job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,29 +102,43 @@ expect_bad_limit ASTQL_DEADLINE_MS \
 expect_bad_limit --deadline-ms \
   ./_build/default/bin/astql_server.exe --addr "$SOCK" --deadline-ms=-1
 
-echo "== negative checkpoint interval is refused =="
-# a negative interval would never checkpoint; cmdliner rejects it (exit
-# 124) for the flag and the env variable alike, naming the setting. The
-# timeout only bounds a server that wrongly started; its exit carries no
-# message, so it still fails the name check.
-expect_bad_checkpoint() {
+echo "== out-of-range settings are refused, naming the setting =="
+# cmdliner rejects each (exit 124) for the flag and the env variable
+# alike, naming the setting, before any data loads — never an uncaught
+# library guard ("internal error") and never a silent clamp. The timeout
+# only bounds a server that wrongly started; its exit carries no message,
+# so it still fails the name check.
+expect_bad_setting() {
   local name=$1; shift
   local status=0
   "$@" >"$ERRTXT" 2>&1 || status=$?
   [ "$status" -ne 0 ] || {
-    echo "FAIL: $* accepted a negative checkpoint interval"; exit 1;
+    echo "FAIL: $* accepted a bad $name"; exit 1;
   }
   grep -q -- "$name" "$ERRTXT" || {
     echo "FAIL: $* exited $status without naming $name:"
     cat "$ERRTXT"; exit 1;
   }
+  if grep -q "internal error" "$ERRTXT"; then
+    echo "FAIL: $* crashed on a bad $name:"; cat "$ERRTXT"; exit 1;
+  fi
 }
-expect_bad_checkpoint checkpoint-every timeout 10 \
-  ./_build/default/bin/astql_server.exe --addr "$SOCK" --checkpoint-every=-1
-expect_bad_checkpoint checkpoint-every \
+SERVER=./_build/default/bin/astql_server.exe
+expect_bad_setting checkpoint-every timeout 10 \
+  "$SERVER" --addr "$SOCK" --checkpoint-every=-1
+expect_bad_setting checkpoint-every \
   ./_build/default/bin/astql.exe run --checkpoint-every=-1 /dev/null
-expect_bad_checkpoint ASTQL_CHECKPOINT_EVERY \
+expect_bad_setting ASTQL_CHECKPOINT_EVERY \
   env ASTQL_CHECKPOINT_EVERY=-3 ./_build/default/bin/astql.exe run /dev/null
+expect_bad_setting domains timeout 10 "$SERVER" --addr "$SOCK" --domains=0
+expect_bad_setting ASTQL_DOMAINS timeout 10 \
+  env ASTQL_DOMAINS=0 "$SERVER" --addr "$SOCK"
+expect_bad_setting queue-depth timeout 10 "$SERVER" --addr "$SOCK" --queue-depth=-1
+expect_bad_setting retry-after-ms timeout 10 \
+  "$SERVER" --addr "$SOCK" --retry-after-ms=-1
+expect_bad_setting io-timeout-ms timeout 10 "$SERVER" --addr "$SOCK" --io-timeout-ms=-1
+expect_bad_setting request-deadline-ms timeout 10 \
+  "$SERVER" --addr "$SOCK" --request-deadline-ms=nan
 
 echo "== durability: drain on SIGTERM, final checkpoint, recovery =="
 ./_build/default/bin/astql_server.exe \

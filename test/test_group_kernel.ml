@@ -4,13 +4,17 @@
    doublings (a wide key domain), and the boxed fallback (FLOAT keys, and
    INT keys whose radix product overflows near min_int/max_int). Every
    key column carries NULLs; the batch also feeds DISTINCT aggregates,
-   GROUPING SETS, SELECT DISTINCT and UNION. Answers must be bag-equal to
-   the oracle, and groups and distinct rows must come out in first-seen
-   order. [tiny_db] only ever reaches the dense path, so the engine
-   differential cannot cover the rest. *)
+   GROUPING SETS, SELECT DISTINCT, UNION and joins with a second,
+   independently drawn table. Answers must be bag-equal to the oracle,
+   groups and distinct rows must come out in first-seen order, and joins
+   in nested-loop order. [tiny_db] only ever reaches the dense path and
+   joins on one INT key, so the engine differential cannot cover the
+   rest. *)
 
 module V = Data.Value
 module R = Data.Relation
+
+let two53 = 1 lsl 53
 
 type shape = Dense | Wide | Span_overflow | Product_overflow | Float_keys | Empty
 
@@ -22,14 +26,14 @@ let shape_name = function
   | Float_keys -> "float"
   | Empty -> "empty"
 
-(* t(a INT, b INT, d DATE, s VARCHAR, f FLOAT, v INT), every column
-   nullable *)
+(* t and u, both (a INT, b INT, d DATE, s VARCHAR, f FLOAT, v INT), every
+   column nullable *)
 let catalog =
   let open Catalog in
   let col name ty = { col_name = name; col_ty = ty; nullable = true } in
-  add_table empty
+  let table name =
     {
-      tbl_name = "t";
+      tbl_name = name;
       tbl_cols =
         [
           col "a" V.Tint; col "b" V.Tint; col "d" V.Tdate; col "s" V.Tstr;
@@ -39,8 +43,17 @@ let catalog =
       unique_keys = [];
       foreign_keys = [];
     }
+  in
+  add_table (add_table empty (table "t")) (table "u")
 
-type case = { shape : shape; rows : V.t array list; keys : string list }
+(* [urows] are drawn after [rows] and independently of them, so u's
+   string dictionary differs from t's *)
+type case = {
+  shape : shape;
+  rows : V.t array list;
+  keys : string list;
+  urows : V.t array list;
+}
 
 let gen_case =
   QCheck.Gen.(
@@ -54,7 +67,7 @@ let gen_case =
     in
     let str_in k = map (fun x -> V.Str (Printf.sprintf "s%d" x)) (int_bound k) in
     let floats = oneofl [ V.Float 0.0; V.Float (-0.0); V.Float 1.5; V.Float (-2.0) ] in
-    let n, a, d, s =
+    let size, a, d, s =
       match shape with
       | Dense | Span_overflow | Product_overflow | Float_keys ->
           (int_range 1 60, int_in (-5) 5, date_in 1, str_in 4)
@@ -65,7 +78,7 @@ let gen_case =
       | Empty -> (return 0, int_in 0 0, date_in 1, str_in 0)
     in
     let b = match shape with Wide -> a | _ -> int_in (-3) 3 in
-    let row =
+    let row a d s =
       let* a = nullable a in
       let* b = nullable b in
       let* d = nullable d in
@@ -74,8 +87,8 @@ let gen_case =
       let* v = nullable (int_in (-20) 20) in
       return [| a; b; d; s; f; v |]
     in
-    let* n = n in
-    let* rows = list_repeat n row in
+    let* n = size in
+    let* rows = list_repeat n (row a d s) in
     (* a key spanning min_int..max_int overflows its own radix; two keys
        spanning 2^41 each overflow the radix product *)
     let rows =
@@ -91,7 +104,13 @@ let gen_case =
       | Wide ->
           (* every key again, so groups outlive the doublings they caused *)
           rows @ List.rev rows
-      | Dense | Float_keys | Empty -> rows
+      | Float_keys ->
+          (* 2^53 and 2^53+1 both promote to 2^53.0: equal to it, and to
+             each other, once promoted *)
+          [| V.Int two53; V.Null; V.Null; V.Null; V.Float (float_of_int two53); V.Int 4 |]
+          :: [| V.Int (two53 + 1); V.Null; V.Null; V.Null; V.Float (-0.0); V.Int 5 |]
+          :: rows
+      | Dense | Empty -> rows
     in
     (* a dense key space stays within twice the rows (or 1024): one extra
        narrow column at most *)
@@ -105,11 +124,32 @@ let gen_case =
       | Wide | Product_overflow -> first @ ("b" :: List.filter (( <> ) "b") extra)
       | _ -> first @ extra
     in
-    return { shape; rows; keys })
+    (* u: the dense distribution beside an empty t, empty itself now and
+       then; beside wide keys, a few rows plus some of t's again, so
+       probes hit and the oracle's cross product stays small *)
+    let usize, ua, ud, us =
+      match shape with
+      | Empty -> (int_range 1 60, int_in (-5) 5, date_in 1, str_in 4)
+      | Wide -> (int_range 10 30, a, d, s)
+      | _ -> (size, a, d, s)
+    in
+    let* un = frequency [ (1, return 0); (7, usize) ] in
+    let* fresh = list_repeat un (row ua ud us) in
+    let urows =
+      match shape with
+      | _ when un = 0 -> []
+      | Wide -> fresh @ List.filteri (fun i _ -> i mod 50 = 0) rows
+      | Float_keys ->
+          [| V.Int (two53 + 1); V.Null; V.Null; V.Null; V.Float (float_of_int two53); V.Int 6 |]
+          :: [| V.Int 0; V.Null; V.Null; V.Null; V.Float 0.0; V.Int 7 |]
+          :: fresh
+      | _ -> fresh
+    in
+    return { shape; rows; keys; urows })
 
 let print_case c =
-  Printf.sprintf "%s, %d rows, keys (%s)" (shape_name c.shape) (List.length c.rows)
-    (String.concat ", " c.keys)
+  Printf.sprintf "%s, %d rows, %d u rows, keys (%s)" (shape_name c.shape)
+    (List.length c.rows) (List.length c.urows) (String.concat ", " c.keys)
 
 let columns = [ "a"; "b"; "d"; "s"; "f"; "v" ]
 
@@ -126,16 +166,97 @@ let first_seen keys rows =
 
 let counter = Helpers.counter
 
-let check_case c =
-  let db = Engine.Db.of_tables catalog [ ("t", R.create columns c.rows) ] in
-  let run engine sql = Engine.Exec.run ~engine db (Helpers.build catalog sql) in
-  let agree sql =
-    let fast = run Engine.Exec.Vector sql and slow = run Engine.Exec.Reference sql in
-    if not (R.bag_equal_approx fast slow) then
-      QCheck.Test.fail_reportf "%s\nvector:\n%s\nreference:\n%s" sql (R.to_string fast)
-        (R.to_string slow);
-    fast
+let db_of c =
+  Engine.Db.of_tables catalog
+    [ ("t", R.create columns c.rows); ("u", R.create columns c.urows) ]
+
+let agree db sql =
+  let run engine = Engine.Exec.run ~engine db (Helpers.build catalog sql) in
+  let fast = run Engine.Exec.Vector and slow = run Engine.Exec.Reference in
+  if not (R.bag_equal_approx fast slow) then
+    QCheck.Test.fail_reportf "%s\nvector:\n%s\nreference:\n%s" sql (R.to_string fast)
+      (R.to_string slow);
+  fast
+
+let paths = [ "exec.group_dense"; "exec.group_probe"; "exec.group_boxed" ]
+
+(* [f] makes one grouping call, so each path counter moves by exactly 0 or
+   1: by [expected] when given, else on exactly one path *)
+let on_one_path ?expected f =
+  let before = List.map counter paths in
+  let r = f () in
+  let moved = List.map2 (fun name b -> counter name - b) paths before in
+  let ok =
+    match expected with
+    | Some e -> moved = e
+    | None -> List.sort compare moved = [ 0; 0; 1 ]
   in
+  if not ok then
+    QCheck.Test.fail_reportf "path counters moved by %s, expected %s"
+      (String.concat "/" (List.map string_of_int moved))
+      (match expected with
+      | Some e -> String.concat "/" (List.map string_of_int e)
+      | None -> "one path by 1");
+  r
+
+let expected_path = function
+  | Dense | Empty -> [ 1; 0; 0 ]
+  | Wide -> [ 0; 1; 0 ]
+  | Span_overflow | Product_overflow | Float_keys -> [ 0; 0; 1 ]
+
+(* Joins of t (the probe side) with u (the build side) on the case's keys,
+   on strings alone, on INT = FLOAT and on nothing (a cross product). The
+   answer must come t row by t row, each with its matching u rows
+   ascending and NULL keys matching nothing, as this nested loop does it. *)
+let check_joins db c =
+  let col k = Option.get (List.find_index (( = ) k) columns) in
+  let nested pairs =
+    List.concat_map
+      (fun tr ->
+        List.filter_map
+          (fun ur ->
+            let matches (x, y) =
+              let a = tr.(col x) and b = ur.(col y) in
+              (not (V.is_null a || V.is_null b)) && V.equal a b
+            in
+            if List.for_all matches pairs then Some (Array.append tr ur) else None)
+          c.urows)
+      c.rows
+  in
+  let both =
+    List.concat_map
+      (fun q -> List.map (fun k -> Printf.sprintf "%s.%s AS %s%s" q k q k) columns)
+      [ "t"; "u" ]
+  in
+  let join ?expected pairs =
+    let sql =
+      Printf.sprintf "SELECT %s FROM t, u%s" (String.concat ", " both)
+        (match pairs with
+        | [] -> ""
+        | _ ->
+            " WHERE "
+            ^ String.concat " AND "
+                (List.map (fun (x, y) -> Printf.sprintf "t.%s = u.%s" x y) pairs))
+    in
+    let got = on_one_path ?expected (fun () -> agree db sql) in
+    if not (List.equal (Array.for_all2 V.equal) (R.rows got) (nested pairs)) then
+      QCheck.Test.fail_reportf "%s: rows out of nested-loop order\n%s" sql
+        (R.to_string got)
+  in
+  (* beside an empty t, u alone decides the path *)
+  let expected = if c.shape = Empty then None else Some (expected_path c.shape) in
+  join ?expected (List.map (fun k -> (k, k)) c.keys);
+  (* wide cases stop at their keys: the oracle joins by cross product *)
+  if c.shape <> Wide then begin
+    join [ ("s", "s") ];
+    join [ ("a", "f") ];
+    join ~expected:[ 1; 0; 0 ] []
+  end;
+  true
+
+let check_case c =
+  let db = db_of c in
+  let agree = agree db in
   let in_order what keys rel =
     let key_of row = Array.to_list (Array.sub row 0 (List.length keys)) in
     let got = List.map key_of (R.rows rel) in
@@ -144,27 +265,15 @@ let check_case c =
         (R.to_string rel)
   in
   let keys = String.concat ", " c.keys in
-  (* one grouping call, so each path counter moves by exactly 0 or 1 *)
-  let paths = [ "exec.group_dense"; "exec.group_probe"; "exec.group_boxed" ] in
-  let before = List.map counter paths and grows0 = counter "exec.group_grows" in
+  let grows0 = counter "exec.group_grows" in
   let grouped =
-    agree
-      (Printf.sprintf
-         "SELECT %s, COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS sv, AVG(v) AS av, \
-          MIN(v) AS lo, MAX(s) AS hi, MIN(d) AS d0, MAX(f) AS f1 FROM t GROUP BY %s"
-         keys keys)
+    on_one_path ~expected:(expected_path c.shape) (fun () ->
+        agree
+          (Printf.sprintf
+             "SELECT %s, COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS sv, AVG(v) AS av, \
+              MIN(v) AS lo, MAX(s) AS hi, MIN(d) AS d0, MAX(f) AS f1 FROM t GROUP BY %s"
+             keys keys))
   in
-  let moved = List.map2 (fun name b -> counter name - b) paths before in
-  let expected =
-    match c.shape with
-    | Dense | Empty -> [ 1; 0; 0 ]
-    | Wide -> [ 0; 1; 0 ]
-    | Span_overflow | Product_overflow | Float_keys -> [ 0; 0; 1 ]
-  in
-  if moved <> expected then
-    QCheck.Test.fail_reportf "path counters moved by %s, expected %s"
-      (String.concat "/" (List.map string_of_int moved))
-      (String.concat "/" (List.map string_of_int expected));
   if c.shape = Wide && counter "exec.group_grows" - grows0 < 3 then
     QCheck.Test.fail_reportf "wide keys: fewer than 3 table doublings";
   in_order "GROUP BY" c.keys grouped;
@@ -185,7 +294,8 @@ let check_case c =
     (agree (Printf.sprintf "SELECT DISTINCT %s FROM t" keys));
   ignore (agree "SELECT a, s FROM t UNION SELECT b, s FROM t");
   ignore (agree "SELECT d, f FROM t WHERE v > 0 UNION SELECT d, f FROM t WHERE v < 5");
-  true
+  ignore (agree "SELECT s FROM t UNION SELECT s FROM u");
+  check_joins db c
 
 let prop_kernel =
   QCheck.Test.make ~name:"grouping kernel matches reference" ~count:40
@@ -200,11 +310,65 @@ let test_every_path () =
         let c = QCheck.Gen.generate1 ~rand:(Random.State.make [| k |]) gen_case in
         if c.shape = shape then c else draw (k + 1)
       in
-      Alcotest.(check bool) (shape_name shape) true (check_case (draw 0)))
+      let c = draw 0 in
+      Alcotest.(check bool) (shape_name shape) true (check_case c);
+      let c = { c with urows = [] } in
+      Alcotest.(check bool)
+        (shape_name shape ^ ", empty u")
+        true
+        (check_joins (db_of c) c))
     [ Dense; Wide; Span_overflow; Product_overflow; Float_keys; Empty ]
+
+(* Column.concat over string pieces decoded separately, so each has its
+   own dictionary, some all NULL, and at times one more piece sharing the
+   first one's dictionary: the values survive in order, and the result is
+   one dictionary column whose entries are distinct, as the kernel's
+   packed codes require. *)
+let prop_concat_dict =
+  let module C = Engine.Column in
+  let gen =
+    QCheck.Gen.(
+      let str = map (fun x -> V.Str (Printf.sprintf "w%d" x)) (int_bound 6) in
+      let piece = list_size (int_bound 12) (frequency [ (1, return V.Null); (3, str) ]) in
+      let all_null = map (fun n -> List.init n (fun _ -> V.Null)) (int_bound 5) in
+      pair (list_size (int_range 1 5) (frequency [ (4, piece); (1, all_null) ])) bool)
+  in
+  let print =
+    QCheck.Print.(pair (list (fun vs -> String.concat "," (List.map V.to_string vs))) bool)
+  in
+  QCheck.Test.make ~name:"concat merges dictionaries" ~count:300 (QCheck.make ~print gen)
+    (fun (pieces, share) ->
+      let cols = List.map (fun vs -> C.of_values (Array.of_list vs)) pieces in
+      let cols =
+        match cols with
+        | first :: _ when share ->
+            let n = C.length first in
+            let idx = C.icreate n in
+            for i = 0 to n - 1 do
+              Bigarray.Array1.set idx i (n - 1 - i)
+            done;
+            cols @ [ C.gather first idx n ]
+        | _ -> cols
+      in
+      let got = C.concat cols in
+      let want = Array.concat (List.map C.to_values cols) in
+      let values = C.to_values got in
+      if
+        not (Array.length values = Array.length want && Array.for_all2 V.equal values want)
+      then QCheck.Test.fail_reportf "values changed";
+      (match got.C.data with
+      | C.Dict (_, dict) ->
+          let distinct = List.sort_uniq compare (Array.to_list dict) in
+          if List.length distinct <> Array.length dict then
+            QCheck.Test.fail_reportf "repeated dictionary entry"
+      | _ ->
+          if Array.exists (fun v -> not (V.is_null v)) want then
+            QCheck.Test.fail_reportf "strings did not stay a dictionary column");
+      true)
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_kernel;
     Alcotest.test_case "every kernel path" `Quick test_every_path;
+    QCheck_alcotest.to_alcotest prop_concat_dict;
   ]
