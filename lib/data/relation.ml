@@ -1,14 +1,8 @@
 type row = Value.t array
 
-(* [rid] is a process-unique stamp used as a cache key by the columnar
-   decoder (Engine.Column): relations are immutable, so a stamp identifies
-   the payload for the relation's whole lifetime. Every construction —
-   including derived relations that share [cols] — gets a fresh stamp. *)
-type t = { cols : string array; data : row array; rid : int }
+type t = { cols : string array; data : row array }
 
-let next_rid = Atomic.make 1
-let make cols data = { cols; data; rid = Atomic.fetch_and_add next_rid 1 }
-let id r = r.rid
+let make cols data = { cols; data }
 
 let check_width cols rows =
   let n = Array.length cols in

@@ -1,7 +1,9 @@
 (** In-memory relations: a named-column schema plus a bag of rows.
 
     Rows are value arrays positionally aligned with the schema. Relations use
-    bag (multiset) semantics throughout, matching SQL. *)
+    bag (multiset) semantics throughout, matching SQL. They are the boxed
+    interchange form — query results, DML deltas, CSV and checkpoint rows;
+    stored tables live as typed column batches in [Engine.Db]. *)
 
 type row = Value.t array
 
@@ -12,12 +14,6 @@ type t
 val create : string list -> row list -> t
 
 val empty : string list -> t
-
-(** Process-unique stamp of this relation's payload. Relations are
-    immutable, so the stamp is a sound cache key (the columnar decoder in
-    [Engine.Column] keys its decode cache on it); any derived relation —
-    filter, sort, append, DML result — carries a fresh stamp. *)
-val id : t -> int
 
 val columns : t -> string array
 val arity : t -> int

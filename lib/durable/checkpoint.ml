@@ -11,66 +11,118 @@ type summary = {
   ck_name : string;
   ck_sql : string;
   ck_fresh : bool;
-  ck_srows : Data.Relation.row list;
+  ck_srows : Data.Relation.row Seq.t;
 }
 
-type table = { ck_table : Catalog.table; ck_rows : Data.Relation.row list }
+type table = { ck_table : Catalog.table; ck_rows : Data.Relation.row Seq.t }
 type t = { ck_lsn : int; ck_tables : table list; ck_summaries : summary list }
 
 let format_version = 1
 
 (* ---------------- encode ---------------- *)
 
+(* The document as a tree whose row lists stay sequences, so [write] can
+   render a table one row at a time instead of building every row's JSON
+   first. *)
+type node =
+  | Leaf of J.t
+  | Rows of Data.Relation.row Seq.t
+  | Obj of (string * node) list
+  | List of node list
+
 let strings ss = J.List (List.map (fun s -> J.Str s) ss)
 
-let table_to_json { ck_table = tbl; ck_rows } =
-  J.Obj
+let table_node { ck_table = tbl; ck_rows } =
+  Obj
     [
-      ("name", J.Str tbl.Catalog.tbl_name);
+      ("name", Leaf (J.Str tbl.Catalog.tbl_name));
       ( "cols",
-        J.List
-          (List.map
-             (fun c ->
-               J.Obj
-                 [
-                   ("name", J.Str c.Catalog.col_name);
-                   ("ty", J.Str (V.ty_to_string c.Catalog.col_ty));
-                   ("nullable", J.Bool c.Catalog.nullable);
-                 ])
-             tbl.Catalog.tbl_cols) );
-      ("pk", strings tbl.Catalog.primary_key);
-      ("unique", J.List (List.map strings tbl.Catalog.unique_keys));
+        Leaf
+          (J.List
+             (List.map
+                (fun c ->
+                  J.Obj
+                    [
+                      ("name", J.Str c.Catalog.col_name);
+                      ("ty", J.Str (V.ty_to_string c.Catalog.col_ty));
+                      ("nullable", J.Bool c.Catalog.nullable);
+                    ])
+                tbl.Catalog.tbl_cols)) );
+      ("pk", Leaf (strings tbl.Catalog.primary_key));
+      ("unique", Leaf (J.List (List.map strings tbl.Catalog.unique_keys)));
       ( "fks",
-        J.List
-          (List.map
-             (fun fk ->
-               J.Obj
-                 [
-                   ("cols", strings fk.Catalog.fk_cols);
-                   ("ref_table", J.Str fk.Catalog.fk_ref_table);
-                   ("ref_cols", strings fk.Catalog.fk_ref_cols);
-                 ])
-             tbl.Catalog.foreign_keys) );
-      ("rows", Codec.rows_to_json ck_rows);
+        Leaf
+          (J.List
+             (List.map
+                (fun fk ->
+                  J.Obj
+                    [
+                      ("cols", strings fk.Catalog.fk_cols);
+                      ("ref_table", J.Str fk.Catalog.fk_ref_table);
+                      ("ref_cols", strings fk.Catalog.fk_ref_cols);
+                    ])
+                tbl.Catalog.foreign_keys)) );
+      ("rows", Rows ck_rows);
     ]
 
-let summary_to_json s =
-  J.Obj
+let summary_node s =
+  Obj
     [
-      ("name", J.Str s.ck_name);
-      ("sql", J.Str s.ck_sql);
-      ("fresh", J.Bool s.ck_fresh);
-      ("rows", Codec.rows_to_json s.ck_srows);
+      ("name", Leaf (J.Str s.ck_name));
+      ("sql", Leaf (J.Str s.ck_sql));
+      ("fresh", Leaf (J.Bool s.ck_fresh));
+      ("rows", Rows s.ck_srows);
     ]
 
-let to_json t =
-  J.Obj
+let node t =
+  Obj
     [
-      ("format", J.Int format_version);
-      ("lsn", J.Int t.ck_lsn);
-      ("tables", J.List (List.map table_to_json t.ck_tables));
-      ("summaries", J.List (List.map summary_to_json t.ck_summaries));
+      ("format", Leaf (J.Int format_version));
+      ("lsn", Leaf (J.Int t.ck_lsn));
+      ("tables", List (List.map table_node t.ck_tables));
+      ("summaries", List (List.map summary_node t.ck_summaries));
     ]
+
+let rec json_of = function
+  | Leaf j -> j
+  | Rows rows -> J.List (List.of_seq (Seq.map Codec.row_to_json rows))
+  | Obj kvs -> J.Obj (List.map (fun (k, v) -> (k, json_of v)) kvs)
+  | List l -> J.List (List.map json_of l)
+
+let to_json t = json_of (node t)
+
+(* Renders exactly [J.render buf (json_of n)]. *)
+let rec render buf n =
+  let items f xs =
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string buf ", ";
+        f x)
+      xs
+  in
+  match n with
+  | Leaf j -> J.render buf j
+  | Rows rows ->
+      Buffer.add_char buf '[';
+      Seq.iteri
+        (fun i row ->
+          if i > 0 then Buffer.add_string buf ", ";
+          J.render buf (Codec.row_to_json row))
+        rows;
+      Buffer.add_char buf ']'
+  | Obj kvs ->
+      Buffer.add_char buf '{';
+      items
+        (fun (k, v) ->
+          J.render buf (J.Str k);
+          Buffer.add_string buf ": ";
+          render buf v)
+        kvs;
+      Buffer.add_char buf '}'
+  | List l ->
+      Buffer.add_char buf '[';
+      items (render buf) l;
+      Buffer.add_char buf ']'
 
 (* ---------------- decode ---------------- *)
 
@@ -129,7 +181,7 @@ let table_of_json j =
           unique_keys = unique;
           foreign_keys = fks;
         };
-      ck_rows = rows;
+      ck_rows = List.to_seq rows;
     }
 
 let summary_of_json j =
@@ -137,7 +189,13 @@ let summary_of_json j =
   let* sql = Result.bind (field "sql" j) as_str in
   let* fresh = Result.bind (field "fresh" j) as_bool in
   let* rows = Result.bind (field "rows" j) Codec.rows_of_json in
-  Ok { ck_name = name; ck_sql = sql; ck_fresh = fresh; ck_srows = rows }
+  Ok
+    {
+      ck_name = name;
+      ck_sql = sql;
+      ck_fresh = fresh;
+      ck_srows = List.to_seq rows;
+    }
 
 let of_json j =
   let* fmt = Result.bind (field "format" j) as_int in
@@ -201,7 +259,12 @@ let prune dir =
   | _ -> ()
 
 let write dir t =
-  let body = J.to_string (to_json t) ^ "\n" in
+  let body =
+    let buf = Buffer.create 4096 in
+    render buf (node t);
+    Buffer.add_char buf '\n';
+    Buffer.contents buf
+  in
   let final = Filename.concat dir (name_of_lsn t.ck_lsn) in
   let tmp = final ^ ".tmp" in
   let fd =

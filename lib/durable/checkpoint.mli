@@ -15,16 +15,21 @@
     survive both, falling back to the previous checkpoint + longer WAL
     suffix. *)
 
+(** Row payloads are sequences: writing reads them one row at a time (a
+    table's rows straight from its stored batch), loading yields them from
+    the decoded list. A sequence must be re-readable ({!to_json} and
+    {!write} each traverse it). *)
+
 type summary = {
   ck_name : string;
   ck_sql : string;          (** defining query, re-elaborated at recovery *)
   ck_fresh : bool;
-  ck_srows : Data.Relation.row list;
+  ck_srows : Data.Relation.row Seq.t;
 }
 
 type table = {
   ck_table : Catalog.table;  (** full schema incl. keys and FKs *)
-  ck_rows : Data.Relation.row list;
+  ck_rows : Data.Relation.row Seq.t;
 }
 
 type t = {
@@ -37,7 +42,9 @@ type t = {
 val to_json : t -> Obs.Json.t
 
 (** [write dir t] writes [ckpt-<lsn>.json] atomically and prunes all but
-    the two newest checkpoints. Raises on I/O failure. *)
+    the two newest checkpoints. The file holds exactly {!to_json}'s
+    rendering plus a newline, encoded one row at a time. Raises on I/O
+    failure. *)
 val write : string -> t -> unit
 
 (** Decode one checkpoint file. *)

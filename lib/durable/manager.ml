@@ -123,9 +123,7 @@ let checkpoint_of_snapshot ~lsn (snap : Sh.snapshot) =
   let db = snap.Sh.sn_db in
   let entries = St.entries snap.Sh.sn_store in
   let sum_names = List.map (fun e -> norm e.St.e_name) entries in
-  let rows_of name =
-    match Engine.Db.get db name with Some r -> R.rows r | None -> []
-  in
+  let rows_of name = Engine.Db.rows db name in
   {
     Checkpoint.ck_lsn = lsn;
     ck_tables =
@@ -236,7 +234,7 @@ let rebuild_db cat tables dropped_tables =
       else
         let cols = Catalog.column_names ct.Checkpoint.ck_table in
         let rel =
-          try R.create cols ct.Checkpoint.ck_rows
+          try R.create cols (List.of_seq ct.Checkpoint.ck_rows)
           with Invalid_argument _ -> R.empty cols
         in
         Engine.Db.put db name rel)
@@ -258,7 +256,7 @@ let restore_summaries store db summaries =
           match
             St.restore !store !db ~name:s.Checkpoint.ck_name
               ~sql:s.Checkpoint.ck_sql ~fresh:s.Checkpoint.ck_fresh
-              ~rows:s.Checkpoint.ck_srows
+              ~rows:(List.of_seq s.Checkpoint.ck_srows)
           with
           | store', db' ->
               store := store';
@@ -284,10 +282,11 @@ let restore_summaries store db summaries =
    rewrite. *)
 let verify_cap = 10_000
 
-let payload_matches stored derived =
-  if R.cardinality stored <= verify_cap then
-    R.bag_equal_approx stored derived
-  else R.cardinality derived = R.cardinality stored
+let payload_matches db name derived =
+  match Engine.Db.cardinality db name with
+  | n when n <= verify_cap -> R.bag_equal_approx (Engine.Db.get_exn db name) derived
+  | n -> R.cardinality derived = n
+  | exception Invalid_argument _ -> R.cardinality derived = 0
 
 let verify_summaries shared =
   let quarantined = ref [] in
@@ -304,12 +303,7 @@ let verify_summaries shared =
                    individual answers *)
                 ()
             | derived ->
-                let stored =
-                  match Engine.Db.get !db name with
-                  | Some r -> r
-                  | None -> R.empty (List.map fst e.St.e_cols)
-                in
-                if not (payload_matches stored derived) then begin
+                if not (payload_matches !db name derived) then begin
                   let store', db' = St.quarantine_payload !store !db name in
                   store := store';
                   db := db';

@@ -1,4 +1,5 @@
-(* Typed column vectors for the vectorized executor (DESIGN.md §15).
+(* Typed column vectors: the executor's batch model and the database's
+   one stored form (DESIGN.md §15).
 
    A column is one unboxed buffer per runtime type plus an optional
    byte-per-row validity mask (1 = NULL; the data slot under a set byte is
@@ -16,11 +17,9 @@
    Int/Float mix promoted to float, dictionary-encoded strings, booleans,
    dates) and falls back to a boxed [Value.t array] for anything mixed —
    the executor's kernels then degrade gracefully per column instead of
-   refusing the whole batch. Base-table decodes are cached process-wide,
-   keyed by the relation's unique stamp ([Relation.id]): relations are
-   immutable, so a stamp fully identifies the payload, and DML produces a
-   fresh relation (fresh stamp) whose old columns simply age out of the
-   LRU. The cache is mutex-protected — executor domains share it. *)
+   refusing the whole batch. [Engine.Db] decodes each table once, when it
+   is stored, and keeps only the batch; the executor scans stored batches
+   directly, so no read decodes. *)
 
 module V = Data.Value
 module R = Data.Relation
@@ -49,9 +48,10 @@ let fcreate n : floats = BA1.create Bigarray.float64 Bigarray.c_layout n
    ([scratch_begin]/[scratch_end], nestable); every chunk returns to a
    process-wide pool at the end of the run, so steady state allocates
    nothing. Scratch buffers must not outlive the run — executor results
-   are converted to boxed relations before the arena resets, and the
-   decode cache uses permanent allocations ([icreate]/[fcreate]). When no
-   arena is armed (unit tests driving kernels directly), scratch requests
+   are boxed into relations, or copied out with [persist], before the
+   arena resets, and stored batches use permanent allocations
+   ([icreate]/[fcreate]). When no arena is armed (unit tests driving
+   kernels directly, DML appending to a stored batch), scratch requests
    degrade to permanent allocations. *)
 
 let chunk_elems = 1 lsl 20 (* 8 MB *)
@@ -328,15 +328,7 @@ let const v n : t =
 (* Batch <-> relation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let decodes = Obs.Metrics.counter "exec.col_decodes"
-let decode_hits = Obs.Metrics.counter "exec.col_decode_hits"
-let decode_ms = Obs.Metrics.histogram "exec.col_decode_ms"
-let decoded_rows = Obs.Metrics.counter "exec.col_decoded_rows"
-
 let of_relation (r : R.t) : batch =
-  Obs.Metrics.incr decodes;
-  Obs.Metrics.add decoded_rows (R.cardinality r);
-  Obs.Metrics.time decode_ms @@ fun () ->
   let rows = R.rows_array r in
   let names = R.columns r in
   let n = Array.length rows in
@@ -353,6 +345,58 @@ let to_relation (b : batch) : R.t =
         Array.map (fun c -> get c i) b.cols)
   in
   R.create (Array.to_list b.names) rows
+
+(* A copy of [b] in permanent buffers, safe to keep after the scratch
+   arena recycles its chunks. Boxed columns are re-classified, so a stored
+   batch is typed wherever decoding its values would be. *)
+let persist (b : batch) : batch =
+  let ints a =
+    let out = icreate (BA1.dim a) in
+    BA1.blit a out;
+    out
+  in
+  let col c =
+    match c.data with
+    | Ints a -> { c with data = Ints (ints a) }
+    | Dates a -> { c with data = Dates (ints a) }
+    | Dict (codes, dict) -> { c with data = Dict (ints codes, dict) }
+    | Floats a ->
+        let out = fcreate (BA1.dim a) in
+        BA1.blit a out;
+        { c with data = Floats out }
+    | Bools _ -> c
+    | Boxed a -> of_values a
+  in
+  { b with cols = Array.map col b.cols }
+
+(* Distinct values, NULL counting as one, as a hash table of the boxed
+   values counts them: -0.0 is 0.0 and every NaN is one value. *)
+let ndv (c : t) : int =
+  let n = length c in
+  let count key =
+    let seen = Hashtbl.create 64 in
+    for i = 0 to n - 1 do
+      if not (is_null c i) then Hashtbl.replace seen (key i) ()
+    done;
+    let has_null = match c.nulls with Some m -> not (no_nulls m) | None -> false in
+    Hashtbl.length seen + if has_null then 1 else 0
+  in
+  match c.data with
+  | Ints a | Dates a -> count (BA1.get a)
+  | Floats a ->
+      count (fun i ->
+          let x = BA1.get a i in
+          if x = 0.0 then 0L
+          else if Float.is_nan x then Int64.bits_of_float Float.nan
+          else Int64.bits_of_float x)
+  | Bools b -> count (fun i -> Bytes.get b i = '\001')
+  | Dict (codes, dict) -> count (fun i -> dict.(BA1.get codes i))
+  | Boxed _ ->
+      let seen = Hashtbl.create 64 in
+      for i = 0 to n - 1 do
+        Hashtbl.replace seen (get c i) ()
+      done;
+      Hashtbl.length seen
 
 (* ------------------------------------------------------------------ *)
 (* Gather (row selection by index)                                     *)
@@ -526,56 +570,3 @@ let concat (cs : t list) : t =
               { data = Floats out; nulls }
           | _ -> of_values (Array.concat (List.map to_values cs)))
       | _ -> of_values (Array.concat (List.map to_values cs)))
-
-(* ------------------------------------------------------------------ *)
-(* Decode cache                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let cache_cap = 16
-let cache : (int, batch * int ref) Hashtbl.t = Hashtbl.create 32
-let cache_mutex = Mutex.create ()
-let cache_tick = ref 0
-
-let cached (r : R.t) : batch =
-  let key = R.id r in
-  let hit =
-    Mutex.lock cache_mutex;
-    let res =
-      match Hashtbl.find_opt cache key with
-      | Some (b, stamp) ->
-          incr cache_tick;
-          stamp := !cache_tick;
-          Some b
-      | None -> None
-    in
-    Mutex.unlock cache_mutex;
-    res
-  in
-  match hit with
-  | Some b ->
-      Obs.Metrics.incr decode_hits;
-      b
-  | None ->
-      let b = of_relation r in
-      Mutex.lock cache_mutex;
-      incr cache_tick;
-      Hashtbl.replace cache key (b, ref !cache_tick);
-      if Hashtbl.length cache > cache_cap then begin
-        (* evict the least-recently-used entry *)
-        let victim = ref (-1) and oldest = ref max_int in
-        Hashtbl.iter
-          (fun k (_, stamp) ->
-            if !stamp < !oldest then begin
-              oldest := !stamp;
-              victim := k
-            end)
-          cache;
-        if !victim >= 0 then Hashtbl.remove cache !victim
-      end;
-      Mutex.unlock cache_mutex;
-      b
-
-let cache_clear () =
-  Mutex.lock cache_mutex;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_mutex

@@ -1,4 +1,5 @@
-(** Typed column vectors for the vectorized executor (DESIGN.md §15).
+(** Typed column vectors: the vectorized executor's batches and the one
+    form {!Db} stores tables and summaries in (DESIGN.md §15).
 
     A column holds one unboxed buffer per runtime type — an int Bigarray
     for INT/DATE, a float64 Bigarray for FLOAT (and INT/FLOAT mixes,
@@ -9,7 +10,8 @@
 
     Numeric data lives in Bigarrays (outside the OCaml heap) so the GC
     neither scans column payloads nor paces collection against the large
-    transient buffers produced per batch. *)
+    transient buffers produced per batch. A stored batch is immutable and
+    permanently allocated; nothing here caches. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -65,10 +67,20 @@ val to_values : t -> Data.Value.t array
 (** [const v n] broadcasts a scalar to an [n]-row column. *)
 val const : Data.Value.t -> int -> t
 
-(** One-pass columnar decode of a relation (no caching). *)
+(** One-pass columnar decode of a relation. *)
 val of_relation : Data.Relation.t -> batch
 
 val to_relation : batch -> Data.Relation.t
+
+(** A copy of the batch in permanent buffers — what an executor result
+    must become before the scratch arena it was computed in recycles.
+    Boxed columns are re-classified ({!of_values}). *)
+val persist : batch -> batch
+
+(** Distinct values of a column, NULL counting as one value: the count a
+    hash table of its boxed values would hold ([-0.0] is [0.0], every NaN
+    is one value). *)
+val ndv : t -> int
 
 (** [gather c idx k] takes rows of [c] at [idx.(0..k-1)], in order. *)
 val gather : t -> ints -> int -> t
@@ -78,16 +90,9 @@ val gather : t -> ints -> int -> t
 val with_nulls : t -> Bytes.t -> t
 
 (** Concatenate columns, typed when every piece that is not all NULL has
-    one physical kind, re-classified from boxed values otherwise.
-    Dictionary pieces with different dictionaries merge into one: the
-    first piece's entries, then each new string in order of first
-    appearance, so entries stay distinct. Pieces sharing the first one's
-    dictionary keep their codes. *)
+    one physical kind, re-classified from boxed values otherwise. Dictionary pieces with
+    different dictionaries merge into one: the first piece's entries, then
+    each new string in order of first appearance, so entries stay
+    distinct. Pieces sharing the first one's dictionary keep their codes.
+    Allocates from the scratch arena when one is armed. *)
 val concat : t list -> t
-
-(** Decode through the process-wide LRU cache, keyed by
-    {!Data.Relation.id}. Safe to call from multiple domains. *)
-val cached : Data.Relation.t -> batch
-
-(** Drop every cached decode (tests / memory pressure). *)
-val cache_clear : unit -> unit

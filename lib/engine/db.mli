@@ -1,4 +1,11 @@
-(** An in-memory database: a catalog plus one relation per table.
+(** An in-memory database: a catalog plus one column batch per table.
+
+    Each table and summary table is held as one immutable, permanently
+    allocated {!Column.batch} — the only stored form. The executor scans
+    it directly; a boxed {!Data.Relation.t} is built only on request
+    ({!get}), for the reference engine, DELETE, CSV export, recovery's
+    payload check and tests. Row counts and distinct-value counts are
+    computed from the typed columns.
 
     Functional updates; callers thread the value (the CLI session holds a
     ref). Summary-table contents live here too, under their table name. *)
@@ -9,11 +16,39 @@ val create : Catalog.t -> t
 val catalog : t -> Catalog.t
 val with_catalog : t -> Catalog.t -> t
 
-(** [put db name rel] installs or replaces a table's contents and refreshes
-    its row-count statistic. *)
+(** [put db name rel] decodes [rel] once and installs it as the table's
+    contents, refreshing its row-count and distinct-value statistics. *)
 val put : t -> string -> Data.Relation.t -> t
 
+(** [put_batch db name b] installs an executor result as the table's
+    contents. [b] must not be arena-backed ({!Exec.run_batch} copies its
+    result out). *)
+val put_batch : t -> string -> Column.batch -> t
+
+(** [append db name delta] adds [delta]'s rows (in the table's column
+    order) to the stored batch; a table without contents takes [delta] as
+    {!put} would. When every column is numeric and NULL-free, the columns
+    grow in place into spare capacity, so a stream of small appends costs
+    the rows appended; otherwise they are concatenated. Must not run
+    inside an executor run (the concatenation would be arena-backed). *)
+val append : t -> string -> Data.Relation.t -> t
+
+(** The stored batch. Raises [Invalid_argument] for a table without
+    contents. *)
+val batch : t -> string -> Column.batch
+
+(** Row count of the stored batch, without building rows. Raises
+    [Invalid_argument] for a table without contents. *)
+val cardinality : t -> string -> int
+
+(** The stored rows, built one at a time as the sequence is read (empty
+    for a table without contents). *)
+val rows : t -> string -> Data.Relation.row Seq.t
+
+(** Build the table's rows as a relation. Every row built counts in the
+    [db.materialized_rows] counter. *)
 val get : t -> string -> Data.Relation.t option
+
 val get_exn : t -> string -> Data.Relation.t
 val drop : t -> string -> t
 

@@ -145,33 +145,65 @@ let run_box ?budget ?(engine = default_engine) db g id =
   Fun.protect ~finally:C.scratch_end @@ fun () ->
   slot_rel (run_box_memo ?budget ~engine db g (Hashtbl.create 16) id)
 
-let run ?budget ?engine db g =
-  Obs.Metrics.incr x_runs;
-  Obs.Metrics.time x_run_ms @@ fun () ->
-  let rel = run_box ?budget ?engine db g (G.root g) in
+(* The root's presentation as row positions: ORDER BY's stable sort, then
+   LIMIT's prefix. [value c i] reads column [c] of row [i]. *)
+let presented g ~n ~column_index ~value =
   let { G.order_by; limit } = G.presentation g in
-  let rel =
-    if order_by = [] then rel
+  let idx = Array.init n Fun.id in
+  if order_by <> [] then begin
+    let keys = List.map (fun (c, asc) -> (column_index c, asc)) order_by in
+    Array.stable_sort
+      (fun a b ->
+        let rec go = function
+          | [] -> 0
+          | (c, asc) :: rest ->
+              let cmp = V.compare (value c a) (value c b) in
+              if cmp <> 0 then if asc then cmp else -cmp else go rest
+        in
+        go keys)
+      idx
+  end;
+  match limit with Some k when k >= 0 && k < n -> Array.sub idx 0 k | _ -> idx
+
+let has_presentation g =
+  let { G.order_by; limit } = G.presentation g in
+  order_by <> [] || limit <> None
+
+let timed_run f =
+  Obs.Metrics.incr x_runs;
+  Obs.Metrics.time x_run_ms f
+
+let run ?budget ?engine db g =
+  timed_run @@ fun () ->
+  let rel = run_box ?budget ?engine db g (G.root g) in
+  if not (has_presentation g) then rel
+  else
+    let rows = R.rows_array rel in
+    let idx =
+      presented g ~n:(Array.length rows) ~column_index:(R.column_index rel)
+        ~value:(fun c i -> rows.(i).(c))
+    in
+    R.create
+      (Array.to_list (R.columns rel))
+      (Array.to_list (Array.map (fun i -> rows.(i)) idx))
+
+let run_batch ?budget ?(engine = default_engine) db g =
+  timed_run @@ fun () ->
+  C.scratch_begin ();
+  Fun.protect ~finally:C.scratch_end @@ fun () ->
+  let b = slot_batch (run_box_memo ?budget ~engine db g (Hashtbl.create 16) (G.root g)) in
+  let b =
+    if not (has_presentation g) then b
     else
-      let idx = List.map (fun (c, asc) -> (R.column_index rel c, asc)) order_by in
-      R.sort
-        (fun a b ->
-          let rec go = function
-            | [] -> 0
-            | (i, asc) :: rest ->
-                let c = V.compare a.(i) b.(i) in
-                if c <> 0 then if asc then c else -c else go rest
-          in
-          go idx)
-        rel
-  in
-  match limit with
-  | None -> rel
-  | Some n ->
-      let rows = R.rows rel in
-      let rec take k = function
-        | [] -> []
-        | _ when k = 0 -> []
-        | x :: rest -> x :: take (k - 1) rest
+      let idx =
+        presented g ~n:b.C.nrows ~column_index:(Vexec.batch_col_index b)
+          ~value:(fun c i -> C.get b.C.cols.(c) i)
       in
-      R.create (Array.to_list (R.columns rel)) (take n rows)
+      let k = Array.length idx in
+      let sel = C.scratch_ints k in
+      Array.iteri (Bigarray.Array1.set sel) idx;
+      { b with C.cols = Array.map (fun c -> C.gather c sel k) b.C.cols; nrows = k }
+  in
+  (* copied out while the arena is still armed: nothing stored may point
+     into a chunk the next run reuses *)
+  C.persist b

@@ -22,6 +22,10 @@ type engine =
   | Vector  (** batch-at-a-time over typed columns *)
   | Reference  (** naive oracle operators; testing only *)
 
+(** The engine a call without [~engine] runs on: [Reference] when
+    [ASTQL_EXEC=reference] was set at startup, else [Vector]. *)
+val default_engine : engine
+
 (** Execute the graph's root box and apply its presentation. With
     [budget], operator boundaries check the deadline and meter produced
     rows against it, raising {!Govern.Budget.Budget_exhausted} — callers
@@ -31,6 +35,13 @@ type engine =
 val run :
   ?budget:Govern.Budget.t -> ?engine:engine -> Db.t -> Qgm.Graph.t ->
   Data.Relation.t
+
+(** [run] returning the result as a column batch, copied out of the
+    scratch arena into permanent buffers — the form {!Db.put_batch}
+    stores. No row is boxed on the vectorized engine. *)
+val run_batch :
+  ?budget:Govern.Budget.t -> ?engine:engine -> Db.t -> Qgm.Graph.t ->
+  Column.batch
 
 (** Execute an arbitrary box of the graph (no presentation applied). *)
 val run_box :

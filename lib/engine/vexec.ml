@@ -1,7 +1,7 @@
 (* Vectorized (batch-at-a-time) QGM operators over typed column vectors.
 
    Execution here is column-at-a-time over whole-relation batches: scan
-   decodes a base table once (through Column's LRU cache), filter evaluates
+   reads a table's stored batch from Db as it is, filter evaluates
    predicates as vector kernels producing selection indices, joins build
    hash tables on key columns and gather matching rows, and aggregation
    assigns dense group ids through one packed-key kernel then folds each
@@ -630,8 +630,7 @@ let batch_col_index (b : C.batch) name =
   go 0
 
 let exec_base db { B.bt_table; bt_cols } : C.batch =
-  let rel = Db.get_exn db bt_table in
-  let full = C.cached rel in
+  let full = Db.batch db bt_table in
   {
     C.names = Array.of_list bt_cols;
     cols = Array.of_list (List.map (fun c -> full.C.cols.(batch_col_index full c)) bt_cols);

@@ -7,9 +7,13 @@
 
 exception Error of string
 
-(** Scan a base table through the columnar decode cache, projected to the
-    box's columns. Raises [Not_found] on a missing column, like
-    [Relation.project]. *)
+(** Position of a column in a batch, case-insensitively, like
+    [Relation.column_index]. Raises [Not_found] when absent. *)
+val batch_col_index : Column.batch -> string -> int
+
+(** Scan a base table's stored batch ({!Db.batch}), projected to the
+    box's columns without copying. Raises [Not_found] on a missing column,
+    like [Relation.project]. *)
 val exec_base : Db.t -> Qgm.Box.base_body -> Column.batch
 
 (** [exec_select ~child body] — filters, joins, output projection,

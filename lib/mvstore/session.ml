@@ -241,7 +241,8 @@ let const_eval (e : A.expr) =
 
 (* The one append path: INSERT, COPY FROM and WAL replay all fold the new
    rows through summary maintenance first (it needs the delta in
-   isolation), queue the summaries that went stale, then append. *)
+   isolation), queue the summaries that went stale, then append them to
+   the table's stored batch. *)
 let append_rows t tbl rows =
   let table = tbl.Catalog.tbl_name in
   let store', db', went_stale =
@@ -249,12 +250,8 @@ let append_rows t tbl rows =
   in
   t.sstore <- store';
   List.iter (Maint.enqueue t.smaint) went_stale;
-  let current =
-    match Engine.Db.get db' table with
-    | Some r -> r
-    | None -> R.empty (Catalog.column_names tbl)
-  in
-  t.sdb <- Engine.Db.put db' table (R.append current rows)
+  t.sdb <-
+    Engine.Db.append db' table (R.create (Catalog.column_names tbl) rows)
 
 let do_insert t table cols_opt rows =
   let cat = Engine.Db.catalog t.sdb in
@@ -760,7 +757,7 @@ let exec_stmt_dispatch t cfg stmt =
         in
         Msg
           (Printf.sprintf "summary table %s created (%d rows%s)%s" cs_name
-             (R.cardinality (Engine.Db.get_exn db' cs_name))
+             (Engine.Db.cardinality db' cs_name)
              (match e.Store.e_incr with
              | Some _ -> ", incrementally maintainable"
              | None -> "")

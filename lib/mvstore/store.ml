@@ -3,6 +3,7 @@ module B = Qgm.Box
 module G = Qgm.Graph
 module R = Data.Relation
 module V = Data.Value
+module C = Engine.Column
 
 exception Mv_error of string
 
@@ -209,9 +210,9 @@ let define store db ~name ~sql =
       err "summary definition produced ill-formed IR (%s)"
         (Lint.Validate.summary vs));
   let cols = Qgm.Typing.infer_outputs (Engine.Db.catalog db) graph in
-  let contents = Engine.Exec.run db graph in
+  let contents = Engine.Exec.run_batch db graph in
   let db = register_catalog db name cols in
-  let db = Engine.Db.put db name contents in
+  let db = Engine.Db.put_batch db name contents in
   let entry =
     {
       e_name = name;
@@ -304,8 +305,8 @@ let refresh_full ?budget store db name =
   | None -> err "unknown summary table %s" name
   | Some e ->
       Guard.Fault.hit Guard.Fault.Refresh;
-      let contents = Engine.Exec.run ?budget db e.e_graph in
-      let db = Engine.Db.put db e.e_name contents in
+      let contents = Engine.Exec.run_batch ?budget db e.e_graph in
+      let db = Engine.Db.put_batch db e.e_name contents in
       ( touch
           {
             store with
@@ -316,73 +317,62 @@ let refresh_full ?budget store db name =
           },
         db )
 
-(* Merge a delta aggregation into the stored contents, by group key.
-   [sign = -1] subtracts (delete maintenance); groups whose COUNT-star
-   column reaches zero are dropped. *)
-let merge_delta ?(sign = 1) plan current delta =
-  let cols = Array.to_list (R.columns current) in
-  let key_idx = List.map (R.column_index current) plan.ip_keys in
-  let agg_idx =
-    List.map (fun (n, m) -> (R.column_index current n, m)) plan.ip_aggs
+(* Merge a delta aggregation into the stored contents, by group key,
+   without boxing the stored rows: the stored batch and the delta are
+   concatenated and regrouped on the plan's keys, adding counts and sums
+   and taking MIN/MAX of extremes, so existing groups keep their order and
+   new ones follow in delta order. [sign = -1] subtracts (delete
+   maintenance); groups whose COUNT-star column reaches zero are
+   dropped. *)
+let merge_delta ?(sign = 1) plan (current : C.batch) delta =
+  let names = Array.to_list current.C.names in
+  let delta = R.project delta names in
+  let delta =
+    if sign >= 0 then delta
+    else
+      let negated = List.map (fun (n, _) -> R.column_index delta n) plan.ip_aggs in
+      R.map_rows
+        (fun row ->
+          let row = Array.copy row in
+          List.iter (fun i -> if not (V.is_null row.(i)) then row.(i) <- V.neg row.(i)) negated;
+          row)
+        delta
   in
-  let tbl = Hashtbl.create (R.cardinality current) in
-  let keyed row = List.map (fun i -> row.(i)) key_idx in
-  let order = ref [] in
-  Array.iter
-    (fun row ->
-      let k = keyed row in
-      Hashtbl.replace tbl k (Array.copy row);
-      order := k :: !order)
-    (R.rows_array current);
-  let new_keys = ref [] in
-  Array.iter
-    (fun drow ->
-      let k = keyed drow in
-      match Hashtbl.find_opt tbl k with
-      | None ->
-          Hashtbl.replace tbl k (Array.copy drow);
-          new_keys := k :: !new_keys
-      | Some row ->
-          List.iter
-            (fun (i, m) ->
-              row.(i) <-
-                (match m with
-                | M_add ->
-                    let d =
-                      if sign >= 0 then drow.(i)
-                      else if drow.(i) = V.Null then V.Null
-                      else V.neg drow.(i)
-                    in
-                    if row.(i) = V.Null then d
-                    else if d = V.Null then row.(i)
-                    else V.add row.(i) d
-                | M_min ->
-                    if row.(i) = V.Null then drow.(i)
-                    else if drow.(i) = V.Null then row.(i)
-                    else if V.compare drow.(i) row.(i) < 0 then drow.(i)
-                    else row.(i)
-                | M_max ->
-                    if row.(i) = V.Null then drow.(i)
-                    else if drow.(i) = V.Null then row.(i)
-                    else if V.compare drow.(i) row.(i) > 0 then drow.(i)
-                    else row.(i)))
-            agg_idx)
-    (R.rows_array delta);
-  let rows =
-    List.rev_map (fun k -> Hashtbl.find tbl k) !order
-    @ List.rev_map (fun k -> Hashtbl.find tbl k) !new_keys
+  let d = C.of_relation delta in
+  let both =
+    {
+      current with
+      C.cols = Array.map2 (fun a b -> C.concat [ a; b ]) current.C.cols d.C.cols;
+      nrows = current.C.nrows + d.C.nrows;
+    }
   in
-  let rows =
-    match plan.ip_count with
-    | Some c when sign < 0 ->
-        let ci = R.column_index current c in
-        List.filter
-          (fun row ->
-            match row.(ci) with V.Int n -> n > 0 | _ -> true)
-          rows
-    | _ -> rows
+  let fn = function M_add -> E.Sum | M_min -> E.Min | M_max -> E.Max in
+  let merged =
+    Engine.Vexec.exec_group
+      ~child:(fun _ -> both)
+      {
+        B.grp_quant = { B.q_id = 0; q_box = 0; q_kind = B.Foreach };
+        grp_grouping = B.Simple plan.ip_keys;
+        grp_aggs =
+          List.map
+            (fun (n, m) -> (n, { B.agg = { E.fn = fn m; distinct = false }; arg = Some n }))
+            plan.ip_aggs;
+      }
   in
-  R.create cols rows
+  let col n = merged.C.cols.(Engine.Vexec.batch_col_index merged n) in
+  let merged = { merged with C.names = current.C.names; cols = Array.map col current.C.names } in
+  match plan.ip_count with
+  | Some c when sign < 0 ->
+      let count = col c in
+      let kept = ref [] in
+      for i = merged.C.nrows - 1 downto 0 do
+        match C.get count i with V.Int n when n <= 0 -> () | _ -> kept := i :: !kept
+      done;
+      let k = List.length !kept in
+      let sel = C.icreate k in
+      List.iteri (Bigarray.Array1.set sel) !kept;
+      { merged with C.cols = Array.map (fun c -> C.gather c sel k) merged.C.cols; nrows = k }
+  | _ -> merged
 
 let apply_insert store db ~table ~rows =
   let table = norm table in
@@ -403,9 +393,8 @@ let apply_insert store db ~table ~rows =
               in
               let delta_db = Engine.Db.put db table (R.create cols rows) in
               let delta = Engine.Exec.run delta_db e.e_graph in
-              let current = Engine.Db.get_exn db e.e_name in
-              let merged = merge_delta plan current delta in
-              (smap, Engine.Db.put db e.e_name merged)
+              let merged = merge_delta plan (Engine.Db.batch db e.e_name) delta in
+              (smap, Engine.Db.put_batch db e.e_name merged)
           | _ ->
               if e.e_fresh then went_stale := e.e_name :: !went_stale;
               (Smap.add key { e with e_fresh = false } smap, db))
@@ -435,9 +424,10 @@ let apply_delete store db ~table ~rows =
               in
               let delta_db = Engine.Db.put db table (R.create cols rows) in
               let delta = Engine.Exec.run delta_db e.e_graph in
-              let current = Engine.Db.get_exn db e.e_name in
-              let merged = merge_delta ~sign:(-1) plan current delta in
-              (smap, Engine.Db.put db e.e_name merged)
+              let merged =
+                merge_delta ~sign:(-1) plan (Engine.Db.batch db e.e_name) delta
+              in
+              (smap, Engine.Db.put_batch db e.e_name merged)
           | _ ->
               if e.e_fresh then went_stale := e.e_name :: !went_stale;
               (Smap.add key { e with e_fresh = false } smap, db))

@@ -9,6 +9,14 @@
 #   scripts/bench_gate.sh             gate against bench/baseline.json
 #   scripts/bench_gate.sh --update    regenerate the baseline intentionally
 #                                     (commit the result)
+#   scripts/bench_gate.sh --record    gate, then append this run's line to
+#                                     BENCH_history.jsonl (commit it)
+#
+# A --record line holds the git rev (and whether the tree had uncommitted
+# changes), the scale, every workload row's routed_via and exec p50, the
+# deterministic PERF4 / PERF5 / PERF11 counts the gate checks exactly, and
+# PERF6's summary create_ms: one line per change, so the trajectory across
+# changes can be re-checked from the repository. It needs jq.
 #
 # Run from anywhere; it cd's to the repo root. CI runs this in the
 # bench-smoke job and uploads BENCH_results.json / BENCH_metrics.json as
@@ -32,8 +40,35 @@ if [[ ! -f "$BASELINE" ]]; then
   exit 2
 fi
 
-if ASTRW_SMOKE=1 dune exec --no-build bench/main.exe -- --gate "$BASELINE"; then
-  exit 0
+record=0
+case "${1:-}" in
+  "") ;;
+  --record) record=1 ;;
+  *) echo "usage: $0 [--update | --record]" >&2; exit 2 ;;
+esac
+
+gate() { ASTRW_SMOKE=1 dune exec --no-build bench/main.exe -- --gate "$BASELINE"; }
+
+if ! gate; then
+  echo "bench gate failed once; retrying to rule out runner noise..." >&2
+  gate
 fi
-echo "bench gate failed once; retrying to rule out runner noise..." >&2
-ASTRW_SMOKE=1 dune exec --no-build bench/main.exe -- --gate "$BASELINE"
+
+if [[ $record == 1 ]]; then
+  rev=$(git rev-parse --short HEAD)
+  dirty=false
+  [[ -n "$(git status --porcelain --untracked-files=no)" ]] && dirty=true
+  jq -c --arg rev "$rev" --argjson dirty "$dirty" '{
+      rev: $rev,
+      uncommitted_changes: $dirty,
+      scale: .scale,
+      workload: [.workload[] | {query, routed_via, exec_p50_ms: .exec_ms}],
+      perf4: (.planning | {warm_match_boxes_calls, cache_hits, cache_misses,
+                           candidates_attempted, candidates_filtered}),
+      perf5: (.verification
+              | map_values({verify_runs, verify_mismatches, verify_static_skips})),
+      perf11: (.proving.sizes | map({pairs, proved, expected_proved})),
+      perf6_create_ms: .governed_planning.create_ms
+    }' BENCH_results.json >> BENCH_history.jsonl
+  echo "recorded: $(tail -n 1 BENCH_history.jsonl)"
+fi

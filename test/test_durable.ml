@@ -185,7 +185,7 @@ let sample_checkpoint () =
               foreign_keys = [];
             };
           ck_rows =
-            [
+            List.to_seq [
               [| V.Int 1; V.Int 10; V.Str "x" |];
               [| V.Int 2; V.Null; V.Null |];
               [| V.Int 3; V.Int 30; V.Str "é😀" |];
@@ -198,7 +198,7 @@ let sample_checkpoint () =
           Ck.ck_name = "s1";
           ck_sql = "SELECT a, SUM(b) AS sb FROM t GROUP BY a";
           ck_fresh = true;
-          ck_srows = [ [| V.Int 1; V.Int 10 |] ];
+          ck_srows = List.to_seq [ [| V.Int 1; V.Int 10 |] ];
         };
       ];
   }
@@ -216,6 +216,40 @@ let test_checkpoint_roundtrip () =
         (J.to_string (Ck.to_json t'))
   | Some _, n -> Alcotest.failf "unexpected %d skipped" n
   | None, _ -> Alcotest.fail "checkpoint did not load"
+
+(* [write] renders rows one at a time, straight from a stored batch; the
+   file must hold exactly the [to_json] document, and load back the
+   table's rows. *)
+let test_checkpoint_streams_batch_rows () =
+  let dir = tmpdir () in
+  let t0 = (sample_checkpoint ()).Ck.ck_tables |> List.hd in
+  let rel =
+    R.create [ "a"; "b"; "s" ]
+      [
+        [| V.Int 1; V.Float Float.nan; V.Str "q\"uote\n" |];
+        [| V.Int 2; V.Null; V.Null |];
+        [| V.Int 3; V.Float (-0.0); V.Str "é" |];
+      ]
+  in
+  let db = Engine.Db.put (Engine.Db.create Catalog.empty) "t" rel in
+  let t =
+    {
+      (sample_checkpoint ()) with
+      Ck.ck_tables = [ { t0 with Ck.ck_rows = Engine.Db.rows db "t" } ];
+    }
+  in
+  Ck.write dir t;
+  let body =
+    In_channel.with_open_bin (List.hd (Ck.files dir)) In_channel.input_all
+  in
+  Alcotest.(check string) "file is the to_json document"
+    (J.to_string (Ck.to_json t) ^ "\n") body;
+  match Ck.load_latest dir with
+  | Some t', 0 ->
+      Helpers.check_rows "rows round-trip" (Engine.Db.get_exn db "t")
+        (R.create [ "a"; "b"; "s" ]
+           (List.of_seq (List.hd t'.Ck.ck_tables).Ck.ck_rows))
+  | _ -> Alcotest.fail "checkpoint did not load"
 
 let test_checkpoint_skips_invalid () =
   let dir = tmpdir () in
@@ -371,7 +405,7 @@ let test_corrupt_payload_quarantined () =
                 unique_keys = [];
                 foreign_keys = [];
               };
-            ck_rows = [ [| V.Int 1; V.Int 10 |]; [| V.Int 2; V.Int 20 |] ];
+            ck_rows = List.to_seq [ [| V.Int 1; V.Int 10 |]; [| V.Int 2; V.Int 20 |] ];
           };
         ];
       ck_summaries =
@@ -382,7 +416,7 @@ let test_corrupt_payload_quarantined () =
               "SELECT a, SUM(b) AS sb, COUNT(*) AS n FROM t GROUP BY a";
             ck_fresh = true;
             (* bit rot: the stored payload disagrees with re-derivation *)
-            ck_srows = [ [| V.Int 1; V.Int 999; V.Int 1 |] ];
+            ck_srows = List.to_seq [ [| V.Int 1; V.Int 999; V.Int 1 |] ];
           };
         ];
     }
@@ -423,7 +457,7 @@ let test_undecodable_summary_dropped () =
                 unique_keys = [];
                 foreign_keys = [];
               };
-            ck_rows = [ [| V.Int 1 |] ];
+            ck_rows = List.to_seq [ [| V.Int 1 |] ];
           };
         ];
       ck_summaries =
@@ -432,7 +466,7 @@ let test_undecodable_summary_dropped () =
             Ck.ck_name = "ghost";
             ck_sql = "SELECT x FROM vanished GROUP BY x";
             ck_fresh = true;
-            ck_srows = [];
+            ck_srows = List.to_seq [];
           };
         ];
     }
@@ -480,6 +514,8 @@ let suite =
       test_wal_mid_corruption_ends_log;
     Alcotest.test_case "wal replace" `Quick test_wal_replace;
     Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
+    Alcotest.test_case "checkpoint streams batch rows" `Quick
+      test_checkpoint_streams_batch_rows;
     Alcotest.test_case "checkpoint skips invalid" `Quick
       test_checkpoint_skips_invalid;
     Alcotest.test_case "checkpoint prune" `Quick test_checkpoint_prune;

@@ -264,6 +264,115 @@ let test_nan_aggregates () =
     (R.rows vec);
   Alcotest.(check int) "both groups present" 2 !checked
 
+(* The one stored form: [Db.put] decodes a relation into a column batch
+   once and computes its statistics from the typed columns. Relations of
+   every column shape must come back bag-equal through [Db.get], and the
+   catalog's row count and per-column distinct counts must equal a scan of
+   the boxed rows — the statistics the planner saw before tables were
+   stored as batches. *)
+
+(* The oracle: a hash table of each column's boxed values, the scan that
+   counted statistics when tables were stored as rows. *)
+let recompute_ndvs cat name rel =
+  Array.to_list (Data.Relation.columns rel)
+  |> List.fold_left
+       (fun cat col ->
+         let seen = Hashtbl.create 64 in
+         let i = Data.Relation.column_index rel col in
+         Array.iter
+           (fun row -> Hashtbl.replace seen row.(i) ())
+           (Data.Relation.rows_array rel);
+         Catalog.set_col_ndv cat name col (Hashtbl.length seen))
+       cat
+
+let shape_cols = [ "i"; "f"; "m"; "s"; "d"; "b"; "n" ]
+
+let gen_shaped_relation =
+  let open QCheck.Gen in
+  let nullable g = frequency [ (1, return V.Null); (4, g) ] in
+  let floats = [ 0.0; -0.0; Float.nan; 1.5; -2.25; 3.0; Float.infinity ] in
+  let row =
+    let* ints = nullable (map (fun x -> V.Int x) (int_range (-3) 3)) in
+    let* fl = nullable (map (fun x -> V.Float x) (oneofl floats)) in
+    (* an INT value in a FLOAT column, colliding with floats at 0 and 3 *)
+    let* mixed =
+      nullable
+        (oneof
+           [
+             map (fun x -> V.Int x) (int_range 0 3);
+             map (fun x -> V.Float x) (oneofl floats);
+           ])
+    in
+    let* str = nullable (map (fun x -> V.Str x) (oneofl [ ""; "a"; "b"; "é" ])) in
+    let* date = nullable (map (fun d -> V.date 1995 1 d) (int_range 1 4)) in
+    let* b = nullable (map (fun x -> V.Bool x) bool) in
+    return [| ints; fl; mixed; str; date; b; V.Null |]
+  in
+  let* n = frequency [ (1, return 0); (7, int_range 1 40) ] in
+  map (R.create shape_cols) (list_repeat n row)
+
+let prop_stored_roundtrip =
+  QCheck.Test.make ~name:"stored batches round-trip with row-scan statistics"
+    ~count:300
+    (QCheck.make ~print:R.to_string gen_shaped_relation)
+    (fun rel ->
+      let db = Engine.Db.put (Engine.Db.create Catalog.empty) "t" rel in
+      let back = Engine.Db.get_exn db "t" in
+      let cat = Engine.Db.catalog db in
+      let oracle = recompute_ndvs Catalog.empty "t" rel in
+      if R.columns back <> R.columns rel then
+        QCheck.Test.fail_reportf "columns changed: %s" (R.to_string back);
+      if not (R.bag_equal back rel) then
+        QCheck.Test.fail_reportf "contents changed: %s" (R.to_string back);
+      if Catalog.row_count cat "t" <> Some (R.cardinality rel) then
+        QCheck.Test.fail_report "row count differs from the scan";
+      List.iter
+        (fun c ->
+          let stored = Catalog.col_ndv cat "t" c
+          and scanned = Catalog.col_ndv oracle "t" c in
+          if stored <> scanned then
+            QCheck.Test.fail_reportf "ndv(%s): stored %s, row scan %s" c
+              (Option.fold ~none:"-" ~some:string_of_int stored)
+              (Option.fold ~none:"-" ~some:string_of_int scanned))
+        shape_cols;
+      true)
+
+(* Appends write into spare capacity shared by every version of a table.
+   Appending to any version — the newest, or an older snapshot as a
+   rolled-back statement leaves behind — must leave every other version's
+   rows as they were. *)
+let prop_append_versions =
+  let open QCheck in
+  let cols = [ "a"; "x"; "d" ] in
+  let gen_row =
+    Gen.(
+      map3
+        (fun a x d -> [| a; x; d |])
+        (frequency [ (9, map (fun n -> V.Int n) (int_range 0 99)); (1, return V.Null) ])
+        (frequency
+           [ (9, map (fun x -> V.Float (float_of_int x /. 4.)) (int_range 0 99));
+             (1, map (fun n -> V.Int n) (int_range 0 9)) ])
+        (map (fun d -> V.date 1996 1 d) (int_range 1 28)))
+  in
+  (* each step appends 1–5 rows to the version at some index *)
+  let gen_steps = Gen.(list_size (int_range 1 12) (pair nat (list_size (int_range 1 5) gen_row))) in
+  Test.make ~name:"appends never change another version's rows" ~count:200
+    (make gen_steps)
+    (fun steps ->
+      let start = R.create cols [ [| i 1; f 0.5; V.date 1996 1 1 |] ] in
+      let versions =
+        List.fold_left
+          (fun versions (pick, rows) ->
+            let db, expected = List.nth versions (pick mod List.length versions) in
+            versions
+            @ [ (Engine.Db.append db "t" (R.create cols rows), R.append expected rows) ])
+          [ (Engine.Db.put (Engine.Db.create Catalog.empty) "t" start, start) ]
+          steps
+      in
+      List.for_all
+        (fun (db, expected) -> R.bag_equal (Engine.Db.get_exn db "t") expected)
+        versions)
+
 let suite =
   [
     Alcotest.test_case "3vl filtering" `Quick test_filter_3vl;
@@ -285,4 +394,6 @@ let suite =
     Alcotest.test_case "missing contents" `Quick test_scan_error;
     Alcotest.test_case "NaN aggregates across engines" `Quick
       test_nan_aggregates;
+    QCheck_alcotest.to_alcotest prop_stored_roundtrip;
+    QCheck_alcotest.to_alcotest prop_append_versions;
   ]

@@ -175,6 +175,92 @@ let test_queries_on_summary_directly () =
   let rel = last_table (script sn "SELECT g, s FROM m ORDER BY g;") in
   Alcotest.(check int) "summary queryable" 2 (R.cardinality rel)
 
+(* Tables and summaries are stored as column batches, and no set-up,
+   read or insert path should box one back into rows: an adhoc_plan-style
+   set-up (one summary per non-empty subset of six grouping columns) and a
+   stream of rewritten reads with fresh range constants, with INSERTs that
+   every summary absorbs incrementally, build no row through [Db.get] on
+   the vectorized engine. The reference engine boxes every scan, which
+   shows the counter is live. *)
+let test_no_row_materialization () =
+  let module W = Workload.Star_schema in
+  let params = { W.default_params with n_custs = 6; trans_per_acct_year = 40 } in
+  let sn = Sess.of_tables (W.catalog ()) (W.generate params) in
+  let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let built0 = counter "db.materialized_rows"
+  and rewrites0 = counter "plan.rewrites" in
+  let dims =
+    [
+      ("flid", "flid"); ("faid", "faid"); ("fpgid", "fpgid");
+      ("year(date) AS year", "year(date)"); ("month(date) AS month", "month(date)");
+      ("qty", "qty");
+    ]
+  in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | x :: rest ->
+        let r = subsets rest in
+        r @ List.map (fun s -> x :: s) r
+  in
+  List.iteri
+    (fun i keys ->
+      if keys <> [] then
+        ignore
+          (script sn
+             (Printf.sprintf
+                "CREATE SUMMARY TABLE g_mv%d AS SELECT %s, COUNT(*) AS c, \
+                 SUM(qty) AS sq FROM Trans GROUP BY %s;"
+                i
+                (String.concat ", " (List.map fst keys))
+                (String.concat ", " (List.map snd keys)))))
+    (subsets dims);
+  let rng = Random.State.make [| 7 |] in
+  let reads = 40 in
+  for k = 1 to reads do
+    if k mod 8 = 0 then
+      ignore
+        (script sn
+           (Printf.sprintf
+              "INSERT INTO Trans VALUES (%d, 1, 2, 3, DATE '1995-03-04', 2, \
+               10.50, 0.05), (%d, 2, 3, 4, DATE '1996-11-20', 1, 99.00, 0.0);"
+              (900_000 + (2 * k)) (900_001 + (2 * k))));
+    let r n = 1 + Random.State.int rng n in
+    ignore
+      (script sn
+         (match Random.State.int rng 3 with
+         | 0 ->
+             let a = r 100 in
+             Printf.sprintf
+               "SELECT flid, SUM(qty) AS s FROM Trans WHERE flid BETWEEN %d AND \
+                %d GROUP BY flid;"
+               a (a + r 40)
+         | 1 ->
+             Printf.sprintf
+               "SELECT fpgid, year(date) AS year, COUNT(*) AS c FROM Trans \
+                WHERE fpgid >= %d AND faid <= %d GROUP BY fpgid, year(date);"
+               (r 20) (r 80)
+         | _ ->
+             Printf.sprintf
+               "SELECT year(date) AS year, month(date) AS month, COUNT(*) AS \
+                c, SUM(qty) AS s FROM Trans WHERE flid < %d AND fpgid > %d \
+                GROUP BY year(date), month(date);"
+               (1 + r 99) (r 19)))
+  done;
+  let built = counter "db.materialized_rows" - built0 in
+  Alcotest.(check int) "every read rewritten" reads (counter "plan.rewrites" - rewrites0);
+  Alcotest.(check (list string)) "every summary still fresh" []
+    (Mvstore.Store.stale (Sess.store sn));
+  (match Engine.Exec.default_engine with
+  | Engine.Exec.Vector -> Alcotest.(check int) "no rows materialized" 0 built
+  | Engine.Exec.Reference ->
+      Alcotest.(check bool) "reference scans box rows" true (built > 0));
+  (* and the counter counts exactly the rows [Db.get] builds *)
+  let before = counter "db.materialized_rows" in
+  ignore (Engine.Db.get_exn (Sess.db sn) "Trans");
+  Alcotest.(check int) "one table's rows"
+    (Engine.Db.cardinality (Sess.db sn) "Trans")
+    (counter "db.materialized_rows" - before)
+
 let suite =
   [
     Alcotest.test_case "ddl/dml/query" `Quick test_ddl_dml_query;
@@ -188,4 +274,6 @@ let suite =
     Alcotest.test_case "query summary directly" `Quick
       test_queries_on_summary_directly;
     Alcotest.test_case "explain diagnostics" `Quick test_explain_diagnostics;
+    Alcotest.test_case "no row materialization" `Quick
+      test_no_row_materialization;
   ]

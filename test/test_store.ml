@@ -251,6 +251,57 @@ let prop_incremental_equals_full =
         (R.project (Engine.Db.get_exn db "m")
            (Array.to_list (R.columns recomputed))))
 
+(* A summary is stored as the executor's result batch, which is computed
+   in the scratch arena; every later run reuses the arena's pooled chunks,
+   most recently returned first. The batch must be copied out before it is
+   stored: after an INSERT and a run of large base-table queries writing
+   over those chunks, each summary still equals its reference re-derivation
+   and the table holds exactly its rows. *)
+let test_stored_batches_survive_arena_reuse () =
+  let module Sess = Mvstore.Session in
+  let col name ty = { Catalog.col_name = name; col_ty = ty; nullable = true } in
+  let cat =
+    Catalog.add_table Catalog.empty
+      {
+        Catalog.tbl_name = "t";
+        tbl_cols = [ col "k" V.Tint; col "g" V.Tint; col "v" V.Tfloat; col "s" V.Tstr ];
+        primary_key = [];
+        unique_keys = [];
+        foreign_keys = [];
+      }
+  in
+  let row k = [| i k; i (k mod 7); f (float_of_int (k mod 13) *. 1.5); s (Printf.sprintf "s%d" (k mod 5)) |] in
+  let initial = List.init 4000 row in
+  let inserted = [ [| i 4000; i 3; f 4.5; s "s0" |]; [| i 4001; i 9; f 0.25; s "new" |] ] in
+  let sn = Sess.of_tables cat [ ("t", R.create [ "k"; "g"; "v"; "s" ] initial) ] in
+  let exec sql = ignore (Sess.exec_sql sn sql) in
+  exec "CREATE SUMMARY TABLE m1 AS SELECT g, COUNT(*) AS c, SUM(v) AS sv FROM t GROUP BY g;";
+  exec "INSERT INTO t VALUES (4000, 3, 4.5, 's0'), (4001, 9, 0.25, 'new');";
+  exec
+    "CREATE SUMMARY TABLE m2 AS SELECT s, g, COUNT(*) AS c, MIN(v) AS lo, \
+     MAX(k) AS hi FROM t GROUP BY s, g;";
+  for q = 1 to 24 do
+    exec
+      (Printf.sprintf
+         "SELECT k * %d AS x, g + %d AS y, v * %d.0 AS z, s FROM t WHERE k >= %d;"
+         q q q (q * 50))
+  done;
+  let db = Sess.db sn in
+  List.iter
+    (fun name ->
+      let e = Option.get (S.find (Sess.store sn) name) in
+      Alcotest.(check bool) (name ^ " fresh") true e.S.e_fresh;
+      let derived =
+        Engine.Exec.run ~engine:Engine.Exec.Reference db e.S.e_graph
+      in
+      Alcotest.(check bool)
+        (name ^ " equals its re-derivation")
+        true
+        (R.bag_equal_approx derived (Engine.Db.get_exn db name)))
+    [ "m1"; "m2" ];
+  check_rows "table rows" (R.create [ "k"; "g"; "v"; "s" ] (initial @ inserted))
+    (Engine.Db.get_exn db "t")
+
 let suite =
   [
     Alcotest.test_case "define registers" `Quick test_define_registers_table;
@@ -271,5 +322,7 @@ let suite =
       test_delete_count_zero_removes_group;
     Alcotest.test_case "delete: MIN/MAX goes stale" `Quick
       test_delete_minmax_goes_stale;
+    Alcotest.test_case "stored batches survive arena reuse" `Quick
+      test_stored_batches_survive_arena_reuse;
     QCheck_alcotest.to_alcotest prop_incremental_equals_full;
   ]
