@@ -120,13 +120,13 @@ let config_term =
 
 (* The paper's star schema at [scale], loaded into a private session. *)
 let demo_session ~config ~scale ~log =
-  let tables =
-    Workload.Star_schema.generate (Workload.Star_schema.scaled scale)
+  let batches =
+    Workload.Star_schema.generate_batches (Workload.Star_schema.scaled scale)
   in
   log
     (Printf.sprintf "loaded star schema (%d transactions)"
-       (Data.Relation.cardinality (List.assoc "Trans" tables)));
-  Mvstore.Session.of_tables ~config (Workload.Star_schema.catalog ()) tables
+       (List.assoc "Trans" batches).Engine.Column.nrows);
+  Mvstore.Session.of_batches ~config (Workload.Star_schema.catalog ()) batches
 
 (* Boot-time recovery from the durability directory, reported on
    stderr after [label]. *)

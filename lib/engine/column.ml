@@ -370,30 +370,150 @@ let persist (b : batch) : batch =
   { b with cols = Array.map col b.cols }
 
 (* Distinct values, NULL counting as one, as a hash table of the boxed
-   values counts them: -0.0 is 0.0 and every NaN is one value. *)
-let ndv (c : t) : int =
-  let n = length c in
-  let count key =
-    let seen = Hashtbl.create 64 in
+   values counts them: -0.0 is 0.0 and every NaN is one value. Typed
+   columns count without boxing. Integers (and dates, and dictionary
+   codes, whose dictionaries hold distinct strings) whose span is small
+   next to the row count mark a byte bitmap over [lo, hi]; wider ones, and
+   floats by their bits, go into an open-addressing set that doubles at
+   half load. Both are exact. *)
+
+(* Fibonacci hashing: the top [bits] bits of [x] times 2^63/phi *)
+let fib_hash x bits = (x * 0x4F1BBCDCBFA53E0B) lsr (Sys.int_size - bits)
+
+(* Open-addressing sets with linear probing over [2^bits] slots, grown by
+   doubling at half load. An int set marks empty slots with min_int and a
+   float set with NaN, so callers count those values aside. [add_int] and
+   [add_float] insert [src.{i}] and tell whether it was new; they take the
+   source buffer rather than the value so that no float is boxed on the
+   way, and every loop here is written out per type for the same reason. *)
+let add_int (s : ints) bits (src : ints) i =
+  let x = BA1.unsafe_get src i in
+  let mask = BA1.dim s - 1 in
+  let h = ref (fib_hash x bits) in
+  while
+    let y = BA1.unsafe_get s !h in
+    y <> min_int && y <> x
+  do
+    h := (!h + 1) land mask
+  done;
+  BA1.unsafe_get s !h = min_int && (BA1.unsafe_set s !h x; true)
+
+let int_set bits old =
+  let s = icreate (1 lsl bits) in
+  BA1.fill s min_int;
+  for h = 0 to BA1.dim old - 1 do
+    if BA1.unsafe_get old h <> min_int then ignore (add_int s bits old h)
+  done;
+  s
+
+(* -0.0 goes in as 0.0 *)
+let add_float (s : floats) bits (src : floats) i =
+  let x = BA1.unsafe_get src i in
+  let x = if x = 0.0 then 0.0 else x in
+  let mask = BA1.dim s - 1 in
+  let h = ref (fib_hash (Int64.to_int (Int64.bits_of_float x)) bits) in
+  while
+    let y = BA1.unsafe_get s !h in
+    y = y && y <> x
+  do
+    h := (!h + 1) land mask
+  done;
+  let y = BA1.unsafe_get s !h in
+  y <> y && (BA1.unsafe_set s !h x; true)
+
+let float_set bits old =
+  let s = fcreate (1 lsl bits) in
+  BA1.fill s Float.nan;
+  for h = 0 to BA1.dim old - 1 do
+    if not (Float.is_nan (BA1.unsafe_get old h)) then ignore (add_float s bits old h)
+  done;
+  s
+
+(* distinct non-NULL values of [a]; [m] marks NULL rows when [masked] *)
+let distinct_ints (a : ints) masked m =
+  let n = BA1.dim a in
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to n - 1 do
+    if (not masked) || Bytes.unsafe_get m i = '\000' then begin
+      let x = BA1.unsafe_get a i in
+      if x < !lo then lo := x;
+      if x > !hi then hi := x
+    end
+  done;
+  let lo = !lo and hi = !hi in
+  (* the true span overflows, and [hi - lo] wraps negative, only when it
+     exceeds max_int *)
+  let span = hi - lo in
+  if lo > hi then 0
+  else if span >= 0 && span < (4 * n) + 1024 then begin
+    let seen = Bytes.make (span + 1) '\000' in
+    let count = ref 0 in
     for i = 0 to n - 1 do
-      if not (is_null c i) then Hashtbl.replace seen (key i) ()
+      if (not masked) || Bytes.unsafe_get m i = '\000' then begin
+        let k = BA1.unsafe_get a i - lo in
+        if Bytes.unsafe_get seen k = '\000' then begin
+          Bytes.unsafe_set seen k '\001';
+          incr count
+        end
+      end
     done;
-    let has_null = match c.nulls with Some m -> not (no_nulls m) | None -> false in
-    Hashtbl.length seen + if has_null then 1 else 0
+    !count
+  end
+  else begin
+    let bits = ref 6 in
+    let set = ref (int_set !bits (icreate 0)) in
+    let size = ref 0 and has_min = ref false in
+    for i = 0 to n - 1 do
+      if (not masked) || Bytes.unsafe_get m i = '\000' then
+        if BA1.unsafe_get a i = min_int then has_min := true
+        else if add_int !set !bits a i then begin
+          incr size;
+          if 2 * !size > BA1.dim !set then begin
+            incr bits;
+            set := int_set !bits !set
+          end
+        end
+    done;
+    !size + Bool.to_int !has_min
+  end
+
+(* distinct non-NULL values of [a], every NaN one value *)
+let distinct_floats (a : floats) masked m =
+  let bits = ref 6 in
+  let set = ref (float_set !bits (fcreate 0)) in
+  let size = ref 0 and has_nan = ref false in
+  for i = 0 to BA1.dim a - 1 do
+    if (not masked) || Bytes.unsafe_get m i = '\000' then
+      if Float.is_nan (BA1.unsafe_get a i) then has_nan := true
+      else if add_float !set !bits a i then begin
+        incr size;
+        if 2 * !size > BA1.dim !set then begin
+          incr bits;
+          set := float_set !bits !set
+        end
+      end
+  done;
+  !size + Bool.to_int !has_nan
+
+let ndv (c : t) : int =
+  let masked, m =
+    match c.nulls with Some m -> (true, m) | None -> (false, Bytes.empty)
   in
+  let null = Bool.to_int (masked && Bytes.contains m '\001') in
   match c.data with
-  | Ints a | Dates a -> count (BA1.get a)
-  | Floats a ->
-      count (fun i ->
-          let x = BA1.get a i in
-          if x = 0.0 then 0L
-          else if Float.is_nan x then Int64.bits_of_float Float.nan
-          else Int64.bits_of_float x)
-  | Bools b -> count (fun i -> Bytes.get b i = '\001')
-  | Dict (codes, dict) -> count (fun i -> dict.(BA1.get codes i))
+  | Ints a | Dates a | Dict (a, _) -> distinct_ints a masked m + null
+  | Floats a -> distinct_floats a masked m + null
+  | Bools b ->
+      let t = ref false and f = ref false in
+      Bytes.iteri
+        (fun i x ->
+          if (not masked) || Bytes.unsafe_get m i = '\000' then
+            if x = '\001' then t := true else f := true)
+        b;
+      Bool.to_int !t + Bool.to_int !f + null
   | Boxed _ ->
       let seen = Hashtbl.create 64 in
-      for i = 0 to n - 1 do
+      for i = 0 to length c - 1 do
         Hashtbl.replace seen (get c i) ()
       done;
       Hashtbl.length seen

@@ -18,7 +18,9 @@ module BA1 = Bigarray.Array1
    snapshot, a rolled-back statement's) copies instead. *)
 type spare = { buffers : C.data array; cap : int; extent : int Atomic.t }
 
-type entry = { batch : C.batch; spare : spare option }
+(* [scanned] is the row count when the distinct-value statistics were last
+   counted. *)
+type entry = { batch : C.batch; spare : spare option; scanned : int }
 type t = { cat : Catalog.t; tables : entry Smap.t }
 
 let norm = String.lowercase_ascii
@@ -29,15 +31,21 @@ let with_catalog db cat = { db with cat }
 let materialized_rows = Obs.Metrics.counter "db.materialized_rows"
 
 (* Install [b] under [name] and refresh its statistics. Distinct-count
-   statistics are exact but only refreshed when the table changed
-   materially since the last scan (>5% or 100 rows), so a stream of small
-   INSERT/DELETE statements stays linear instead of rescanning the whole
-   table each time. [ndv i] counts column [i]'s distinct values. *)
+   statistics are exact but only recounted when the table changed
+   materially since the last count (>5% and >100 rows), so a stream of
+   small INSERT/DELETE statements stays linear instead of rescanning the
+   whole table each time, while the drift the statements add up to still
+   triggers a recount. [ndv i] counts column [i]'s distinct values. *)
 let install ?(ndv = fun (b : C.batch) i -> C.ndv b.C.cols.(i)) ?spare db name
     (b : C.batch) =
   let n = b.C.nrows in
+  let last_scan =
+    match (Smap.find_opt (norm name) db.tables, Catalog.row_count db.cat name) with
+    | Some e, Some _ -> Some e.scanned
+    | _ -> None
+  in
   let stale =
-    match Catalog.row_count db.cat name with
+    match last_scan with
     | None -> true
     | Some old -> abs (n - old) > Stdlib.max 100 (old / 20)
   in
@@ -51,7 +59,8 @@ let install ?(ndv = fun (b : C.batch) i -> C.ndv b.C.cols.(i)) ?spare db name
         b.C.names;
       !cat
   in
-  { cat; tables = Smap.add (norm name) { batch = b; spare } db.tables }
+  let scanned = match last_scan with Some old when not stale -> old | _ -> n in
+  { cat; tables = Smap.add (norm name) { batch = b; spare; scanned } db.tables }
 
 let put db name rel =
   (* a column mixing INT and FLOAT values decodes to floats, where Int 3
@@ -113,7 +122,7 @@ let append db name delta =
   match Smap.find_opt (norm name) db.tables with
   | None -> put db name delta
   | Some _ when R.cardinality delta = 0 -> db
-  | Some { batch = cur; spare } ->
+  | Some { batch = cur; spare; _ } ->
       let d = C.of_relation delta in
       let n = cur.C.nrows and k = d.C.nrows in
       if not (in_place cur d) then
@@ -175,3 +184,6 @@ let drop db name = { db with tables = Smap.remove (norm name) db.tables }
 
 let of_tables cat tables =
   List.fold_left (fun db (n, r) -> put db n r) (create cat) tables
+
+let of_batches cat batches =
+  List.fold_left (fun db (n, b) -> put_batch db n b) (create cat) batches

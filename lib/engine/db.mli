@@ -5,7 +5,9 @@
     it directly; a boxed {!Data.Relation.t} is built only on request
     ({!get}), for the reference engine, DELETE, CSV export, recovery's
     payload check and tests. Row counts and distinct-value counts are
-    computed from the typed columns.
+    computed from the typed columns. The row count is always current; the
+    distinct counts are recounted whenever the row count has moved more
+    than 5% and more than 100 rows from the count at their last recount.
 
     Functional updates; callers thread the value (the CLI session holds a
     ref). Summary-table contents live here too, under their table name. *)
@@ -54,3 +56,8 @@ val drop : t -> string -> t
 
 (** [of_tables cat tables] bulk-loads [(name, relation)] pairs. *)
 val of_tables : Catalog.t -> (string * Data.Relation.t) list -> t
+
+(** [of_batches cat batches] bulk-loads [(name, batch)] pairs without
+    building rows; each batch must not be arena-backed, as for
+    {!put_batch}. *)
+val of_batches : Catalog.t -> (string * Column.batch) list -> t

@@ -76,6 +76,9 @@ let create ?config () = make ?config (Engine.Db.create Catalog.empty)
 let of_tables ?config cat tables =
   make ?config (Engine.Db.of_tables cat tables)
 
+let of_batches ?config cat batches =
+  make ?config (Engine.Db.of_batches cat batches)
+
 (* ---------------- shared-state binding ---------------- *)
 
 (* A session bound to a Shared.t reads (db, store) as one consistent

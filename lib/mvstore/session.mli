@@ -53,6 +53,11 @@ val create : ?config:config -> unit -> t
 val of_tables :
   ?config:config -> Catalog.t -> (string * Data.Relation.t) list -> t
 
+(** The same from typed column batches ({!Engine.Db.of_batches}): no row is
+    built. *)
+val of_batches :
+  ?config:config -> Catalog.t -> (string * Engine.Column.batch) list -> t
+
 (** [attach shared] creates a session bound to {!Shared} database state, so
     many sessions — typically one per server connection, running on
     different domains — serve the same catalog. In shared mode every

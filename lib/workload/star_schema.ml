@@ -1,5 +1,7 @@
 module V = Data.Value
 module R = Data.Relation
+module C = Engine.Column
+module BA1 = Bigarray.Array1
 
 let col name ty nullable = { Catalog.col_name = name; col_ty = ty; nullable }
 
@@ -139,10 +141,15 @@ let countries = [| "USA"; "USA"; "USA"; "Canada"; "France"; "Germany"; "Japan" |
 let us_states =
   [| "CA"; "NY"; "TX"; "WA"; "IL"; "FL"; "MA"; "OR"; "CO"; "GA" |]
 
-let generate p =
+(* [Trans] grows with scale, so its rows are never boxed: each column is
+   written into a typed buffer that starts near the expected row count,
+   doubles when full and is trimmed to the final count once. The dimension
+   tables are small and are classified from boxed values. *)
+let generate_batches p =
   let rng = Random.State.make [| p.seed |] in
   let rint n = Random.State.int rng n in
   let rfloat x = Random.State.float rng x in
+  let dim names rows = C.of_relation (R.create names rows) in
   let pgroup_rows =
     List.init p.n_pgroups (fun i ->
         let base = product_names.(i mod Array.length product_names) in
@@ -174,8 +181,38 @@ let generate p =
         [| V.Int (i + 1); V.Int ((i mod p.n_custs) + 1);
            V.Str statuses.(rint 3) |])
   in
-  let trans = ref [] in
-  let tid = ref 0 in
+  (* tid faid flid fpgid date qty, then price disc *)
+  let cap =
+    ref
+      (max 16
+         (n_accts * List.length p.years * max 1 p.trans_per_acct_year * 17 / 16))
+  in
+  let ints = Array.init 6 (fun _ -> C.icreate !cap) in
+  let floats = Array.init 2 (fun _ -> C.fcreate !cap) in
+  let n = ref 0 in
+  (* a [len]-row buffer holding the [!n] rows written so far *)
+  let resize create a len =
+    let b = create len in
+    BA1.blit (BA1.sub a 0 !n) (BA1.sub b 0 !n);
+    b
+  in
+  let push tid aid flid fpgid date qty price disc =
+    if !n = !cap then begin
+      cap := 2 * !cap;
+      Array.iteri (fun k a -> ints.(k) <- resize C.icreate a !cap) ints;
+      Array.iteri (fun k a -> floats.(k) <- resize C.fcreate a !cap) floats
+    end;
+    let i = !n in
+    BA1.unsafe_set ints.(0) i tid;
+    BA1.unsafe_set ints.(1) i aid;
+    BA1.unsafe_set ints.(2) i flid;
+    BA1.unsafe_set ints.(3) i fpgid;
+    BA1.unsafe_set ints.(4) i date;
+    BA1.unsafe_set ints.(5) i qty;
+    BA1.unsafe_set floats.(0) i price;
+    BA1.unsafe_set floats.(1) i disc;
+    n := i + 1
+  in
   let month_days = [| 31; 28; 31; 30; 31; 30; 31; 31; 30; 31; 30; 31 |] in
   for aid = 1 to n_accts do
     let home = 1 + rint p.n_locs in
@@ -183,9 +220,8 @@ let generate p =
     List.iter
       (fun year ->
         let mean = p.trans_per_acct_year in
-        let n = max 1 (mean / 2 + rint (max 1 mean)) in
-        for _ = 1 to n do
-          incr tid;
+        let k = max 1 (mean / 2 + rint (max 1 mean)) in
+        for _ = 1 to k do
           let m = 1 + rint 12 in
           let d = 1 + rint month_days.(m - 1) in
           let r = rfloat 1.0 in
@@ -209,20 +245,32 @@ let generate p =
             | 2 -> 0.15
             | _ -> 0.25
           in
-          trans :=
-            [| V.Int !tid; V.Int aid; V.Int flid; V.Int fpgid;
-               V.date year m d; V.Int qty; V.Float price; V.Float disc |]
-            :: !trans
+          let date = match V.date year m d with V.Date x -> x | _ -> assert false in
+          push (!n + 1) aid flid fpgid date qty price disc
         done)
       p.years
   done;
+  let col data = { C.data; nulls = None } in
+  let ints = Array.map (fun a -> resize C.icreate a !n) ints in
+  let floats = Array.map (fun a -> resize C.fcreate a !n) floats in
   [
-    ("PGroup", R.create [ "pgid"; "pgname" ] pgroup_rows);
-    ("Loc", R.create [ "lid"; "city"; "state"; "country" ] loc_rows);
-    ("Cust", R.create [ "cid"; "cname"; "segment" ] cust_rows);
-    ("Acct", R.create [ "aid"; "cid"; "status" ] acct_rows);
+    ("PGroup", dim [ "pgid"; "pgname" ] pgroup_rows);
+    ("Loc", dim [ "lid"; "city"; "state"; "country" ] loc_rows);
+    ("Cust", dim [ "cid"; "cname"; "segment" ] cust_rows);
+    ("Acct", dim [ "aid"; "cid"; "status" ] acct_rows);
     ( "Trans",
-      R.create
-        [ "tid"; "faid"; "flid"; "fpgid"; "date"; "qty"; "price"; "disc" ]
-        (List.rev !trans) );
+      {
+        C.names =
+          [| "tid"; "faid"; "flid"; "fpgid"; "date"; "qty"; "price"; "disc" |];
+        cols =
+          [|
+            col (C.Ints ints.(0)); col (C.Ints ints.(1)); col (C.Ints ints.(2));
+            col (C.Ints ints.(3)); col (C.Dates ints.(4)); col (C.Ints ints.(5));
+            col (C.Floats floats.(0)); col (C.Floats floats.(1));
+          |];
+        nrows = !n;
+      } );
   ]
+
+let generate p =
+  List.map (fun (name, b) -> (name, C.to_relation b)) (generate_batches p)

@@ -31,5 +31,10 @@ val default_params : params
 (** [scaled n] multiplies the number of customers by [n] (n >= 1). *)
 val scaled : int -> params
 
-(** Generate table contents; deterministic in [params.seed]. *)
+(** Generate table contents as typed column batches; deterministic in
+    [params.seed]. [Trans] is written straight into typed columns and never
+    exists as boxed rows. *)
+val generate_batches : params -> (string * Engine.Column.batch) list
+
+(** The same contents as relations: {!generate_batches}, boxed. *)
 val generate : params -> (string * Data.Relation.t) list

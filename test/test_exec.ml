@@ -287,13 +287,35 @@ let recompute_ndvs cat name rel =
 
 let shape_cols = [ "i"; "f"; "m"; "s"; "d"; "b"; "n" ]
 
+(* Shapes that reach every typed distinct-count path: narrow and wide
+   integer spans (up to [min_int .. max_int], whose width overflows),
+   floats with both zeros, NaNs of several bit patterns, infinity and
+   hundreds of other values, and up to 600 rows, so the hash sets grow. *)
 let gen_shaped_relation =
   let open QCheck.Gen in
   let nullable g = frequency [ (1, return V.Null); (4, g) ] in
-  let floats = [ 0.0; -0.0; Float.nan; 1.5; -2.25; 3.0; Float.infinity ] in
+  let floats =
+    [ 0.0; -0.0; Float.nan; -.Float.nan; Int64.float_of_bits 0x7FF0000000000001L;
+      1.5; -2.25; 3.0; Float.infinity ]
+  in
+  let float_gen =
+    frequency
+      [ (3, oneofl floats); (1, map (fun x -> float_of_int x /. 8.) (int_range (-2000) 2000)) ]
+  in
+  let* wide = bool in
+  let int_gen =
+    if not wide then int_range (-3) 3
+    else
+      frequency
+        [
+          (3, int_range (-3) 3);
+          (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]);
+          (2, int);
+        ]
+  in
   let row =
-    let* ints = nullable (map (fun x -> V.Int x) (int_range (-3) 3)) in
-    let* fl = nullable (map (fun x -> V.Float x) (oneofl floats)) in
+    let* ints = nullable (map (fun x -> V.Int x) int_gen) in
+    let* fl = nullable (map (fun x -> V.Float x) float_gen) in
     (* an INT value in a FLOAT column, colliding with floats at 0 and 3 *)
     let* mixed =
       nullable
@@ -308,14 +330,25 @@ let gen_shaped_relation =
     let* b = nullable (map (fun x -> V.Bool x) bool) in
     return [| ints; fl; mixed; str; date; b; V.Null |]
   in
-  let* n = frequency [ (1, return 0); (7, int_range 1 40) ] in
+  let* n =
+    frequency [ (1, return 0); (6, int_range 1 40); (3, int_range 41 600) ]
+  in
   map (R.create shape_cols) (list_repeat n row)
+
+(* A hash table of a column's boxed values: the oracle for a stored
+   batch's distinct counts. *)
+let boxed_ndv (c : Engine.Column.t) =
+  let seen = Hashtbl.create 64 in
+  Array.iter (fun v -> Hashtbl.replace seen v ()) (Engine.Column.to_values c);
+  Hashtbl.length seen
 
 let prop_stored_roundtrip =
   QCheck.Test.make ~name:"stored batches round-trip with row-scan statistics"
     ~count:300
-    (QCheck.make ~print:R.to_string gen_shaped_relation)
-    (fun rel ->
+    (QCheck.make
+       ~print:(fun (rel, k) -> Printf.sprintf "split %d of %s" k (R.to_string rel))
+       QCheck.Gen.(pair gen_shaped_relation nat))
+    (fun (rel, k) ->
       let db = Engine.Db.put (Engine.Db.create Catalog.empty) "t" rel in
       let back = Engine.Db.get_exn db "t" in
       let cat = Engine.Db.catalog db in
@@ -335,7 +368,53 @@ let prop_stored_roundtrip =
               (Option.fold ~none:"-" ~some:string_of_int stored)
               (Option.fold ~none:"-" ~some:string_of_int scanned))
         shape_cols;
+      (* the same rows stored as two decoded pieces concatenated, whose
+         string columns carry different dictionaries *)
+      let rows = R.rows rel in
+      let k = if rows = [] then 0 else k mod (List.length rows + 1) in
+      let piece rs = Engine.Column.of_relation (R.create shape_cols rs) in
+      let a = piece (List.filteri (fun i _ -> i < k) rows)
+      and b = piece (List.filteri (fun i _ -> i >= k) rows) in
+      let joined =
+        {
+          a with
+          Engine.Column.cols =
+            Array.map2
+              (fun x y -> Engine.Column.concat [ x; y ])
+              a.Engine.Column.cols b.Engine.Column.cols;
+          nrows = a.Engine.Column.nrows + b.Engine.Column.nrows;
+        }
+      in
+      let cat =
+        Engine.Db.catalog
+          (Engine.Db.put_batch (Engine.Db.create Catalog.empty) "u" joined)
+      in
+      Array.iteri
+        (fun i c ->
+          let stored = Catalog.col_ndv cat "u" c
+          and scanned = boxed_ndv joined.Engine.Column.cols.(i) in
+          if stored <> Some scanned then
+            QCheck.Test.fail_reportf "concatenated ndv(%s): stored %s, row scan %d" c
+              (Option.fold ~none:"-" ~some:string_of_int stored)
+              scanned)
+        joined.Engine.Column.names;
       true)
+
+(* Distinct counts are recounted once the row count drifts materially
+   from the count at the last recount, however small each append. *)
+let test_ndv_drift () =
+  let keys lo k = R.create [ "k" ] (List.init k (fun j -> [| V.Int (lo + j) |])) in
+  let db = ref (Engine.Db.put (Engine.Db.create Catalog.empty) "t" (keys 0 1000)) in
+  for step = 0 to 499 do
+    db := Engine.Db.append !db "t" (keys (1000 + (4 * step)) 4)
+  done;
+  let cat = Engine.Db.catalog !db in
+  Alcotest.(check (option int)) "row count" (Some 3000) (Catalog.row_count cat "t");
+  match Catalog.col_ndv cat "t" "k" with
+  | Some ndv ->
+      if ndv < 3000 - (3000 / 20) || ndv > 3000 then
+        Alcotest.failf "ndv(k) = %d, more than 5%% from 3000" ndv
+  | None -> Alcotest.fail "no ndv(k)"
 
 (* Appends write into spare capacity shared by every version of a table.
    Appending to any version — the newest, or an older snapshot as a
@@ -395,5 +474,6 @@ let suite =
     Alcotest.test_case "NaN aggregates across engines" `Quick
       test_nan_aggregates;
     QCheck_alcotest.to_alcotest prop_stored_roundtrip;
+    Alcotest.test_case "ndv recount follows append drift" `Quick test_ndv_drift;
     QCheck_alcotest.to_alcotest prop_append_versions;
   ]
