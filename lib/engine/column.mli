@@ -79,7 +79,10 @@ val persist : batch -> batch
 
 (** Distinct values of a column, NULL counting as one value: the count a
     hash table of its boxed values would hold ([-0.0] is [0.0], every NaN
-    is one value). *)
+    is one value). Typed columns are counted without boxing, through a
+    byte bitmap over a small integer span or an open-addressing set;
+    dictionary columns count their codes, so a dictionary's entries must
+    be distinct (as {!of_values} and {!concat} keep them). *)
 val ndv : t -> int
 
 (** [gather c idx k] takes rows of [c] at [idx.(0..k-1)], in order. *)
