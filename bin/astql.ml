@@ -339,7 +339,8 @@ let make_session ~config ~demo ~scale =
    is WAL-logged before it is published), quarantined summaries from
    degraded recovery are queued for self-healing rebuild, and — however
    [k] returns or raises — a final checkpoint folds the WAL away so the
-   next boot replays nothing. *)
+   next boot replays nothing (skipped when nothing was logged since the
+   newest checkpoint). *)
 let with_session ~config ~demo ~scale ~durability ~fsync ~checkpoint_every k
     =
   match durability with
@@ -363,7 +364,7 @@ let with_session ~config ~demo ~scale ~durability ~fsync ~checkpoint_every k
         report.Durable.Manager.r_quarantined;
       Fun.protect
         ~finally:(fun () ->
-          Durable.Manager.checkpoint mgr;
+          ignore (Durable.Manager.final_checkpoint mgr);
           Durable.Manager.close mgr)
         (fun () -> k session (Some mgr))
 

@@ -135,8 +135,9 @@ let serve addr domains queue_depth backlog config request_deadline_ms
   | None -> ()
   | Some (mgr, _, _) ->
       (* every request is done or disconnected: fold the log into a final
-         checkpoint so the next boot skips replay entirely — unless the
-         drain already consumed the shutdown window. A supervisor that
+         checkpoint so the next boot skips replay entirely — unless nothing
+         was logged since the newest checkpoint, or the drain already
+         consumed the shutdown window. A supervisor that
          sent SIGTERM follows with SIGKILL; a checkpoint cut down by it
          would be discarded at recovery anyway, while the WAL already
          holds every acknowledged write. Skipping is safe (recovery
@@ -149,11 +150,15 @@ let serve addr domains queue_depth backlog config request_deadline_ms
            %!"
           drain_elapsed_ms drain_ms
       end
-      else begin
-        Durable.Manager.checkpoint mgr;
+      else if Durable.Manager.final_checkpoint mgr then
         Printf.eprintf "astql-server: final checkpoint at lsn %d\n%!"
           (Durable.Manager.checkpoint_lsn mgr)
-      end;
+      else
+        Printf.eprintf
+          "astql-server: no write since the checkpoint at lsn %d; final \
+           checkpoint skipped\n\
+           %!"
+          (Durable.Manager.checkpoint_lsn mgr);
       Durable.Manager.close mgr);
   match metrics_out with
   | None -> ()

@@ -1,35 +1,39 @@
 (** Checkpoints: atomic snapshots of the whole database state.
 
-    A checkpoint file [ckpt-<lsn>.json] holds the catalog, every base
-    table's rows, and every summary table's definition, freshness and
-    payload, as of WAL position [lsn]. It is written to a temp file,
-    fsynced and renamed into place, so a crash at any point leaves either
-    the previous checkpoint set or the previous set plus one complete new
-    file — never a half checkpoint under the real name. The newest two
-    checkpoints are retained (the newest could be the one a crash
-    interrupted the WAL truncation of).
+    A checkpoint is a small manifest [ckpt-<lsn>.json] (format 2) plus the
+    typed chunk files it names. The manifest holds the catalog, every
+    summary's definition and freshness, and for every base table and
+    summary its row count, names, column kinds and ordered chunk names, as
+    of WAL position [lsn]. Each chunk ({!Chunk}) is a fixed row range, or
+    one column's dictionary, of a stored batch, in a file named
+    [<md5-hex>.chunk] after the MD5 digest of its bytes.
 
-    Crash-injection points ({!Guard.Fault}): an armed [Checkpoint_write]
-    SIGKILLs half-way through writing the temp file; an armed
-    [Checkpoint_rename] SIGKILLs just before the rename. Recovery must
-    survive both, falling back to the previous checkpoint + longer WAL
-    suffix. *)
+    Every new file is written to a temp file, fsynced and renamed; the
+    chunks land (and the directory is fsynced) before the manifest is
+    renamed into place, so a crash at any point leaves either the previous
+    manifests or the previous ones plus one complete new one whose chunks
+    are all on disk. The newest two manifests are retained, with every
+    chunk either of them names.
 
-(** Row payloads are sequences: writing reads them one row at a time (a
-    table's rows straight from its stored batch), loading yields them from
-    the decoded list. A sequence must be re-readable ({!to_json} and
-    {!write} each traverse it). *)
+    Crash-injection points ({!Guard.Fault}), each passed once per
+    checkpoint: an armed [Checkpoint_write] SIGKILLs half-way through the
+    first new file the checkpoint writes; an armed [Checkpoint_rename]
+    SIGKILLs just before the manifest rename. Recovery must survive both,
+    falling back to the previous checkpoint + longer WAL suffix.
+
+    Metrics: [durable.chunks_written], [durable.chunks_reused] and
+    [durable.checkpoint_bytes] (bytes of chunks and manifests written). *)
 
 type summary = {
   ck_name : string;
   ck_sql : string;          (** defining query, re-elaborated at recovery *)
   ck_fresh : bool;
-  ck_srows : Data.Relation.row Seq.t;
+  ck_sbatch : Engine.Column.batch;
 }
 
 type table = {
   ck_table : Catalog.table;  (** full schema incl. keys and FKs *)
-  ck_rows : Data.Relation.row Seq.t;
+  ck_batch : Engine.Column.batch;  (** one column per catalog column *)
 }
 
 type t = {
@@ -38,21 +42,38 @@ type t = {
   ck_summaries : summary list;
 }
 
-(** The on-disk JSON encoding (format-versioned; for tests). *)
-val to_json : t -> Obs.Json.t
+(** Chunk digests this process wrote, or read back and verified, for one
+    checkpoint. *)
+type known
 
-(** [write dir t] writes [ckpt-<lsn>.json] atomically and prunes all but
-    the two newest checkpoints. The file holds exactly {!to_json}'s
-    rendering plus a newline, encoded one row at a time. Raises on I/O
-    failure. *)
-val write : string -> t -> unit
+val nothing_known : known
 
-(** Decode one checkpoint file. *)
-val load_file : string -> (t, string) result
+(** [write ~known dir t] writes [t]'s chunks and then its manifest
+    [ckpt-<lsn>.json] atomically, and prunes all but the two newest
+    manifests, every chunk neither of them names and stray temp files. A
+    chunk whose digest is in [known] (default {!nothing_known}) is not
+    written again; a chunk file already on disk under the same name but
+    not in [known] is rewritten. Returns the digests the new manifest
+    names: the [known] of the next checkpoint. Raises on I/O failure. *)
+val write : ?known:known -> string -> t -> known
 
-(** Newest checkpoint in [dir] that decodes cleanly, skipping over invalid
+type loaded = {
+  l_ckpt : t;
+  l_damaged : string list;
+      (** summaries whose chunks were missing or failed their digest,
+          loaded with an empty payload *)
+  l_known : known;  (** every chunk verified while loading *)
+}
+
+(** Load one manifest and its chunks, checking every chunk's digest. A
+    base-table chunk that is missing or damaged fails the whole
+    checkpoint; a damaged summary chunk only empties that summary. A
+    manifest of another format (format 1 held JSON rows) is an error. *)
+val load_file : string -> (loaded, string) result
+
+(** Newest checkpoint in [dir] that loads cleanly, skipping over invalid
     or torn ones; [snd] is the number of candidates skipped. *)
-val load_latest : string -> t option * int
+val load_latest : string -> loaded option * int
 
 (** [ckpt-<lsn>.json] paths in [dir], newest first (by lsn). *)
 val files : string -> string list

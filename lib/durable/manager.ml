@@ -69,6 +69,10 @@ type t = {
   mutable m_lsn : int;       (* last assigned LSN *)
   mutable m_ckpt_lsn : int;  (* LSN the newest checkpoint covers *)
   mutable m_since : int;     (* commits since that checkpoint *)
+  mutable m_known : Checkpoint.known;  (* chunks the newest checkpoint names *)
+  mutable m_ckpt_epoch : int;
+      (* store epoch of the state the newest checkpoint holds: maintenance
+         rebuilds change the state without a WAL record *)
 }
 
 let config t = t.m_cfg
@@ -123,7 +127,10 @@ let checkpoint_of_snapshot ~lsn (snap : Sh.snapshot) =
   let db = snap.Sh.sn_db in
   let entries = St.entries snap.Sh.sn_store in
   let sum_names = List.map (fun e -> norm e.St.e_name) entries in
-  let rows_of name = Engine.Db.rows db name in
+  let batch_of name cols =
+    try Engine.Db.batch db name
+    with Invalid_argument _ -> Engine.Column.of_relation (R.empty cols)
+  in
   {
     Checkpoint.ck_lsn = lsn;
     ck_tables =
@@ -133,7 +140,7 @@ let checkpoint_of_snapshot ~lsn (snap : Sh.snapshot) =
       |> List.map (fun tb ->
              {
                Checkpoint.ck_table = tb;
-               ck_rows = rows_of tb.Catalog.tbl_name;
+               ck_batch = batch_of tb.Catalog.tbl_name (Catalog.column_names tb);
              });
     ck_summaries =
       List.map
@@ -142,7 +149,7 @@ let checkpoint_of_snapshot ~lsn (snap : Sh.snapshot) =
             Checkpoint.ck_name = e.St.e_name;
             ck_sql = e.St.e_sql;
             ck_fresh = e.St.e_fresh;
-            ck_srows = rows_of e.St.e_name;
+            ck_sbatch = batch_of e.St.e_name (List.map fst e.St.e_cols);
           })
         entries;
   }
@@ -153,8 +160,11 @@ let checkpoint_of_snapshot ~lsn (snap : Sh.snapshot) =
    whole log is covered and reset to empty. *)
 let do_checkpoint_locked t snap =
   let ck = checkpoint_of_snapshot ~lsn:t.m_lsn snap in
-  Obs.Metrics.time h_ckpt (fun () -> Checkpoint.write t.m_cfg.c_dir ck);
+  t.m_known <-
+    Obs.Metrics.time h_ckpt (fun () ->
+        Checkpoint.write ~known:t.m_known t.m_cfg.c_dir ck);
   Obs.Metrics.incr m_checkpoints;
+  t.m_ckpt_epoch <- St.epoch snap.Sh.sn_store;
   Wal.close t.m_wal;
   Wal.replace t.m_wal_path [];
   t.m_wal <- Wal.open_writer ~policy:t.m_cfg.c_fsync t.m_wal_path;
@@ -165,6 +175,14 @@ let checkpoint t =
   Sh.with_write t.m_shared (fun snap ->
       do_checkpoint_locked t snap;
       (snap, ()))
+
+let final_checkpoint t =
+  Sh.with_write t.m_shared (fun snap ->
+      let due =
+        t.m_lsn <> t.m_ckpt_lsn || St.epoch snap.Sh.sn_store <> t.m_ckpt_epoch
+      in
+      if due then do_checkpoint_locked t snap;
+      (snap, due))
 
 (* ---------------- the commit hook ---------------- *)
 
@@ -231,20 +249,16 @@ let rebuild_db cat tables dropped_tables =
     (fun db (ct : Checkpoint.table) ->
       let name = ct.Checkpoint.ck_table.Catalog.tbl_name in
       if List.mem name dropped_tables then db
-      else
-        let cols = Catalog.column_names ct.Checkpoint.ck_table in
-        let rel =
-          try R.create cols (List.of_seq ct.Checkpoint.ck_rows)
-          with Invalid_argument _ -> R.empty cols
-        in
-        Engine.Db.put db name rel)
+      else Engine.Db.put_batch db name ct.Checkpoint.ck_batch)
     (Engine.Db.create cat) tables
 
 (* Summary restore by fixpoint too: a summary defined over another summary
    elaborates only once its dependency is registered. Entries that never
    elaborate (their definition no longer parses or type-checks against the
-   recovered catalog) are dropped — summaries are derived state. *)
-let restore_summaries store db summaries =
+   recovered catalog) are dropped — summaries are derived state. A
+   [damaged] summary (its chunks did not load) is restored empty and
+   stale. *)
+let restore_summaries store db ~damaged summaries =
   let store = ref store and db = ref db in
   let dropped = ref [] in
   let pending = ref summaries and progress = ref true in
@@ -255,8 +269,11 @@ let restore_summaries store db summaries =
         (fun (s : Checkpoint.summary) ->
           match
             St.restore !store !db ~name:s.Checkpoint.ck_name
-              ~sql:s.Checkpoint.ck_sql ~fresh:s.Checkpoint.ck_fresh
-              ~rows:(List.of_seq s.Checkpoint.ck_srows)
+              ~sql:s.Checkpoint.ck_sql
+              ~fresh:
+                (s.Checkpoint.ck_fresh
+                && not (List.mem s.Checkpoint.ck_name damaged))
+              ~batch:s.Checkpoint.ck_sbatch
           with
           | store', db' ->
               store := store';
@@ -317,9 +334,14 @@ let verify_summaries shared =
 let recover cfg =
   mkdirs cfg.c_dir;
   let wal_path = Filename.concat cfg.c_dir "wal.log" in
-  (* 1. newest checkpoint that decodes *)
-  let ckpt, skipped = Checkpoint.load_latest cfg.c_dir in
+  (* 1. newest checkpoint that loads *)
+  let loaded, skipped = Checkpoint.load_latest cfg.c_dir in
+  let ckpt = Option.map (fun l -> l.Checkpoint.l_ckpt) loaded in
   let ckpt_lsn = match ckpt with Some c -> c.Checkpoint.ck_lsn | None -> 0 in
+  (* summaries whose chunks did not load are quarantined for rebuild *)
+  let damaged =
+    match loaded with Some l -> l.Checkpoint.l_damaged | None -> []
+  in
   let store, db, dropped =
     match ckpt with
     | None -> (St.empty, Engine.Db.create Catalog.empty, [])
@@ -327,10 +349,12 @@ let recover cfg =
         let cat, dropped_tables = rebuild_catalog c.Checkpoint.ck_tables in
         let db = rebuild_db cat c.Checkpoint.ck_tables dropped_tables in
         let store, db, dropped_sums =
-          restore_summaries St.empty db c.Checkpoint.ck_summaries
+          restore_summaries St.empty db ~damaged c.Checkpoint.ck_summaries
         in
         (store, db, dropped_tables @ dropped_sums)
   in
+  let damaged = List.filter (fun n -> not (List.mem n dropped)) damaged in
+  Obs.Metrics.add m_rebuilds (List.length damaged);
   let shared = Sh.create db store in
   (* 2. WAL: truncate the torn tail, replay the suffix beyond the
      checkpoint through the ordinary statement path *)
@@ -370,7 +394,7 @@ let recover cfg =
                 (Printexc.to_string e)))
     wal.Wal.records;
   (* 3. degraded-recovery ladder over summary payloads *)
-  let quarantined = verify_summaries shared in
+  let quarantined = damaged @ verify_summaries shared in
   let t =
     {
       m_cfg = cfg;
@@ -380,6 +404,11 @@ let recover cfg =
       m_lsn = !last;
       m_ckpt_lsn = ckpt_lsn;
       m_since = !replayed;
+      m_known =
+        (match loaded with
+        | Some l -> l.Checkpoint.l_known
+        | None -> Checkpoint.nothing_known);
+      m_ckpt_epoch = Sh.epoch shared;
     }
   in
   Obs.Metrics.set g_lsn (float_of_int t.m_lsn);

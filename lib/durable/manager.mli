@@ -16,14 +16,18 @@
 
     {2 Recovery}
 
-    {!recover} loads the newest checkpoint that decodes cleanly (skipping
-    torn/corrupt ones), rebuilds the catalog, base tables and summary
-    tables without re-running any defining query ({!Mvstore.Store.restore}),
+    {!recover} loads the newest checkpoint that loads cleanly (skipping
+    torn/corrupt ones, and ones missing a base-table chunk), rebuilds the
+    catalog, base tables and summary tables from its typed chunks without
+    building rows or re-running any defining query
+    ({!Mvstore.Store.restore}),
     truncates the WAL's torn tail, and replays the suffix of records with
     LSN beyond the checkpoint through the ordinary statement path — so
     statement-rollback semantics and incremental summary maintenance apply
     to replay exactly as they did to the original execution. Then the
-    degraded-recovery ladder runs: every fresh summary payload is verified
+    degraded-recovery ladder runs: a summary whose chunks were missing or
+    failed their digest is restored empty and stale, and every fresh
+    summary payload is verified
     against a re-derivation from the recovered base tables; a mismatch
     empties and quarantines that summary ({!Mvstore.Store.quarantine_payload})
     and reports it for a deferred rebuild ([r_quarantined] — callers
@@ -69,6 +73,13 @@ val log : t -> Mvstore.Session.commit -> unit
     writers), then drop the WAL records it covers. The server calls this on
     drain-complete SIGTERM shutdown. *)
 val checkpoint : t -> unit
+
+(** The exit checkpoint: {!checkpoint}, unless no WAL record was appended
+    since the newest checkpoint ([last_lsn = checkpoint_lsn]) and the
+    summary store has not moved since (a maintenance rebuild changes it
+    without logging), when that checkpoint already holds the state.
+    [true] when one was taken. *)
+val final_checkpoint : t -> bool
 
 (** Fsync the WAL regardless of policy, close it. *)
 val close : t -> unit

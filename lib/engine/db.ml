@@ -162,12 +162,6 @@ let batch db name =
 
 let cardinality db name = (batch db name).C.nrows
 
-let rows db name =
-  match Smap.find_opt (norm name) db.tables with
-  | None -> Seq.empty
-  | Some { batch = b; _ } ->
-      Seq.init b.C.nrows (fun i -> Array.map (fun c -> C.get c i) b.C.cols)
-
 let get db name =
   Option.map
     (fun { batch = b; _ } ->

@@ -43,10 +43,6 @@ val batch : t -> string -> Column.batch
     [Invalid_argument] for a table without contents. *)
 val cardinality : t -> string -> int
 
-(** The stored rows, built one at a time as the sequence is read (empty
-    for a table without contents). *)
-val rows : t -> string -> Data.Relation.row Seq.t
-
 (** Build the table's rows as a relation. Every row built counts in the
     [db.materialized_rows] counter. *)
 val get : t -> string -> Data.Relation.t option

@@ -232,10 +232,10 @@ let define store db ~name ~sql =
 (* Recovery path: re-register a summary table from its definition SQL and
    a recovered payload, WITHOUT executing the defining query. The graph and
    incremental plan are rebuilt against the recovered catalog (they are
-   derived state); the payload rows are trusted as-is — the recovery ladder
-   in Durable.Manager verifies them against a re-derivation afterwards and
-   degrades the entry if they fail. *)
-let restore store db ~name ~sql ~fresh ~rows =
+   derived state); the payload batch is trusted as-is — the recovery ladder
+   in Durable.Manager verifies it against a re-derivation afterwards and
+   degrades the entry if it fails. *)
+let restore store db ~name ~sql ~fresh ~batch =
   if Smap.mem (norm name) store.s_map then
     err "summary table %s already exists" name;
   if Catalog.mem_table (Engine.Db.catalog db) name then
@@ -253,12 +253,11 @@ let restore store db ~name ~sql ~fresh ~rows =
     with Qgm.Builder.Sem_error m -> err "invalid recovered summary definition: %s" m
   in
   let cols = Qgm.Typing.infer_outputs (Engine.Db.catalog db) graph in
-  let contents =
-    try R.create (List.map fst cols) rows
-    with Invalid_argument m -> err "recovered payload for %s: %s" name m
-  in
+  if Array.length batch.Engine.Column.names <> List.length cols then
+    err "recovered payload for %s: %d columns, the definition has %d" name
+      (Array.length batch.Engine.Column.names) (List.length cols);
   let db = register_catalog db name cols in
-  let db = Engine.Db.put db name contents in
+  let db = Engine.Db.put_batch db name batch in
   let entry =
     {
       e_name = name;

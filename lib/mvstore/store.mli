@@ -64,17 +64,18 @@ val define : t -> Engine.Db.t -> name:string -> sql:string -> t * Engine.Db.t
 
 val drop : t -> Engine.Db.t -> string -> t * Engine.Db.t
 
-(** [restore store db ~name ~sql ~fresh ~rows] re-registers a summary table
-    from checkpoint state {e without} executing the defining query: the
-    graph, column types and incremental plan are rebuilt from [sql] against
-    the recovered catalog, and [rows] become the payload as-is. Raises
+(** [restore store db ~name ~sql ~fresh ~batch] re-registers a summary
+    table from checkpoint state {e without} executing the defining query:
+    the graph, column types and incremental plan are rebuilt from [sql]
+    against the recovered catalog, and [batch] becomes the payload as-is
+    ({!Engine.Db.put_batch}; it must not be arena-backed). Raises
     {!Mv_error} on name clashes, an unparseable definition, or a payload
     whose arity disagrees with the definition. The recovery ladder
     (Durable.Manager) verifies restored payloads afterwards and calls
     {!quarantine_payload} on mismatch. *)
 val restore :
   t -> Engine.Db.t -> name:string -> sql:string -> fresh:bool ->
-  rows:Data.Relation.row list -> t * Engine.Db.t
+  batch:Engine.Column.batch -> t * Engine.Db.t
 
 (** Degraded recovery: empty a summary table's payload and mark it stale,
     excluding it from rewriting until a refresh rebuilds it. *)

@@ -16,9 +16,9 @@
 #   * recovery is idempotent: a second boot of the same directory reports
 #     a clean log and identical data.
 #
-# A final degraded-recovery phase corrupts a summary payload inside the
-# newest checkpoint in place and checks it is quarantined (not trusted,
-# not fatal) and rebuilt by REFRESH.
+# A final degraded-recovery phase corrupts the summary's payload chunk of
+# the newest checkpoint in place and checks it is quarantined (not
+# trusted, not fatal) and rebuilt by REFRESH.
 #
 #   SEED=7 ITERS=24 scripts/crash_torture.sh
 set -euo pipefail
@@ -145,10 +145,19 @@ fi
 echo "== corrupted summary payload =="
 DIR="$WORK/dur_corrupt"
 "$ASTQL" run --durability "$DIR" "$WORK/workload.sql" >/dev/null 2>&1 || true
-# the exit checkpoint stores the summary payload ["g",78,12]; bit-rot the SUM
+# the exit checkpoint stores the summary payload ("g", 78, 12) in a range
+# chunk named in the newest manifest, SUM 78 as int64 little-endian;
+# bit-rot that value in the chunk file
 CKPT=$(ls "$DIR"/ckpt-*.json | sort -V | tail -1)
-grep -q '"g", 78,' "$CKPT" || { echo "FAIL: expected summary payload in $CKPT"; exit 1; }
-sed -i 's/"g", 78,/"g", 787878,/' "$CKPT"
+CHUNK=$(grep -o '"name": "kv_by_grp"[^}]*' "$CKPT" \
+  | grep -o '"chunks": \[[^]]*\]' | grep -o '[0-9a-f]\{32\}' | head -1)
+HEX=$(od -An -v -tx1 "$DIR/$CHUNK.chunk" 2>/dev/null | tr -d ' \n')
+BEFORE=${HEX%%4e00000000000000*}
+if [ -z "$CHUNK" ] || [ "$BEFORE" = "$HEX" ] || [ $(( ${#BEFORE} % 2 )) -ne 0 ]; then
+  echo "FAIL: expected summary payload in a chunk of $CKPT"; exit 1
+fi
+printf '\377' | dd of="$DIR/$CHUNK.chunk" bs=1 seek=$(( ${#BEFORE} / 2 )) \
+  conv=notrunc status=none
 rec="$WORK/rec_corrupt.txt"
 "$ASTQL" run --durability "$DIR" "$WORK/verify.sql" 2>"$rec" \
   | grep -v 'created\|inserted\|maintainable\|lint' > "$WORK/dump_corrupt.txt"

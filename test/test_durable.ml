@@ -168,6 +168,10 @@ let test_wal_replace () =
 
 (* --- checkpoints -------------------------------------------------------- *)
 
+module C = Engine.Column
+
+let batch_of cols rows = C.of_relation (R.create cols rows)
+
 let sample_checkpoint () =
   let col name ty nullable = { Catalog.col_name = name; col_ty = ty; nullable } in
   {
@@ -184,12 +188,13 @@ let sample_checkpoint () =
               unique_keys = [ [ "s" ] ];
               foreign_keys = [];
             };
-          ck_rows =
-            List.to_seq [
-              [| V.Int 1; V.Int 10; V.Str "x" |];
-              [| V.Int 2; V.Null; V.Null |];
-              [| V.Int 3; V.Int 30; V.Str "é😀" |];
-            ];
+          ck_batch =
+            batch_of [ "a"; "b"; "s" ]
+              [
+                [| V.Int 1; V.Int 10; V.Str "x" |];
+                [| V.Int 2; V.Null; V.Null |];
+                [| V.Int 3; V.Int 30; V.Str "é😀" |];
+              ];
         };
       ];
     ck_summaries =
@@ -198,29 +203,97 @@ let sample_checkpoint () =
           Ck.ck_name = "s1";
           ck_sql = "SELECT a, SUM(b) AS sb FROM t GROUP BY a";
           ck_fresh = true;
-          ck_srows = List.to_seq [ [| V.Int 1; V.Int 10 |] ];
+          ck_sbatch = batch_of [ "a"; "sb" ] [ [| V.Int 1; V.Int 10 |] ];
         };
       ];
   }
 
-let test_checkpoint_roundtrip () =
-  let dir = tmpdir () in
-  let t = sample_checkpoint () in
-  Ck.write dir t;
+(* Where two batches first differ, bit for bit: names, row count, each
+   column's physical kind, NULL mask, dictionary, and data (floats by
+   their bits, padding under NULLs included). *)
+let batch_diff (a : C.batch) (b : C.batch) =
+  let value_bits = function
+    | V.Float x -> `Bits (Int64.bits_of_float x)
+    | v -> `V v
+  in
+  let same_ints x y =
+    Bigarray.Array1.dim x = Bigarray.Array1.dim y
+    && (let ok = ref true in
+        for i = 0 to Bigarray.Array1.dim x - 1 do
+          if Bigarray.Array1.get x i <> Bigarray.Array1.get y i then ok := false
+        done;
+        !ok)
+  in
+  let same_floats x y =
+    Bigarray.Array1.dim x = Bigarray.Array1.dim y
+    && (let ok = ref true in
+        for i = 0 to Bigarray.Array1.dim x - 1 do
+          if
+            Int64.bits_of_float (Bigarray.Array1.get x i)
+            <> Int64.bits_of_float (Bigarray.Array1.get y i)
+          then ok := false
+        done;
+        !ok)
+  in
+  let same_col (x : C.t) (y : C.t) =
+    Option.equal Bytes.equal x.C.nulls y.C.nulls
+    &&
+    match (x.C.data, y.C.data) with
+    | C.Ints p, C.Ints q | C.Dates p, C.Dates q -> same_ints p q
+    | C.Floats p, C.Floats q -> same_floats p q
+    | C.Bools p, C.Bools q -> Bytes.equal p q
+    | C.Dict (p, d), C.Dict (q, e) -> same_ints p q && d = e
+    | C.Boxed p, C.Boxed q ->
+        Array.length p = Array.length q
+        && Array.for_all2 (fun u v -> value_bits u = value_bits v) p q
+    | _ -> false
+  in
+  if a.C.names <> b.C.names then Some "names"
+  else if a.C.nrows <> b.C.nrows then Some "row count"
+  else
+    let rec col i =
+      if i = Array.length a.C.cols then None
+      else if same_col a.C.cols.(i) b.C.cols.(i) then col (i + 1)
+      else Some ("column " ^ a.C.names.(i))
+    in
+    col 0
+
+let check_batch msg a b =
+  match batch_diff a b with
+  | None -> ()
+  | Some where -> Alcotest.failf "%s: batches differ in %s" msg where
+
+let load_latest_exn dir =
   match Ck.load_latest dir with
-  | Some t', 0 ->
-      Alcotest.(check int) "lsn" t.Ck.ck_lsn t'.Ck.ck_lsn;
-      Alcotest.(check string)
-        "encode fixpoint"
-        (J.to_string (Ck.to_json t))
-        (J.to_string (Ck.to_json t'))
+  | Some l, 0 -> l
   | Some _, n -> Alcotest.failf "unexpected %d skipped" n
   | None, _ -> Alcotest.fail "checkpoint did not load"
 
-(* [write] renders rows one at a time, straight from a stored batch; the
-   file must hold exactly the [to_json] document, and load back the
-   table's rows. *)
-let test_checkpoint_streams_batch_rows () =
+let test_checkpoint_roundtrip () =
+  let dir = tmpdir () in
+  let t = sample_checkpoint () in
+  ignore (Ck.write dir t);
+  let l = load_latest_exn dir in
+  let t' = l.Ck.l_ckpt in
+  Alcotest.(check int) "lsn" t.Ck.ck_lsn t'.Ck.ck_lsn;
+  Alcotest.(check (list string)) "nothing damaged" [] l.Ck.l_damaged;
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool) "schema" true (a.Ck.ck_table = b.Ck.ck_table);
+      check_batch "table" a.Ck.ck_batch b.Ck.ck_batch)
+    t.Ck.ck_tables t'.Ck.ck_tables;
+  List.iter2
+    (fun a b ->
+      Alcotest.(check (triple string string bool))
+        "definition"
+        (a.Ck.ck_name, a.Ck.ck_sql, a.Ck.ck_fresh)
+        (b.Ck.ck_name, b.Ck.ck_sql, b.Ck.ck_fresh);
+      check_batch "summary" a.Ck.ck_sbatch b.Ck.ck_sbatch)
+    t.Ck.ck_summaries t'.Ck.ck_summaries
+
+(* A stored batch — NaN and -0.0 floats, NULLs, quotes and UTF-8 in a
+   dictionary — loads back bit for bit, as do its distinct counts. *)
+let test_checkpoint_batch_bit_exact () =
   let dir = tmpdir () in
   let t0 = (sample_checkpoint ()).Ck.ck_tables |> List.hd in
   let rel =
@@ -232,55 +305,159 @@ let test_checkpoint_streams_batch_rows () =
       ]
   in
   let db = Engine.Db.put (Engine.Db.create Catalog.empty) "t" rel in
-  let t =
-    {
-      (sample_checkpoint ()) with
-      Ck.ck_tables = [ { t0 with Ck.ck_rows = Engine.Db.rows db "t" } ];
-    }
+  let stored = Engine.Db.batch db "t" in
+  ignore
+    (Ck.write dir
+       {
+         (sample_checkpoint ()) with
+         Ck.ck_tables = [ { t0 with Ck.ck_batch = stored } ];
+       });
+  let back = (List.hd (load_latest_exn dir).Ck.l_ckpt.Ck.ck_tables).Ck.ck_batch in
+  check_batch "stored batch" stored back;
+  let cat b =
+    Engine.Db.catalog (Engine.Db.put_batch (Engine.Db.create Catalog.empty) "t" b)
   in
-  Ck.write dir t;
-  let body =
-    In_channel.with_open_bin (List.hd (Ck.files dir)) In_channel.input_all
-  in
-  Alcotest.(check string) "file is the to_json document"
-    (J.to_string (Ck.to_json t) ^ "\n") body;
-  match Ck.load_latest dir with
-  | Some t', 0 ->
-      Helpers.check_rows "rows round-trip" (Engine.Db.get_exn db "t")
-        (R.create [ "a"; "b"; "s" ]
-           (List.of_seq (List.hd t'.Ck.ck_tables).Ck.ck_rows))
-  | _ -> Alcotest.fail "checkpoint did not load"
+  List.iter
+    (fun c ->
+      Alcotest.(check (option int))
+        ("ndv " ^ c)
+        (Catalog.col_ndv (cat stored) "t" c)
+        (Catalog.col_ndv (cat back) "t" c))
+    [ "a"; "b"; "s" ]
+
+(* [s] with every [sub] replaced by [by] *)
+let replace_all sub by s =
+  let n = String.length sub in
+  let buf = Buffer.create (String.length s) in
+  let i = ref 0 in
+  while !i < String.length s do
+    if !i + n <= String.length s && String.sub s !i n = sub then begin
+      Buffer.add_string buf by;
+      i := !i + n
+    end
+    else begin
+      Buffer.add_char buf s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents buf
 
 let test_checkpoint_skips_invalid () =
   let dir = tmpdir () in
   let t = sample_checkpoint () in
-  Ck.write dir t;
+  ignore (Ck.write dir t);
   (* a newer checkpoint corrupted in place fails decode and is skipped in
      favour of the older good one *)
   Out_channel.with_open_text (Filename.concat dir "ckpt-99.json") (fun oc ->
       Out_channel.output_string oc "{ not json");
   (match Ck.load_latest dir with
-  | Some t', skipped ->
-      Alcotest.(check int) "fell back" 7 t'.Ck.ck_lsn;
+  | Some l, skipped ->
+      Alcotest.(check int) "fell back" 7 l.Ck.l_ckpt.Ck.ck_lsn;
       Alcotest.(check int) "skipped the bad one" 1 skipped
   | None, _ -> Alcotest.fail "should fall back to the older checkpoint");
+  (* a format-1 checkpoint (JSON rows) is unsupported and skipped too *)
+  let old = Filename.concat dir "ckpt-98.json" in
+  Out_channel.with_open_text old (fun oc ->
+      Out_channel.output_string oc
+        "{\"format\": 1, \"lsn\": 98, \"tables\": [], \"summaries\": []}\n");
+  (match Ck.load_file old with
+  | Error m ->
+      Alcotest.(check bool) "reported unsupported" true
+        (Helpers.contains m "unsupported checkpoint format 1")
+  | Ok _ -> Alcotest.fail "a format-1 checkpoint must not load");
+  (match Ck.load_latest dir with
+  | Some l, skipped ->
+      Alcotest.(check int) "still the good one" 7 l.Ck.l_ckpt.Ck.ck_lsn;
+      Alcotest.(check int) "skipped both" 2 skipped
+  | None, _ -> Alcotest.fail "should fall back past the format-1 file");
+  (* a manifest whose row count disagrees with its chunks fails to load
+     (without allocating for the count it claims) *)
+  let good = In_channel.with_open_bin (Filename.concat dir "ckpt-7.json") In_channel.input_all in
+  List.iter
+    (fun rows ->
+      let bad = Filename.concat dir "ckpt-97.json" in
+      let body = replace_all "\"rows\": 3," (Printf.sprintf "\"rows\": %s," rows) good in
+      Alcotest.(check bool) "edited" true (body <> good);
+      Out_channel.with_open_bin bad (fun oc -> Out_channel.output_string oc body);
+      (match Ck.load_file bad with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "rows %s must not load" rows);
+      Sys.remove bad)
+    [ "-3"; "1000000000000"; "2" ];
   (* a torn temp file never carries the real name, so it is ignored *)
   Out_channel.with_open_text (Filename.concat dir "ckpt-100.json.tmp")
     (fun oc -> Out_channel.output_string oc "{\"half\":");
   match Ck.load_latest dir with
-  | Some t', _ -> Alcotest.(check int) "tmp invisible" 7 t'.Ck.ck_lsn
+  | Some l, _ -> Alcotest.(check int) "tmp invisible" 7 l.Ck.l_ckpt.Ck.ck_lsn
   | None, _ -> Alcotest.fail "tmp file must not shadow the checkpoint"
+
+(* A manifest's entries, each with the list ("tables" or "summaries") it
+   is in, read from its JSON. *)
+let manifest_entries path =
+  let body = In_channel.with_open_bin path In_channel.input_all in
+  let j = match J.of_string body with Ok j -> j | Error m -> Alcotest.fail m in
+  List.concat_map
+    (fun key ->
+      match J.member key j with
+      | Some (J.List entries) -> List.map (fun e -> (key, e)) entries
+      | _ -> [])
+    [ "tables"; "summaries" ]
+
+let str_field name e =
+  match J.member name e with
+  | Some (J.List l) -> List.filter_map (function J.Str s -> Some s | _ -> None) l
+  | _ -> []
+
+(* Every chunk a manifest names. *)
+let manifest_chunks path =
+  List.concat_map
+    (fun (_, e) -> str_field "dicts" e @ str_field "chunks" e)
+    (manifest_entries path)
+
+let chunk_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun n -> Filename.check_suffix n ".chunk")
+  |> List.map (fun n -> Filename.chop_suffix n ".chunk")
+  |> List.sort_uniq compare
 
 let test_checkpoint_prune () =
   let dir = tmpdir () in
-  List.iter
-    (fun lsn -> Ck.write dir { (sample_checkpoint ()) with Ck.ck_lsn = lsn })
-    [ 1; 2; 3; 4 ];
-  let names = Sys.readdir dir |> Array.to_list |> List.sort compare in
+  (* each checkpoint's table holds its own lsn, so each has a chunk no
+     other one names *)
+  let named =
+    List.map
+      (fun lsn ->
+        let t = sample_checkpoint () in
+        let tb = List.hd t.Ck.ck_tables in
+        let b = batch_of [ "a"; "b"; "s" ] [ [| V.Int lsn; V.Int lsn; V.Str "x" |] ] in
+        ignore
+          (Ck.write dir
+             { t with Ck.ck_lsn = lsn; ck_tables = [ { tb with Ck.ck_batch = b } ] });
+        (lsn, manifest_chunks (Filename.concat dir (Printf.sprintf "ckpt-%d.json" lsn))))
+      [ 1; 2; 3; 4 ]
+  in
+  let manifests =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> String.starts_with ~prefix:"ckpt-" n)
+    |> List.sort compare
+  in
   Alcotest.(check (list string))
     "newest two survive"
     [ "ckpt-3.json"; "ckpt-4.json" ]
-    names
+    manifests;
+  let live = List.sort_uniq compare (List.assoc 3 named @ List.assoc 4 named) in
+  Alcotest.(check (list string)) "exactly their chunks stay" live (chunk_files dir);
+  let pruned_only =
+    List.filter (fun c -> not (List.mem c live)) (List.assoc 1 named @ List.assoc 2 named)
+  in
+  Alcotest.(check bool) "pruned manifests had chunks of their own" true (pruned_only <> []);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) ("gone: " ^ c) false
+        (Sys.file_exists (Filename.concat dir (c ^ ".chunk"))))
+    pruned_only;
+  Alcotest.(check bool) "no temp files" false
+    (Array.exists (fun n -> Filename.check_suffix n ".tmp") (Sys.readdir dir))
 
 (* --- manager: recovery end to end --------------------------------------- *)
 
@@ -405,7 +582,7 @@ let test_corrupt_payload_quarantined () =
                 unique_keys = [];
                 foreign_keys = [];
               };
-            ck_rows = List.to_seq [ [| V.Int 1; V.Int 10 |]; [| V.Int 2; V.Int 20 |] ];
+            ck_batch = batch_of [ "a"; "b" ] [ [| V.Int 1; V.Int 10 |]; [| V.Int 2; V.Int 20 |] ];
           };
         ];
       ck_summaries =
@@ -416,12 +593,12 @@ let test_corrupt_payload_quarantined () =
               "SELECT a, SUM(b) AS sb, COUNT(*) AS n FROM t GROUP BY a";
             ck_fresh = true;
             (* bit rot: the stored payload disagrees with re-derivation *)
-            ck_srows = List.to_seq [ [| V.Int 1; V.Int 999; V.Int 1 |] ];
+            ck_sbatch = batch_of [ "a"; "sb"; "n" ] [ [| V.Int 1; V.Int 999; V.Int 1 |] ];
           };
         ];
     }
   in
-  Ck.write dir ck;
+  ignore (Ck.write dir ck);
   let _, shared, report = M.recover (cfg_of dir ()) in
   Alcotest.(check (list string))
     "summary quarantined" [ "s" ] report.M.r_quarantined;
@@ -457,7 +634,7 @@ let test_undecodable_summary_dropped () =
                 unique_keys = [];
                 foreign_keys = [];
               };
-            ck_rows = List.to_seq [ [| V.Int 1 |] ];
+            ck_batch = batch_of [ "a" ] [ [| V.Int 1 |] ];
           };
         ];
       ck_summaries =
@@ -466,12 +643,12 @@ let test_undecodable_summary_dropped () =
             Ck.ck_name = "ghost";
             ck_sql = "SELECT x FROM vanished GROUP BY x";
             ck_fresh = true;
-            ck_srows = List.to_seq [];
+            ck_sbatch = batch_of [ "x" ] [];
           };
         ];
     }
   in
-  Ck.write dir ck;
+  ignore (Ck.write dir ck);
   (* a summary whose definition no longer elaborates is dropped; recovery
      never refuses to boot over derived state *)
   let _, shared, report = M.recover (cfg_of dir ()) in
@@ -502,6 +679,292 @@ let test_torn_wal_tail_recovery () =
     (R.create [ "a" ] [ [| V.Int 1 |] ])
     (table_of sess2 "SELECT a FROM t;")
 
+(* --- typed checkpoints: exit skip, chunk reuse, codec, corruption -------- *)
+
+let manifests dir = List.length (Ck.files dir)
+
+(* A boot that logs nothing leaves the checkpoint set as it found it; one
+   write makes the exit checkpoint due. *)
+let test_exit_checkpoint_skipped () =
+  let dir = tmpdir () in
+  let boot () =
+    let mgr, shared, _ = M.recover (cfg_of dir ~every:0 ()) in
+    let sess = Sess.attach shared in
+    M.bind mgr sess;
+    (mgr, sess)
+  in
+  let stop mgr =
+    let taken = M.final_checkpoint mgr in
+    M.close mgr;
+    taken
+  in
+  let mgr, _ = boot () in
+  Alcotest.(check bool) "idle boot: skipped" false (stop mgr);
+  Alcotest.(check int) "idle boot: no manifest" 0 (manifests dir);
+  let mgr, sess = boot () in
+  ignore (Sess.exec_sql sess "CREATE TABLE t (a INT NOT NULL);");
+  Alcotest.(check bool) "one write: taken" true (stop mgr);
+  Alcotest.(check int) "one write: one manifest" 1 (manifests dir);
+  let before = Ck.files dir in
+  let mgr, sess = boot () in
+  ignore (table_of sess "SELECT a FROM t;");
+  Alcotest.(check bool) "read-only boot: skipped" false (stop mgr);
+  Alcotest.(check (list string)) "read-only boot: same manifests" before (Ck.files dir);
+  let mgr, sess = boot () in
+  ignore (Sess.exec_sql sess "INSERT INTO t VALUES (1);");
+  Alcotest.(check bool) "another write: taken" true (stop mgr);
+  Alcotest.(check int) "another write: a second manifest" 2 (manifests dir);
+  (* a maintenance rebuild publishes a new store without a WAL record *)
+  let mgr, shared, _ = M.recover (cfg_of dir ~every:0 ()) in
+  Mvstore.Shared.with_write shared (fun snap ->
+      ({ snap with Mvstore.Shared.sn_store = Mvstore.Store.touch snap.Mvstore.Shared.sn_store }, ()));
+  Alcotest.(check bool) "unlogged store change: taken" true (stop mgr)
+
+(* A table of three chunks takes a 4-row INSERT: the next checkpoint
+   writes the table's last chunk and the changed summary's chunk, and
+   reuses the table's first two chunks and both chunks (dictionary and
+   range) of an untouched table. *)
+let test_checkpoint_reuses_chunks () =
+  let dir = tmpdir () in
+  let rows = (2 * Durable.Chunk.rows) + 100 in
+  let csv = Filename.temp_file "astql" ".csv" in
+  Out_channel.with_open_text csv (fun oc ->
+      for i = 1 to rows do
+        Printf.fprintf oc "%d,%d\n" i (i mod 10)
+      done);
+  let mgr, shared, _ = M.recover (cfg_of dir ~every:0 ()) in
+  let sess = Sess.attach shared in
+  M.bind mgr sess;
+  ignore
+    (Sess.exec_sql sess
+       (Printf.sprintf
+          "CREATE TABLE t (a INT NOT NULL, b INT NOT NULL); COPY t FROM '%s'; \
+           CREATE TABLE u (k INT NOT NULL, name VARCHAR NOT NULL); \
+           INSERT INTO u VALUES (1, 'one'), (2, 'two'); \
+           CREATE SUMMARY TABLE s AS SELECT b, COUNT(*) AS n, SUM(a) AS sa \
+           FROM t GROUP BY b;"
+          csv));
+  Sys.remove csv;
+  let deltas f =
+    let names = [ "durable.chunks_written"; "durable.chunks_reused"; "durable.checkpoint_bytes" ] in
+    let before = List.map Helpers.counter names in
+    f ();
+    List.map2 (fun n b -> Helpers.counter n - b) names before
+  in
+  (match deltas (fun () -> M.checkpoint mgr) with
+  | [ w; r; _ ] ->
+      (* t: 3 ranges; u: a dictionary and a range; s: a range *)
+      Alcotest.(check (pair int int)) "first checkpoint writes all" (6, 0) (w, r)
+  | _ -> assert false);
+  let on_disk = chunk_files dir in
+  ignore
+    (Sess.exec_sql sess
+       "INSERT INTO t VALUES (100001, 1), (100002, 2), (100003, 3), (100004, 4);");
+  match deltas (fun () -> M.checkpoint mgr) with
+  | [ w; r; bytes ] ->
+      Alcotest.(check (pair int int)) "written, reused" (2, 4) (w, r);
+      let fresh = List.filter (fun c -> not (List.mem c on_disk)) (chunk_files dir) in
+      Alcotest.(check int) "two new chunk files" 2 (List.length fresh);
+      let manifest = List.hd (Ck.files dir) in
+      Alcotest.(check int) "bytes: the new chunks and the manifest"
+        (List.fold_left
+           (fun acc c -> acc + file_size (Filename.concat dir (c ^ ".chunk")))
+           (file_size manifest) fresh)
+        bytes;
+      M.close mgr;
+      (* and the reused chunks still recover the whole state *)
+      let _, shared2, report = M.recover (cfg_of dir ~every:0 ()) in
+      Alcotest.(check int) "nothing skipped" 0 report.M.r_ckpt_skipped;
+      let sess2 = Sess.attach shared2 in
+      Helpers.check_rows "t recovered"
+        (R.create [ "n"; "sa" ] [ [| V.Int (rows + 4); V.Int ((rows * (rows + 1) / 2) + 400010) |] ])
+        (table_of sess2 "SELECT COUNT(*) AS n, SUM(a) AS sa FROM t;")
+  | _ -> assert false
+
+(* The generator of [prop_stored_roundtrip], plus a boxed column mixing
+   every value kind, and a copy count: with [copies > 1] the rows repeat
+   until the batch spans that many chunks. *)
+let gen_chunked =
+  let open QCheck.Gen in
+  let* rel = Test_exec.gen_shaped_relation in
+  let* k = nat in
+  let* copies = frequency [ (5, return 1); (1, int_range 2 3) ] in
+  let mix i (row : V.t array) =
+    match (i + k) mod 7 with
+    | 0 -> V.Str (string_of_int i)
+    | 1 -> row.(0)
+    | 2 -> row.(1)
+    | 3 -> row.(5)
+    | 4 -> row.(4)
+    | 5 -> V.Null
+    | _ -> row.(3)
+  in
+  let rows = R.rows rel in
+  let rows =
+    if copies = 1 || rows = [] then rows
+    else
+      let need = ((copies - 1) * Durable.Chunk.rows) + 1 + (k mod 50) in
+      let a = Array.of_list rows in
+      List.init need (fun i -> a.(i mod Array.length a))
+  in
+  let rows = List.mapi (fun i row -> Array.append row [| mix i row |]) rows in
+  return (R.create (Test_exec.shape_cols @ [ "x" ]) rows, k)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let prop_chunk_roundtrip =
+  QCheck.Test.make ~name:"typed chunks round-trip stored batches bit for bit"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (rel, k) ->
+         Printf.sprintf "split %d of %d rows: %s" k (R.cardinality rel)
+           (R.to_string (R.create (Array.to_list (R.columns rel)) (List.filteri (fun i _ -> i < 40) (R.rows rel)))))
+       gen_chunked)
+    (fun (rel, k) ->
+      let cols = Array.to_list (R.columns rel) in
+      let rows = R.rows rel in
+      let k = if rows = [] then 0 else k mod (List.length rows + 1) in
+      let piece rs = C.of_relation (R.create cols rs) in
+      let a = piece (List.filteri (fun i _ -> i < k) rows)
+      and b = piece (List.filteri (fun i _ -> i >= k) rows) in
+      (* one decoded piece, and two concatenated (two-piece dictionaries) *)
+      let whole = C.of_relation rel
+      and joined =
+        {
+          a with
+          C.cols = Array.map2 (fun x y -> C.concat [ x; y ]) a.C.cols b.C.cols;
+          nrows = a.C.nrows + b.C.nrows;
+        }
+      in
+      let table name b =
+        {
+          Ck.ck_table =
+            {
+              Catalog.tbl_name = name;
+              tbl_cols =
+                List.map
+                  (fun c -> { Catalog.col_name = c; col_ty = V.Tint; nullable = true })
+                  cols;
+              primary_key = [];
+              unique_keys = [];
+              foreign_keys = [];
+            };
+          ck_batch = b;
+        }
+      in
+      let dir = tmpdir () in
+      let back =
+        Fun.protect
+          ~finally:(fun () -> rm_rf dir)
+          (fun () ->
+            ignore
+              (Ck.write dir
+                 {
+                   Ck.ck_lsn = 1;
+                   ck_tables = [ table "w" whole; table "j" joined ];
+                   ck_summaries = [];
+                 });
+            match Ck.load_latest dir with
+            | Some l, 0 -> l.Ck.l_ckpt.Ck.ck_tables
+            | _ -> QCheck.Test.fail_report "checkpoint did not load")
+      in
+      let ndvs b =
+        let cat =
+          Engine.Db.catalog (Engine.Db.put_batch (Engine.Db.create Catalog.empty) "t" b)
+        in
+        List.map (Catalog.col_ndv cat "t") cols
+      in
+      List.iter2
+        (fun orig (tb : Ck.table) ->
+          (match batch_diff orig tb.Ck.ck_batch with
+          | None -> ()
+          | Some where -> QCheck.Test.fail_reportf "%s differs in %s" tb.Ck.ck_table.Catalog.tbl_name where);
+          if ndvs orig <> ndvs tb.Ck.ck_batch then
+            QCheck.Test.fail_reportf "%s: ndvs differ" tb.Ck.ck_table.Catalog.tbl_name)
+        [ whole; joined ] back;
+      true)
+
+let flip_last_byte path =
+  let body = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let i = Bytes.length body - 1 in
+  Bytes.set body i (Char.chr (Char.code (Bytes.get body i) lxor 1));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc body)
+
+(* The range chunks of entry [name] in list [key]. *)
+let entry_chunks path key name =
+  match
+    List.find_opt
+      (fun (k, e) -> k = key && J.member "name" e = Some (J.Str name))
+      (manifest_entries path)
+  with
+  | Some (_, e) -> str_field "chunks" e
+  | None -> Alcotest.failf "no %s entry %s" key name
+
+(* A file under a chunk's name that this process neither wrote nor
+   verified is rewritten, not trusted: it could be a torn leftover. *)
+let test_disk_names_not_trusted () =
+  let t = sample_checkpoint () in
+  let first = tmpdir () in
+  ignore (Ck.write first t);
+  let names = manifest_chunks (List.hd (Ck.files first)) in
+  let dir = tmpdir () in
+  List.iter
+    (fun c ->
+      Out_channel.with_open_bin (Filename.concat dir (c ^ ".chunk")) (fun oc ->
+          Out_channel.output_string oc "torn"))
+    names;
+  ignore (Ck.write dir t);
+  let l = load_latest_exn dir in
+  Alcotest.(check (list string)) "nothing damaged" [] l.Ck.l_damaged;
+  check_batch "table" (List.hd t.Ck.ck_tables).Ck.ck_batch
+    (List.hd l.Ck.l_ckpt.Ck.ck_tables).Ck.ck_batch
+
+(* A flipped byte in a base-table chunk invalidates that checkpoint:
+   recovery falls back to the previous one. *)
+let test_flipped_base_chunk () =
+  let dir = tmpdir () in
+  let t = sample_checkpoint () in
+  let tb = List.hd t.Ck.ck_tables in
+  let known = Ck.write dir t in
+  let newer =
+    batch_of [ "a"; "b"; "s" ] [ [| V.Int 1; V.Int 10; V.Str "x" |]; [| V.Int 9; V.Int 90; V.Str "y" |] ]
+  in
+  ignore (Ck.write ~known dir { t with Ck.ck_lsn = 8; ck_tables = [ { tb with Ck.ck_batch = newer } ] });
+  let newest = List.hd (Ck.files dir) in
+  flip_last_byte (Filename.concat dir (List.hd (entry_chunks newest "tables" "t") ^ ".chunk"));
+  let _, shared, report = M.recover (cfg_of dir ~every:0 ()) in
+  Alcotest.(check int) "skipped" 1 report.M.r_ckpt_skipped;
+  Alcotest.(check (option int)) "older checkpoint" (Some 7) report.M.r_ckpt_lsn;
+  Helpers.check_rows "older contents"
+    (R.create [ "a" ] [ [| V.Int 1 |]; [| V.Int 2 |]; [| V.Int 3 |] ])
+    (table_of (Sess.attach shared) "SELECT a FROM t;")
+
+(* A flipped byte in a summary chunk costs only that summary: restored
+   empty, quarantined, rebuilt by REFRESH. *)
+let test_flipped_summary_chunk () =
+  let dir = tmpdir () in
+  let t = sample_checkpoint () in
+  ignore (Ck.write dir t);
+  let newest = List.hd (Ck.files dir) in
+  flip_last_byte (Filename.concat dir (List.hd (entry_chunks newest "summaries" "s1") ^ ".chunk"));
+  let _, shared, report = M.recover (cfg_of dir ~every:0 ()) in
+  Alcotest.(check int) "not skipped" 0 report.M.r_ckpt_skipped;
+  Alcotest.(check (list string)) "quarantined" [ "s1" ] report.M.r_quarantined;
+  let sess = Sess.attach shared in
+  (match Mvstore.Store.find (Sess.store sess) "s1" with
+  | Some e -> Alcotest.(check bool) "stale" false e.Mvstore.Store.e_fresh
+  | None -> Alcotest.fail "quarantine must keep the definition");
+  Alcotest.(check int) "payload emptied" 0 (Engine.Db.cardinality (Sess.db sess) "s1");
+  ignore (Sess.exec_sql sess "REFRESH SUMMARY TABLE s1;");
+  Helpers.check_rows "rebuilt"
+    (R.create [ "a"; "sb" ] [ [| V.Int 1; V.Int 10 |]; [| V.Int 2; V.Null |]; [| V.Int 3; V.Int 30 |] ])
+    (table_of sess "SELECT a, sb FROM s1;")
+
 let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32;
@@ -514,8 +977,8 @@ let suite =
       test_wal_mid_corruption_ends_log;
     Alcotest.test_case "wal replace" `Quick test_wal_replace;
     Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
-    Alcotest.test_case "checkpoint streams batch rows" `Quick
-      test_checkpoint_streams_batch_rows;
+    Alcotest.test_case "checkpoint batches bit-exact" `Quick
+      test_checkpoint_batch_bit_exact;
     Alcotest.test_case "checkpoint skips invalid" `Quick
       test_checkpoint_skips_invalid;
     Alcotest.test_case "checkpoint prune" `Quick test_checkpoint_prune;
@@ -531,4 +994,10 @@ let suite =
     Alcotest.test_case "undecodable summary dropped" `Quick
       test_undecodable_summary_dropped;
     Alcotest.test_case "torn wal tail recovery" `Quick test_torn_wal_tail_recovery;
+    Alcotest.test_case "exit checkpoint skip" `Quick test_exit_checkpoint_skipped;
+    Alcotest.test_case "checkpoint reuses chunks" `Quick test_checkpoint_reuses_chunks;
+    QCheck_alcotest.to_alcotest prop_chunk_roundtrip;
+    Alcotest.test_case "disk names not trusted" `Quick test_disk_names_not_trusted;
+    Alcotest.test_case "flipped base chunk" `Quick test_flipped_base_chunk;
+    Alcotest.test_case "flipped summary chunk" `Quick test_flipped_summary_chunk;
   ]
