@@ -137,11 +137,11 @@ let serve addr domains queue_depth backlog config request_deadline_ms
       (* every request is done or disconnected: fold the log into a final
          checkpoint so the next boot skips replay entirely — unless nothing
          was logged since the newest checkpoint, or the drain already
-         consumed the shutdown window. A supervisor that
-         sent SIGTERM follows with SIGKILL; a checkpoint cut down by it
-         would be discarded at recovery anyway, while the WAL already
-         holds every acknowledged write. Skipping is safe (recovery
-         replays), so spend no time we were not given. *)
+         consumed the shutdown window. A supervisor that sent SIGTERM
+         follows with SIGKILL; a checkpoint cut down by it would be
+         discarded at recovery anyway, while the WAL already holds every
+         acknowledged write. Skipping is safe (recovery replays), so spend
+         no time we were not given. *)
       if drain_ms > 0 && drain_elapsed_ms >= float_of_int drain_ms then begin
         Obs.Metrics.incr m_ckpt_skipped;
         Printf.eprintf

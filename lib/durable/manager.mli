@@ -20,23 +20,22 @@
     torn/corrupt ones, and ones missing a base-table chunk), rebuilds the
     catalog, base tables and summary tables from its typed chunks without
     building rows or re-running any defining query
-    ({!Mvstore.Store.restore}),
-    truncates the WAL's torn tail, and replays the suffix of records with
-    LSN beyond the checkpoint through the ordinary statement path — so
-    statement-rollback semantics and incremental summary maintenance apply
-    to replay exactly as they did to the original execution. Then the
-    degraded-recovery ladder runs: a summary whose chunks were missing or
-    failed their digest is restored empty and stale, and every fresh
-    summary payload is verified
-    against a re-derivation from the recovered base tables; a mismatch
-    empties and quarantines that summary ({!Mvstore.Store.quarantine_payload})
-    and reports it for a deferred rebuild ([r_quarantined] — callers
-    enqueue these into {!Mvstore.Maint}), and a summary whose definition no
-    longer elaborates is dropped ([r_dropped]). Recovery never refuses to
+    ({!Mvstore.Store.restore}), truncates the WAL's torn tail, and replays
+    the suffix of records with LSN beyond the checkpoint through the
+    ordinary statement path — so statement-rollback semantics and
+    incremental summary maintenance apply to replay exactly as they did to
+    the original execution. Then the degraded-recovery ladder runs: a
+    summary whose chunks were missing or failed their digest is restored
+    empty and stale, and every fresh summary payload is verified against a
+    re-derivation from the recovered base tables; a mismatch empties and
+    quarantines that summary ({!Mvstore.Store.quarantine_payload}). Both
+    are reported for a deferred rebuild ([r_quarantined] — callers enqueue
+    these into {!Mvstore.Maint}), and a summary whose definition no longer
+    elaborates is dropped ([r_dropped]). Recovery never refuses to
     boot over summary damage: summaries are derived state. *)
 
 type config = {
-  c_dir : string;              (** directory for wal.log + ckpt-*.json *)
+  c_dir : string;  (** directory for wal.log, ckpt-*.json and *.chunk *)
   c_fsync : Wal.fsync_policy;
   c_checkpoint_every : int;    (** commits between auto-checkpoints; 0 = never *)
 }
@@ -50,7 +49,9 @@ type report = {
   r_replayed : int;            (** records applied (LSN beyond checkpoint) *)
   r_replay_errors : int;       (** records that failed to apply *)
   r_torn_bytes : int;          (** torn WAL tail truncated away *)
-  r_quarantined : string list; (** summaries emptied by payload verification *)
+  r_quarantined : string list;
+      (** summaries emptied because a chunk failed its digest or the
+          payload failed verification *)
   r_dropped : string list;     (** summaries dropped (defs no longer elaborate) *)
 }
 
@@ -70,8 +71,8 @@ val bind : t -> Mvstore.Session.t -> unit
 val log : t -> Mvstore.Session.commit -> unit
 
 (** Take a checkpoint of the current shared snapshot now (serializes with
-    writers), then drop the WAL records it covers. The server calls this on
-    drain-complete SIGTERM shutdown. *)
+    writers), then drop the WAL records it covers. Seeding a recovered-empty
+    database calls this; shutdown paths call {!final_checkpoint}. *)
 val checkpoint : t -> unit
 
 (** The exit checkpoint: {!checkpoint}, unless no WAL record was appended
