@@ -3,8 +3,8 @@
     Each table and summary table is held as one immutable, permanently
     allocated {!Column.batch} — the only stored form. The executor scans
     it directly; a boxed {!Data.Relation.t} is built only on request
-    ({!get}), for the reference engine, DELETE, CSV export, recovery's
-    payload check and tests. Row counts and distinct-value counts are
+    ({!get}), for the reference engine, CSV export, recovery's payload
+    check and tests. Row counts and distinct-value counts are
     computed from the typed columns. The row count is always current; the
     distinct counts are recounted whenever the row count has moved more
     than 5% and more than 100 rows from the count at their last recount.

@@ -137,14 +137,6 @@ let rec run_box_memo ?budget ~engine db g memo id : slot =
 
 (* ------------------------------------------------------------------ *)
 
-let run_box ?budget ?(engine = default_engine) db g id =
-  (* arm the scratch arena for this run: every kernel buffer allocated
-     below dies when the memo does, so the outermost bracket recycles the
-     chunks wholesale (results are boxed relations by then) *)
-  C.scratch_begin ();
-  Fun.protect ~finally:C.scratch_end @@ fun () ->
-  slot_rel (run_box_memo ?budget ~engine db g (Hashtbl.create 16) id)
-
 (* The root's presentation as row positions: ORDER BY's stable sort, then
    LIMIT's prefix. [value c i] reads column [c] of row [i]. *)
 let presented g ~n ~column_index ~value =
@@ -173,9 +165,15 @@ let timed_run f =
   Obs.Metrics.incr x_runs;
   Obs.Metrics.time x_run_ms f
 
-let run ?budget ?engine db g =
+let run ?budget ?(engine = default_engine) db g =
   timed_run @@ fun () ->
-  let rel = run_box ?budget ?engine db g (G.root g) in
+  (* the run's kernel buffers come from the scratch arena and die with
+     the memo; the result is boxed before the arena recycles them *)
+  let rel =
+    C.scratch_begin ();
+    Fun.protect ~finally:C.scratch_end @@ fun () ->
+    slot_rel (run_box_memo ?budget ~engine db g (Hashtbl.create 16) (G.root g))
+  in
   if not (has_presentation g) then rel
   else
     let rows = R.rows_array rel in

@@ -42,8 +42,3 @@ val run :
 val run_batch :
   ?budget:Govern.Budget.t -> ?engine:engine -> Db.t -> Qgm.Graph.t ->
   Column.batch
-
-(** Execute an arbitrary box of the graph (no presentation applied). *)
-val run_box :
-  ?budget:Govern.Budget.t -> ?engine:engine -> Db.t -> Qgm.Graph.t ->
-  Qgm.Box.box_id -> Data.Relation.t

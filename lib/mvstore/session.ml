@@ -298,34 +298,34 @@ let do_insert t table cols_opt rows =
 let do_delete t table where =
   let cat = Engine.Db.catalog t.sdb in
   if not (Catalog.mem_table cat table) then err "unknown table %s" table;
-  let current =
-    match Engine.Db.get t.sdb table with
-    | Some r -> r
-    | None -> R.empty (Catalog.column_names (Catalog.table_exn cat table))
-  in
-  (* rows to delete = the table filtered by the predicate *)
-  let doomed_query =
-    {
-      A.empty_query with
-      A.select_star = true;
-      from = [ A.From_table (table, None) ];
-      where;
-    }
-  in
-  let g =
-    try Qgm.Builder.build cat doomed_query
+  (* both selections read the table as it was before the DELETE *)
+  let db = t.sdb in
+  let select where =
+    let q = { A.empty_query with A.select_star = true; from = [ A.From_table (table, None) ]; where } in
+    try Engine.Exec.run_batch db (Qgm.Builder.build cat q)
     with Qgm.Builder.Sem_error m -> err "semantic error: %s" m
   in
-  let doomed = Engine.Exec.run t.sdb g in
-  (* maintain summaries with the delta before mutating the table *)
+  (* the survivors: the rows the predicate does not make true (none
+     without one) *)
+  let kept =
+    select
+      (Some
+         (match where with
+         | Some p -> A.Binop ("OR", A.Unop ("NOT", p), A.Is_null (p, true))
+         | None -> A.Lit (V.Bool false)))
+  in
+  (* maintain summaries with the deleted rows before mutating the table;
+     they are selected only if a summary absorbs them *)
   let store', db', went_stale =
-    Store.apply_delete t.sstore t.sdb ~table ~rows:(R.rows doomed)
+    Store.apply_delta ~sign:(-1) t.sstore db ~table ~delta:(lazy (select where))
   in
   t.sstore <- store';
   List.iter (Maint.enqueue t.smaint) went_stale;
-  t.sdb <- Engine.Db.put db' table (R.bag_diff current doomed);
+  t.sdb <- Engine.Db.put_batch db' table kept;
   Msg
-    (Printf.sprintf "%d row(s) deleted from %s" (R.cardinality doomed) table)
+    (Printf.sprintf "%d row(s) deleted from %s"
+       (Engine.Db.cardinality db table - kept.Engine.Column.nrows)
+       table)
 
 (* COPY: CSV bulk load/unload. Loads route through the same integrity and
    summary-maintenance path as INSERT. *)

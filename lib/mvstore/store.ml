@@ -316,28 +316,37 @@ let refresh_full ?budget store db name =
           },
         db )
 
+(* One SELECT box over [b] on the vectorized kernel: typed columns in,
+   typed columns out, no row built. *)
+let select_over ?(preds = []) (b : C.batch) outs =
+  Engine.Vexec.exec_select
+    ~child:(fun _ -> b)
+    {
+      B.sel_quants = [ { B.q_id = 0; q_box = 0; q_kind = B.Foreach } ];
+      sel_preds = preds;
+      sel_outs = outs;
+      sel_distinct = false;
+    }
+
+let col n = E.Col { B.quant = 0; col = n }
+
 (* Merge a delta aggregation into the stored contents, by group key,
-   without boxing the stored rows: the stored batch and the delta are
-   concatenated and regrouped on the plan's keys, adding counts and sums
-   and taking MIN/MAX of extremes, so existing groups keep their order and
-   new ones follow in delta order. [sign = -1] subtracts (delete
-   maintenance); groups whose COUNT-star column reaches zero are
+   without boxing either side: the delta is projected to the stored
+   column order (its aggregates negated when [sign < 0], for delete
+   maintenance), concatenated to the stored batch and regrouped on the
+   plan's keys, adding counts and sums and taking MIN/MAX of extremes, so
+   existing groups keep their order and new ones follow in delta order.
+   Under deletion, groups whose COUNT-star column reaches zero are
    dropped. *)
-let merge_delta ?(sign = 1) plan (current : C.batch) delta =
-  let names = Array.to_list current.C.names in
-  let delta = R.project delta names in
-  let delta =
-    if sign >= 0 then delta
-    else
-      let negated = List.map (fun (n, _) -> R.column_index delta n) plan.ip_aggs in
-      R.map_rows
-        (fun row ->
-          let row = Array.copy row in
-          List.iter (fun i -> if not (V.is_null row.(i)) then row.(i) <- V.neg row.(i)) negated;
-          row)
-        delta
+let merge_delta ~sign plan (current : C.batch) (delta : C.batch) =
+  let negated n = sign < 0 && List.exists (fun (a, _) -> norm a = norm n) plan.ip_aggs in
+  let d =
+    select_over delta
+      (Array.to_list
+         (Array.map
+            (fun n -> (n, if negated n then E.Unop ("-", col n) else col n))
+            current.C.names))
   in
-  let d = C.of_relation delta in
   let both =
     {
       current with
@@ -358,56 +367,26 @@ let merge_delta ?(sign = 1) plan (current : C.batch) delta =
             plan.ip_aggs;
       }
   in
-  let col n = merged.C.cols.(Engine.Vexec.batch_col_index merged n) in
-  let merged = { merged with C.names = current.C.names; cols = Array.map col current.C.names } in
-  match plan.ip_count with
-  | Some c when sign < 0 ->
-      let count = col c in
-      let kept = ref [] in
-      for i = merged.C.nrows - 1 downto 0 do
-        match C.get count i with V.Int n when n <= 0 -> () | _ -> kept := i :: !kept
-      done;
-      let k = List.length !kept in
-      let sel = C.icreate k in
-      List.iteri (Bigarray.Array1.set sel) !kept;
-      { merged with C.cols = Array.map (fun c -> C.gather c sel k) merged.C.cols; nrows = k }
-  | _ -> merged
-
-let apply_insert store db ~table ~rows =
-  let table = norm table in
-  let went_stale = ref [] in
-  let smap, db =
-    Smap.fold
-      (fun key e (smap, db) ->
-        if not (List.mem table e.e_tables) then (smap, db)
-        else
-          match (e.e_incr, e.e_fresh) with
-          | Some plan, true ->
-              (* evaluate the definition against a database where the changed
-                 table holds only the delta *)
-              let cols =
-                match Catalog.find_table (Engine.Db.catalog db) table with
-                | Some t -> Catalog.column_names t
-                | None -> []
-              in
-              let delta_db = Engine.Db.put db table (R.create cols rows) in
-              let delta = Engine.Exec.run delta_db e.e_graph in
-              let merged = merge_delta plan (Engine.Db.batch db e.e_name) delta in
-              (smap, Engine.Db.put_batch db e.e_name merged)
-          | _ ->
-              if e.e_fresh then went_stale := e.e_name :: !went_stale;
-              (Smap.add key { e with e_fresh = false } smap, db))
-      store.s_map (store.s_map, db)
+  let preds =
+    match plan.ip_count with
+    | Some c when sign < 0 -> [ E.Binop (">", col c, E.Const (V.Int 0)) ]
+    | _ -> []
   in
-  (touch { store with s_map = smap }, db, List.rev !went_stale)
+  select_over ~preds merged (Array.to_list (Array.map (fun n -> (n, col n)) current.C.names))
 
 let deletable plan =
   plan.ip_count <> None
   && plan.ip_delete_safe
   && List.for_all (fun (_, m) -> m = M_add) plan.ip_aggs
 
-let apply_delete store db ~table ~rows =
+(* Fold one statement's delta into every summary over [table]: [sign > 0]
+   for inserted rows, [sign < 0] for deleted ones (absorbed only by
+   {!deletable} plans). [delta] is forced at most once, and only when a
+   summary absorbs it; every delta aggregation reads the same database,
+   the pre-statement one with [table] holding only the delta. *)
+let apply_delta ~sign store db ~table ~delta =
   let table = norm table in
+  let delta_db = lazy (Engine.Db.put_batch db table (Lazy.force delta)) in
   let went_stale = ref [] in
   let smap, db =
     Smap.fold
@@ -415,17 +394,9 @@ let apply_delete store db ~table ~rows =
         if not (List.mem table e.e_tables) then (smap, db)
         else
           match (e.e_incr, e.e_fresh) with
-          | Some plan, true when deletable plan ->
-              let cols =
-                match Catalog.find_table (Engine.Db.catalog db) table with
-                | Some t -> Catalog.column_names t
-                | None -> []
-              in
-              let delta_db = Engine.Db.put db table (R.create cols rows) in
-              let delta = Engine.Exec.run delta_db e.e_graph in
-              let merged =
-                merge_delta ~sign:(-1) plan (Engine.Db.batch db e.e_name) delta
-              in
+          | Some plan, true when sign > 0 || deletable plan ->
+              let d = Engine.Exec.run_batch (Lazy.force delta_db) e.e_graph in
+              let merged = merge_delta ~sign plan (Engine.Db.batch db e.e_name) d in
               (smap, Engine.Db.put_batch db e.e_name merged)
           | _ ->
               if e.e_fresh then went_stale := e.e_name :: !went_stale;
@@ -433,6 +404,21 @@ let apply_delete store db ~table ~rows =
       store.s_map (store.s_map, db)
   in
   (touch { store with s_map = smap }, db, List.rev !went_stale)
+
+(* [rows] in [table]'s column order, as a batch *)
+let decode db table rows =
+  let cols =
+    match Catalog.find_table (Engine.Db.catalog db) table with
+    | Some t -> Catalog.column_names t
+    | None -> []
+  in
+  C.of_relation (R.create cols rows)
+
+let apply_insert store db ~table ~rows =
+  apply_delta ~sign:1 store db ~table ~delta:(lazy (decode db table rows))
+
+let apply_delete store db ~table ~rows =
+  apply_delta ~sign:(-1) store db ~table ~delta:(lazy (decode db table rows))
 
 let rewritable store =
   List.filter_map

@@ -2,9 +2,10 @@
 
     Each summary table is defined by a SQL query, materialized through the
     engine into an ordinary stored table, and registered in the catalog so
-    rewritten queries can scan it. Inserts into base tables are folded into
-    eligible summary tables incrementally (insert-delta aggregation); other
-    summary tables over the changed table turn stale and are excluded from
+    rewritten queries can scan it. Inserts into and deletes from base
+    tables are folded into eligible summary tables incrementally (delta
+    aggregation, {!apply_delta}); other summary tables over the changed
+    table turn stale and are excluded from
     rewriting until refreshed (the paper's problem (c), after [10]). *)
 
 type merge_fn = M_add | M_min | M_max
@@ -42,7 +43,7 @@ val find : t -> string -> entry option
 
 (** The store's planning epoch. Every operation that could change a
     routing decision — {!define}, {!drop}, {!refresh_full},
-    {!apply_insert}, {!apply_delete}, and (via {!touch}) session-level
+    {!apply_delta}, and (via {!touch}) session-level
     DDL — bumps it; the plan cache refuses to serve a decision stamped
     with any other epoch, so a stale plan is never executed. *)
 val epoch : t -> int
@@ -90,20 +91,25 @@ val quarantine_payload : t -> Engine.Db.t -> string -> t * Engine.Db.t
 val refresh_full :
   ?budget:Govern.Budget.t -> t -> Engine.Db.t -> string -> t * Engine.Db.t
 
-(** [apply_insert store db ~table ~rows] must be called *before* the rows
-    are added to [table]: summary tables with an incremental plan absorb the
-    delta; others over [table] become stale. The third component names the
+(** [apply_delta ~sign store db ~table ~delta] folds one statement's rows
+    [delta] (in [table]'s column order; inserted when [sign > 0], deleted
+    when [sign < 0]) into the summaries over [table], and must be called
+    {e before} [table] changes. [delta] is forced at most once, and only
+    if a summary absorbs it. Inserts are absorbed by every incremental
+    plan, deletes only by plans with COUNT/SUM aggregates and a
+    COUNT-star column (groups whose count reaches zero disappear); every
+    other summary over [table] goes stale. The third component names the
     entries that {e newly} went stale (the maintenance queue's input). *)
+val apply_delta :
+  sign:int -> t -> Engine.Db.t -> table:string ->
+  delta:Engine.Column.batch Lazy.t -> t * Engine.Db.t * string list
+
+(** {!apply_delta} with [sign = 1] over inserted rows. *)
 val apply_insert :
   t -> Engine.Db.t -> table:string -> rows:Data.Relation.row list ->
   t * Engine.Db.t * string list
 
-(** [apply_delete store db ~table ~rows] must be called with the deleted
-    rows *before* they are removed from [table]. Summary tables whose plan
-    has only subtractable aggregates (COUNT/SUM) and a COUNT-star column
-    absorb the delta (groups whose count reaches zero disappear); MIN/MAX
-    summaries and non-incremental ones become stale. The third component
-    names the entries that {e newly} went stale. *)
+(** {!apply_delta} with [sign = -1] over deleted rows. *)
 val apply_delete :
   t -> Engine.Db.t -> table:string -> rows:Data.Relation.row list ->
   t * Engine.Db.t * string list

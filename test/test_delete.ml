@@ -121,6 +121,33 @@ let test_summary_without_count_goes_stale_on_delete () =
   let e = Option.get (S.find (Sess.store sn) "ms") in
   Alcotest.(check bool) "stale (no tombstone counter)" false e.S.e_fresh
 
+let test_delete_scalar_subquery_same_table () =
+  let sn = setup_maint () in
+  ignore
+    (script sn
+       "CREATE SUMMARY TABLE m AS SELECT g, COUNT(*) AS c, SUM(v) AS s FROM \
+        t GROUP BY g;");
+  (* the selection of the deleted rows (for the summary) and of the
+     surviving ones (for the table) both see MIN(v) = 5 over the table as
+     it was before the DELETE *)
+  (match script sn "DELETE FROM t WHERE v > (SELECT MIN(v) FROM t);" with
+  | [ Sess.Msg m ] ->
+      Alcotest.(check string) "count" "4 row(s) deleted from t" m
+  | _ -> Alcotest.fail "expected one message");
+  let rel = last_table (script sn "SELECT g, v FROM t;") in
+  Alcotest.(check (list (list string)))
+    "only the minimum survives" [ [ "2"; "5" ] ]
+    (List.map (List.map V.to_string) (List.map Array.to_list (R.rows rel)));
+  let e = Option.get (S.find (Sess.store sn) "m") in
+  Alcotest.(check bool) "still fresh" true e.S.e_fresh;
+  let db = Sess.db sn in
+  let stored = Engine.Db.get_exn db "m" in
+  Alcotest.(check (list (list string)))
+    "one group left" [ [ "2"; "1"; "5" ] ]
+    (List.map (List.map V.to_string) (List.map Array.to_list (R.rows stored)));
+  Alcotest.(check bool) "summary equals its re-derivation" true
+    (R.bag_equal (Engine.Exec.run db e.S.e_graph) stored)
+
 (* property: random insert/delete interleavings keep the summary equal to a
    recomputation *)
 let prop_mixed_maintenance =
@@ -177,6 +204,8 @@ let suite =
       test_nullable_sum_goes_stale_on_delete;
     Alcotest.test_case "no counter goes stale" `Quick
       test_summary_without_count_goes_stale_on_delete;
+    Alcotest.test_case "scalar subquery over the same table" `Quick
+      test_delete_scalar_subquery_same_table;
     Alcotest.test_case "delete errors" `Quick test_delete_errors;
     QCheck_alcotest.to_alcotest prop_mixed_maintenance;
   ]

@@ -565,6 +565,43 @@ let test_copy_from_replayed_as_rows () =
   Helpers.check_rows "rows survive without the file" expected
     (table_of sess2 "SELECT a, b FROM t;")
 
+let test_delete_replayed () =
+  let dir = tmpdir () in
+  let mgr, shared, _ = M.recover (cfg_of dir ~every:0 ()) in
+  let sess = Sess.attach shared in
+  M.bind mgr sess;
+  (* NOT NULL b: the summary is delete-safe and absorbs the DELETE *)
+  ignore
+    (Sess.exec_sql sess
+       "CREATE TABLE t (a INT NOT NULL, b INT NOT NULL); \
+        INSERT INTO t VALUES (1, 10), (1, 11), (2, 20), (3, 30); \
+        CREATE SUMMARY TABLE s AS SELECT a, SUM(b) AS sb, COUNT(*) AS n \
+        FROM t GROUP BY a; \
+        INSERT INTO t VALUES (2, 21), (4, 40); \
+        DELETE FROM t WHERE b > 10 AND a < 3;");
+  let fresh sess =
+    match Mvstore.Store.find (Sess.store sess) "s" with
+    | Some e -> e.Mvstore.Store.e_fresh
+    | None -> Alcotest.fail "summary table lost"
+  in
+  Alcotest.(check bool) "summary absorbed the delete" true (fresh sess);
+  let table = "SELECT a, b FROM t;" and summary = "SELECT a, sb, n FROM s;" in
+  let expected = table_of sess table and expected_s = table_of sess summary in
+  Alcotest.(check int) "five records logged" 5 (M.last_lsn mgr);
+  M.close mgr;
+  let _, shared2, report = M.recover (cfg_of dir ~every:0 ()) in
+  Alcotest.(check int) "all records replayed" 5 report.M.r_replayed;
+  Alcotest.(check int) "no replay errors" 0 report.M.r_replay_errors;
+  Alcotest.(check (list string)) "nothing quarantined" [] report.M.r_quarantined;
+  let sess2 = Sess.attach shared2 in
+  Helpers.check_rows "table as in the first life" expected (table_of sess2 table);
+  Alcotest.(check bool) "summary fresh" true (fresh sess2);
+  Helpers.check_rows "summary as in the first life" expected_s (table_of sess2 summary);
+  let e = Option.get (Mvstore.Store.find (Sess.store sess2) "s") in
+  Helpers.check_rows "summary equals its re-derivation"
+    (Engine.Exec.run (Sess.db sess2) e.Mvstore.Store.e_graph)
+    (Engine.Db.get_exn (Sess.db sess2) "s")
+
 let test_corrupt_payload_quarantined () =
   let dir = tmpdir () in
   let col name ty nullable = { Catalog.col_name = name; col_ty = ty; nullable } in
@@ -989,6 +1026,7 @@ let suite =
       test_rolled_back_statement_never_replayed;
     Alcotest.test_case "copy-from replayed as rows" `Quick
       test_copy_from_replayed_as_rows;
+    Alcotest.test_case "delete replayed from the wal" `Quick test_delete_replayed;
     Alcotest.test_case "corrupt summary payload quarantined" `Quick
       test_corrupt_payload_quarantined;
     Alcotest.test_case "undecodable summary dropped" `Quick
