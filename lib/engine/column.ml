@@ -566,12 +566,11 @@ let gather (c : t) (idx : ints) (k : int) : t =
    like any boxed kernel output. *)
 let with_nulls (c : t) (m : Bytes.t) : t =
   let k = Bytes.length m in
-  let masked i = Bytes.unsafe_get m i = '\001' in
   let nulls = if no_nulls m then None else Some m in
-  let ints a =
+  let ints (a : ints) =
     let out = scratch_ints k in
     for i = 0 to k - 1 do
-      BA1.unsafe_set out i (if masked i then 0 else BA1.unsafe_get a i)
+      BA1.unsafe_set out i (if Bytes.unsafe_get m i = '\001' then 0 else BA1.unsafe_get a i)
     done;
     out
   in
@@ -582,12 +581,17 @@ let with_nulls (c : t) (m : Bytes.t) : t =
   | Floats a ->
       let out = scratch_floats k in
       for i = 0 to k - 1 do
-        BA1.unsafe_set out i (if masked i then 0.0 else BA1.unsafe_get a i)
+        BA1.unsafe_set out i (if Bytes.unsafe_get m i = '\001' then 0.0 else BA1.unsafe_get a i)
       done;
       { data = Floats out; nulls }
   | Bools b ->
-      { data = Bools (Bytes.init k (fun i -> if masked i then '\000' else Bytes.get b i)); nulls }
-  | Boxed a -> of_values (Array.init k (fun i -> if masked i then V.Null else a.(i)))
+      {
+        data =
+          Bools (Bytes.init k (fun i -> if Bytes.unsafe_get m i = '\001' then '\000' else Bytes.get b i));
+        nulls;
+      }
+  | Boxed a ->
+      of_values (Array.init k (fun i -> if Bytes.unsafe_get m i = '\001' then V.Null else a.(i)))
 
 (* Concatenate columns. Pieces of one physical kind concatenate typed,
    all-NULL pieces fitting any kind; anything else is re-classified from

@@ -536,23 +536,25 @@ and eval_fn ctx f args =
         (C.of_values
            (Array.init n (fun i -> Eval.apply_fn f (List.map (fun v -> vv_get n v i) vs))))
   in
-  let imap a f =
-    let k = BA1.dim a in
-    let out = C.scratch_ints k in
-    for i = 0 to k - 1 do
-      BA1.unsafe_set out i (f (BA1.unsafe_get a i))
-    done;
-    out
-  in
   match (String.lowercase_ascii f, vs) with
-  | ("year" | "month" | "day"), [ Vec ({ C.data = C.Dates a; _ } as c) ] ->
-      let proj =
-        match String.lowercase_ascii f with
-        | "year" -> fun e -> e / 10000
-        | "month" -> fun e -> e / 100 mod 100
-        | _ -> fun e -> e mod 100
-      in
-      Vec { C.data = C.Ints (imap a proj); nulls = c.C.nulls }
+  | (("year" | "month" | "day") as part), [ Vec ({ C.data = C.Dates a; _ } as c) ] ->
+      (* yyyymmdd; NULL padding 0 projects to 0 *)
+      let k = BA1.dim a in
+      let out = C.scratch_ints k in
+      (match part with
+      | "year" ->
+          for i = 0 to k - 1 do
+            BA1.unsafe_set out i (BA1.unsafe_get a i / 10000)
+          done
+      | "month" ->
+          for i = 0 to k - 1 do
+            BA1.unsafe_set out i (BA1.unsafe_get a i / 100 mod 100)
+          done
+      | _ ->
+          for i = 0 to k - 1 do
+            BA1.unsafe_set out i (BA1.unsafe_get a i mod 100)
+          done);
+      Vec { C.data = C.Ints out; nulls = c.C.nulls }
   | "float", [ Vec ({ C.data = C.Ints a; _ } as c) ] ->
       let k = BA1.dim a in
       let out = C.scratch_floats k in
@@ -562,7 +564,12 @@ and eval_fn ctx f args =
       Vec { C.data = C.Floats out; nulls = c.C.nulls }
   | "float", [ (Vec { C.data = C.Floats _; _ } as v) ] -> v
   | "abs", [ Vec ({ C.data = C.Ints a; _ } as c) ] ->
-      Vec { C.data = C.Ints (imap a abs); nulls = c.C.nulls }
+      let k = BA1.dim a in
+      let out = C.scratch_ints k in
+      for i = 0 to k - 1 do
+        BA1.unsafe_set out i (abs (BA1.unsafe_get a i))
+      done;
+      Vec { C.data = C.Ints out; nulls = c.C.nulls }
   | "abs", [ Vec ({ C.data = C.Floats a; _ } as c) ] ->
       let k = BA1.dim a in
       let out = C.scratch_floats k in
@@ -695,6 +702,51 @@ let gbuf_to_ints b =
 let int_codes (c : C.t) =
   match c.C.data with C.Ints a | C.Dates a | C.Dict (a, _) -> Some a | _ -> None
 
+(* The least and greatest non-NULL value of [a]'s first [n] rows;
+   (max_int, min_int) when every row is NULL. *)
+let int_bounds n (a : C.ints) (nulls : Bytes.t option) : int * int =
+  let lo = ref max_int and hi = ref min_int in
+  (match nulls with
+  | None ->
+      for i = 0 to n - 1 do
+        let x = BA1.unsafe_get a i in
+        if x < !lo then lo := x;
+        if x > !hi then hi := x
+      done
+  | Some m ->
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get m i = '\000' then begin
+          let x = BA1.unsafe_get a i in
+          if x < !lo then lo := x;
+          if x > !hi then hi := x
+        end
+      done);
+  (!lo, !hi)
+
+(* Add column [a]'s slots times [stride] into [out]; the first column
+   writes instead. A NULL row's slot is 0: the first column writes 0 there
+   and a later one leaves the row alone. *)
+let pack_col n ~first (a : C.ints) (nulls : Bytes.t option) ~base ~stride (out : C.ints) =
+  match (nulls, first) with
+  | None, true ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i ((BA1.unsafe_get a i + base) * stride)
+      done
+  | None, false ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (BA1.unsafe_get out i + ((BA1.unsafe_get a i + base) * stride))
+      done
+  | Some m, true ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i
+          (if Bytes.unsafe_get m i = '\001' then 0 else (BA1.unsafe_get a i + base) * stride)
+      done
+  | Some m, false ->
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get m i = '\000' then
+          BA1.unsafe_set out i (BA1.unsafe_get out i + ((BA1.unsafe_get a i + base) * stride))
+      done
+
 (* Pack every row's key into [out] as one int, column at a time: column
    [j] contributes its slot times the product of the radices before it,
    where slot 0 is NULL (NULL groups with NULL) and value [x] is slot
@@ -709,24 +761,17 @@ let pack_keys n (cols : C.t list) (out : C.ints) : int option =
         | None when C.is_all_null c -> plan acc space rest (* one slot: adds 0 *)
         | None -> None
         | Some a ->
-            let lo = ref max_int and hi = ref min_int in
-            for i = 0 to n - 1 do
-              if not (C.is_null c i) then begin
-                let x = BA1.unsafe_get a i in
-                if x < !lo then lo := x;
-                if x > !hi then hi := x
-              end
-            done;
+            let lo, hi = int_bounds n a c.C.nulls in
             let radix =
-              if !lo > !hi then Some 1 (* no non-NULL rows: only slot 0 *)
+              if lo > hi then Some 1 (* no non-NULL rows: only slot 0 *)
               else
-                let span = !hi - !lo in
+                let span = hi - lo in
                 (* a negative span is a wrapped subtraction *)
                 if span < 0 || span > max_int - 2 then None else Some (span + 2)
             in
             match radix with
             | Some r when space <= max_int / r ->
-                plan ((c, a, !lo, space) :: acc) (space * r) rest
+                plan ((c, a, lo, space) :: acc) (space * r) rest
             | _ -> None)
   in
   match plan [] 1 cols with
@@ -735,16 +780,7 @@ let pack_keys n (cols : C.t list) (out : C.ints) : int option =
       if specs = [] then BA1.fill out 0;
       List.iteri
         (fun j (c, a, lo, stride) ->
-          let base = 1 - lo and nulls = c.C.nulls in
-          for i = 0 to n - 1 do
-            let slot =
-              match nulls with
-              | Some m when Bytes.unsafe_get m i = '\001' -> 0
-              | _ -> BA1.unsafe_get a i + base
-            in
-            let acc = if j = 0 then 0 else BA1.unsafe_get out i in
-            BA1.unsafe_set out i (acc + (slot * stride))
-          done)
+          pack_col n ~first:(j = 0) a c.C.nulls ~base:(1 - lo) ~stride out)
         specs;
       Some space
 
@@ -772,38 +808,52 @@ let assign_packed n (keys : C.ints) space : C.ints * int =
   end
   else begin
     Obs.Metrics.incr x_group_probe;
-    let gkeys = gbuf_create () in
-    let bits = ref 8 in
-    let table = ref (Array.make (1 lsl !bits) (-1)) in
-    (* Fibonacci hashing: the top [bits] bits of a multiplicative mix *)
-    let home k = (k * 0x1e3779b97f4a7c15) lsr (63 - !bits) in
-    let mask () = Array.length !table - 1 in
-    let rec slot k j =
-      let g = Array.unsafe_get !table j in
-      if g < 0 || Array.unsafe_get gkeys.g_arr g = k then j
-      else slot k ((j + 1) land mask ())
-    in
-    let grow () =
-      Obs.Metrics.incr x_group_grows;
-      incr bits;
-      table := Array.make (1 lsl !bits) (-1);
-      for g = 0 to gkeys.g_len - 1 do
-        let k = Array.unsafe_get gkeys.g_arr g in
-        Array.unsafe_set !table (slot k (home k)) g
-      done
-    in
+    (* Linear probing over [2^bits] slots holding group ids (-1 empty),
+       with Fibonacci hashing: the top [bits] bits of a multiplicative mix.
+       Everything the loop touches is a local, and nothing is a closure. *)
+    let shift = ref (63 - 8) in
+    let table = ref (Array.make 256 (-1)) in
+    let mask = ref 255 in
+    (* each group's packed key, by group id *)
+    let gkeys = ref (Array.make 256 0) in
     for i = 0 to n - 1 do
       let k = BA1.unsafe_get keys i in
-      let j = slot k (home k) in
-      let g = Array.unsafe_get !table j in
-      if g >= 0 then BA1.unsafe_set keys i g
+      let t = !table and gk = !gkeys in
+      let j = ref ((k * 0x1e3779b97f4a7c15) lsr !shift) in
+      let g = ref (Array.unsafe_get t !j) in
+      while !g >= 0 && Array.unsafe_get gk !g <> k do
+        j := (!j + 1) land !mask;
+        g := Array.unsafe_get t !j
+      done;
+      if !g >= 0 then BA1.unsafe_set keys i !g
       else begin
-        let g = gkeys.g_len in
-        Array.unsafe_set !table j g;
-        gbuf_push gkeys k;
+        let g = firsts.g_len in
+        Array.unsafe_set t !j g;
+        if g = Array.length gk then begin
+          let bigger = Array.make (2 * g) 0 in
+          Array.blit gk 0 bigger 0 g;
+          gkeys := bigger
+        end;
+        Array.unsafe_set !gkeys g k;
         gbuf_push firsts i;
         BA1.unsafe_set keys i g;
-        if 2 * gkeys.g_len > Array.length !table then grow ()
+        if 2 * (g + 1) > Array.length t then begin
+          (* double at half load, re-placing every group *)
+          Obs.Metrics.incr x_group_grows;
+          let size = 2 * Array.length t in
+          let t' = Array.make size (-1) and gk = !gkeys in
+          let m = size - 1 and s = !shift - 1 in
+          for h = 0 to g do
+            let j = ref ((Array.unsafe_get gk h * 0x1e3779b97f4a7c15) lsr s) in
+            while Array.unsafe_get t' !j >= 0 do
+              j := (!j + 1) land m
+            done;
+            Array.unsafe_set t' !j h
+          done;
+          table := t';
+          mask := m;
+          shift := s
+        end
       end
     done
   end;
@@ -847,21 +897,36 @@ let group_rows n (cols : C.t list) : C.ints * C.ints * int =
 let join_rows key_pairs ~nb ~np : C.ints * C.ints * int =
   let keys = List.map (fun (b, p) -> C.concat [ b; p ]) key_pairs in
   let gids, _, ngroups = group_rows (nb + np) keys in
-  let has_null i = List.exists (fun c -> C.is_null c i) keys in
+  (* the rows with a NULL key column, merged once *)
+  let nulls =
+    match List.filter_map (fun c -> c.C.nulls) keys with
+    | [] -> None
+    | [ m ] -> Some m
+    | ms ->
+        let any = Bytes.make (nb + np) '\000' in
+        List.iter
+          (fun m ->
+            for i = 0 to nb + np - 1 do
+              if Bytes.unsafe_get m i = '\001' then Bytes.unsafe_set any i '\001'
+            done)
+          ms;
+        Some any
+  in
   (* chain links in the scratch arena: a build side of base-table size
      would otherwise leave a heap array per join for the major GC *)
   let head = C.scratch_ints ngroups and next = C.scratch_ints nb in
   BA1.fill head (-1);
   let li = ibuf_create (max nb np) and ri = ibuf_create (max nb np) in
   for i = nb - 1 downto 0 do
-    if not (has_null i) then begin
+    if match nulls with None -> true | Some m -> Bytes.unsafe_get m i = '\000' then begin
       let g = BA1.unsafe_get gids i in
       BA1.unsafe_set next i (BA1.unsafe_get head g);
       BA1.unsafe_set head g i
     end
   done;
   for l = 0 to np - 1 do
-    if not (has_null (nb + l)) then begin
+    if match nulls with None -> true | Some m -> Bytes.unsafe_get m (nb + l) = '\000'
+    then begin
       let j = ref (BA1.unsafe_get head (BA1.unsafe_get gids (nb + l))) in
       while !j >= 0 do
         ibuf_push li l;
@@ -1112,8 +1177,135 @@ let empty_groups ngroups (nonnull : int array) =
 
 let ints_of_array (a : int array) : C.t =
   let out = C.scratch_ints (Array.length a) in
-  Array.iteri (fun g x -> BA1.unsafe_set out g x) a;
+  for g = 0 to Array.length a - 1 do
+    BA1.unsafe_set out g (Array.unsafe_get a g)
+  done;
   { C.data = C.Ints out; nulls = None }
+
+(* Per-group sums of [a]'s rows outside [nulls]. *)
+let sum_ints n (gids : C.ints) ngroups (a : C.ints) (nulls : Bytes.t option) : C.ints =
+  let sums = C.scratch_ints ngroups in
+  BA1.fill sums 0;
+  (match nulls with
+  | None ->
+      for i = 0 to n - 1 do
+        let g = BA1.unsafe_get gids i in
+        BA1.unsafe_set sums g (BA1.unsafe_get sums g + BA1.unsafe_get a i)
+      done
+  | Some m ->
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get m i = '\000' then begin
+          let g = BA1.unsafe_get gids i in
+          BA1.unsafe_set sums g (BA1.unsafe_get sums g + BA1.unsafe_get a i)
+        end
+      done);
+  sums
+
+let sum_floats n (gids : C.ints) ngroups (a : C.floats) (nulls : Bytes.t option) :
+    C.floats =
+  let sums = C.scratch_floats ngroups in
+  BA1.fill sums 0.0;
+  (match nulls with
+  | None ->
+      for i = 0 to n - 1 do
+        let g = BA1.unsafe_get gids i in
+        BA1.unsafe_set sums g (BA1.unsafe_get sums g +. BA1.unsafe_get a i)
+      done
+  | Some m ->
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get m i = '\000' then begin
+          let g = BA1.unsafe_get gids i in
+          BA1.unsafe_set sums g (BA1.unsafe_get sums g +. BA1.unsafe_get a i)
+        end
+      done);
+  sums
+
+(* MIN ([sign] = 1) and MAX ([sign] = -1): record in [best] each group's
+   row holding its least (greatest) value among the rows outside [nulls],
+   the first such row on ties; [best] starts at -1, which a group without
+   one keeps. *)
+let best_ints sign n (gids : C.ints) (a : C.ints) (nulls : Bytes.t option) best =
+  match nulls with
+  | None ->
+      for i = 0 to n - 1 do
+        let g = BA1.unsafe_get gids i in
+        let b = Array.unsafe_get best g in
+        if b < 0 || sign * compare (BA1.unsafe_get a i) (BA1.unsafe_get a b) < 0 then
+          Array.unsafe_set best g i
+      done
+  | Some m ->
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get m i = '\000' then begin
+          let g = BA1.unsafe_get gids i in
+          let b = Array.unsafe_get best g in
+          if b < 0 || sign * compare (BA1.unsafe_get a i) (BA1.unsafe_get a b) < 0 then
+            Array.unsafe_set best g i
+        end
+      done
+
+let best_floats sign n (gids : C.ints) (a : C.floats) (nulls : Bytes.t option) best =
+  match nulls with
+  | None ->
+      for i = 0 to n - 1 do
+        let g = BA1.unsafe_get gids i in
+        let b = Array.unsafe_get best g in
+        if b < 0 || sign * Float.compare (BA1.unsafe_get a i) (BA1.unsafe_get a b) < 0
+        then Array.unsafe_set best g i
+      done
+  | Some m ->
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get m i = '\000' then begin
+          let g = BA1.unsafe_get gids i in
+          let b = Array.unsafe_get best g in
+          if b < 0 || sign * Float.compare (BA1.unsafe_get a i) (BA1.unsafe_get a b) < 0
+          then Array.unsafe_set best g i
+        end
+      done
+
+let best_dict sign n (gids : C.ints) (codes : C.ints) (dict : string array)
+    (nulls : Bytes.t option) best =
+  match nulls with
+  | None ->
+      for i = 0 to n - 1 do
+        let g = BA1.unsafe_get gids i in
+        let b = Array.unsafe_get best g in
+        if
+          b < 0
+          || sign
+             * String.compare dict.(BA1.unsafe_get codes i) dict.(BA1.unsafe_get codes b)
+             < 0
+        then Array.unsafe_set best g i
+      done
+  | Some m ->
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get m i = '\000' then begin
+          let g = BA1.unsafe_get gids i in
+          let b = Array.unsafe_get best g in
+          if
+            b < 0
+            || sign
+               * String.compare dict.(BA1.unsafe_get codes i) dict.(BA1.unsafe_get codes b)
+               < 0
+          then Array.unsafe_set best g i
+        end
+      done
+
+(* [a]'s value at each group's best row; 0 for a group with none *)
+let pick_ints (a : C.ints) (best : int array) : C.ints =
+  let out = C.scratch_ints (Array.length best) in
+  for g = 0 to Array.length best - 1 do
+    let b = Array.unsafe_get best g in
+    BA1.unsafe_set out g (if b < 0 then 0 else BA1.unsafe_get a b)
+  done;
+  out
+
+let pick_floats (a : C.floats) (best : int array) : C.floats =
+  let out = C.scratch_floats (Array.length best) in
+  for g = 0 to Array.length best - 1 do
+    let b = Array.unsafe_get best g in
+    BA1.unsafe_set out g (if b < 0 then 0.0 else BA1.unsafe_get a b)
+  done;
+  out
 
 (* Fold one aggregate over [n] rows in a typed loop, into a typed column
    of [ngroups] rows; only boxed arguments fold and re-classify boxed. *)
@@ -1124,9 +1316,10 @@ let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : C.t option)
   | E.Count, None -> ints_of_array (Array.make ngroups 0)
   | _, None -> all_null ngroups (* SUM/MIN/... over no argument *)
   | fn, Some c -> (
+      let mask = c.C.nulls in
       (* per-group non-NULL inputs; without a mask that is the row count *)
       let nonnull =
-        match c.C.nulls with
+        match mask with
         | None -> counts
         | Some m ->
             let k = Array.make ngroups 0 in
@@ -1139,48 +1332,39 @@ let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : C.t option)
             k
       in
       let nulls = empty_groups ngroups nonnull in
-      let valid i = not (C.is_null c i) in
       let boxed f = C.of_values (Array.init ngroups f) in
       match fn with
       | E.Count_star -> assert false
       | E.Count -> ints_of_array nonnull
       | E.Sum | E.Avg -> (
-          let avg sum_at =
+          let avg (sums : C.floats) =
             let out = C.scratch_floats ngroups in
             for g = 0 to ngroups - 1 do
+              let k = nonnull.(g) in
               BA1.unsafe_set out g
-                (if nonnull.(g) = 0 then 0.0 else sum_at g /. float_of_int nonnull.(g))
+                (if k = 0 then 0.0 else BA1.unsafe_get sums g /. float_of_int k)
             done;
             { C.data = C.Floats out; nulls }
           in
           match c.C.data with
           | C.Ints a ->
-              let sums = C.scratch_ints ngroups in
-              BA1.fill sums 0;
-              for i = 0 to n - 1 do
-                if valid i then begin
-                  let g = BA1.unsafe_get gids i in
-                  BA1.unsafe_set sums g (BA1.unsafe_get sums g + BA1.unsafe_get a i)
-                end
-              done;
+              let sums = sum_ints n gids ngroups a mask in
               if fn = E.Sum then { C.data = C.Ints sums; nulls }
-              else avg (fun g -> float_of_int (BA1.unsafe_get sums g))
+              else begin
+                let fsums = C.scratch_floats ngroups in
+                for g = 0 to ngroups - 1 do
+                  BA1.unsafe_set fsums g (float_of_int (BA1.unsafe_get sums g))
+                done;
+                avg fsums
+              end
           | C.Floats a ->
-              let sums = C.scratch_floats ngroups in
-              BA1.fill sums 0.0;
-              for i = 0 to n - 1 do
-                if valid i then begin
-                  let g = BA1.unsafe_get gids i in
-                  BA1.unsafe_set sums g (BA1.unsafe_get sums g +. BA1.unsafe_get a i)
-                end
-              done;
-              if fn = E.Sum then { C.data = C.Floats sums; nulls }
-              else avg (fun g -> BA1.unsafe_get sums g)
+              let sums = sum_floats n gids ngroups a mask in
+              if fn = E.Sum then { C.data = C.Floats sums; nulls } else avg sums
           | _ ->
               (* boxed fallback: the scalar V.add fold *)
               let sums = Array.make ngroups V.Null in
               for i = 0 to n - 1 do
-                if valid i then begin
+                if not (C.is_null c i) then begin
                   let g = BA1.unsafe_get gids i in
                   let v = C.get c i in
                   sums.(g) <- (if V.is_null sums.(g) then v else V.add sums.(g) v)
@@ -1190,44 +1374,30 @@ let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : C.t option)
                   if V.is_null sums.(g) || fn = E.Sum then sums.(g)
                   else V.Float (V.to_float sums.(g) /. float_of_int nonnull.(g))))
       | E.Min | E.Max -> (
-          let better = if fn = E.Min then fun c -> c < 0 else fun c -> c > 0 in
+          let sign = if fn = E.Min then 1 else -1 in
           (* the best row per group so far, -1 before the first *)
           let best = Array.make ngroups (-1) in
-          let fold cmp =
-            for i = 0 to n - 1 do
-              if valid i then begin
-                let g = BA1.unsafe_get gids i in
-                let b = Array.unsafe_get best g in
-                if b < 0 || better (cmp i b) then Array.unsafe_set best g i
-              end
-            done
-          in
-          let pick_ints a =
-            let out = C.scratch_ints ngroups in
-            Array.iteri
-              (fun g b -> BA1.unsafe_set out g (if b < 0 then 0 else BA1.unsafe_get a b))
-              best;
-            out
-          in
           match c.C.data with
-          | C.Ints a | C.Dates a ->
-              fold (fun i b -> compare (BA1.unsafe_get a i) (BA1.unsafe_get a b));
-              let out = pick_ints a in
-              let data = match c.C.data with C.Dates _ -> C.Dates out | _ -> C.Ints out in
-              { C.data; nulls }
+          | C.Ints a ->
+              best_ints sign n gids a mask best;
+              { C.data = C.Ints (pick_ints a best); nulls }
+          | C.Dates a ->
+              best_ints sign n gids a mask best;
+              { C.data = C.Dates (pick_ints a best); nulls }
           | C.Dict (codes, dict) ->
-              fold (fun i b ->
-                  String.compare dict.(BA1.unsafe_get codes i) dict.(BA1.unsafe_get codes b));
-              { C.data = C.Dict (pick_ints codes, dict); nulls }
+              best_dict sign n gids codes dict mask best;
+              { C.data = C.Dict (pick_ints codes best, dict); nulls }
           | C.Floats a ->
-              fold (fun i b -> Float.compare (BA1.unsafe_get a i) (BA1.unsafe_get a b));
-              let out = C.scratch_floats ngroups in
-              Array.iteri
-                (fun g b -> BA1.unsafe_set out g (if b < 0 then 0.0 else BA1.unsafe_get a b))
-                best;
-              { C.data = C.Floats out; nulls }
+              best_floats sign n gids a mask best;
+              { C.data = C.Floats (pick_floats a best); nulls }
           | _ ->
-              fold (fun i b -> V.compare (C.get c i) (C.get c b));
+              for i = 0 to n - 1 do
+                if not (C.is_null c i) then begin
+                  let g = BA1.unsafe_get gids i in
+                  let b = best.(g) in
+                  if b < 0 || sign * V.compare (C.get c i) (C.get c b) < 0 then best.(g) <- i
+                end
+              done;
               boxed (fun g -> if best.(g) < 0 then V.Null else C.get c best.(g))))
 
 let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =

@@ -204,6 +204,16 @@ let define store db ~name ~sql =
     try Qgm.Builder.build (Engine.Db.catalog db) ast_q
     with Qgm.Builder.Sem_error m -> err "invalid summary definition: %s" m
   in
+  (* Maintenance follows a summary's footprint to the tables under it, so a
+     summary over a summary would never see its base tables change. *)
+  List.iter
+    (fun t ->
+      match Smap.find_opt (norm t) store.s_map with
+      | Some inner ->
+          err "summary table %s cannot be defined over summary table %s" name
+            inner.e_name
+      | None -> ())
+    (base_tables graph);
   (match Lint.Validate.check ~cat:(Engine.Db.catalog db) graph with
   | [] -> ()
   | vs ->

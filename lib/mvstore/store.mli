@@ -60,7 +60,9 @@ exception Mv_error of string
 
 (** [define store db ~name ~sql] parses and elaborates the defining query,
     materializes it, registers the result as a catalog table, and stores the
-    entry. Raises {!Mv_error} on name clashes or unsupported definitions. *)
+    entry. Raises {!Mv_error} on name clashes or unsupported definitions,
+    among them a definition that reads another summary table (the error
+    names it): summaries are defined over base tables only. *)
 val define : t -> Engine.Db.t -> name:string -> sql:string -> t * Engine.Db.t
 
 val drop : t -> Engine.Db.t -> string -> t * Engine.Db.t

@@ -2,8 +2,9 @@
    generated batches shaped to force each of its paths: the dense array
    (narrow key domains), the open-addressing table through several
    doublings (a wide key domain), and the boxed fallback (FLOAT keys, and
-   INT keys whose radix product overflows near min_int/max_int). Every
-   key column carries NULLs; the batch also feeds DISTINCT aggregates,
+   INT keys whose radix product overflows near min_int/max_int). Key
+   columns carry NULLs, or in some cases none, so both sides of every
+   NULL-mask branch run; the batch also feeds DISTINCT aggregates,
    GROUPING SETS, SELECT DISTINCT, UNION and joins with a second,
    independently drawn table. Answers must be bag-equal to the oracle,
    groups and distinct rows must come out in first-seen order, and joins
@@ -47,12 +48,16 @@ let catalog =
   add_table (add_table empty (table "t")) (table "u")
 
 (* [urows] are drawn after [rows] and independently of them, so u's
-   string dictionary differs from t's *)
+   string dictionary differs from t's. The columns in [no_nulls] draw no
+   NULL, so their columns carry no NULL mask (unless a fixed row of the
+   shape puts one there): masked and mask-free columns each occur as the
+   first key, as a later key and as an aggregate argument. *)
 type case = {
   shape : shape;
   rows : V.t array list;
   keys : string list;
   urows : V.t array list;
+  no_nulls : string list;
 }
 
 let gen_case =
@@ -60,7 +65,17 @@ let gen_case =
     let* shape =
       oneofl [ Dense; Wide; Span_overflow; Product_overflow; Float_keys; Empty ]
     in
-    let nullable g = frequency [ (1, return V.Null); (6, g) ] in
+    (* each column mask-free in about one case of three *)
+    let* no_nulls =
+      map
+        (List.filter_map (fun (c, k) -> if k = 0 then Some c else None))
+        (flatten_l
+           (List.map (fun c -> map (fun k -> (c, k)) (int_bound 2))
+              [ "a"; "b"; "d"; "s"; "f"; "v" ]))
+    in
+    let nullable_in col g =
+      if List.mem col no_nulls then g else frequency [ (1, return V.Null); (6, g) ]
+    in
     let int_in lo hi = map (fun x -> V.Int x) (int_range lo hi) in
     let date_in years =
       map (fun k -> V.date (1990 + (k mod years)) 1 (1 + (k mod 28))) nat
@@ -79,12 +94,12 @@ let gen_case =
     in
     let b = match shape with Wide -> a | _ -> int_in (-3) 3 in
     let row a d s =
-      let* a = nullable a in
-      let* b = nullable b in
-      let* d = nullable d in
-      let* s = nullable s in
-      let* f = nullable floats in
-      let* v = nullable (int_in (-20) 20) in
+      let* a = nullable_in "a" a in
+      let* b = nullable_in "b" b in
+      let* d = nullable_in "d" d in
+      let* s = nullable_in "s" s in
+      let* f = nullable_in "f" floats in
+      let* v = nullable_in "v" (int_in (-20) 20) in
       return [| a; b; d; s; f; v |]
     in
     let* n = size in
@@ -145,11 +160,12 @@ let gen_case =
           :: fresh
       | _ -> fresh
     in
-    return { shape; rows; keys; urows })
+    return { shape; rows; keys; urows; no_nulls })
 
 let print_case c =
-  Printf.sprintf "%s, %d rows, %d u rows, keys (%s)" (shape_name c.shape)
+  Printf.sprintf "%s, %d rows, %d u rows, keys (%s), no NULLs in (%s)" (shape_name c.shape)
     (List.length c.rows) (List.length c.urows) (String.concat ", " c.keys)
+    (String.concat ", " c.no_nulls)
 
 let columns = [ "a"; "b"; "d"; "s"; "f"; "v" ]
 
@@ -302,6 +318,73 @@ let prop_kernel =
     (QCheck.make ~print:print_case gen_case)
     check_case
 
+(* Every aggregate over every typed argument, and the DATE parts, against
+   the oracle: SUM and AVG over INT and FLOAT; COUNT, MIN and MAX over INT,
+   DATE, FLOAT and strings (a dictionary column); grouped by the case's
+   keys and over the whole table. year/month/day of the nullable d are
+   projected, grouped on and aggregated. *)
+let check_folds c =
+  let agree = agree (db_of c) in
+  let keys = String.concat ", " c.keys in
+  let aggs =
+    "COUNT(*) AS n, SUM(v) AS sv, SUM(f) AS sf, AVG(v) AS av, AVG(f) AS af, \
+     COUNT(a) AS ca, COUNT(d) AS cd, COUNT(f) AS cf, COUNT(s) AS cs, MIN(a) AS a0, \
+     MAX(v) AS v1, MIN(d) AS d0, MAX(d) AS d1, MIN(f) AS f0, MAX(f) AS f1, \
+     MIN(s) AS s0, MAX(s) AS s1"
+  in
+  ignore (agree (Printf.sprintf "SELECT %s, %s FROM t GROUP BY %s" keys aggs keys));
+  ignore (agree (Printf.sprintf "SELECT %s FROM t" aggs));
+  ignore (agree "SELECT d, year(d) AS y, month(d) AS m, day(d) AS dd FROM t");
+  ignore
+    (agree
+       "SELECT year(d) AS y, month(d) AS m, COUNT(*) AS n, MIN(day(d)) AS d0, \
+        MAX(day(d)) AS d1 FROM t GROUP BY year(d), month(d)");
+  true
+
+let prop_folds =
+  QCheck.Test.make ~name:"typed folds and date parts match reference" ~count:40
+    (QCheck.make ~print:print_case gen_case)
+    check_folds
+
+(* whether some row of t holds NULL in [col] *)
+let masked c col =
+  let j = Option.get (List.find_index (( = ) col) columns) in
+  List.exists (fun row -> V.is_null row.(j)) c.rows
+
+(* Each branch the kernels specialise on the NULL mask, whatever the
+   generator drew: a masked and a mask-free column first among the keys,
+   later among them, and as each typed aggregate argument. *)
+let test_every_mask_case () =
+  let nonempty c = c.rows <> [] in
+  let later c = List.tl c.keys in
+  let wants =
+    [
+      ("masked first key", fun c -> masked c (List.hd c.keys));
+      ("mask-free first key", fun c -> nonempty c && not (masked c (List.hd c.keys)));
+      ("masked later key", fun c -> List.exists (masked c) (later c));
+      ( "mask-free later key",
+        fun c -> nonempty c && List.exists (fun k -> not (masked c k)) (later c) );
+    ]
+    @ List.concat_map
+        (fun col ->
+          [
+            ("masked " ^ col, fun c -> masked c col);
+            ("mask-free " ^ col, fun c -> nonempty c && not (masked c col));
+          ])
+        [ "a"; "v"; "d"; "f"; "s" ]
+  in
+  List.iter
+    (fun (what, want) ->
+      let rec draw k =
+        if k > 10_000 then Alcotest.failf "no case drew a %s" what;
+        let c = QCheck.Gen.generate1 ~rand:(Random.State.make [| k |]) gen_case in
+        if want c then c else draw (k + 1)
+      in
+      let c = draw 0 in
+      Alcotest.(check bool) (what ^ ": kernel") true (check_case c);
+      Alcotest.(check bool) (what ^ ": folds") true (check_folds c))
+    wants
+
 (* every path, whatever the generator drew *)
 let test_every_path () =
   List.iter
@@ -371,4 +454,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_kernel;
     Alcotest.test_case "every kernel path" `Quick test_every_path;
     QCheck_alcotest.to_alcotest prop_concat_dict;
+    QCheck_alcotest.to_alcotest prop_folds;
+    Alcotest.test_case "every mask case" `Quick test_every_mask_case;
   ]

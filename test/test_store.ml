@@ -302,9 +302,47 @@ let test_stored_batches_survive_arena_reuse () =
   check_rows "table rows" (R.create [ "k"; "g"; "v"; "s" ] (initial @ inserted))
     (Engine.Db.get_exn db "t")
 
+(* A summary over a summary would be maintained through its footprint,
+   which names the inner summary, not the base table under it: an INSERT
+   into t left m2 fresh over old contents, and a query routed to it
+   answered 2 | 30 where the base plan answers 3 | 60. The definition is
+   refused, with an error naming the inner summary, and the query then
+   reads m. *)
+let test_summary_over_summary_refused () =
+  let module Sess = Mvstore.Session in
+  let inner = "SELECT g, COUNT(*) AS c, SUM(v) AS s FROM t GROUP BY g" in
+  let outer = "SELECT COUNT(*) AS n, SUM(s) AS total FROM m" in
+  let sn = Sess.create () in
+  let exec sql = Sess.exec_sql sn sql in
+  ignore (exec "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL)");
+  ignore (exec "INSERT INTO t VALUES (1,10),(2,20)");
+  ignore (exec ("CREATE SUMMARY TABLE m AS " ^ inner));
+  (match S.define (Sess.store sn) (Sess.db sn) ~name:"m2" ~sql:outer with
+  | exception S.Mv_error msg ->
+      Alcotest.(check bool) ("store error names m: " ^ msg) true
+        (contains msg "summary table m")
+  | _ -> Alcotest.fail "Store.define accepted a summary over a summary");
+  (match exec ("CREATE SUMMARY TABLE m2 AS " ^ outer) with
+  | exception Sess.Session_error msg ->
+      Alcotest.(check bool) ("session error names m: " ^ msg) true
+        (contains msg "summary table m")
+  | _ -> Alcotest.fail "CREATE SUMMARY TABLE accepted a summary over a summary");
+  Alcotest.(check bool) "m2 not registered" true (S.find (Sess.store sn) "m2" = None);
+  ignore (exec "INSERT INTO t VALUES (3,30)");
+  let answer config =
+    match Sess.exec_sql ?config sn (outer ^ ";") with
+    | [ Sess.Table rel ] -> rel
+    | _ -> Alcotest.fail "expected one result table"
+  in
+  let base = { (Sess.config sn) with Sess.rewrite = false } in
+  check_rows "rewrite on" (R.create [ "n"; "total" ] [ [| i 3; i 60 |] ]) (answer None);
+  check_rows "rewrite off" (R.create [ "n"; "total" ] [ [| i 3; i 60 |] ]) (answer (Some base))
+
 let suite =
   [
     Alcotest.test_case "define registers" `Quick test_define_registers_table;
+    Alcotest.test_case "summary over a summary refused" `Quick
+      test_summary_over_summary_refused;
     Alcotest.test_case "incremental plan detection" `Quick
       test_incr_plan_detection;
     Alcotest.test_case "name clashes" `Quick test_name_clashes;
