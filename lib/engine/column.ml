@@ -429,18 +429,29 @@ let float_set bits old =
   done;
   s
 
+let int_bounds n (a : ints) (nulls : Bytes.t option) : int * int =
+  let lo = ref max_int and hi = ref min_int in
+  (match nulls with
+  | None ->
+      for i = 0 to n - 1 do
+        let x = BA1.unsafe_get a i in
+        if x < !lo then lo := x;
+        if x > !hi then hi := x
+      done
+  | Some m ->
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get m i = '\000' then begin
+          let x = BA1.unsafe_get a i in
+          if x < !lo then lo := x;
+          if x > !hi then hi := x
+        end
+      done);
+  (!lo, !hi)
+
 (* distinct non-NULL values of [a]; [m] marks NULL rows when [masked] *)
 let distinct_ints (a : ints) masked m =
   let n = BA1.dim a in
-  let lo = ref max_int and hi = ref min_int in
-  for i = 0 to n - 1 do
-    if (not masked) || Bytes.unsafe_get m i = '\000' then begin
-      let x = BA1.unsafe_get a i in
-      if x < !lo then lo := x;
-      if x > !hi then hi := x
-    end
-  done;
-  let lo = !lo and hi = !hi in
+  let lo, hi = int_bounds n a (if masked then Some m else None) in
   (* the true span overflows, and [hi - lo] wraps negative, only when it
      exceeds max_int *)
   let span = hi - lo in

@@ -85,6 +85,11 @@ val persist : batch -> batch
     be distinct (as {!of_values} and {!concat} keep them). *)
 val ndv : t -> int
 
+(** [int_bounds n a nulls] is the least and greatest value among the first
+    [n] rows of [a] that [nulls] does not mark NULL; [(max_int, min_int)]
+    when there is none. *)
+val int_bounds : int -> ints -> Bytes.t option -> int * int
+
 (** [gather c idx k] takes rows of [c] at [idx.(0..k-1)], in order. *)
 val gather : t -> ints -> int -> t
 

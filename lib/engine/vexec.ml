@@ -702,27 +702,6 @@ let gbuf_to_ints b =
 let int_codes (c : C.t) =
   match c.C.data with C.Ints a | C.Dates a | C.Dict (a, _) -> Some a | _ -> None
 
-(* The least and greatest non-NULL value of [a]'s first [n] rows;
-   (max_int, min_int) when every row is NULL. *)
-let int_bounds n (a : C.ints) (nulls : Bytes.t option) : int * int =
-  let lo = ref max_int and hi = ref min_int in
-  (match nulls with
-  | None ->
-      for i = 0 to n - 1 do
-        let x = BA1.unsafe_get a i in
-        if x < !lo then lo := x;
-        if x > !hi then hi := x
-      done
-  | Some m ->
-      for i = 0 to n - 1 do
-        if Bytes.unsafe_get m i = '\000' then begin
-          let x = BA1.unsafe_get a i in
-          if x < !lo then lo := x;
-          if x > !hi then hi := x
-        end
-      done);
-  (!lo, !hi)
-
 (* Add column [a]'s slots times [stride] into [out]; the first column
    writes instead. A NULL row's slot is 0: the first column writes 0 there
    and a later one leaves the row alone. *)
@@ -761,7 +740,7 @@ let pack_keys n (cols : C.t list) (out : C.ints) : int option =
         | None when C.is_all_null c -> plan acc space rest (* one slot: adds 0 *)
         | None -> None
         | Some a ->
-            let lo, hi = int_bounds n a c.C.nulls in
+            let lo, hi = C.int_bounds n a c.C.nulls in
             let radix =
               if lo > hi then Some 1 (* no non-NULL rows: only slot 0 *)
               else
