@@ -787,9 +787,10 @@ let assign_packed n (keys : C.ints) space : C.ints * int =
   end
   else begin
     Obs.Metrics.incr x_group_probe;
-    (* Linear probing over [2^bits] slots holding group ids (-1 empty),
-       with Fibonacci hashing: the top [bits] bits of a multiplicative mix.
-       Everything the loop touches is a local, and nothing is a closure. *)
+    (* Linear probing over a power-of-two table of group ids (-1 empty),
+       with Fibonacci hashing: a key's home slot is the top bits of a
+       multiplicative mix, shifted right by 63 minus the table's log size.
+       The loop keeps its state in locals and calls no closure. *)
     let shift = ref (63 - 8) in
     let table = ref (Array.make 256 (-1)) in
     let mask = ref 255 in
