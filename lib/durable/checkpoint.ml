@@ -1,10 +1,13 @@
 (* Typed checkpoints: a JSON manifest naming digest-named chunk files.
+   Base tables and stale summaries have chunks; a fresh summary is only
+   its name and definition, since recovery re-derives it.
 
    Validity = the manifest parses and decodes, and every base-table chunk
    it names is present with its digest. A torn temp file never carries a
    real name; a manifest or base chunk corrupted in place fails the load,
-   and [load_latest] falls back to an older manifest. A damaged summary
-   chunk costs only that summary's payload: summaries are derived state.
+   and [load_latest] falls back to an older manifest. A damaged stale
+   summary chunk costs only that summary's payload: summaries are derived
+   state.
 
    A chunk is written again unless its digest is among the chunks this
    process wrote or verified for the previous checkpoint ([known]): a file
@@ -16,12 +19,7 @@ module V = Data.Value
 module C = Engine.Column
 module Dset = Set.Make (String)
 
-type summary = {
-  ck_name : string;
-  ck_sql : string;
-  ck_fresh : bool;
-  ck_sbatch : C.batch;
-}
+type summary = { ck_name : string; ck_sql : string; ck_payload : C.batch option }
 
 type table = { ck_table : Catalog.table; ck_batch : C.batch }
 type t = { ck_lsn : int; ck_tables : table list; ck_summaries : summary list }
@@ -296,9 +294,9 @@ let write ?(known = nothing_known) dir t =
                    ([
                       ("name", J.Str s.ck_name);
                       ("sql", J.Str s.ck_sql);
-                      ("fresh", J.Bool s.ck_fresh);
+                      ("fresh", J.Bool (s.ck_payload = None));
                     ]
-                   @ payload_fields chunk s.ck_sbatch))
+                   @ Option.fold ~none:[] ~some:(payload_fields chunk) s.ck_payload))
                t.ck_summaries) );
       ]
   in
@@ -356,15 +354,19 @@ let load_file path =
     let* name = Result.bind (field "name" j) as_str in
     let* sql = Result.bind (field "sql" j) as_str in
     let* fresh = Result.bind (field "fresh" j) as_bool in
-    let* names, batch = payload j in
-    let batch =
-      match batch with
-      | Ok b -> b
-      | Error _ ->
-          damaged := name :: !damaged;
-          C.of_relation (Data.Relation.empty (Array.to_list names))
+    (* a fresh summary is re-derived: chunks named for it (older writers
+       named some) are neither read nor digested *)
+    let* stored =
+      if fresh then Ok None
+      else
+        let* names, batch = payload j in
+        match batch with
+        | Ok b -> Ok (Some b)
+        | Error _ ->
+            damaged := name :: !damaged;
+            Ok (Some (C.of_relation (Data.Relation.empty (Array.to_list names))))
     in
-    Ok { ck_name = name; ck_sql = sql; ck_fresh = fresh; ck_sbatch = batch }
+    Ok { ck_name = name; ck_sql = sql; ck_payload = stored }
   in
   let* body = read_file path in
   let* j = J.of_string body in

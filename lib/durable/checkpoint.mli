@@ -3,10 +3,12 @@
     A checkpoint is a small manifest [ckpt-<lsn>.json] (format 2) plus the
     typed chunk files it names. The manifest holds the catalog, every
     summary's definition and freshness, and for every base table and
-    summary its row count, names, column kinds and ordered chunk names, as
-    of WAL position [lsn]. Each chunk ({!Chunk}) is a fixed row range, or
-    one column's dictionary, of a stored batch, in a file named
-    [<md5-hex>.chunk] after the MD5 digest of its bytes.
+    {e stale} summary its row count, names, column kinds and ordered chunk
+    names, as of WAL position [lsn]. A fresh summary has no payload: it
+    equals its re-derivation from the base tables, which recovery
+    computes. Each chunk ({!Chunk}) is a fixed row range, or one column's
+    dictionary, of a stored batch, in a file named [<md5-hex>.chunk] after
+    the MD5 digest of its bytes.
 
     Every new file is written to a temp file, fsynced and renamed; the
     chunks land (and the directory is fsynced) before the manifest is
@@ -27,8 +29,9 @@
 type summary = {
   ck_name : string;
   ck_sql : string;          (** defining query, re-elaborated at recovery *)
-  ck_fresh : bool;
-  ck_sbatch : Engine.Column.batch;
+  ck_payload : Engine.Column.batch option;
+      (** [None]: fresh, re-derived at recovery, no chunks written;
+          [Some b]: stale, with the contents of its last refresh *)
 }
 
 type table = {
@@ -60,15 +63,17 @@ val write : ?known:known -> string -> t -> known
 type loaded = {
   l_ckpt : t;
   l_damaged : string list;
-      (** summaries whose chunks were missing or failed their digest,
-          loaded with an empty payload *)
+      (** stale summaries whose chunks were missing or failed their
+          digest, loaded with an empty payload *)
   l_known : known;  (** every chunk verified while loading *)
 }
 
 (** Load one manifest and its chunks, checking every chunk's digest. A
     base-table chunk that is missing or damaged fails the whole
-    checkpoint; a damaged summary chunk only empties that summary. A
-    manifest of another format (format 1 held JSON rows) is an error. *)
+    checkpoint; a damaged stale-summary chunk only empties that summary.
+    Chunks a manifest names for a fresh summary (older writers named
+    them) are ignored: neither read nor digested. A manifest of another
+    format (format 1 held JSON rows) is an error. *)
 val load_file : string -> (loaded, string) result
 
 (** Newest checkpoint in [dir] that loads cleanly, skipping over invalid

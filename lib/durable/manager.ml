@@ -12,9 +12,9 @@
 
    A failure anywhere aborts the statement (nothing publishes), so no
    acknowledged write exists without its log record. Recovery is the
-   mirror image: newest decodable checkpoint, then the WAL suffix replayed
-   through the ordinary statement path, then the degraded-recovery ladder
-   over summary payloads. *)
+   mirror image: newest decodable checkpoint, its fresh summaries
+   re-derived from its base tables, then the WAL suffix replayed through
+   the ordinary statement path. *)
 
 module J = Obs.Json
 module R = Data.Relation
@@ -148,8 +148,9 @@ let checkpoint_of_snapshot ~lsn (snap : Sh.snapshot) =
           {
             Checkpoint.ck_name = e.St.e_name;
             ck_sql = e.St.e_sql;
-            ck_fresh = e.St.e_fresh;
-            ck_sbatch = batch_of e.St.e_name (List.map fst e.St.e_cols);
+            ck_payload =
+              (if e.St.e_fresh then None
+               else Some (batch_of e.St.e_name (List.map fst e.St.e_cols)));
           })
         entries;
   }
@@ -252,84 +253,28 @@ let rebuild_db cat tables dropped_tables =
       else Engine.Db.put_batch db name ct.Checkpoint.ck_batch)
     (Engine.Db.create cat) tables
 
-(* Summary restore by fixpoint too: a summary defined over another summary
-   elaborates only once its dependency is registered. Entries that never
-   elaborate (their definition no longer parses or type-checks against the
-   recovered catalog) are dropped — summaries are derived state. A
-   [damaged] summary (its chunks did not load) is restored empty and
-   stale. *)
-let restore_summaries store db ~damaged summaries =
-  let store = ref store and db = ref db in
-  let dropped = ref [] in
-  let pending = ref summaries and progress = ref true in
-  while !pending <> [] && !progress do
-    progress := false;
-    pending :=
-      List.filter
-        (fun (s : Checkpoint.summary) ->
-          match
-            St.restore !store !db ~name:s.Checkpoint.ck_name
-              ~sql:s.Checkpoint.ck_sql
-              ~fresh:
-                (s.Checkpoint.ck_fresh
-                && not (List.mem s.Checkpoint.ck_name damaged))
-              ~batch:s.Checkpoint.ck_sbatch
-          with
-          | store', db' ->
-              store := store';
-              db := db';
-              progress := true;
-              false
-          | exception St.Mv_error _ -> true)
-        !pending
-  done;
+(* One pass, in manifest order: a summary passes the checks a definition
+   does, so none reads another and order does not matter. A fresh summary
+   is re-derived from the restored base tables; one whose derivation fails
+   comes back empty and stale, as does a [damaged] stale one, and both are
+   quarantined for rebuild. Entries that do not elaborate (their
+   definition no longer parses, type-checks against the recovered catalog
+   or passes validation, or reads a summary) are dropped: summaries are
+   derived state. *)
+let restore_summaries db ~damaged summaries =
+  let store = ref St.empty and db = ref db in
+  let quarantined = ref [] and dropped = ref [] in
   List.iter
-    (fun (s : Checkpoint.summary) ->
-      dropped := s.Checkpoint.ck_name :: !dropped)
-    !pending;
-  (!store, !db, List.rev !dropped)
-
-(* The degraded-recovery ladder, final rung: every fresh summary payload
-   must agree with a re-derivation from the recovered base tables. Small
-   payloads are bag-compared exactly; payloads beyond [verify_cap] rows
-   degrade to a cardinality check (full comparison would double recovery
-   time for the biggest tables — the cheap check still catches truncation
-   and wholesale corruption). A mismatch empties and quarantines the
-   summary: correctness of future answers over availability of one
-   rewrite. *)
-let verify_cap = 10_000
-
-let payload_matches db name derived =
-  match Engine.Db.cardinality db name with
-  | n when n <= verify_cap -> R.bag_equal_approx (Engine.Db.get_exn db name) derived
-  | n -> R.cardinality derived = n
-  | exception Invalid_argument _ -> R.cardinality derived = 0
-
-let verify_summaries shared =
-  let quarantined = ref [] in
-  Sh.with_write shared (fun snap ->
-      let db = ref snap.Sh.sn_db and store = ref snap.Sh.sn_store in
-      List.iter
-        (fun (e : St.entry) ->
-          if e.St.e_fresh then
-            let name = e.St.e_name in
-            match Engine.Exec.run !db e.St.e_graph with
-            | exception _ ->
-                (* cannot re-derive right now (e.g. resource pressure):
-                   keep the payload; runtime verification still guards
-                   individual answers *)
-                ()
-            | derived ->
-                if not (payload_matches !db name derived) then begin
-                  let store', db' = St.quarantine_payload !store !db name in
-                  store := store';
-                  db := db';
-                  quarantined := name :: !quarantined;
-                  Obs.Metrics.incr m_rebuilds
-                end)
-        (St.entries !store);
-      ({ Sh.sn_db = !db; sn_store = !store }, ()));
-  List.rev !quarantined
+    (fun { Checkpoint.ck_name = name; ck_sql = sql; ck_payload = payload } ->
+      match St.restore !store !db ~name ~sql ~payload with
+      | store', db' ->
+          store := store';
+          db := db';
+          if List.mem name damaged || (payload = None && List.mem name (St.stale store'))
+          then quarantined := name :: !quarantined
+      | exception St.Mv_error _ -> dropped := name :: !dropped)
+    summaries;
+  (!store, !db, List.rev !quarantined, List.rev !dropped)
 
 let recover cfg =
   mkdirs cfg.c_dir;
@@ -338,25 +283,21 @@ let recover cfg =
   let loaded, skipped = Checkpoint.load_latest cfg.c_dir in
   let ckpt = Option.map (fun l -> l.Checkpoint.l_ckpt) loaded in
   let ckpt_lsn = match ckpt with Some c -> c.Checkpoint.ck_lsn | None -> 0 in
-  (* summaries whose chunks did not load are quarantined for rebuild *)
-  let damaged =
-    match loaded with Some l -> l.Checkpoint.l_damaged | None -> []
-  in
-  let store, db, dropped =
-    match ckpt with
-    | None -> (St.empty, Engine.Db.create Catalog.empty, [])
-    | Some c ->
+  (* 2. base tables as stored; summaries re-derived or, stale, as stored *)
+  let store, db, quarantined, dropped =
+    match loaded with
+    | Some { Checkpoint.l_ckpt = c; l_damaged; _ } ->
         let cat, dropped_tables = rebuild_catalog c.Checkpoint.ck_tables in
         let db = rebuild_db cat c.Checkpoint.ck_tables dropped_tables in
-        let store, db, dropped_sums =
-          restore_summaries St.empty db ~damaged c.Checkpoint.ck_summaries
+        let store, db, quarantined, dropped_sums =
+          restore_summaries db ~damaged:l_damaged c.Checkpoint.ck_summaries
         in
-        (store, db, dropped_tables @ dropped_sums)
+        (store, db, quarantined, dropped_tables @ dropped_sums)
+    | None -> (St.empty, Engine.Db.create Catalog.empty, [], [])
   in
-  let damaged = List.filter (fun n -> not (List.mem n dropped)) damaged in
-  Obs.Metrics.add m_rebuilds (List.length damaged);
+  Obs.Metrics.add m_rebuilds (List.length quarantined);
   let shared = Sh.create db store in
-  (* 2. WAL: truncate the torn tail, replay the suffix beyond the
+  (* 3. WAL: truncate the torn tail, replay the suffix beyond the
      checkpoint through the ordinary statement path *)
   let wal = Wal.read wal_path in
   if wal.Wal.torn_bytes > 0 then
@@ -393,8 +334,6 @@ let recover cfg =
                 "astql durable: replay of lsn %d failed (%s)\n%!" lsn
                 (Printexc.to_string e)))
     wal.Wal.records;
-  (* 3. degraded-recovery ladder over summary payloads *)
-  let quarantined = damaged @ verify_summaries shared in
   let t =
     {
       m_cfg = cfg;

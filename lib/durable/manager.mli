@@ -18,21 +18,21 @@
 
     {!recover} loads the newest checkpoint that loads cleanly (skipping
     torn/corrupt ones, and ones missing a base-table chunk), rebuilds the
-    catalog, base tables and summary tables from its typed chunks without
-    building rows or re-running any defining query
-    ({!Mvstore.Store.restore}), truncates the WAL's torn tail, and replays
-    the suffix of records with LSN beyond the checkpoint through the
-    ordinary statement path — so statement-rollback semantics and
-    incremental summary maintenance apply to replay exactly as they did to
-    the original execution. Then the degraded-recovery ladder runs: a
-    summary whose chunks were missing or failed their digest is restored
-    empty and stale, and every fresh summary payload is verified against a
-    re-derivation from the recovered base tables; a mismatch empties and
-    quarantines that summary ({!Mvstore.Store.quarantine_payload}). Both
-    are reported for a deferred rebuild ([r_quarantined] — callers enqueue
-    these into {!Mvstore.Maint}), and a summary whose definition no longer
-    elaborates is dropped ([r_dropped]). Recovery never refuses to
-    boot over summary damage: summaries are derived state. *)
+    catalog and base tables from its typed chunks, and restores every
+    summary before the WAL is replayed ({!Mvstore.Store.restore}): a
+    summary that was fresh is re-derived from the restored base tables
+    through {!Engine.Exec.run_batch}, a stale one gets its checkpointed
+    payload back. Then it truncates the WAL's torn tail and replays the
+    suffix of records with LSN beyond the checkpoint through the ordinary
+    statement path — so statement-rollback semantics and incremental
+    summary maintenance apply to replay exactly as they did to the
+    original execution. A stale summary whose chunks were missing or
+    failed their digest, and a fresh one whose re-derivation raised, are
+    restored empty and stale and reported for a deferred rebuild
+    ([r_quarantined] — callers enqueue these into {!Mvstore.Maint}). A
+    summary whose definition no longer elaborates, or that reads another
+    summary, is dropped ([r_dropped]). Recovery never refuses to boot over
+    summary damage: summaries are derived state. *)
 
 type config = {
   c_dir : string;  (** directory for wal.log, ckpt-*.json and *.chunk *)
@@ -50,8 +50,8 @@ type report = {
   r_replay_errors : int;       (** records that failed to apply *)
   r_torn_bytes : int;          (** torn WAL tail truncated away *)
   r_quarantined : string list;
-      (** summaries emptied because a chunk failed its digest or the
-          payload failed verification *)
+      (** summaries restored empty and stale: a stale one whose chunk
+          failed its digest, a fresh one whose re-derivation raised *)
   r_dropped : string list;     (** summaries dropped (defs no longer elaborate) *)
 }
 

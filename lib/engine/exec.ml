@@ -72,9 +72,10 @@ let slot_cardinality s =
   | None -> R.cardinality (Option.get s.srel)
 
 (* Operator-level metrics, ticked only on the compute path (memo hits are
-   free and counted separately). Timings are wall-clock and include the
-   recursive children, so the per-operator histograms report inclusive
-   operator latency. *)
+   free and counted separately). Timings are wall-clock and exclude the
+   children an operator computes: each box observes its own time, so
+   the per-operator histograms of one run add up to at most its
+   [exec.run_ms]. *)
 let x_boxes = Obs.Metrics.counter "exec.boxes"
 let x_memo_hits = Obs.Metrics.counter "exec.memo_hits"
 let x_rows = Obs.Metrics.counter "exec.rows"
@@ -103,10 +104,15 @@ let rec run_box_memo ?budget ~engine db g memo id : slot =
          before starting (possibly expensive) work on this box *)
       Govern.Budget.check_deadline budget;
       Obs.Metrics.incr x_boxes;
-      let child_rel q = slot_rel (run_box_memo ?budget ~engine db g memo q.B.q_box) in
-      let child_batch q =
-        slot_batch (run_box_memo ?budget ~engine db g memo q.B.q_box)
+      let t0 = Obs.Metrics.now_ms () and children_ms = ref 0. in
+      let child q =
+        let c0 = Obs.Metrics.now_ms () in
+        let s = run_box_memo ?budget ~engine db g memo q.B.q_box in
+        children_ms := !children_ms +. (Obs.Metrics.now_ms () -. c0);
+        s
       in
+      let child_rel q = slot_rel (child q) in
+      let child_batch q = slot_batch (child q) in
       let body = (G.box g id).B.body in
       let hist =
         match body with
@@ -116,7 +122,10 @@ let rec run_box_memo ?budget ~engine db g memo id : slot =
         | B.Union _ -> x_union_ms
       in
       let s =
-        Obs.Metrics.time hist @@ fun () ->
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Metrics.observe hist (Obs.Metrics.now_ms () -. t0 -. !children_ms))
+        @@ fun () ->
         match (engine, body) with
         | Vector, B.Base bt -> vex (fun () -> Vexec.exec_base db bt)
         | Vector, B.Select sel -> vex (fun () -> Vexec.exec_select ~child:child_batch sel)

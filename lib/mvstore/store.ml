@@ -190,15 +190,21 @@ let register_catalog db name cols =
   in
   Engine.Db.with_catalog db (Catalog.add_table cat tbl)
 
-let define store db ~name ~sql =
+(* Parse, build and check a definition against the current catalog and
+   store: the checks every summary passes, whether it is defined now or
+   restored from a checkpoint. *)
+let elaborate store db ~name ~sql =
   if Smap.mem (norm name) store.s_map then
     err "summary table %s already exists" name;
   if Catalog.mem_table (Engine.Db.catalog db) name then
     err "a table named %s already exists" name;
   let ast_q =
     try Sqlsyn.Parser.parse_query sql
-    with Sqlsyn.Parser.Parse_error (m, p) ->
-      err "parse error in summary definition at offset %d: %s" p m
+    with
+    | Sqlsyn.Parser.Parse_error (m, p) ->
+        err "parse error in summary definition at offset %d: %s" p m
+    | Sqlsyn.Lexer.Lex_error (m, p) ->
+        err "lexical error in summary definition at offset %d: %s" p m
   in
   let graph =
     try Qgm.Builder.build (Engine.Db.catalog db) ast_q
@@ -219,8 +225,9 @@ let define store db ~name ~sql =
   | vs ->
       err "summary definition produced ill-formed IR (%s)"
         (Lint.Validate.summary vs));
-  let cols = Qgm.Typing.infer_outputs (Engine.Db.catalog db) graph in
-  let contents = Engine.Exec.run_batch db graph in
+  (graph, Qgm.Typing.infer_outputs (Engine.Db.catalog db) graph)
+
+let install store db ~name ~sql graph cols ~fresh contents =
   let db = register_catalog db name cols in
   let db = Engine.Db.put_batch db name contents in
   let entry =
@@ -230,7 +237,7 @@ let define store db ~name ~sql =
       e_graph = graph;
       e_cols = cols;
       e_tables = base_tables graph;
-      e_fresh = true;
+      e_fresh = fresh;
       e_incr = incr_plan_of (Engine.Db.catalog db) graph;
       (* the definition version is the epoch this incarnation first exists
          under; a re-CREATE after DROP necessarily gets a fresh one *)
@@ -239,64 +246,27 @@ let define store db ~name ~sql =
   in
   (touch { store with s_map = Smap.add (norm name) entry store.s_map }, db)
 
-(* Recovery path: re-register a summary table from its definition SQL and
-   a recovered payload, WITHOUT executing the defining query. The graph and
-   incremental plan are rebuilt against the recovered catalog (they are
-   derived state); the payload batch is trusted as-is — the recovery ladder
-   in Durable.Manager verifies it against a re-derivation afterwards and
-   degrades the entry if it fails. *)
-let restore store db ~name ~sql ~fresh ~batch =
-  if Smap.mem (norm name) store.s_map then
-    err "summary table %s already exists" name;
-  if Catalog.mem_table (Engine.Db.catalog db) name then
-    err "a table named %s already exists" name;
-  let ast_q =
-    try Sqlsyn.Parser.parse_query sql
-    with
-    | Sqlsyn.Parser.Parse_error (m, p) ->
-        err "parse error in recovered summary definition at offset %d: %s" p m
-    | Sqlsyn.Lexer.Lex_error (m, p) ->
-        err "lexical error in recovered summary definition at offset %d: %s" p m
-  in
-  let graph =
-    try Qgm.Builder.build (Engine.Db.catalog db) ast_q
-    with Qgm.Builder.Sem_error m -> err "invalid recovered summary definition: %s" m
-  in
-  let cols = Qgm.Typing.infer_outputs (Engine.Db.catalog db) graph in
-  if Array.length batch.Engine.Column.names <> List.length cols then
-    err "recovered payload for %s: %d columns, the definition has %d" name
-      (Array.length batch.Engine.Column.names) (List.length cols);
-  let db = register_catalog db name cols in
-  let db = Engine.Db.put_batch db name batch in
-  let entry =
-    {
-      e_name = name;
-      e_sql = sql;
-      e_graph = graph;
-      e_cols = cols;
-      e_tables = base_tables graph;
-      e_fresh = fresh;
-      e_incr = incr_plan_of (Engine.Db.catalog db) graph;
-      e_version = store.s_epoch + 1;
-    }
-  in
-  (touch { store with s_map = Smap.add (norm name) entry store.s_map }, db)
+let define store db ~name ~sql =
+  let graph, cols = elaborate store db ~name ~sql in
+  install store db ~name ~sql graph cols ~fresh:true (Engine.Exec.run_batch db graph)
 
-(* Degraded recovery: drop a payload that failed post-recovery verification
-   and leave the entry stale — excluded from rewriting until the deferred
-   maintenance queue (or a manual REFRESH) rebuilds it. *)
-let quarantine_payload store db name =
-  match find store name with
-  | None -> err "unknown summary table %s" name
-  | Some e ->
-      let db = Engine.Db.put db e.e_name (R.empty (List.map fst e.e_cols)) in
-      ( touch
-          {
-            store with
-            s_map =
-              Smap.add (norm name) { e with e_fresh = false } store.s_map;
-          },
-        db )
+(* Recovery path. A fresh summary is re-derived, as [define] would; one
+   whose derivation fails boots empty and stale rather than not at all. A
+   stale summary keeps its checkpointed payload, the contents of its last
+   refresh. *)
+let restore store db ~name ~sql ~payload =
+  let graph, cols = elaborate store db ~name ~sql in
+  let install = install store db ~name ~sql graph cols in
+  match payload with
+  | None -> (
+      match Engine.Exec.run_batch db graph with
+      | contents -> install ~fresh:true contents
+      | exception _ -> install ~fresh:false (C.of_relation (R.empty (List.map fst cols))))
+  | Some (batch : C.batch) ->
+      if Array.length batch.C.names <> List.length cols then
+        err "recovered payload for %s: %d columns, the definition has %d" name
+          (Array.length batch.C.names) (List.length cols);
+      install ~fresh:false batch
 
 let drop store db name =
   match find store name with

@@ -67,22 +67,19 @@ val define : t -> Engine.Db.t -> name:string -> sql:string -> t * Engine.Db.t
 
 val drop : t -> Engine.Db.t -> string -> t * Engine.Db.t
 
-(** [restore store db ~name ~sql ~fresh ~batch] re-registers a summary
-    table from checkpoint state {e without} executing the defining query:
-    the graph, column types and incremental plan are rebuilt from [sql]
-    against the recovered catalog, and [batch] becomes the payload as-is
-    ({!Engine.Db.put_batch}; it must not be arena-backed). Raises
-    {!Mv_error} on name clashes, an unparseable definition, or a payload
-    whose arity disagrees with the definition. The recovery ladder
-    (Durable.Manager) verifies restored payloads afterwards and calls
-    {!quarantine_payload} on mismatch. *)
+(** [restore store db ~name ~sql ~payload] re-registers a summary table
+    from checkpoint state. The definition passes every check {!define}
+    makes, so a name clash, an unparseable definition, one over another
+    summary table or ill-formed IR raises {!Mv_error}. [payload = None]
+    marks a summary that was fresh: it is re-derived through
+    {!Engine.Exec.run_batch}, as {!define} does, and installed fresh; if
+    that derivation raises, it is installed empty and stale instead.
+    [Some batch] is a stale summary's payload, installed as-is and stale
+    ({!Engine.Db.put_batch}; it must not be arena-backed); a payload whose
+    arity disagrees with the definition raises {!Mv_error}. *)
 val restore :
-  t -> Engine.Db.t -> name:string -> sql:string -> fresh:bool ->
-  batch:Engine.Column.batch -> t * Engine.Db.t
-
-(** Degraded recovery: empty a summary table's payload and mark it stale,
-    excluding it from rewriting until a refresh rebuilds it. *)
-val quarantine_payload : t -> Engine.Db.t -> string -> t * Engine.Db.t
+  t -> Engine.Db.t -> name:string -> sql:string ->
+  payload:Engine.Column.batch option -> t * Engine.Db.t
 
 (** Recompute a summary table from scratch, mark it fresh and move its
     definition version (voiding quarantine observations against the old

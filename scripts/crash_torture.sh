@@ -16,9 +16,12 @@
 #   * recovery is idempotent: a second boot of the same directory reports
 #     a clean log and identical data.
 #
-# A final degraded-recovery phase corrupts the summary's payload chunk of
-# the newest checkpoint in place and checks it is quarantined (not
-# trusted, not fatal) and rebuilt by REFRESH.
+# A final degraded-recovery phase adds a summary with a MAX, which a
+# DELETE makes stale, so the checkpoint keeps its payload; it corrupts
+# that payload's chunk in place and checks the summary is quarantined
+# (not trusted, not fatal), answers stay right, and REFRESH rebuilds it.
+# It also checks the manifest names no chunk for the fresh kv_by_grp:
+# recovery re-derives a fresh summary instead of reading it.
 #
 #   SEED=7 ITERS=24 scripts/crash_torture.sh
 set -euo pipefail
@@ -141,39 +144,63 @@ if [ "$fired" -lt "$ITERS" ]; then
   fails=$((fails + 1))
 fi
 
-# ---- degraded recovery: corrupted summary payload ------------------------
+# ---- degraded recovery: corrupted stale-summary payload ------------------
 echo "== corrupted summary payload =="
 DIR="$WORK/dur_corrupt"
-"$ASTQL" run --durability "$DIR" "$WORK/workload.sql" >/dev/null 2>&1 || true
-# the exit checkpoint stores the summary payload ("g", 78, 12) in a range
-# chunk named in the newest manifest, SUM 78 as int64 little-endian;
-# bit-rot that value in the chunk file
+# kv_max has a MAX, so the DELETE makes it stale (a MAX cannot be
+# maintained under deletion) while kv_by_grp absorbs it and stays fresh.
+# The row inserted and deleted leaves kv as the full workload made it.
+{
+  cat "$WORK/workload.sql"
+  echo "CREATE SUMMARY TABLE kv_max AS SELECT grp, MAX(v) AS mv, COUNT(*) AS n FROM kv GROUP BY grp;"
+  echo "INSERT INTO kv VALUES (999, 'h', 777);"
+  echo "DELETE FROM kv WHERE seq = 999;"
+} > "$WORK/stale.sql"
+"$ASTQL" run --durability "$DIR" "$WORK/stale.sql" >/dev/null 2>&1 || true
 CKPT=$(ls "$DIR"/ckpt-*.json | sort -V | tail -1)
-CHUNK=$(grep -o '"name": "kv_by_grp"[^}]*' "$CKPT" \
+# a fresh summary is re-derived at recovery: the manifest names no chunk
+# for it
+FRESH=$(grep -o '"name": "kv_by_grp"[^}]*' "$CKPT" || true)
+if [ -z "$FRESH" ] || ! grep -q '"fresh": true' <<<"$FRESH" \
+    || grep -q '"chunks"' <<<"$FRESH"; then
+  echo "FAIL: the newest manifest names chunks for the fresh kv_by_grp"
+  fails=$((fails + 1))
+fi
+# the stale kv_max keeps its payload, ("g", 12, 12) and ("h", 777, 1), in
+# a range chunk named in the newest manifest, MAX 777 as int64
+# little-endian; bit-rot that value in the chunk file
+CHUNK=$(grep -o '"name": "kv_max"[^}]*' "$CKPT" \
   | grep -o '"chunks": \[[^]]*\]' | grep -o '[0-9a-f]\{32\}' | head -1)
 HEX=$(od -An -v -tx1 "$DIR/$CHUNK.chunk" 2>/dev/null | tr -d ' \n')
-BEFORE=${HEX%%4e00000000000000*}
+BEFORE=${HEX%%0903000000000000*}
 if [ -z "$CHUNK" ] || [ "$BEFORE" = "$HEX" ] || [ $(( ${#BEFORE} % 2 )) -ne 0 ]; then
-  echo "FAIL: expected summary payload in a chunk of $CKPT"; exit 1
+  echo "FAIL: expected the stale summary's payload in a chunk of $CKPT"; exit 1
 fi
 printf '\377' | dd of="$DIR/$CHUNK.chunk" bs=1 seek=$(( ${#BEFORE} / 2 )) \
   conv=notrunc status=none
+echo "SELECT grp, MAX(v) AS mv, COUNT(*) AS n FROM kv GROUP BY grp ORDER BY grp;" \
+  > "$WORK/verify_max.sql"
 rec="$WORK/rec_corrupt.txt"
 "$ASTQL" run --durability "$DIR" "$WORK/verify.sql" 2>"$rec" \
   | grep -v 'created\|inserted\|maintainable\|lint' > "$WORK/dump_corrupt.txt"
-grep -q "quarantined for rebuild: kv_by_grp" "$rec" || {
+grep -q "quarantined for rebuild: kv_max" "$rec" || {
   echo "FAIL: corrupted payload was not quarantined"; cat "$rec"; fails=$((fails + 1));
 }
-if ! diff -q "$WORK/ref/dump_$INSERTS.txt" "$WORK/dump_corrupt.txt" >/dev/null; then
+if ! diff -q "$WORK/ref/dump_$INSERTS.txt" "$WORK/dump_corrupt.txt" >/dev/null \
+    || ! "$ASTQL" run --durability "$DIR" "$WORK/verify_max.sql" 2>/dev/null \
+      | grep -qE '^\| g +\| 12 +\| 12 +\|$'; then
   echo "FAIL: degraded recovery served wrong answers"
   fails=$((fails + 1))
 fi
-# the ordinary rebuild path restores the summary from recovered base data
+# the ordinary rebuild path restores the summary from recovered base data:
+# its own rows, read directly, are the full workload's
 "$ASTQL" run --durability "$DIR" \
-  <(echo "REFRESH SUMMARY TABLE kv_by_grp; SELECT grp, SUM(v) AS sv, COUNT(*) AS n FROM kv GROUP BY grp;") \
-  2>/dev/null | grep -q "| 78 " || {
-  echo "FAIL: quarantined summary did not rebuild"; fails=$((fails + 1));
-}
+  <(echo "REFRESH SUMMARY TABLE kv_max; SELECT grp, mv, n FROM kv_max;") \
+  2>/dev/null > "$WORK/refreshed.txt"
+if ! grep -qE '^\| g +\| 12 +\| 12 +\|$' "$WORK/refreshed.txt" \
+    || grep -q '777' "$WORK/refreshed.txt"; then
+  echo "FAIL: quarantined summary did not rebuild"; fails=$((fails + 1))
+fi
 
 if [ "$fails" -gt 0 ]; then
   echo "crash torture: $fails failure(s) over $ITERS iterations (seed $SEED)"

@@ -452,6 +452,25 @@ let prop_append_versions =
         (fun (db, expected) -> R.bag_equal (Engine.Db.get_exn db "t") expected)
         versions)
 
+(* Each box's histogram observes its own time, its children excluded:
+   over one run the per-operator sums add up to at most [exec.run_ms]
+   (with inclusive timing the base scan would count once per ancestor). *)
+let test_operator_self_time () =
+  let db = db () in
+  let g = build (Engine.Db.catalog db) "select grp, sum(v) as sv from fact group by grp" in
+  let names = [ "exec.base_ms"; "exec.select_ms"; "exec.group_ms"; "exec.union_ms" ] in
+  let hist n = Obs.Metrics.histogram n in
+  let sums () = List.fold_left (fun acc n -> acc +. Obs.Metrics.hist_sum (hist n)) 0. names in
+  let count () = List.fold_left (fun acc n -> acc + Obs.Metrics.hist_count (hist n)) 0 names in
+  let run_ms = hist "exec.run_ms" in
+  let sum0 = sums () and count0 = count () and run0 = Obs.Metrics.hist_sum run_ms in
+  ignore (Engine.Exec.run_batch db g);
+  let boxes = count () - count0 in
+  Alcotest.(check bool) (Printf.sprintf "at least three boxes (%d)" boxes) true (boxes >= 3);
+  let ops = sums () -. sum0 and total = Obs.Metrics.hist_sum run_ms -. run0 in
+  if ops > total +. 1e-6 then
+    Alcotest.failf "per-operator time %.6f ms exceeds the run's %.6f ms" ops total
+
 let suite =
   [
     Alcotest.test_case "3vl filtering" `Quick test_filter_3vl;
@@ -476,4 +495,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_stored_roundtrip;
     Alcotest.test_case "ndv recount follows append drift" `Quick test_ndv_drift;
     QCheck_alcotest.to_alcotest prop_append_versions;
+    Alcotest.test_case "per-operator times exclude children" `Quick
+      test_operator_self_time;
   ]
