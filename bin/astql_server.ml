@@ -8,8 +8,12 @@
 
    The database starts empty unless preloaded: positional FILE arguments
    are SQL scripts executed before serving begins; --demo loads the
-   paper's star schema. There is no persistence — this is a serving
-   harness for the rewriter, not a storage engine. *)
+   paper's star schema. Without --durability nothing outlives the process.
+   With --durability DIR every committed write is appended to a write-ahead
+   log before it publishes, checkpoints fold the log into typed chunk
+   files, and a restart recovers from the newest checkpoint plus the log's
+   suffix (Durable.Manager); --demo and FILE then seed only a database
+   that recovered empty. *)
 
 let preload session file =
   let text = In_channel.with_open_text file In_channel.input_all in

@@ -13,8 +13,8 @@
    A failure anywhere aborts the statement (nothing publishes), so no
    acknowledged write exists without its log record. Recovery is the
    mirror image: newest decodable checkpoint, its fresh summaries
-   re-derived from its base tables, then the WAL suffix replayed through
-   the ordinary statement path. *)
+   re-derived from its base tables as one set, then the WAL suffix
+   replayed through the ordinary statement path. *)
 
 module J = Obs.Json
 module R = Data.Relation
@@ -254,19 +254,28 @@ let rebuild_db cat tables dropped_tables =
     (Engine.Db.create cat) tables
 
 (* One pass, in manifest order: a summary passes the checks a definition
-   does, so none reads another and order does not matter. A fresh summary
-   is re-derived from the restored base tables; one whose derivation fails
+   does, so none reads another and order does not matter. The fresh
+   summaries are re-derived from the restored base tables as one set
+   ([St.derive_set]: rollups from the smallest fresh summary that answers
+   them; stale payloads are never parents); one whose derivation fails
    comes back empty and stale, as does a [damaged] stale one, and both are
    quarantined for rebuild. Entries that do not elaborate (their
    definition no longer parses, type-checks against the recovered catalog
    or passes validation, or reads a summary) are dropped: summaries are
    derived state. *)
 let restore_summaries db ~damaged summaries =
+  let derived =
+    St.derive_set St.empty db
+      (List.filter_map
+         (fun { Checkpoint.ck_name; ck_sql; ck_payload } ->
+           if ck_payload = None then Some (ck_name, ck_sql) else None)
+         summaries)
+  in
   let store = ref St.empty and db = ref db in
   let quarantined = ref [] and dropped = ref [] in
   List.iter
     (fun { Checkpoint.ck_name = name; ck_sql = sql; ck_payload = payload } ->
-      match St.restore !store !db ~name ~sql ~payload with
+      match St.restore ~derived !store !db ~name ~sql ~payload with
       | store', db' ->
           store := store';
           db := db';

@@ -21,8 +21,10 @@
     catalog and base tables from its typed chunks, and restores every
     summary before the WAL is replayed ({!Mvstore.Store.restore}): a
     summary that was fresh is re-derived from the restored base tables
-    through {!Engine.Exec.run_batch}, a stale one gets its checkpointed
-    payload back. Then it truncates the WAL's torn tail and replays the
+    ({!Mvstore.Store.derive_set}: the fresh summaries as one set, each
+    rolled up from the smallest fresh one that answers it, else through
+    {!Engine.Exec.run_batch}), a stale one gets its checkpointed payload
+    back. Then it truncates the WAL's torn tail and replays the
     suffix of records with LSN beyond the checkpoint through the ordinary
     statement path — so statement-rollback semantics and incremental
     summary maintenance apply to replay exactly as they did to the

@@ -81,6 +81,13 @@ let put db name rel =
 
 let put_batch db name b = install db name b
 
+(* No distinct count: the table's NDVs stay unknown to the cost model. *)
+let put_batch_uncounted db name (b : C.batch) =
+  {
+    cat = Catalog.set_row_count db.cat name b.C.nrows;
+    tables = Smap.add (norm name) { batch = b; spare = None; scanned = b.C.nrows } db.tables;
+  }
+
 (* Appends in place need every column numeric and NULL-free on both
    sides, of one kind per column; anything else concatenates into fresh
    columns. *)

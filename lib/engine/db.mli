@@ -27,6 +27,11 @@ val put : t -> string -> Data.Relation.t -> t
     result out). *)
 val put_batch : t -> string -> Column.batch -> t
 
+(** {!put_batch} that sets the row count but counts no distinct values:
+    for a short-lived database read by the rewriter's cost model, whose
+    tables are installed again, counted, in the database that keeps them. *)
+val put_batch_uncounted : t -> string -> Column.batch -> t
+
 (** [append db name delta] adds [delta]'s rows (in the table's column
     order) to the stored batch; a table without contents takes [delta] as
     {!put} would. When every column is numeric and NULL-free, the columns

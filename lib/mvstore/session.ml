@@ -736,7 +736,7 @@ let stmt_label = function
   | A.Explain_rewrite _ -> "EXPLAIN REWRITE"
   | A.Explain_plan _ -> "EXPLAIN"
 
-let exec_stmt_dispatch t cfg stmt =
+let exec_stmt_dispatch ?derived t cfg stmt =
   match stmt with
   | A.Create_table { ct_name; ct_cols; ct_constraints } ->
       do_create_table t ct_name ct_cols ct_constraints
@@ -749,7 +749,7 @@ let exec_stmt_dispatch t cfg stmt =
   | A.Create_summary { cs_name; cs_query } -> (
       let sql = Sqlsyn.Pretty.query_to_string cs_query in
       try
-        let store', db' = Store.define t.sstore t.sdb ~name:cs_name ~sql in
+        let store', db' = Store.define ?derived t.sstore t.sdb ~name:cs_name ~sql in
         t.sstore <- store';
         t.sdb <- db';
         let e = Option.get (Store.find store' cs_name) in
@@ -820,14 +820,14 @@ let commit_of t stmt =
 (* Division_by_zero is a raw OCaml exception wherever the engine evaluates
    expressions (constant folding, INSERT values, predicates, outputs);
    surface it as a proper session error with statement context. *)
-let exec_stmt ?config t stmt =
+let exec_stmt_with ?derived ?config t stmt =
   let cfg = Option.value config ~default:t.sconfig in
   drain_maintenance t cfg;
   let write = stmt_writes stmt in
   with_snapshot t ~write (fun () ->
       t.scopy_rows <- [];
       let out =
-        try exec_stmt_dispatch t cfg stmt
+        try exec_stmt_dispatch ?derived t cfg stmt
         with Division_by_zero -> err "division by zero in %s" (stmt_label stmt)
       in
       (* append-before-publish: a hook failure aborts the whole statement
@@ -838,6 +838,8 @@ let exec_stmt ?config t stmt =
       | _ -> ());
       t.scopy_rows <- [];
       out)
+
+let exec_stmt ?config t stmt = exec_stmt_with ?config t stmt
 
 (* WAL replay of a [Commit_rows] record: the integrity checks and the
    acknowledged outcome already happened in the crashed process — just fold
@@ -850,6 +852,25 @@ let replay_rows t ~table ~rows =
       | Some tbl -> append_rows t tbl rows
       | None -> err "unknown table %s" table)
 
+(* A run of CREATE SUMMARY statements derived as one set, against the
+   snapshot in force when the run starts; each statement still installs
+   its own result, under its own lock, log record and checks. *)
+let derive_run t stmts =
+  let db, store =
+    match t.sshared with
+    | Some sh ->
+        let snap = Shared.snapshot sh in
+        (snap.Shared.sn_db, snap.Shared.sn_store)
+    | None -> (t.sdb, t.sstore)
+  in
+  Store.derive_set store db
+    (List.filter_map
+       (function
+         | A.Create_summary { cs_name; cs_query } ->
+             Some (cs_name, Sqlsyn.Pretty.query_to_string cs_query)
+         | _ -> None)
+       stmts)
+
 let exec_sql ?config t sql =
   (* statement-at-a-time: statements before a syntax error have executed
      and their effects persist; the error then surfaces *)
@@ -857,13 +878,30 @@ let exec_sql ?config t sql =
     try Sqlsyn.Parser.script_start sql
     with Sqlsyn.Lexer.Lex_error (m, p) -> err "lexical error at offset %d: %s" p m
   in
-  let rec loop acc =
-    match
-      try Sqlsyn.Parser.script_next cursor with
-      | Sqlsyn.Parser.Parse_error (m, p) ->
-          err "parse error at offset %d: %s" p m
-    with
-    | None -> List.rev acc
-    | Some stmt -> loop (exec_stmt ?config t stmt :: acc)
+  (* parsed one statement ahead of execution, so a syntax error waits
+     until the statements before it have run *)
+  let next () =
+    try Ok (Sqlsyn.Parser.script_next cursor)
+    with Sqlsyn.Parser.Parse_error (m, p) -> Error (m, p)
   in
-  loop []
+  let rec run_of acc =
+    match next () with
+    | Ok (Some (A.Create_summary _ as stmt)) -> run_of (stmt :: acc)
+    | after -> (List.rev acc, after)
+  in
+  let rec loop acc = function
+    | Error (m, p) -> err "parse error at offset %d: %s" p m
+    | Ok None -> List.rev acc
+    | Ok (Some (A.Create_summary _ as stmt)) ->
+        let run, after = run_of [ stmt ] in
+        let derived = if List.length run >= 2 then Some (derive_run t run) else None in
+        loop
+          (List.fold_left
+             (fun acc stmt -> exec_stmt_with ?derived ?config t stmt :: acc)
+             acc run)
+          after
+    | Ok (Some stmt) ->
+        let out = exec_stmt ?config t stmt in
+        loop (out :: acc) (next ())
+  in
+  loop [] (next ())

@@ -246,20 +246,150 @@ let install store db ~name ~sql graph cols ~fresh contents =
   in
   (touch { store with s_map = Smap.add (norm name) entry store.s_map }, db)
 
-let define store db ~name ~sql =
+(* ---------------- deriving a set of definitions ---------------- *)
+
+let m_from_summary = Obs.Metrics.counter "store.derived_from_summary"
+let m_discarded = Obs.Metrics.counter "store.derived_discarded"
+
+(* One member's contents, derived ahead of its install. *)
+type derived = {
+  d_sql : string;
+  d_contents : C.batch;
+  d_reads : (string * C.batch) list;
+      (* each footprint table, with the batch it held at derivation *)
+  d_parent : string option;  (* the member it was rolled up from *)
+}
+
+type derivation = derived Smap.t
+
+(* Grouping columns of the definition's widest GROUP BY (for grouping sets,
+   the union of the sets): members are derived widest first, so a parent
+   is derived before the rollups it can answer. *)
+let grouping_width g =
+  List.fold_left
+    (fun w id ->
+      match (G.box g id).B.body with
+      | B.Group grp -> max w (List.length (B.grouping_union grp.B.grp_grouping))
+      | _ -> w)
+    0
+    (G.reachable g (G.root g))
+
+(* Regrouping a parent's groups gives exactly the base derivation's values
+   for COUNT, integer SUM, MIN and MAX; a float SUM would add in another
+   order, and AVG is not re-aggregated. *)
+let regroups_exactly cat g =
+  List.for_all
+    (fun id ->
+      match (G.box g id).B.body with
+      | B.Group grp ->
+          List.for_all
+            (fun (_, { B.agg; arg }) ->
+              match (agg.E.fn, arg) with
+              | (E.Count_star | E.Count | E.Min | E.Max), _ -> true
+              | E.Sum, Some a ->
+                  Qgm.Typing.col_type cat g grp.B.grp_quant.B.q_box a = V.Tint
+              | _ -> false)
+            grp.B.grp_aggs
+      | _ -> true)
+    (G.reachable g (G.root g))
+
+(* The first candidate whose rewrite of [graph] reads that candidate alone
+   and passes validation, as the planner's rewrites must, run over
+   [scratch]: the parent's name and the contents. *)
+let from_member scratch graph candidates =
+  let cat = Engine.Db.catalog scratch in
+  List.find_map
+    (fun (mv : Astmatch.Rewrite.mv) ->
+      match Astmatch.Rewrite.best ~cat graph [ mv ] with
+      | Some (g', _)
+        when base_tables g' = [ norm mv.mv_name ] && Lint.Validate.check ~cat g' = [] ->
+          Some (mv.mv_name, Engine.Exec.run_batch scratch g')
+      | _ -> None)
+    candidates
+
+(* Derive [defs] (name, defining SQL) over one state, widest grouping
+   first (ties in list order). Each member is answered through the matcher
+   from the smallest member derived before it that can answer it (§5.1's
+   smallest-cuboid rule across summaries), over a scratch database holding
+   the members so far; otherwise, and whenever matching or execution
+   raises, from the base tables. A definition that does not elaborate,
+   repeats an earlier name or fails to derive gets no entry: its own
+   install reports it. *)
+let derive_set store db defs =
+  let cat = Engine.Db.catalog db in
+  let members =
+    List.fold_left
+      (fun acc (name, sql) ->
+        if List.exists (fun (n, _, _, _) -> norm n = norm name) acc then acc
+        else
+          match elaborate store db ~name ~sql with
+          | graph, cols -> (name, sql, graph, cols) :: acc
+          | exception Mv_error _ -> acc)
+      [] defs
+    |> List.rev
+    |> List.stable_sort (fun (_, _, a, _) (_, _, b, _) ->
+           compare (grouping_width b) (grouping_width a))
+  in
+  (* [candidates]: the members so far with their row counts, ascending *)
+  let derive scratch candidates sql graph =
+    let rolled_up =
+      if not (regroups_exactly cat graph) then None
+      else try from_member scratch graph (List.map fst candidates) with _ -> None
+    in
+    let contents, d_parent =
+      match rolled_up with
+      | Some (parent, contents) -> (contents, Some parent)
+      | None -> (Engine.Exec.run_batch db graph, None)
+    in
+    let d_reads = List.map (fun t -> (t, Engine.Db.batch db t)) (base_tables graph) in
+    { d_sql = sql; d_contents = contents; d_reads; d_parent }
+  in
+  let step (scratch, candidates, out) (name, sql, graph, cols) =
+    match derive scratch candidates sql graph with
+    | exception _ -> (scratch, candidates, out)
+    | d ->
+        let rows = d.d_contents.C.nrows in
+        let smaller, larger = List.partition (fun (_, n) -> n <= rows) candidates in
+        let mv = { Astmatch.Rewrite.mv_name = name; mv_graph = graph; mv_version = 0 } in
+        ( Engine.Db.put_batch_uncounted (register_catalog scratch name cols) name
+            d.d_contents,
+          smaller @ ((mv, rows) :: larger),
+          Smap.add (norm name) d out )
+  in
+  let _, _, out = List.fold_left step (db, [], Smap.empty) members in
+  out
+
+(* [name]'s pre-derived contents, when every table it read still holds the
+   batch it was derived from; otherwise a derivation from the base tables,
+   as without one. *)
+let contents_of derived db ~name ~sql graph =
+  let unchanged (t, b) =
+    match Engine.Db.batch db t with b' -> b' == b | exception Invalid_argument _ -> false
+  in
+  match Smap.find_opt (norm name) derived with
+  | Some d when d.d_sql = sql && List.for_all unchanged d.d_reads ->
+      if d.d_parent <> None then Obs.Metrics.incr m_from_summary;
+      d.d_contents
+  | Some d when d.d_sql = sql ->
+      Obs.Metrics.incr m_discarded;
+      Engine.Exec.run_batch db graph
+  | _ -> Engine.Exec.run_batch db graph
+
+let define ?(derived = Smap.empty) store db ~name ~sql =
   let graph, cols = elaborate store db ~name ~sql in
-  install store db ~name ~sql graph cols ~fresh:true (Engine.Exec.run_batch db graph)
+  install store db ~name ~sql graph cols ~fresh:true
+    (contents_of derived db ~name ~sql graph)
 
 (* Recovery path. A fresh summary is re-derived, as [define] would; one
    whose derivation fails boots empty and stale rather than not at all. A
    stale summary keeps its checkpointed payload, the contents of its last
    refresh. *)
-let restore store db ~name ~sql ~payload =
+let restore ?(derived = Smap.empty) store db ~name ~sql ~payload =
   let graph, cols = elaborate store db ~name ~sql in
   let install = install store db ~name ~sql graph cols in
   match payload with
   | None -> (
-      match Engine.Exec.run_batch db graph with
+      match contents_of derived db ~name ~sql graph with
       | contents -> install ~fresh:true contents
       | exception _ -> install ~fresh:false (C.of_relation (R.empty (List.map fst cols))))
   | Some (batch : C.batch) ->

@@ -58,12 +58,40 @@ val stale : t -> string list
 
 exception Mv_error of string
 
+(** Contents of a set of definitions, derived ahead of their installs. *)
+type derivation
+
+(** [derive_set store db defs] derives every [(name, sql)] definition of
+    [defs] over one state, for {!define} or {!restore} to install later.
+    Members are derived by descending count of grouping columns (the union
+    of the grouping sets; ties in list order). Each one is answered through
+    {!Astmatch.Rewrite.best} from the members derived before it, tried one
+    at a time in ascending row count; the first rewrite that reads that
+    member alone and passes {!Lint.Validate} is run. A definition with AVG,
+    or a SUM that is not over integers, and any member no candidate
+    answers (or whose matching or execution raises) is derived from the
+    base tables. Regrouping a parent held in first-seen order gives the
+    child's groups in base first-seen order, and COUNT, integer SUM, MIN
+    and MAX re-aggregate exactly, so the contents equal the base derivation
+    row by row. A definition that does not elaborate against [store] and
+    [db], repeats an earlier name, or fails to derive gets no entry. *)
+val derive_set : t -> Engine.Db.t -> (string * string) list -> derivation
+
 (** [define store db ~name ~sql] parses and elaborates the defining query,
     materializes it, registers the result as a catalog table, and stores the
     entry. Raises {!Mv_error} on name clashes or unsupported definitions,
     among them a definition that reads another summary table (the error
-    names it): summaries are defined over base tables only. *)
-val define : t -> Engine.Db.t -> name:string -> sql:string -> t * Engine.Db.t
+    names it): summaries are defined over base tables only.
+
+    With [derived], [name]'s pre-derived contents (for the same [sql]) are
+    installed when every table of its footprint still holds, physically,
+    the batch it was derived from; otherwise they are dropped (counted in
+    [store.derived_discarded]) and the definition is derived as without
+    one. Contents rolled up from another member count in
+    [store.derived_from_summary]. *)
+val define :
+  ?derived:derivation -> t -> Engine.Db.t -> name:string -> sql:string ->
+  t * Engine.Db.t
 
 val drop : t -> Engine.Db.t -> string -> t * Engine.Db.t
 
@@ -72,13 +100,14 @@ val drop : t -> Engine.Db.t -> string -> t * Engine.Db.t
     makes, so a name clash, an unparseable definition, one over another
     summary table or ill-formed IR raises {!Mv_error}. [payload = None]
     marks a summary that was fresh: it is re-derived through
-    {!Engine.Exec.run_batch}, as {!define} does, and installed fresh; if
+    {!Engine.Exec.run_batch}, or taken from [derived], as {!define} does,
+    and installed fresh; if
     that derivation raises, it is installed empty and stale instead.
     [Some batch] is a stale summary's payload, installed as-is and stale
     ({!Engine.Db.put_batch}; it must not be arena-backed); a payload whose
     arity disagrees with the definition raises {!Mv_error}. *)
 val restore :
-  t -> Engine.Db.t -> name:string -> sql:string ->
+  ?derived:derivation -> t -> Engine.Db.t -> name:string -> sql:string ->
   payload:Engine.Column.batch option -> t * Engine.Db.t
 
 (** Recompute a summary table from scratch, mark it fresh and move its

@@ -6,8 +6,10 @@
 # the server.* metrics counted the traffic and that the shutdown dump
 # carries the planning and guard counters (the registry is the only place
 # a server's planning counts live), and refusal of malformed or
-# out-of-range settings. Run from anywhere; it cd's to the repo root. CI
-# runs it in the server-smoke job.
+# out-of-range settings, and that a run of CREATE SUMMARY statements rolls
+# its coarser members up from the finest one (the store.derived_* counters).
+# Run from anywhere; it cd's to the repo root. CI runs it in the
+# server-smoke job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +20,7 @@ METRICS=$(mktemp "${TMPDIR:-/tmp}/astql-smoke-metrics-XXXXXX.json")
 ERRTXT=$(mktemp "${TMPDIR:-/tmp}/astql-smoke-err-XXXXXX.txt")
 
 DURDIR=$(mktemp -d "${TMPDIR:-/tmp}/astql-smoke-dur-XXXXXX")
+RUNSQL=$(mktemp "${TMPDIR:-/tmp}/astql-smoke-run-XXXXXX.sql")
 
 SERVER_PID=
 cleanup() {
@@ -25,7 +28,7 @@ cleanup() {
     kill "$SERVER_PID" 2>/dev/null || true
     wait "$SERVER_PID" 2>/dev/null || true
   fi
-  rm -f "$SOCK" "$METRICS" "$ERRTXT"
+  rm -f "$SOCK" "$METRICS" "$ERRTXT" "$RUNSQL"
   rm -rf "$DURDIR"
 }
 trap cleanup EXIT
@@ -82,6 +85,34 @@ for key in guard.fallbacks guard.verify_mismatches; do
     echo "FAIL: $key missing from metrics dump"; exit 1;
   }
 done
+
+echo "== a CREATE SUMMARY run rolls up from its finest member =="
+# listed coarse-first: the run is derived finest first, so the two
+# one-column summaries are answered from the two-column one
+cat >"$RUNSQL" <<'SQL'
+CREATE SUMMARY TABLE run_flid AS SELECT flid, COUNT(*) AS c, SUM(qty) AS sq FROM Trans GROUP BY flid;
+CREATE SUMMARY TABLE run_fpgid AS SELECT fpgid, COUNT(*) AS c, SUM(qty) AS sq FROM Trans GROUP BY fpgid;
+CREATE SUMMARY TABLE run_both AS SELECT flid, fpgid, COUNT(*) AS c, SUM(qty) AS sq FROM Trans GROUP BY flid, fpgid;
+SQL
+./_build/default/bin/astql_server.exe \
+  --addr "$SOCK" --domains 2 --demo --metrics-out "$METRICS" "$RUNSQL" &
+SERVER_PID=$!
+./_build/default/bin/astql.exe connect --retry 10 "$SOCK" \
+  -e 'SELECT COUNT(*) AS n FROM run_flid;' >/dev/null
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID" || { echo "FAIL: server exited non-zero on SIGTERM"; exit 1; }
+SERVER_PID=
+metric() {
+  grep -o "\"$1\": *[0-9]*" "$METRICS" | grep -o '[0-9]*$' || true
+}
+[ "$(metric store.derived_from_summary)" = 2 ] || {
+  echo "FAIL: store.derived_from_summary is '$(metric store.derived_from_summary)', expected 2"
+  exit 1
+}
+[ "$(metric store.derived_discarded)" = 0 ] || {
+  echo "FAIL: store.derived_discarded is '$(metric store.derived_discarded)', expected 0"
+  exit 1
+}
 
 echo "== malformed limits exit 2, naming the setting =="
 # the env variable and the flag share one validity rule (finite, > 0);

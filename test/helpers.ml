@@ -151,3 +151,32 @@ let base_only sn = { (Mvstore.Session.config sn) with rewrite = false }
    test counts the work under test as a delta across it — only around
    single-threaded code, since the registry is process-wide. *)
 let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
+(* Two column batches equal value by value, in row order (a float by its
+   bits): [None], or where they first differ. The representation of a
+   column (its NULL mask, its kind) may differ. *)
+let batch_value_diff (a : Engine.Column.batch) (b : Engine.Column.batch) =
+  let module C = Engine.Column in
+  let bits = function V.Float x -> `Bits (Int64.bits_of_float x) | v -> `V v in
+  if a.C.names <> b.C.names then Some "column names"
+  else if a.C.nrows <> b.C.nrows then
+    Some (Printf.sprintf "row count %d vs %d" a.C.nrows b.C.nrows)
+  else
+    let found = ref None in
+    Array.iteri
+      (fun j (ca : C.t) ->
+        for r = 0 to a.C.nrows - 1 do
+          if !found = None && bits (C.get ca r) <> bits (C.get b.C.cols.(j) r) then
+            found :=
+              Some
+                (Printf.sprintf "row %d column %s: %s vs %s" r a.C.names.(j)
+                   (V.to_string (C.get ca r))
+                   (V.to_string (C.get b.C.cols.(j) r)))
+        done)
+      a.C.cols;
+    !found
+
+let check_batch_values msg a b =
+  match batch_value_diff a b with
+  | None -> ()
+  | Some where -> Alcotest.failf "%s: %s" msg where

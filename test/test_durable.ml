@@ -1139,6 +1139,67 @@ let test_summary_over_summary_dropped () =
   Helpers.check_rows "rewriting off" expected (table_of sess q);
   M.close mgr
 
+(* Recovery re-derives the fresh summaries as one set, through the same
+   derivation as a run of CREATE statements: seven rollups of t, listed
+   coarse-first, come back with six of them rolled up from another, each
+   equal to its base derivation row by row. *)
+let test_recovery_rolls_up () =
+  let dir = tmpdir () in
+  let col name = { Catalog.col_name = name; col_ty = V.Tint; nullable = false } in
+  let rows =
+    List.init 400 (fun k ->
+        [| V.Int (k mod 4); V.Int (k * 7 mod 5); V.Int (k * 13 mod 3); V.Int k |])
+  in
+  let keys = [ [ "a" ]; [ "b" ]; [ "c" ]; [ "a"; "b" ]; [ "a"; "c" ]; [ "b"; "c" ]; [ "a"; "b"; "c" ] ] in
+  let summary ks =
+    let cols = String.concat ", " ks in
+    {
+      Ck.ck_name = "r_" ^ String.concat "" ks;
+      ck_sql =
+        Printf.sprintf "SELECT %s, COUNT(*) AS n, SUM(v) AS sv, MIN(v) AS lo FROM t GROUP BY %s"
+          cols cols;
+      ck_payload = None;
+    }
+  in
+  ignore
+    (Ck.write dir
+       {
+         Ck.ck_lsn = 1;
+         ck_tables =
+           [
+             {
+               Ck.ck_table =
+                 {
+                   Catalog.tbl_name = "t";
+                   tbl_cols = List.map col [ "a"; "b"; "c"; "v" ];
+                   primary_key = [];
+                   unique_keys = [];
+                   foreign_keys = [];
+                 };
+               ck_batch = batch_of [ "a"; "b"; "c"; "v" ] rows;
+             };
+           ];
+         ck_summaries = List.map summary keys;
+       });
+  let from0 = Helpers.counter "store.derived_from_summary"
+  and discarded0 = Helpers.counter "store.derived_discarded" in
+  let _, shared, report = M.recover (cfg_of dir ~every:0 ()) in
+  Alcotest.(check (list string)) "nothing quarantined" [] report.M.r_quarantined;
+  Alcotest.(check int) "six rolled up from a summary" 6
+    (Helpers.counter "store.derived_from_summary" - from0);
+  Alcotest.(check int) "none discarded" 0 (Helpers.counter "store.derived_discarded" - discarded0);
+  let sess = Sess.attach shared in
+  let store = Sess.store sess and db = Sess.db sess in
+  Alcotest.(check int) "all seven restored" 7 (List.length (Mvstore.Store.entries store));
+  List.iter
+    (fun (e : Mvstore.Store.entry) ->
+      Alcotest.(check bool) (e.Mvstore.Store.e_name ^ " fresh") true e.Mvstore.Store.e_fresh;
+      Helpers.check_batch_values
+        (e.Mvstore.Store.e_name ^ " equals its base derivation")
+        (Engine.Exec.run_batch db e.Mvstore.Store.e_graph)
+        (Engine.Db.batch db e.Mvstore.Store.e_name))
+    (Mvstore.Store.entries store)
+
 (* --- recovery property ------------------------------------------------- *)
 
 type op = Ins of (int * int * int) list | Del of int * int | Refresh
@@ -1271,6 +1332,7 @@ let suite =
     Alcotest.test_case "disk names not trusted" `Quick test_disk_names_not_trusted;
     Alcotest.test_case "flipped base chunk" `Quick test_flipped_base_chunk;
     Alcotest.test_case "flipped summary chunk" `Quick test_flipped_summary_chunk;
+    Alcotest.test_case "recovery rolls fresh summaries up" `Quick test_recovery_rolls_up;
     Alcotest.test_case "summary over summary dropped" `Quick
       test_summary_over_summary_dropped;
     QCheck_alcotest.to_alcotest prop_recovery_state;

@@ -278,6 +278,211 @@ let test_no_row_materialization () =
     (Engine.Db.cardinality (Sess.db sn) "Trans")
     (counter "db.materialized_rows" - before)
 
+(* ---------------- runs of CREATE SUMMARY statements ---------------- *)
+
+(* A small star schema, shared by every session below (batches are
+   immutable). *)
+let star_batches =
+  lazy
+    (let module W = Workload.Star_schema in
+     W.generate_batches { W.default_params with n_custs = 4; trans_per_acct_year = 25 })
+
+let star_session () =
+  Sess.of_batches (Workload.Star_schema.catalog ()) (Lazy.force star_batches)
+
+let create name select = Printf.sprintf "CREATE SUMMARY TABLE %s AS %s;" name select
+
+let summary_batch sn name = Engine.Db.batch (Sess.db sn) name
+
+(* every summary of [sn] equals its derivation from the base tables, row
+   by row *)
+let check_base_derivations sn =
+  List.iter
+    (fun (e : Mvstore.Store.entry) ->
+      Helpers.check_batch_values
+        (e.Mvstore.Store.e_name ^ " equals its base derivation")
+        (Engine.Exec.run_batch (Sess.db sn) e.Mvstore.Store.e_graph)
+        (summary_batch sn e.Mvstore.Store.e_name))
+    (Mvstore.Store.entries (Sess.store sn))
+
+let derived_counts () =
+  (Helpers.counter "store.derived_from_summary", Helpers.counter "store.derived_discarded")
+
+let by_flid_fpgid =
+  "SELECT flid, fpgid, COUNT(*) AS c, SUM(qty) AS sq FROM Trans GROUP BY flid, fpgid"
+
+let by_flid = "SELECT flid, COUNT(*) AS c, SUM(qty) AS sq FROM Trans GROUP BY flid"
+let by_fpgid = "SELECT fpgid, COUNT(*) AS c, SUM(qty) AS sq FROM Trans GROUP BY fpgid"
+
+(* Listed coarse-first, the run is still derived finest first: both
+   rollups come from the two-column summary, and every summary equals its
+   base derivation row by row. *)
+let test_run_rolls_up () =
+  let sn = star_session () in
+  let from0, discarded0 = derived_counts () in
+  let outs =
+    script sn (create "r_flid" by_flid ^ create "r_fpgid" by_fpgid ^ create "r_both" by_flid_fpgid)
+  in
+  Alcotest.(check int) "three messages" 3 (List.length outs);
+  let from, discarded = derived_counts () in
+  Alcotest.(check int) "rolled up from a summary" 2 (from - from0);
+  Alcotest.(check int) "none discarded" 0 (discarded - discarded0);
+  check_base_derivations sn;
+  (* a single CREATE gets no parent search *)
+  ignore (script sn (create "r_flid2" by_flid));
+  Alcotest.(check int) "single statement derives from the base tables" from
+    (fst (derived_counts ()))
+
+let expect_session_error sn sql =
+  match script sn sql with
+  | exception Sess.Session_error m -> m
+  | _ -> Alcotest.failf "should fail: %s" sql
+
+let names sn =
+  List.map (fun (e : Mvstore.Store.entry) -> e.Mvstore.Store.e_name) (Mvstore.Store.entries (Sess.store sn))
+
+(* Statement-at-a-time semantics survive the derivation ahead. *)
+let test_run_name_clash () =
+  let sn = star_session () in
+  let m =
+    expect_session_error sn
+      (create "a" by_flid_fpgid ^ create "b" by_flid ^ create "a" by_fpgid
+     ^ create "c" by_fpgid)
+  in
+  Alcotest.(check bool) "names the clash" true (Helpers.contains m "a already exists");
+  Alcotest.(check (list string)) "statements before the clash persist" [ "a"; "b" ] (names sn);
+  check_base_derivations sn
+
+let test_run_over_member_refused () =
+  let sn = star_session () in
+  let m =
+    expect_session_error sn
+      (create "a" by_flid_fpgid ^ create "b" by_flid
+      ^ create "c" "SELECT flid, SUM(c) AS n FROM a GROUP BY flid")
+  in
+  Alcotest.(check bool) "names the member" true
+    (Helpers.contains m "cannot be defined over summary table a");
+  Alcotest.(check (list string)) "earlier members persist" [ "a"; "b" ] (names sn)
+
+let test_run_then_parse_error () =
+  let sn = star_session () in
+  let from0, _ = derived_counts () in
+  (match script sn (create "a" by_flid_fpgid ^ create "b" by_flid ^ " SELEC nonsense;") with
+  | exception Sess.Session_error m ->
+      Alcotest.(check bool) "a parse error" true (Helpers.contains m "parse error")
+  | _ -> Alcotest.fail "the parse error must surface");
+  Alcotest.(check (list string)) "the run's statements persist" [ "a"; "b" ] (names sn);
+  Alcotest.(check int) "b rolled up from a" 1 (fst (derived_counts ()) - from0);
+  check_base_derivations sn
+
+(* A footprint table that changes between the derivation ahead and the
+   install voids the pre-derived contents: they are discarded and the
+   summary is derived over the new state. *)
+let test_changed_base_discards () =
+  let module S = Mvstore.Store in
+  let db0 = Sess.db (star_session ()) in
+  let defs = [ ("a", by_flid_fpgid); ("b", by_flid) ] in
+  let derived = S.derive_set S.empty db0 defs in
+  let db1 =
+    Engine.Db.append db0 "Trans"
+      (R.create
+         (Catalog.column_names
+            (Option.get (Catalog.find_table (Engine.Db.catalog db0) "Trans")))
+         [
+           [|
+             Helpers.i 990_001; Helpers.i 1; Helpers.i 2; Helpers.i 3;
+             Helpers.d 1995 3 4; Helpers.i 7; Helpers.f 10.5; Helpers.f 0.05;
+           |];
+         ])
+  in
+  let from0, discarded0 = derived_counts () in
+  let store, db =
+    List.fold_left
+      (fun (store, db) (name, sql) -> S.define ~derived store db ~name ~sql)
+      (S.empty, db1) defs
+  in
+  let from, discarded = derived_counts () in
+  Alcotest.(check int) "both discarded" 2 (discarded - discarded0);
+  Alcotest.(check int) "none used" 0 (from - from0);
+  List.iter
+    (fun (e : S.entry) ->
+      Helpers.check_batch_values (e.S.e_name ^ " derived over the new state")
+        (Engine.Exec.run_batch db1 e.S.e_graph)
+        (Engine.Db.batch db e.S.e_name))
+    (S.entries store);
+  (* over the state it was derived on, the same derivation is used *)
+  ignore
+    (List.fold_left
+       (fun (store, db) (name, sql) -> S.define ~derived store db ~name ~sql)
+       (S.empty, db0) defs);
+  Alcotest.(check (pair int int)) "used: b from a, none discarded" (from + 1, discarded)
+    (derived_counts ())
+
+(* Property: a run of CREATE SUMMARY statements executed as one script and
+   one statement at a time gives the same outcomes, the same entries and
+   the same contents, value by value in row order. The aggregates of a run
+   are prefixes of one menu, so wider definitions can often answer
+   narrower ones; float SUM and AVG must come from the base tables. *)
+let gen_run =
+  let open QCheck.Gen in
+  let keys = [| ("flid", "flid"); ("fpgid", "fpgid"); ("year(date) AS yr", "year(date)"); ("qty", "qty") |] in
+  let preds = [| "flid < 3"; "fpgid <> 2"; "year(date) >= 1995"; "qty > 2" |] in
+  let aggs =
+    [| "COUNT(*)"; "COUNT(qty)"; "SUM(qty)"; "SUM(fpgid)"; "MIN(qty)"; "MAX(qty)";
+       "MIN(price)"; "MAX(date)"; "SUM(price)"; "AVG(qty)" |]
+  in
+  let def menu =
+    let* mask = array_repeat 4 bool in
+    let* n_aggs = int_range 1 (List.length menu) in
+    let* pred = oneofl (None :: List.filter_map (fun j -> if mask.(j) then Some (Some j) else None) [ 0; 1; 2; 3 ]) in
+    let chosen = List.filter (fun j -> mask.(j)) [ 0; 1; 2; 3 ] in
+    let sel =
+      List.map (fun j -> fst keys.(j)) chosen
+      @ List.mapi (fun k a -> Printf.sprintf "%s AS a%d" aggs.(a) k) (List.filteri (fun k _ -> k < n_aggs) menu)
+    in
+    return
+      (Printf.sprintf "SELECT %s FROM Trans%s%s" (String.concat ", " sel)
+         (match pred with Some j -> " WHERE " ^ preds.(j) | None -> "")
+         (if chosen = [] then ""
+          else " GROUP BY " ^ String.concat ", " (List.map (fun j -> snd keys.(j)) chosen)))
+  in
+  let* menu = shuffle_l (List.init (Array.length aggs) Fun.id) in
+  let* menu_len = int_range 1 4 in
+  let menu = List.filteri (fun k _ -> k < menu_len) menu in
+  let* n = int_range 2 8 in
+  list_repeat n (def menu)
+
+let prop_script_equals_statements =
+  QCheck.Test.make ~name:"a CREATE run as one script equals one statement at a time"
+    ~count:60
+    (QCheck.make ~print:(String.concat ";\n") gen_run)
+    (fun selects ->
+      let stmts = List.mapi (fun k sel -> create (Printf.sprintf "m%d" k) sel) selects in
+      let outcomes sn run =
+        match run sn with
+        | outs -> Ok (List.map (function Sess.Msg m -> m | _ -> "?") outs)
+        | exception Sess.Session_error m -> Error m
+      in
+      let whole = star_session () and single = star_session () in
+      let o1 = outcomes whole (fun sn -> script sn (String.concat "\n" stmts)) in
+      let o2 = outcomes single (fun sn -> List.concat_map (script sn) stmts) in
+      if o1 <> o2 then QCheck.Test.fail_report "outcomes differ";
+      let entry (e : Mvstore.Store.entry) =
+        Mvstore.Store.(e.e_name, e.e_sql, e.e_cols, e.e_tables, e.e_fresh, e.e_incr)
+      in
+      if
+        List.map entry (Mvstore.Store.entries (Sess.store whole))
+        <> List.map entry (Mvstore.Store.entries (Sess.store single))
+      then QCheck.Test.fail_report "entries differ";
+      List.iter
+        (fun (e : Mvstore.Store.entry) ->
+          let name = e.Mvstore.Store.e_name in
+          match Helpers.batch_value_diff (summary_batch single name) (summary_batch whole name) with
+          | None -> ()
+          | Some where -> QCheck.Test.fail_reportf "%s: %s" name where)
+        (Mvstore.Store.entries (Sess.store single));
+      true)
+
 let suite =
   [
     Alcotest.test_case "ddl/dml/query" `Quick test_ddl_dml_query;
@@ -293,4 +498,13 @@ let suite =
     Alcotest.test_case "explain diagnostics" `Quick test_explain_diagnostics;
     Alcotest.test_case "no row materialization" `Quick
       test_no_row_materialization;
+    Alcotest.test_case "CREATE run rolls up finest first" `Quick test_run_rolls_up;
+    Alcotest.test_case "CREATE run: name clash mid-run" `Quick test_run_name_clash;
+    Alcotest.test_case "CREATE run: definition over a member refused" `Quick
+      test_run_over_member_refused;
+    Alcotest.test_case "CREATE run: parse error after the run" `Quick
+      test_run_then_parse_error;
+    Alcotest.test_case "pre-derived contents discarded on a changed table" `Quick
+      test_changed_base_discards;
+    QCheck_alcotest.to_alcotest prop_script_equals_statements;
   ]
