@@ -190,14 +190,31 @@ let register_catalog db name cols =
   in
   Engine.Db.with_catalog db (Catalog.add_table cat tbl)
 
+(* The checks of a definition that depend on the current store and
+   catalog: its name is free, and its footprint names no summary table. *)
+let check_name store db name =
+  if Smap.mem (norm name) store.s_map then
+    err "summary table %s already exists" name;
+  if Catalog.mem_table (Engine.Db.catalog db) name then
+    err "a table named %s already exists" name
+
+(* Maintenance follows a summary's footprint to the tables under it, so a
+   summary over a summary would never see its base tables change. *)
+let check_footprint store ~name graph =
+  List.iter
+    (fun t ->
+      match Smap.find_opt (norm t) store.s_map with
+      | Some inner ->
+          err "summary table %s cannot be defined over summary table %s" name
+            inner.e_name
+      | None -> ())
+    (base_tables graph)
+
 (* Parse, build and check a definition against the current catalog and
    store: the checks every summary passes, whether it is defined now or
    restored from a checkpoint. *)
 let elaborate store db ~name ~sql =
-  if Smap.mem (norm name) store.s_map then
-    err "summary table %s already exists" name;
-  if Catalog.mem_table (Engine.Db.catalog db) name then
-    err "a table named %s already exists" name;
+  check_name store db name;
   let ast_q =
     try Sqlsyn.Parser.parse_query sql
     with
@@ -210,16 +227,7 @@ let elaborate store db ~name ~sql =
     try Qgm.Builder.build (Engine.Db.catalog db) ast_q
     with Qgm.Builder.Sem_error m -> err "invalid summary definition: %s" m
   in
-  (* Maintenance follows a summary's footprint to the tables under it, so a
-     summary over a summary would never see its base tables change. *)
-  List.iter
-    (fun t ->
-      match Smap.find_opt (norm t) store.s_map with
-      | Some inner ->
-          err "summary table %s cannot be defined over summary table %s" name
-            inner.e_name
-      | None -> ())
-    (base_tables graph);
+  check_footprint store ~name graph;
   (match Lint.Validate.check ~cat:(Engine.Db.catalog db) graph with
   | [] -> ()
   | vs ->
@@ -251,12 +259,15 @@ let install store db ~name ~sql graph cols ~fresh contents =
 let m_from_summary = Obs.Metrics.counter "store.derived_from_summary"
 let m_discarded = Obs.Metrics.counter "store.derived_discarded"
 
-(* One member's contents, derived ahead of its install. *)
+(* One member, elaborated and derived ahead of its install. *)
 type derived = {
   d_sql : string;
+  d_graph : G.t;
+  d_cols : (string * V.ty) list;
   d_contents : C.batch;
-  d_reads : (string * C.batch) list;
-      (* each footprint table, with the batch it held at derivation *)
+  d_reads : (string * Catalog.table option * C.batch) list;
+      (* each footprint table, with the definition and the batch it had at
+         derivation *)
   d_parent : string option;  (* the member it was rolled up from *)
 }
 
@@ -276,22 +287,32 @@ let grouping_width g =
 
 (* Regrouping a parent's groups gives exactly the base derivation's values
    for COUNT, integer SUM, MIN and MAX; a float SUM would add in another
-   order, and AVG is not re-aggregated. *)
+   order, and AVG is not re-aggregated. A grouping over the empty set is
+   refused too: its total row exists over no input rows, where COUNT reads
+   0, but a rolled-up COUNT is a SUM of the parent's counts and reads NULL
+   over no parent rows. *)
 let regroups_exactly cat g =
   List.for_all
     (fun id ->
       match (G.box g id).B.body with
       | B.Group grp ->
-          List.for_all
-            (fun (_, { B.agg; arg }) ->
-              match (agg.E.fn, arg) with
-              | (E.Count_star | E.Count | E.Min | E.Max), _ -> true
-              | E.Sum, Some a ->
-                  Qgm.Typing.col_type cat g grp.B.grp_quant.B.q_box a = V.Tint
-              | _ -> false)
-            grp.B.grp_aggs
+          (not (List.mem [] (B.grouping_sets grp.B.grp_grouping)))
+          && List.for_all
+               (fun (_, { B.agg; arg }) ->
+                 match (agg.E.fn, arg) with
+                 | (E.Count_star | E.Count | E.Min | E.Max), _ -> true
+                 | E.Sum, Some a ->
+                     Qgm.Typing.col_type cat g grp.B.grp_quant.B.q_box a = V.Tint
+                 | _ -> false)
+               grp.B.grp_aggs
       | _ -> true)
     (G.reachable g (G.root g))
+
+(* [f ()], or [None] when it fails the way a planned rewrite's candidate
+   may ([Guard.Sandbox.protect]: interrupts, budget exhaustion and
+   resource exhaustion propagate). *)
+let contained ~stage f =
+  match Guard.Sandbox.protect ~stage f with Ok v -> Some v | Error _ -> None
 
 (* The first candidate whose rewrite of [graph] reads that candidate alone
    and passes validation, as the planner's rewrites must, run over
@@ -312,7 +333,7 @@ let from_member scratch graph candidates =
    from the smallest member derived before it that can answer it (§5.1's
    smallest-cuboid rule across summaries), over a scratch database holding
    the members so far; otherwise, and whenever matching or execution
-   raises, from the base tables. A definition that does not elaborate,
+   fails, from the base tables. A definition that does not elaborate,
    repeats an earlier name or fails to derive gets no entry: its own
    install reports it. *)
 let derive_set store db defs =
@@ -331,72 +352,88 @@ let derive_set store db defs =
            compare (grouping_width b) (grouping_width a))
   in
   (* [candidates]: the members so far with their row counts, ascending *)
-  let derive scratch candidates sql graph =
+  let derive scratch candidates graph =
     let rolled_up =
       if not (regroups_exactly cat graph) then None
-      else try from_member scratch graph (List.map fst candidates) with _ -> None
+      else
+        Option.join
+          (contained ~stage:Guard.Error.Match (fun () ->
+               from_member scratch graph (List.map fst candidates)))
     in
-    let contents, d_parent =
-      match rolled_up with
-      | Some (parent, contents) -> (contents, Some parent)
-      | None -> (Engine.Exec.run_batch db graph, None)
-    in
-    let d_reads = List.map (fun t -> (t, Engine.Db.batch db t)) (base_tables graph) in
-    { d_sql = sql; d_contents = contents; d_reads; d_parent }
+    match rolled_up with
+    | Some (parent, contents) -> Some (contents, Some parent)
+    | None ->
+        contained ~stage:Guard.Error.Execute (fun () -> (Engine.Exec.run_batch db graph, None))
   in
   let step (scratch, candidates, out) (name, sql, graph, cols) =
-    match derive scratch candidates sql graph with
-    | exception _ -> (scratch, candidates, out)
-    | d ->
-        let rows = d.d_contents.C.nrows in
+    match derive scratch candidates graph with
+    | None -> (scratch, candidates, out)
+    | Some (contents, d_parent) ->
+        let d_reads =
+          List.map
+            (fun t -> (t, Catalog.find_table cat t, Engine.Db.batch db t))
+            (base_tables graph)
+        in
+        let d = { d_sql = sql; d_graph = graph; d_cols = cols; d_contents = contents; d_reads; d_parent } in
+        let rows = contents.C.nrows in
         let smaller, larger = List.partition (fun (_, n) -> n <= rows) candidates in
         let mv = { Astmatch.Rewrite.mv_name = name; mv_graph = graph; mv_version = 0 } in
-        ( Engine.Db.put_batch_uncounted (register_catalog scratch name cols) name
-            d.d_contents,
+        ( Engine.Db.put_batch_uncounted (register_catalog scratch name cols) name contents,
           smaller @ ((mv, rows) :: larger),
           Smap.add (norm name) d out )
   in
   let _, _, out = List.fold_left step (db, [], Smap.empty) members in
   out
 
-(* [name]'s pre-derived contents, when every table it read still holds the
-   batch it was derived from; otherwise a derivation from the base tables,
-   as without one. *)
-let contents_of derived db ~name ~sql graph =
-  let unchanged (t, b) =
-    match Engine.Db.batch db t with b' -> b' == b | exception Invalid_argument _ -> false
+(* [name]'s graph, columns and contents. The pre-derived ones serve when
+   [derived] holds [name] for the same [sql] and every table it read still
+   has the definition and, physically, the batch it was derived over: then
+   only the checks that depend on the current store and catalog run
+   again. Otherwise the definition is elaborated and derived from the base
+   tables, as without a derivation. *)
+let prepare derived store db ~name ~sql =
+  let unchanged (t, tbl, b) =
+    Catalog.find_table (Engine.Db.catalog db) t = tbl
+    &&
+    match Engine.Db.batch db t with
+    | b' -> b' == b
+    | exception Invalid_argument _ -> false
   in
   match Smap.find_opt (norm name) derived with
   | Some d when d.d_sql = sql && List.for_all unchanged d.d_reads ->
+      check_name store db name;
+      check_footprint store ~name d.d_graph;
       if d.d_parent <> None then Obs.Metrics.incr m_from_summary;
-      d.d_contents
-  | Some d when d.d_sql = sql ->
-      Obs.Metrics.incr m_discarded;
-      Engine.Exec.run_batch db graph
-  | _ -> Engine.Exec.run_batch db graph
+      (d.d_graph, d.d_cols, fun () -> d.d_contents)
+  | found ->
+      let graph, cols = elaborate store db ~name ~sql in
+      (match found with
+      | Some d when d.d_sql = sql -> Obs.Metrics.incr m_discarded
+      | _ -> ());
+      (graph, cols, fun () -> Engine.Exec.run_batch db graph)
 
 let define ?(derived = Smap.empty) store db ~name ~sql =
-  let graph, cols = elaborate store db ~name ~sql in
-  install store db ~name ~sql graph cols ~fresh:true
-    (contents_of derived db ~name ~sql graph)
+  let graph, cols, contents = prepare derived store db ~name ~sql in
+  install store db ~name ~sql graph cols ~fresh:true (contents ())
 
 (* Recovery path. A fresh summary is re-derived, as [define] would; one
    whose derivation fails boots empty and stale rather than not at all. A
    stale summary keeps its checkpointed payload, the contents of its last
    refresh. *)
 let restore ?(derived = Smap.empty) store db ~name ~sql ~payload =
-  let graph, cols = elaborate store db ~name ~sql in
-  let install = install store db ~name ~sql graph cols in
   match payload with
   | None -> (
-      match contents_of derived db ~name ~sql graph with
+      let graph, cols, contents = prepare derived store db ~name ~sql in
+      let install = install store db ~name ~sql graph cols in
+      match contents () with
       | contents -> install ~fresh:true contents
       | exception _ -> install ~fresh:false (C.of_relation (R.empty (List.map fst cols))))
   | Some (batch : C.batch) ->
+      let graph, cols = elaborate store db ~name ~sql in
       if Array.length batch.C.names <> List.length cols then
         err "recovered payload for %s: %d columns, the definition has %d" name
           (Array.length batch.C.names) (List.length cols);
-      install ~fresh:false batch
+      install store db ~name ~sql graph cols ~fresh:false batch
 
 let drop store db name =
   match find store name with

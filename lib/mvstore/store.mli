@@ -58,23 +58,28 @@ val stale : t -> string list
 
 exception Mv_error of string
 
-(** Contents of a set of definitions, derived ahead of their installs. *)
+(** A set of definitions, elaborated and derived ahead of their installs. *)
 type derivation
 
-(** [derive_set store db defs] derives every [(name, sql)] definition of
-    [defs] over one state, for {!define} or {!restore} to install later.
+(** [derive_set store db defs] elaborates and derives every [(name, sql)]
+    definition of [defs] over one state, for {!define} or {!restore} to
+    install later.
     Members are derived by descending count of grouping columns (the union
     of the grouping sets; ties in list order). Each one is answered through
     {!Astmatch.Rewrite.best} from the members derived before it, tried one
     at a time in ascending row count; the first rewrite that reads that
     member alone and passes {!Lint.Validate} is run. A definition with AVG,
-    or a SUM that is not over integers, and any member no candidate
-    answers (or whose matching or execution raises) is derived from the
-    base tables. Regrouping a parent held in first-seen order gives the
+    a SUM that is not over integers, or a grouping over the empty set (a
+    total, whose COUNT reads 0 over no rows where a rolled-up one would
+    read NULL), and any member no candidate answers (or whose matching or
+    execution fails) is derived from the base tables. Regrouping a parent
+    held in first-seen order gives the
     child's groups in base first-seen order, and COUNT, integer SUM, MIN
     and MAX re-aggregate exactly, so the contents equal the base derivation
     row by row. A definition that does not elaborate against [store] and
-    [db], repeats an earlier name, or fails to derive gets no entry. *)
+    [db], repeats an earlier name, or fails to derive gets no entry.
+    Failures are contained as {!Guard.Sandbox.protect} contains them:
+    interrupts and resource exhaustion propagate. *)
 val derive_set : t -> Engine.Db.t -> (string * string) list -> derivation
 
 (** [define store db ~name ~sql] parses and elaborates the defining query,
@@ -83,11 +88,12 @@ val derive_set : t -> Engine.Db.t -> (string * string) list -> derivation
     among them a definition that reads another summary table (the error
     names it): summaries are defined over base tables only.
 
-    With [derived], [name]'s pre-derived contents (for the same [sql]) are
-    installed when every table of its footprint still holds, physically,
-    the batch it was derived from; otherwise they are dropped (counted in
-    [store.derived_discarded]) and the definition is derived as without
-    one. Contents rolled up from another member count in
+    With [derived], [name]'s pre-derived elaboration and contents (for
+    the same [sql]) are installed when every table of its footprint still
+    has the definition and holds, physically, the batch it was derived
+    from; only the name clash and summary-over-summary checks run again.
+    Otherwise they are dropped (counted in [store.derived_discarded]) and
+    the definition is elaborated and derived as without one. Contents rolled up from another member count in
     [store.derived_from_summary]. *)
 val define :
   ?derived:derivation -> t -> Engine.Db.t -> name:string -> sql:string ->

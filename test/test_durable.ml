@@ -1139,28 +1139,10 @@ let test_summary_over_summary_dropped () =
   Helpers.check_rows "rewriting off" expected (table_of sess q);
   M.close mgr
 
-(* Recovery re-derives the fresh summaries as one set, through the same
-   derivation as a run of CREATE statements: seven rollups of t, listed
-   coarse-first, come back with six of them rolled up from another, each
-   equal to its base derivation row by row. *)
-let test_recovery_rolls_up () =
-  let dir = tmpdir () in
+(* A checkpoint at LSN 1 of one table t (a, b, c, v: NOT NULL integers)
+   holding [rows], and fresh summaries [(name, sql)]. *)
+let write_rollup_checkpoint dir rows summaries =
   let col name = { Catalog.col_name = name; col_ty = V.Tint; nullable = false } in
-  let rows =
-    List.init 400 (fun k ->
-        [| V.Int (k mod 4); V.Int (k * 7 mod 5); V.Int (k * 13 mod 3); V.Int k |])
-  in
-  let keys = [ [ "a" ]; [ "b" ]; [ "c" ]; [ "a"; "b" ]; [ "a"; "c" ]; [ "b"; "c" ]; [ "a"; "b"; "c" ] ] in
-  let summary ks =
-    let cols = String.concat ", " ks in
-    {
-      Ck.ck_name = "r_" ^ String.concat "" ks;
-      ck_sql =
-        Printf.sprintf "SELECT %s, COUNT(*) AS n, SUM(v) AS sv, MIN(v) AS lo FROM t GROUP BY %s"
-          cols cols;
-      ck_payload = None;
-    }
-  in
   ignore
     (Ck.write dir
        {
@@ -1179,18 +1161,28 @@ let test_recovery_rolls_up () =
                ck_batch = batch_of [ "a"; "b"; "c"; "v" ] rows;
              };
            ];
-         ck_summaries = List.map summary keys;
-       });
+         ck_summaries =
+           List.map
+             (fun (name, sql) -> { Ck.ck_name = name; ck_sql = sql; ck_payload = None })
+             summaries;
+       })
+
+(* Recover [dir]: the shared state, and how many summaries were rolled up
+   from another and how many pre-derived results were discarded. *)
+let recover_counting dir =
   let from0 = Helpers.counter "store.derived_from_summary"
   and discarded0 = Helpers.counter "store.derived_discarded" in
   let _, shared, report = M.recover (cfg_of dir ~every:0 ()) in
   Alcotest.(check (list string)) "nothing quarantined" [] report.M.r_quarantined;
-  Alcotest.(check int) "six rolled up from a summary" 6
-    (Helpers.counter "store.derived_from_summary" - from0);
-  Alcotest.(check int) "none discarded" 0 (Helpers.counter "store.derived_discarded" - discarded0);
+  ( shared,
+    Helpers.counter "store.derived_from_summary" - from0,
+    Helpers.counter "store.derived_discarded" - discarded0 )
+
+(* every summary of [shared] is fresh and equals its base derivation, row
+   by row *)
+let check_fresh_base_derivations shared =
   let sess = Sess.attach shared in
   let store = Sess.store sess and db = Sess.db sess in
-  Alcotest.(check int) "all seven restored" 7 (List.length (Mvstore.Store.entries store));
   List.iter
     (fun (e : Mvstore.Store.entry) ->
       Alcotest.(check bool) (e.Mvstore.Store.e_name ^ " fresh") true e.Mvstore.Store.e_fresh;
@@ -1198,7 +1190,48 @@ let test_recovery_rolls_up () =
         (e.Mvstore.Store.e_name ^ " equals its base derivation")
         (Engine.Exec.run_batch db e.Mvstore.Store.e_graph)
         (Engine.Db.batch db e.Mvstore.Store.e_name))
-    (Mvstore.Store.entries store)
+    (Mvstore.Store.entries store);
+  List.length (Mvstore.Store.entries store)
+
+(* Recovery re-derives the fresh summaries as one set, through the same
+   derivation as a run of CREATE statements: seven rollups of t, listed
+   coarse-first, come back with six of them rolled up from another, each
+   equal to its base derivation row by row. *)
+let test_recovery_rolls_up () =
+  let dir = tmpdir () in
+  let rows =
+    List.init 400 (fun k ->
+        [| V.Int (k mod 4); V.Int (k * 7 mod 5); V.Int (k * 13 mod 3); V.Int k |])
+  in
+  let keys = [ [ "a" ]; [ "b" ]; [ "c" ]; [ "a"; "b" ]; [ "a"; "c" ]; [ "b"; "c" ]; [ "a"; "b"; "c" ] ] in
+  let summary ks =
+    let cols = String.concat ", " ks in
+    ( "r_" ^ String.concat "" ks,
+      Printf.sprintf "SELECT %s, COUNT(*) AS n, SUM(v) AS sv, MIN(v) AS lo FROM t GROUP BY %s"
+        cols cols )
+  in
+  write_rollup_checkpoint dir rows (List.map summary keys);
+  let shared, from, discarded = recover_counting dir in
+  Alcotest.(check int) "six rolled up from a summary" 6 from;
+  Alcotest.(check int) "none discarded" 0 discarded;
+  Alcotest.(check int) "all seven restored" 7 (check_fresh_base_derivations shared)
+
+(* A total is re-derived from the base tables, never rolled up: over no
+   rows its COUNT reads 0, where a SUM of a summary's counts reads NULL. *)
+let test_recovery_total_over_no_rows () =
+  let dir = tmpdir () in
+  write_rollup_checkpoint dir
+    (List.init 400 (fun k -> [| V.Int (k mod 4); V.Int 0; V.Int 0; V.Int (k mod 50) |]))
+    [
+      ("r_all", "SELECT COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS sv FROM t WHERE v > 1000");
+      ("r_v", "SELECT v, COUNT(*) AS n FROM t GROUP BY v");
+    ];
+  let shared, from, _ = recover_counting dir in
+  Alcotest.(check int) "nothing rolled up" 0 from;
+  Alcotest.(check int) "both restored" 2 (check_fresh_base_derivations shared);
+  Helpers.check_rows "the total counts no rows"
+    (R.create [ "n"; "nv"; "sv" ] [ [| V.Int 0; V.Int 0; V.Null |] ])
+    (Engine.Db.get_exn (Sess.db (Sess.attach shared)) "r_all")
 
 (* --- recovery property ------------------------------------------------- *)
 
@@ -1333,6 +1366,8 @@ let suite =
     Alcotest.test_case "flipped base chunk" `Quick test_flipped_base_chunk;
     Alcotest.test_case "flipped summary chunk" `Quick test_flipped_summary_chunk;
     Alcotest.test_case "recovery rolls fresh summaries up" `Quick test_recovery_rolls_up;
+    Alcotest.test_case "recovery derives a total over no rows from the base" `Quick
+      test_recovery_total_over_no_rows;
     Alcotest.test_case "summary over summary dropped" `Quick
       test_summary_over_summary_dropped;
     QCheck_alcotest.to_alcotest prop_recovery_state;

@@ -418,15 +418,47 @@ let test_changed_base_discards () =
   Alcotest.(check (pair int int)) "used: b from a, none discarded" (from + 1, discarded)
     (derived_counts ())
 
+(* A total (a grouping over the empty set) is derived from the base
+   tables, never rolled up: over no rows its COUNT reads 0, where a SUM of
+   a summary's counts reads NULL. *)
+let test_run_total_over_no_rows () =
+  let total sn name =
+    match R.rows (Engine.Db.get_exn (Sess.db sn) name) with
+    | [ row ] -> Array.to_list row
+    | rows -> Alcotest.failf "%s: %d rows" name (List.length rows)
+  in
+  let value = Alcotest.testable Data.Value.pp ( = ) in
+  let sn = star_session () in
+  let from0, _ = derived_counts () in
+  ignore
+    (script sn
+       (create "a" "SELECT qty, COUNT(*) AS c FROM Trans GROUP BY qty"
+       ^ create "b" "SELECT COUNT(*) AS c, COUNT(qty) AS n FROM Trans WHERE qty > 1000"));
+  Alcotest.(check int) "b derived from the base tables" from0 (fst (derived_counts ()));
+  Alcotest.(check (list value)) "b counts no rows" [ Helpers.i 0; Helpers.i 0 ] (total sn "b");
+  check_base_derivations sn;
+  (* the same over an empty table *)
+  let sn = star_session () in
+  ignore (script sn "DELETE FROM Trans;");
+  ignore
+    (script sn
+       (create "t" "SELECT COUNT(*) AS c, SUM(qty) AS s FROM Trans"
+       ^ create "b" by_flid ^ create "a" by_flid_fpgid));
+  Alcotest.(check (list value)) "t counts no rows" [ Helpers.i 0; Data.Value.Null ] (total sn "t");
+  check_base_derivations sn
+
 (* Property: a run of CREATE SUMMARY statements executed as one script and
    one statement at a time gives the same outcomes, the same entries and
    the same contents, value by value in row order. The aggregates of a run
    are prefixes of one menu, so wider definitions can often answer
-   narrower ones; float SUM and AVG must come from the base tables. *)
+   narrower ones; float SUM and AVG must come from the base tables. A
+   WHERE may select no row, and one run in four goes over an empty
+   [Trans], so totals over no rows are covered. *)
 let gen_run =
   let open QCheck.Gen in
   let keys = [| ("flid", "flid"); ("fpgid", "fpgid"); ("year(date) AS yr", "year(date)"); ("qty", "qty") |] in
-  let preds = [| "flid < 3"; "fpgid <> 2"; "year(date) >= 1995"; "qty > 2" |] in
+  (* [qty > 1000] selects no row *)
+  let preds = [| "flid < 3"; "fpgid <> 2"; "year(date) >= 1995"; "qty > 2"; "qty > 1000" |] in
   let aggs =
     [| "COUNT(*)"; "COUNT(qty)"; "SUM(qty)"; "SUM(fpgid)"; "MIN(qty)"; "MAX(qty)";
        "MIN(price)"; "MAX(date)"; "SUM(price)"; "AVG(qty)" |]
@@ -434,7 +466,7 @@ let gen_run =
   let def menu =
     let* mask = array_repeat 4 bool in
     let* n_aggs = int_range 1 (List.length menu) in
-    let* pred = oneofl (None :: List.filter_map (fun j -> if mask.(j) then Some (Some j) else None) [ 0; 1; 2; 3 ]) in
+    let* pred = oneofl (None :: List.init (Array.length preds) Option.some) in
     let chosen = List.filter (fun j -> mask.(j)) [ 0; 1; 2; 3 ] in
     let sel =
       List.map (fun j -> fst keys.(j)) chosen
@@ -450,20 +482,30 @@ let gen_run =
   let* menu_len = int_range 1 4 in
   let menu = List.filteri (fun k _ -> k < menu_len) menu in
   let* n = int_range 2 8 in
-  list_repeat n (def menu)
+  let* empty = frequencyl [ (3, false); (1, true) ] in
+  let* run = list_repeat n (def menu) in
+  return (empty, run)
 
 let prop_script_equals_statements =
   QCheck.Test.make ~name:"a CREATE run as one script equals one statement at a time"
     ~count:60
-    (QCheck.make ~print:(String.concat ";\n") gen_run)
-    (fun selects ->
+    (QCheck.make
+       ~print:(fun (empty, selects) ->
+         (if empty then "(Trans emptied)\n" else "") ^ String.concat ";\n" selects)
+       gen_run)
+    (fun (empty, selects) ->
       let stmts = List.mapi (fun k sel -> create (Printf.sprintf "m%d" k) sel) selects in
       let outcomes sn run =
         match run sn with
         | outs -> Ok (List.map (function Sess.Msg m -> m | _ -> "?") outs)
         | exception Sess.Session_error m -> Error m
       in
-      let whole = star_session () and single = star_session () in
+      let session () =
+        let sn = star_session () in
+        if empty then ignore (script sn "DELETE FROM Trans;");
+        sn
+      in
+      let whole = session () and single = session () in
       let o1 = outcomes whole (fun sn -> script sn (String.concat "\n" stmts)) in
       let o2 = outcomes single (fun sn -> List.concat_map (script sn) stmts) in
       if o1 <> o2 then QCheck.Test.fail_report "outcomes differ";
@@ -506,5 +548,6 @@ let suite =
       test_run_then_parse_error;
     Alcotest.test_case "pre-derived contents discarded on a changed table" `Quick
       test_changed_base_discards;
+    Alcotest.test_case "CREATE run: a total over no rows" `Quick test_run_total_over_no_rows;
     QCheck_alcotest.to_alcotest prop_script_equals_statements;
   ]
