@@ -248,9 +248,15 @@ let () =
   let ws_cat = Engine.Db.catalog ws_db in
   let ws_store = Mvstore.Session.store sn in
   let ws_planner = Mvstore.Session.planner sn in
+  let scratch_hist = Obs.Metrics.histogram "exec.scratch_bytes" in
   List.iter
     (fun (q : Workload.Decision_support.query) ->
       let g = build ws_cat q.dq_sql in
+      (* the base plan's scratch: bytes are a function of the data and the
+         plan, so the gate holds them exactly *)
+      let s0 = Obs.Metrics.hist_sum scratch_hist in
+      ignore (Engine.Exec.run ws_db g);
+      let base_scratch = int_of_float (Obs.Metrics.hist_sum scratch_hist -. s0) in
       let t_base = time_ms (fun () -> Engine.Exec.run ws_db g) in
       (* planning and execution measured separately: plan_ms is the live
          (warm-cache) routing cost, exec_ms the rewritten plan alone *)
@@ -285,6 +291,7 @@ let () =
                 ("exec_ms", Json.Num t_exec);
                 ("rewritten_ms", Json.Num (t_plan +. t_exec));
                 ("routed_via", Json.Str routed);
+                ("base_scratch_bytes", Json.Int base_scratch);
               ];
           ];
       Printf.printf "%-24s %10.1f %10.3f %10.1f %8.1fx  %s\n" q.dq_name
@@ -1112,7 +1119,9 @@ let () =
      exec_ms regression (plus 0.5 ms absolute slack, so sub-millisecond
      rows don't gate on scheduler noise). The deterministic outputs gate
      exactly: each row's routed_via, the proof counts, and the PERF4 and
-     PERF5 counts. *)
+     PERF5 counts. A row's base_scratch_bytes (the scratch arena bytes its
+     rewriting-off plan requests) must not exceed the baseline's; a
+     baseline row without the field does not gate it. *)
   (match baseline_out with
   | Some path ->
       Json.to_file path
@@ -1184,11 +1193,25 @@ let () =
               let b_route = Json.member "routed_via" brow
               and c_route = Json.member "routed_via" r in
               let rerouted = b_route = None || b_route <> c_route in
-              if (not ok) || rerouted then incr gate_fails;
+              let scratch_grew =
+                match
+                  (Json.member "base_scratch_bytes" brow, Json.member "base_scratch_bytes" r)
+                with
+                | Some (Json.Int b), Some (Json.Int c) -> c > b
+                | _ -> false
+              in
+              if (not ok) || rerouted || scratch_grew then incr gate_fails;
               Printf.printf "%-24s %13.2f %13.2f %10s\n" name b_exec c_exec
                 (if rerouted then "REROUTED"
+                 else if scratch_grew then "SCRATCH"
                  else if ok then "ok"
                  else "REGRESSED");
+              if scratch_grew then
+                Printf.printf "  base_scratch_bytes: baseline %s, now %s\n"
+                  (Option.fold ~none:"-" ~some:Json.to_string
+                     (Json.member "base_scratch_bytes" brow))
+                  (Option.fold ~none:"-" ~some:Json.to_string
+                     (Json.member "base_scratch_bytes" r));
               if rerouted then
                 Printf.printf "  routed_via: baseline %s, now %s\n"
                   (Option.fold ~none:"-" ~some:Json.to_string b_route)

@@ -89,7 +89,16 @@ type arena = {
   mutable foff : int;
   mutable fused : floats list;
   mutable depth : int;
+  mutable requested : int; (* bytes handed out since the outermost begin *)
 }
+
+(* Bytes of scratch one outermost run requested, observed when it ends.
+   The values are bytes, not milliseconds: the bounds run from 64 kB to
+   1 GB in powers of four. *)
+let x_scratch_bytes =
+  Obs.Metrics.histogram
+    ~bounds:(Array.init 8 (fun i -> 65536. *. (4. ** float_of_int i)))
+    "exec.scratch_bytes"
 
 let arena_key =
   Domain.DLS.new_key (fun () ->
@@ -101,6 +110,7 @@ let arena_key =
         foff = 0;
         fused = [];
         depth = 0;
+        requested = 0;
       })
 
 let scratch_begin () =
@@ -112,6 +122,8 @@ let scratch_end () =
   a.depth <- a.depth - 1;
   if a.depth <= 0 then begin
     a.depth <- 0;
+    Obs.Metrics.observe x_scratch_bytes (float_of_int a.requested);
+    a.requested <- 0;
     let is = if BA1.dim a.icur > 0 then a.icur :: a.iused else a.iused in
     let fs = if BA1.dim a.fcur > 0 then a.fcur :: a.fused else a.fused in
     a.icur <- icreate 0;
@@ -128,6 +140,7 @@ let scratch_ints n : ints =
   let a = Domain.DLS.get arena_key in
   if a.depth = 0 then icreate n
   else begin
+    a.requested <- a.requested + (8 * n);
     if n > BA1.dim a.icur - a.ioff then begin
       if BA1.dim a.icur > 0 then a.iused <- a.icur :: a.iused;
       let cap = max chunk_elems n in
@@ -144,6 +157,7 @@ let scratch_floats n : floats =
   let a = Domain.DLS.get arena_key in
   if a.depth = 0 then fcreate n
   else begin
+    a.requested <- a.requested + (8 * n);
     if n > BA1.dim a.fcur - a.foff then begin
       if BA1.dim a.fcur > 0 then a.fused <- a.fcur :: a.fused;
       let cap = max chunk_elems n in
@@ -533,7 +547,22 @@ let ndv (c : t) : int =
 (* Gather (row selection by index)                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Values copied by gathers, row indices included: what late
+   materialization saves shows here. *)
+let x_gathered = Obs.Metrics.counter "exec.gathered_values"
+
+(* [r] read at positions [pos]: composes a row-index vector with a
+   selection over its rows. *)
+let gather_index (r : ints) (pos : ints) (k : int) : ints =
+  Obs.Metrics.add x_gathered k;
+  let out = scratch_ints k in
+  for i = 0 to k - 1 do
+    BA1.unsafe_set out i (BA1.unsafe_get r (BA1.unsafe_get pos i))
+  done;
+  out
+
 let gather (c : t) (idx : ints) (k : int) : t =
+  Obs.Metrics.add x_gathered k;
   let data =
     match c.data with
     | Ints a ->

@@ -27,8 +27,9 @@ val fcreate : int -> floats
     domain-local arena is armed — zero allocation in steady state. Arm it
     for the duration of one executor run; buffers handed out in between
     must not escape the [scratch_begin]/[scratch_end] bracket. Nestable;
-    the outermost [scratch_end] recycles every chunk. Without an armed
-    arena, scratch requests fall back to permanent allocations. *)
+    the outermost [scratch_end] recycles every chunk and records the bytes
+    the run requested in the [exec.scratch_bytes] histogram. Without an
+    armed arena, scratch requests fall back to permanent allocations. *)
 
 val scratch_begin : unit -> unit
 val scratch_end : unit -> unit
@@ -90,8 +91,13 @@ val ndv : t -> int
     when there is none. *)
 val int_bounds : int -> ints -> Bytes.t option -> int * int
 
-(** [gather c idx k] takes rows of [c] at [idx.(0..k-1)], in order. *)
+(** [gather c idx k] takes rows of [c] at [idx.(0..k-1)], in order. Adds
+    [k] to the [exec.gathered_values] counter, as {!gather_index} does. *)
 val gather : t -> ints -> int -> t
+
+(** [gather_index r pos k] is [r.{pos.{i}}] for [i < k]: a row-index
+    vector composed with a selection over its rows. *)
+val gather_index : ints -> ints -> int -> ints
 
 (** [with_nulls c m] is [c] with every row [m] marks ['\001'] NULL (the
     data under it zeroed). [m] must already mark [c]'s own NULLs. *)

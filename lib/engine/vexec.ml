@@ -2,8 +2,9 @@
 
    Execution here is column-at-a-time over whole-relation batches: scan
    reads a table's stored batch from Db as it is, filter evaluates
-   predicates as vector kernels producing selection indices, joins build
-   hash tables on key columns and gather matching rows, and aggregation
+   predicates as vector kernels narrowing a selection vector, joins group
+   key columns together and compose the row-index vectors of matching
+   rows, a column is gathered only when something reads it, and aggregation
    assigns dense group ids through one packed-key kernel then folds each
    aggregate in a tight typed loop into typed outputs. The same kernel
    dedupes DISTINCT aggregates (repeated (group, value) pairs are masked
@@ -76,23 +77,64 @@ let ibuf_push b x =
 let ibuf_sel b = (b.ib_arr, b.ib_len)
 
 (* ------------------------------------------------------------------ *)
-(* Vectorized expression evaluation                                    *)
+(* The working set: source columns read through row-index vectors      *)
 (* ------------------------------------------------------------------ *)
 
-(* A select box's working set: columns addressed by (quantifier, column),
-   one column vector per slot. *)
-type lbatch = { lay : (int * string) array; lcols : C.t array; ln : int }
+(* A select box's working set, materialized late. Slot [i], addressed by
+   [lay.(i)] = (quantifier, column), is the column [src.(i)] read through
+   the row-index vector of its row space [space.(i)]: [rows.(s)] gives
+   each of the [ln] working-set rows its row in the source ([None] is the
+   identity). A filter narrows every row space and a join composes each
+   side's spaces with its match vector, so neither copies a column. A slot
+   is gathered when an expression, a join key or an output first reads
+   it, and kept in [mat] until the rows change. *)
+type lbatch = {
+  lay : (int * string) array;
+  src : C.t array;
+  space : int array;
+  rows : C.ints option array;
+  ln : int;
+  mat : C.t option array;
+}
 
-type vv = Vec of C.t | Scal of V.t
+(* [cols] as [n] working-set rows in one identity row space *)
+let lbatch_of lay cols n =
+  let k = Array.length cols in
+  { lay; src = cols; space = Array.make k 0; rows = [| None |]; ln = n; mat = Array.make k None }
 
-let vv_get ctx_n v i =
-  ignore ctx_n;
-  match v with Vec c -> C.get c i | Scal s -> s
+let slot_col ctx i =
+  match ctx.mat.(i) with
+  | Some c -> c
+  | None ->
+      let c =
+        match ctx.rows.(ctx.space.(i)) with
+        | None -> ctx.src.(i)
+        | Some r -> C.gather ctx.src.(i) r ctx.ln
+      in
+      ctx.mat.(i) <- Some c;
+      c
 
-let vv_null v i =
-  match v with Vec c -> C.is_null c i | Scal s -> V.is_null s
+(* [b]'s rows at positions [pos] ([k] of them): every row space composes
+   with [pos], and nothing gathered under the old rows is kept. *)
+let reindex b pos k =
+  {
+    b with
+    rows = Array.map (function None -> Some pos | Some r -> Some (C.gather_index r pos k)) b.rows;
+    ln = k;
+    mat = Array.make (Array.length b.src) None;
+  }
 
-let vv_col n = function Vec c -> c | Scal s -> C.const s n
+(* [a]'s and [b]'s slots side by side, over the same rows *)
+let append a b =
+  let off = Array.length a.rows in
+  {
+    lay = Array.append a.lay b.lay;
+    src = Array.append a.src b.src;
+    space = Array.append a.space (Array.map (fun s -> s + off) b.space);
+    rows = Array.append a.rows b.rows;
+    ln = a.ln;
+    mat = Array.append a.mat b.mat;
+  }
 
 let lay_index (lay : (int * string) array) quant col =
   let col = String.lowercase_ascii col in
@@ -107,23 +149,41 @@ let lay_index (lay : (int * string) array) quant col =
 
 let lookup_col ctx { B.quant; col } =
   match lay_index ctx.lay quant col with
-  | Some i -> ctx.lcols.(i)
+  | Some i -> slot_col ctx i
   | None -> err "unresolved column reference q%d.%s" quant col
 
-(* Merge null masks of two operands into a fresh result mask. *)
+(* ------------------------------------------------------------------ *)
+(* Vectorized expression evaluation                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* An expression's value over the working set's rows. A [Vec] belongs to
+   the working set or the database and no kernel writes it; a [Tmp] is a
+   buffer this evaluation made, read only by the enclosing expression, so
+   an arithmetic node may write its result into it. *)
+type vv = Vec of C.t | Tmp of C.t | Scal of V.t
+
+let vv_get v i = match v with Vec c | Tmp c -> C.get c i | Scal s -> s
+
+let vv_col n = function Vec c | Tmp c -> c | Scal s -> C.const s n
+
+(* The NULL mask of a binary result: the one operand mask when only one
+   operand has one (a mask is never written once built), else a fresh
+   union. *)
 let merged_nulls n a b =
-  let any =
-    (match a with Vec { C.nulls = Some _; _ } -> true | Scal s -> V.is_null s | _ -> false)
-    || (match b with Vec { C.nulls = Some _; _ } -> true | Scal s -> V.is_null s | _ -> false)
+  let mask = function
+    | Vec c | Tmp c -> c.C.nulls
+    | Scal s -> if V.is_null s then Some (Bytes.make n '\001') else None
   in
-  if not any then None
-  else begin
-    let m = Bytes.make n '\000' in
-    for i = 0 to n - 1 do
-      if vv_null a i || vv_null b i then Bytes.unsafe_set m i '\001'
-    done;
-    Some m
-  end
+  match (mask a, mask b) with
+  | None, None -> None
+  | (Some _ as m), None | None, (Some _ as m) -> m
+  | Some x, Some y ->
+      let m = Bytes.make n '\000' in
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get x i = '\001' || Bytes.unsafe_get y i = '\001' then
+          Bytes.unsafe_set m i '\001'
+      done;
+      Some m
 
 type nview =
   | NIv of C.ints
@@ -134,8 +194,8 @@ type nview =
   | NOther
 
 let num_view = function
-  | Vec { C.data = C.Ints a; _ } -> NIv a
-  | Vec { C.data = C.Floats a; _ } -> NFv a
+  | Vec { C.data = C.Ints a; _ } | Tmp { C.data = C.Ints a; _ } -> NIv a
+  | Vec { C.data = C.Floats a; _ } | Tmp { C.data = C.Floats a; _ } -> NFv a
   | Scal (V.Int x) -> NIs x
   | Scal (V.Float x) -> NFs x
   | Scal V.Null -> NNull
@@ -143,20 +203,8 @@ let num_view = function
 
 let all_null n = { C.data = C.Boxed (Array.make n V.Null); nulls = Some (Bytes.make n '\001') }
 
-let int_ops = function
-  | "+" -> Some ( + )
-  | "-" -> Some ( - )
-  | "*" -> Some ( * )
-  | "/" -> Some (fun x y -> if y = 0 then raise Division_by_zero else x / y)
-  | "%" -> Some (fun x y -> if y = 0 then raise Division_by_zero else x mod y)
-  | _ -> None
-
-let float_ops = function
-  | "+" -> Some ( +. )
-  | "-" -> Some ( -. )
-  | "*" -> Some ( *. )
-  | "/" -> Some ( /. )
-  | _ -> None
+let is_int_op = function "+" | "-" | "*" | "/" | "%" -> true | _ -> false
+let is_float_op = function "+" | "-" | "*" | "/" -> true | _ -> false
 
 let cmp_test = function
   | "=" -> Some (fun c -> c = 0)
@@ -170,111 +218,216 @@ let cmp_test = function
 (* Per-row fallback through the scalar kernel: exact scalar semantics
    (including error messages) at boxed speed, for odd type combinations. *)
 let boxed_binop op n a b =
-  let va = Array.init n (fun i -> Eval.apply_binop op (vv_get n a i) (vv_get n b i)) in
-  Vec (C.of_values va)
+  Tmp (C.of_values (Array.init n (fun i -> Eval.apply_binop op (vv_get a i) (vv_get b i))))
 
-(* Materialize a numeric operand as a full-width typed buffer, so the op
-   loops below run closure-free (composing accessor closures would box
-   floats at every call). Padding under a null mask stays 0/0.0. *)
-let int_coerce n = function
-  | NIv a -> a
-  | NIs x ->
-      let out = C.scratch_ints n in
-      BA1.fill out x;
-      out
-  | _ -> assert false
+(* The buffer an arithmetic node writes: an operand's own [Tmp] buffer of
+   the result's kind if there is one, else a fresh one. Each loop below
+   reads a row's operands before it writes the row, so [out] may be one
+   of them. *)
+let out_ints n a b =
+  match (a, b) with
+  | Tmp { C.data = C.Ints o; _ }, _ | _, Tmp { C.data = C.Ints o; _ } -> o
+  | _ -> C.scratch_ints n
 
-let float_coerce n = function
-  | NFv a -> a
-  | NIv a ->
-      let out = C.scratch_floats n in
+let out_floats n a b =
+  match (a, b) with
+  | Tmp { C.data = C.Floats o; _ }, _ | _, Tmp { C.data = C.Floats o; _ } -> o
+  | _ -> C.scratch_floats n
+
+(* Integer kernels, one per operand shape (vector-vector, vector-scalar,
+   scalar-vector) with a loop per operator. [+ - *] compute every row and
+   the caller zeroes the masked ones; [/ %] skip the rows of [m] (writing
+   0), whose padding must not raise Division_by_zero, and raise it on any
+   other zero divisor, as [Value.div] does. *)
+let int_vv op n (out : C.ints) (x : C.ints) (y : C.ints) m =
+  match (op, m) with
+  | "+", _ ->
+      for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i + BA1.unsafe_get y i) done
+  | "-", _ ->
+      for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i - BA1.unsafe_get y i) done
+  | "*", _ ->
+      for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i * BA1.unsafe_get y i) done
+  | "/", None ->
+      for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i / BA1.unsafe_get y i) done
+  | "/", Some m ->
       for i = 0 to n - 1 do
-        BA1.unsafe_set out i (float_of_int (BA1.unsafe_get a i))
-      done;
-      out
-  | NFs x ->
-      let out = C.scratch_floats n in
-      BA1.fill out x;
-      out
-  | NIs x ->
-      let out = C.scratch_floats n in
-      BA1.fill out (float_of_int x);
-      out
-  | _ -> assert false
+        BA1.unsafe_set out i
+          (if Bytes.unsafe_get m i = '\000' then BA1.unsafe_get x i / BA1.unsafe_get y i else 0)
+      done
+  | _, None ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (BA1.unsafe_get x i mod BA1.unsafe_get y i)
+      done
+  | _, Some m ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i
+          (if Bytes.unsafe_get m i = '\000' then BA1.unsafe_get x i mod BA1.unsafe_get y i
+           else 0)
+      done
+
+let int_vs op n (out : C.ints) (x : C.ints) (y : int) m =
+  match (op, m) with
+  | "+", _ -> for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i + y) done
+  | "-", _ -> for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i - y) done
+  | "*", _ -> for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i * y) done
+  | "/", None -> for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i / y) done
+  | "/", Some m ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (if Bytes.unsafe_get m i = '\000' then BA1.unsafe_get x i / y else 0)
+      done
+  | _, None -> for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i mod y) done
+  | _, Some m ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i
+          (if Bytes.unsafe_get m i = '\000' then BA1.unsafe_get x i mod y else 0)
+      done
+
+let int_sv op n (out : C.ints) (x : int) (y : C.ints) m =
+  match (op, m) with
+  | "+", _ -> for i = 0 to n - 1 do BA1.unsafe_set out i (x + BA1.unsafe_get y i) done
+  | "-", _ -> for i = 0 to n - 1 do BA1.unsafe_set out i (x - BA1.unsafe_get y i) done
+  | "*", _ -> for i = 0 to n - 1 do BA1.unsafe_set out i (x * BA1.unsafe_get y i) done
+  | "/", None -> for i = 0 to n - 1 do BA1.unsafe_set out i (x / BA1.unsafe_get y i) done
+  | "/", Some m ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (if Bytes.unsafe_get m i = '\000' then x / BA1.unsafe_get y i else 0)
+      done
+  | _, None -> for i = 0 to n - 1 do BA1.unsafe_set out i (x mod BA1.unsafe_get y i) done
+  | _, Some m ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i
+          (if Bytes.unsafe_get m i = '\000' then x mod BA1.unsafe_get y i else 0)
+      done
+
+(* Float kernels, one per operand shape with a loop per operator. An INT
+   vector is read through [float_of_int] per row and a scalar arrives
+   already a float, so no operand is widened into a buffer of its own. *)
+let float_ff op n (out : C.floats) (x : C.floats) (y : C.floats) =
+  match op with
+  | "+" ->
+      for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i +. BA1.unsafe_get y i) done
+  | "-" ->
+      for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i -. BA1.unsafe_get y i) done
+  | "*" ->
+      for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i *. BA1.unsafe_get y i) done
+  | _ ->
+      for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i /. BA1.unsafe_get y i) done
+
+let float_fi op n (out : C.floats) (x : C.floats) (y : C.ints) =
+  match op with
+  | "+" ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (BA1.unsafe_get x i +. float_of_int (BA1.unsafe_get y i))
+      done
+  | "-" ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (BA1.unsafe_get x i -. float_of_int (BA1.unsafe_get y i))
+      done
+  | "*" ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (BA1.unsafe_get x i *. float_of_int (BA1.unsafe_get y i))
+      done
+  | _ ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (BA1.unsafe_get x i /. float_of_int (BA1.unsafe_get y i))
+      done
+
+let float_if op n (out : C.floats) (x : C.ints) (y : C.floats) =
+  match op with
+  | "+" ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (float_of_int (BA1.unsafe_get x i) +. BA1.unsafe_get y i)
+      done
+  | "-" ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (float_of_int (BA1.unsafe_get x i) -. BA1.unsafe_get y i)
+      done
+  | "*" ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (float_of_int (BA1.unsafe_get x i) *. BA1.unsafe_get y i)
+      done
+  | _ ->
+      for i = 0 to n - 1 do
+        BA1.unsafe_set out i (float_of_int (BA1.unsafe_get x i) /. BA1.unsafe_get y i)
+      done
+
+let float_fs op n (out : C.floats) (x : C.floats) (y : float) =
+  match op with
+  | "+" -> for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i +. y) done
+  | "-" -> for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i -. y) done
+  | "*" -> for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i *. y) done
+  | _ -> for i = 0 to n - 1 do BA1.unsafe_set out i (BA1.unsafe_get x i /. y) done
+
+let float_sf op n (out : C.floats) (x : float) (y : C.floats) =
+  match op with
+  | "+" -> for i = 0 to n - 1 do BA1.unsafe_set out i (x +. BA1.unsafe_get y i) done
+  | "-" -> for i = 0 to n - 1 do BA1.unsafe_set out i (x -. BA1.unsafe_get y i) done
+  | "*" -> for i = 0 to n - 1 do BA1.unsafe_set out i (x *. BA1.unsafe_get y i) done
+  | _ -> for i = 0 to n - 1 do BA1.unsafe_set out i (x /. BA1.unsafe_get y i) done
+
+let float_is op n (out : C.floats) (x : C.ints) (y : float) =
+  match op with
+  | "+" -> for i = 0 to n - 1 do BA1.unsafe_set out i (float_of_int (BA1.unsafe_get x i) +. y) done
+  | "-" -> for i = 0 to n - 1 do BA1.unsafe_set out i (float_of_int (BA1.unsafe_get x i) -. y) done
+  | "*" -> for i = 0 to n - 1 do BA1.unsafe_set out i (float_of_int (BA1.unsafe_get x i) *. y) done
+  | _ -> for i = 0 to n - 1 do BA1.unsafe_set out i (float_of_int (BA1.unsafe_get x i) /. y) done
+
+let float_si op n (out : C.floats) (x : float) (y : C.ints) =
+  match op with
+  | "+" -> for i = 0 to n - 1 do BA1.unsafe_set out i (x +. float_of_int (BA1.unsafe_get y i)) done
+  | "-" -> for i = 0 to n - 1 do BA1.unsafe_set out i (x -. float_of_int (BA1.unsafe_get y i)) done
+  | "*" -> for i = 0 to n - 1 do BA1.unsafe_set out i (x *. float_of_int (BA1.unsafe_get y i)) done
+  | _ -> for i = 0 to n - 1 do BA1.unsafe_set out i (x /. float_of_int (BA1.unsafe_get y i)) done
 
 let arith op n a b =
-  match (int_ops op, float_ops op, num_view a, num_view b) with
-  | _, _, NNull, _ | _, _, _, NNull ->
+  match (num_view a, num_view b) with
+  | NNull, _ | _, NNull ->
       (* NULL absorbs before any type checking, as in Value.arith *)
-      Vec (all_null n)
-  | Some fi, _, ((NIv _ | NIs _) as va), ((NIv _ | NIs _) as vb) ->
-      let x = int_coerce n va and y = int_coerce n vb in
-      let out = C.scratch_ints n in
-      let nulls = merged_nulls n a b in
+      Tmp (all_null n)
+  | ((NIv _ | NIs _) as x), ((NIv _ | NIs _) as y) when is_int_op op ->
+      let out = out_ints n a b and nulls = merged_nulls n a b in
+      (match (x, y) with
+      | NIv x, NIv y -> int_vv op n out x y nulls
+      | NIv x, NIs y -> int_vs op n out x y nulls
+      | NIs x, NIv y -> int_sv op n out x y nulls
+      | _ -> assert false (* [eval] folds two constants itself *));
       (match (op, nulls) with
-      | "+", None ->
+      | ("+" | "-" | "*"), Some m ->
           for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i + BA1.unsafe_get y i)
+            if Bytes.unsafe_get m i = '\001' then BA1.unsafe_set out i 0
           done
-      | "-", None ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i - BA1.unsafe_get y i)
-          done
-      | "*", None ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i * BA1.unsafe_get y i)
-          done
-      | _, None ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (fi (BA1.unsafe_get x i) (BA1.unsafe_get y i))
-          done
-      | _, Some m ->
-          (* masked rows are skipped, not computed: 0 padding under the
-             mask must not raise Division_by_zero *)
-          for i = 0 to n - 1 do
-            if Bytes.unsafe_get m i = '\000' then
-              BA1.unsafe_set out i (fi (BA1.unsafe_get x i) (BA1.unsafe_get y i))
-            else BA1.unsafe_set out i 0
-          done);
-      Vec { C.data = C.Ints out; nulls }
-  | _, Some _, ((NIv _ | NIs _ | NFv _ | NFs _) as va), ((NIv _ | NIs _ | NFv _ | NFs _) as vb)
-    ->
-      let x = float_coerce n va and y = float_coerce n vb in
-      let out = C.scratch_floats n in
-      let nulls = merged_nulls n a b in
-      (* float ops cannot raise: compute every row branch-free, then zero
-         the padding under the mask *)
-      (match op with
-      | "+" ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i +. BA1.unsafe_get y i)
-          done
-      | "-" ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i -. BA1.unsafe_get y i)
-          done
-      | "*" ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i *. BA1.unsafe_get y i)
-          done
-      | "/" ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i /. BA1.unsafe_get y i)
-          done
-      | _ -> assert false);
+      | _ -> ());
+      Tmp { C.data = C.Ints out; nulls }
+  | ((NIv _ | NIs _ | NFv _ | NFs _) as x), ((NIv _ | NIs _ | NFv _ | NFs _) as y)
+    when is_float_op op ->
+      let out = out_floats n a b and nulls = merged_nulls n a b in
+      (* scalars are hoisted to floats once *)
+      let fs = function NIs s -> float_of_int s | NFs s -> s | _ -> assert false in
+      (match (x, y) with
+      | NFv x, NFv y -> float_ff op n out x y
+      | NFv x, NIv y -> float_fi op n out x y
+      | NIv x, NFv y -> float_if op n out x y
+      | NFv x, s -> float_fs op n out x (fs s)
+      | s, NFv y -> float_sf op n out (fs s) y
+      | NIv x, s -> float_is op n out x (fs s)
+      | s, NIv y -> float_si op n out (fs s) y
+      | _ -> assert false (* [eval] folds two constants itself *));
+      (* float ops cannot raise: every row is computed branch-free, then
+         the padding under the mask is zeroed *)
       (match nulls with
       | Some m ->
           for i = 0 to n - 1 do
             if Bytes.unsafe_get m i = '\001' then BA1.unsafe_set out i 0.0
           done
       | None -> ());
-      Vec { C.data = C.Floats out; nulls }
+      Tmp { C.data = C.Floats out; nulls }
   | _ -> boxed_binop op n a b
 
 let compare_kernel a b =
   (* Returns [Some at] where [at i] is a V.compare-compatible int for
      non-null rows, or [None] when no typed comparison applies. *)
-  match (a, b) with
+  let ro = function Tmp c -> Vec c | v -> v in
+  match (ro a, ro b) with
   | Vec { C.data = C.Dates x; _ }, Vec { C.data = C.Dates y; _ } ->
       Some (fun i -> compare (BA1.unsafe_get x i) (BA1.unsafe_get y i))
   | Vec { C.data = C.Dates x; _ }, Scal (V.Date y) ->
@@ -355,7 +508,7 @@ let cmp op n a b =
                 if Bytes.unsafe_get m i = '\000' && test (at i) then
                   Bytes.unsafe_set bits i '\001'
               done);
-          Vec { C.data = C.Bools bits; nulls })
+          Tmp { C.data = C.Bools bits; nulls })
 
 (* three-valued truth of a row: 0 = FALSE, 1 = TRUE, 2 = NULL; raises on
    non-boolean exactly where the scalar kernel would *)
@@ -370,12 +523,12 @@ let tri_at op v =
   | Scal s ->
       let t = tri_of_value op s in
       fun _ -> t
-  | Vec ({ C.data = C.Bools bits; _ } as c) ->
+  | Vec ({ C.data = C.Bools bits; _ } as c) | Tmp ({ C.data = C.Bools bits; _ } as c) ->
       fun i -> if C.is_null c i then 2 else Char.code (Bytes.unsafe_get bits i)
-  | Vec c -> fun i -> tri_of_value op (C.get c i)
+  | Vec c | Tmp c -> fun i -> tri_of_value op (C.get c i)
 
-(* Compact a select working set down to the columns [e] references and the
-   rows of [sel] — the sub-batch on which a lazily-evaluated operand runs. *)
+(* The working set's columns [e] references, at the rows of [sel] — the
+   sub-batch on which a lazily-evaluated operand runs. *)
 let compact_for ctx (sel, k) e =
   let refs =
     List.sort_uniq compare
@@ -385,15 +538,11 @@ let compact_for ctx (sel, k) e =
     List.filter_map
       (fun (q, c) ->
         match lay_index ctx.lay q c with
-        | Some i -> Some ((q, c), C.gather ctx.lcols.(i) sel k)
+        | Some i -> Some ((q, c), C.gather (slot_col ctx i) sel k)
         | None -> None)
       refs
   in
-  {
-    lay = Array.of_list (List.map fst pairs);
-    lcols = Array.of_list (List.map snd pairs);
-    ln = k;
-  }
+  lbatch_of (Array.of_list (List.map fst pairs)) (Array.of_list (List.map snd pairs)) k
 
 let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
   let n = ctx.ln in
@@ -401,22 +550,22 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
   | E.Const v -> Scal v
   | E.Col r -> Vec (lookup_col ctx r)
   | E.Unop ("-", e') -> (
-      let v = eval ctx e' in
-      match v with
+      match eval ctx e' with
       | Scal s -> Scal (V.neg s)
-      | Vec ({ C.data = C.Ints a; _ } as c) ->
-          let out = C.scratch_ints n in
+      | (Vec ({ C.data = C.Ints a; _ } as c) | Tmp ({ C.data = C.Ints a; _ } as c)) as v ->
+          let out = match v with Tmp _ -> a | _ -> C.scratch_ints n in
           for i = 0 to n - 1 do
             BA1.unsafe_set out i (-BA1.unsafe_get a i)
           done;
-          Vec { c with C.data = C.Ints out }
-      | Vec ({ C.data = C.Floats a; _ } as c) ->
-          let out = C.scratch_floats n in
+          Tmp { c with C.data = C.Ints out }
+      | (Vec ({ C.data = C.Floats a; _ } as c) | Tmp ({ C.data = C.Floats a; _ } as c)) as v
+        ->
+          let out = match v with Tmp _ -> a | _ -> C.scratch_floats n in
           for i = 0 to n - 1 do
             BA1.unsafe_set out i (-.BA1.unsafe_get a i)
           done;
-          Vec { c with C.data = C.Floats out }
-      | Vec c -> Vec (C.of_values (Array.init n (fun i -> V.neg (C.get c i)))))
+          Tmp { c with C.data = C.Floats out }
+      | Vec c | Tmp c -> Tmp (C.of_values (Array.init n (fun i -> V.neg (C.get c i)))))
   | E.Unop ("NOT", e') ->
       let v = eval ctx e' in
       let at = tri_at "NOT" v in
@@ -432,7 +581,7 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
             | Some _ -> ());
             Bytes.set (Option.get !nulls) i '\001'
       done;
-      Vec { C.data = C.Bools bits; nulls = !nulls }
+      Tmp { C.data = C.Bools bits; nulls = !nulls }
   | E.Unop (op, _) -> err "unknown unary operator %s" op
   | E.Binop ("AND", a, b) -> and_or ctx ~op:"AND" a b
   | E.Binop ("OR", a, b) -> and_or ctx ~op:"OR" a b
@@ -443,7 +592,7 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
       | Scal x, Scal y -> Scal (Eval.apply_binop op x y)
       | _ ->
           if cmp_test op <> None then cmp op n va vb
-          else if int_ops op <> None || float_ops op <> None then arith op n va vb
+          else if is_int_op op || is_float_op op then arith op n va vb
           else boxed_binop op n va vb)
   | E.Fncall (f, args) -> eval_fn ctx f args
   | E.Agg _ -> invalid_arg "Vexec.eval: aggregate outside a GROUP BY box"
@@ -451,17 +600,17 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
       let v = eval ctx e' in
       match v with
       | Scal s -> Scal (V.Bool (if positive then V.is_null s else not (V.is_null s)))
-      | Vec c ->
+      | Vec c | Tmp c ->
           let bits = Bytes.make n '\000' in
           for i = 0 to n - 1 do
             if C.is_null c i = positive then Bytes.unsafe_set bits i '\001'
           done;
-          Vec { C.data = C.Bools bits; nulls = None })
+          Tmp { C.data = C.Bools bits; nulls = None })
   | E.Case _ ->
       (* boxed per-row fallback, like [eval_fn]'s: Eval tries the arms
          lazily per row, so an arm never runs on rows its WHEN excludes *)
       let e = E.map_col (lookup_col ctx) e in
-      Vec (C.of_values (Array.init n (fun i -> Eval.eval (fun c -> C.get c i) e)))
+      Tmp (C.of_values (Array.init n (fun i -> Eval.eval (fun c -> C.get c i) e)))
 
 (* AND/OR with Eval's short-circuit: the right operand is only evaluated
    on rows where the left side does not already decide. *)
@@ -523,21 +672,22 @@ and and_or ctx ~op a b =
     in
     if t = 1 then Bytes.unsafe_set bits i '\001' else if t = 2 then set_null i
   done;
-  Vec { C.data = C.Bools bits; nulls = !nulls }
+  Tmp { C.data = C.Bools bits; nulls = !nulls }
 
 and eval_fn ctx f args =
   let n = ctx.ln in
   let vs = List.map (eval ctx) args in
   let boxed () =
-    if List.for_all (function Scal _ -> true | Vec _ -> false) vs then
-      Scal (Eval.apply_fn f (List.map (fun v -> vv_get n v 0) vs))
+    if List.for_all (function Scal _ -> true | Vec _ | Tmp _ -> false) vs then
+      Scal (Eval.apply_fn f (List.map (fun v -> vv_get v 0) vs))
     else
-      Vec
+      Tmp
         (C.of_values
-           (Array.init n (fun i -> Eval.apply_fn f (List.map (fun v -> vv_get n v i) vs))))
+           (Array.init n (fun i -> Eval.apply_fn f (List.map (fun v -> vv_get v i) vs))))
   in
   match (String.lowercase_ascii f, vs) with
-  | (("year" | "month" | "day") as part), [ Vec ({ C.data = C.Dates a; _ } as c) ] ->
+  | ( (("year" | "month" | "day") as part),
+      [ (Vec ({ C.data = C.Dates a; _ } as c) | Tmp ({ C.data = C.Dates a; _ } as c)) ] ) ->
       (* yyyymmdd; NULL padding 0 projects to 0 *)
       let k = BA1.dim a in
       let out = C.scratch_ints k in
@@ -554,73 +704,115 @@ and eval_fn ctx f args =
           for i = 0 to k - 1 do
             BA1.unsafe_set out i (BA1.unsafe_get a i mod 100)
           done);
-      Vec { C.data = C.Ints out; nulls = c.C.nulls }
-  | "float", [ Vec ({ C.data = C.Ints a; _ } as c) ] ->
+      Tmp { C.data = C.Ints out; nulls = c.C.nulls }
+  | "float", [ (Vec ({ C.data = C.Ints a; _ } as c) | Tmp ({ C.data = C.Ints a; _ } as c)) ]
+    ->
       let k = BA1.dim a in
       let out = C.scratch_floats k in
       for i = 0 to k - 1 do
         BA1.unsafe_set out i (float_of_int (BA1.unsafe_get a i))
       done;
-      Vec { C.data = C.Floats out; nulls = c.C.nulls }
-  | "float", [ (Vec { C.data = C.Floats _; _ } as v) ] -> v
-  | "abs", [ Vec ({ C.data = C.Ints a; _ } as c) ] ->
+      Tmp { C.data = C.Floats out; nulls = c.C.nulls }
+  | "float", [ ((Vec { C.data = C.Floats _; _ } | Tmp { C.data = C.Floats _; _ }) as v) ] -> v
+  | "abs", [ (Vec ({ C.data = C.Ints a; _ } as c) | Tmp ({ C.data = C.Ints a; _ } as c)) as v ]
+    ->
       let k = BA1.dim a in
-      let out = C.scratch_ints k in
+      let out = match v with Tmp _ -> a | _ -> C.scratch_ints k in
       for i = 0 to k - 1 do
         BA1.unsafe_set out i (abs (BA1.unsafe_get a i))
       done;
-      Vec { C.data = C.Ints out; nulls = c.C.nulls }
-  | "abs", [ Vec ({ C.data = C.Floats a; _ } as c) ] ->
+      Tmp { C.data = C.Ints out; nulls = c.C.nulls }
+  | ( "abs",
+      [ (Vec ({ C.data = C.Floats a; _ } as c) | Tmp ({ C.data = C.Floats a; _ } as c)) as v ] )
+    ->
       let k = BA1.dim a in
-      let out = C.scratch_floats k in
+      let out = match v with Tmp _ -> a | _ -> C.scratch_floats k in
       for i = 0 to k - 1 do
         BA1.unsafe_set out i (Float.abs (BA1.unsafe_get a i))
       done;
-      Vec { C.data = C.Floats out; nulls = c.C.nulls }
+      Tmp { C.data = C.Floats out; nulls = c.C.nulls }
   | _ -> boxed ()
 
-(* Selection: indices (ascending) of rows where [p] is definitely TRUE,
-   as a (buffer, count) pair. *)
-let select_rows ctx p =
-  let n = ctx.ln in
-  match eval ctx p with
-  | Scal s ->
-      if V.is_true s then begin
-        let idx = C.scratch_ints n in
-        for i = 0 to n - 1 do
-          BA1.unsafe_set idx i i
-        done;
-        (idx, n)
-      end
-      else (C.scratch_ints 0, 0)
-  | Vec ({ C.data = C.Bools bits; _ } as c) ->
-      (* exact two-pass: count survivors, then fill a right-sized buffer *)
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        if Bytes.unsafe_get bits i = '\001' && not (C.is_null c i) then incr k
-      done;
-      let idx = C.scratch_ints !k in
-      let j = ref 0 in
-      for i = 0 to n - 1 do
-        if Bytes.unsafe_get bits i = '\001' && not (C.is_null c i) then begin
-          BA1.unsafe_set idx !j i;
-          incr j
-        end
-      done;
-      (idx, !k)
-  | Vec c ->
-      let buf = ibuf_create (n / 2) in
-      for i = 0 to n - 1 do
-        if V.is_true (C.get c i) then ibuf_push buf i
-      done;
-      ibuf_sel buf
+(* ------------------------------------------------------------------ *)
+(* Filters: narrowing the working set                                  *)
+(* ------------------------------------------------------------------ *)
 
-let gather_lbatch ctx (sel, k) =
-  {
-    lay = ctx.lay;
-    lcols = Array.map (fun c -> C.gather c sel k) ctx.lcols;
-    ln = k;
-  }
+(* Rows [bits] marks true outside [nulls], as a (buffer, count) pair:
+   each one's index, or [through]'s entry at it. Two exact passes, count
+   then fill, so the buffer is right-sized; none when every row passes. *)
+let survivors ~through n (bits : Bytes.t) (nulls : Bytes.t option) : C.ints * int =
+  let k = ref 0 in
+  (match nulls with
+  | None ->
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get bits i = '\001' then incr k
+      done
+  | Some m ->
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get bits i = '\001' && Bytes.unsafe_get m i = '\000' then incr k
+      done);
+  let k = !k in
+  if k = n then (C.scratch_ints 0, k)
+  else begin
+    let idx = C.scratch_ints k in
+    let j = ref 0 in
+    (match (nulls, through) with
+    | None, None ->
+        for i = 0 to n - 1 do
+          if Bytes.unsafe_get bits i = '\001' then begin
+            BA1.unsafe_set idx !j i;
+            incr j
+          end
+        done
+    | None, Some (t : C.ints) ->
+        for i = 0 to n - 1 do
+          if Bytes.unsafe_get bits i = '\001' then begin
+            BA1.unsafe_set idx !j (BA1.unsafe_get t i);
+            incr j
+          end
+        done
+    | Some m, None ->
+        for i = 0 to n - 1 do
+          if Bytes.unsafe_get bits i = '\001' && Bytes.unsafe_get m i = '\000' then begin
+            BA1.unsafe_set idx !j i;
+            incr j
+          end
+        done
+    | Some m, Some t ->
+        for i = 0 to n - 1 do
+          if Bytes.unsafe_get bits i = '\001' && Bytes.unsafe_get m i = '\000' then begin
+            BA1.unsafe_set idx !j (BA1.unsafe_get t i);
+            incr j
+          end
+        done);
+    (idx, k)
+  end
+
+(* The working set narrowed to the rows where [p] is definitely TRUE. [p]
+   reads only the columns it references, at the current rows. With one
+   row space the survivors are written as source rows directly; with
+   several, each space composes with their positions. *)
+let filter ctx p =
+  let n = ctx.ln in
+  let one = Array.length ctx.rows = 1 in
+  let through = if one then ctx.rows.(0) else None in
+  let sel, k =
+    match eval ctx p with
+    | Scal s -> if V.is_true s then (C.scratch_ints 0, n) else (C.scratch_ints 0, 0)
+    | Vec { C.data = C.Bools bits; nulls } | Tmp { C.data = C.Bools bits; nulls } ->
+        survivors ~through n bits nulls
+    | Vec c | Tmp c ->
+        let buf = ibuf_create (n / 2) in
+        for i = 0 to n - 1 do
+          if V.is_true (C.get c i) then
+            ibuf_push buf (match through with None -> i | Some t -> BA1.unsafe_get t i)
+        done;
+        ibuf_sel buf
+  in
+  if k = n then ctx
+  else if one then
+    { ctx with rows = [| Some sel |]; ln = k; mat = Array.make (Array.length ctx.src) None }
+  else reindex ctx sel k
 
 (* ------------------------------------------------------------------ *)
 (* Base scan                                                           *)
@@ -731,8 +923,9 @@ let pack_col n ~first (a : C.ints) (nulls : Bytes.t option) ~base ~stride (out :
    where slot 0 is NULL (NULL groups with NULL) and value [x] is slot
    [x - lo + 1]. A column with no non-NULL row adds nothing, whatever its
    representation. Returns the key-space size, or [None] when a column is
-   not int-backed or the radix product overflows. *)
-let pack_keys n (cols : C.t list) (out : C.ints) : int option =
+   not int-backed or the radix product overflows. [bounds c a] is the
+   min and max of [c]'s codes [a] over its non-NULL rows. *)
+let pack_keys ~bounds n (cols : C.t list) (out : C.ints) : int option =
   let rec plan acc space = function
     | [] -> Some (List.rev acc, space)
     | c :: rest -> (
@@ -740,7 +933,7 @@ let pack_keys n (cols : C.t list) (out : C.ints) : int option =
         | None when C.is_all_null c -> plan acc space rest (* one slot: adds 0 *)
         | None -> None
         | Some a ->
-            let lo, hi = C.int_bounds n a c.C.nulls in
+            let lo, hi = bounds c a in
             let radix =
               if lo > hi then Some 1 (* no non-NULL rows: only slot 0 *)
               else
@@ -857,11 +1050,16 @@ let assign_boxed n (cols : C.t list) (gids : C.ints) : C.ints * int =
   (gbuf_to_ints firsts, firsts.g_len)
 
 (* Group [n] rows by the key columns [cols]: a dense group id per row in
-   first-seen order, each group's first row, and the group count. *)
-let group_rows n (cols : C.t list) : C.ints * C.ints * int =
+   first-seen order, each group's first row, and the group count. A caller
+   grouping the same columns several times passes [bounds] to scan each
+   column's min and max once. *)
+let group_rows ?bounds n (cols : C.t list) : C.ints * C.ints * int =
+  let bounds =
+    match bounds with Some b -> b | None -> fun (c : C.t) a -> C.int_bounds n a c.C.nulls
+  in
   let gids = C.scratch_ints n in
   let firsts, ngroups =
-    match pack_keys n cols gids with
+    match pack_keys ~bounds n cols gids with
     | Some space -> assign_packed n gids space
     | None -> assign_boxed n cols gids
   in
@@ -947,14 +1145,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
           cb.C.names
       end)
     quants;
-  let ctx =
-    ref
-      {
-        lay = Array.of_list !init_lay;
-        lcols = Array.of_list !init_cols;
-        ln = 1;
-      }
-  in
+  let ctx = ref (lbatch_of (Array.of_list !init_lay) (Array.of_list !init_cols) 1) in
   let pending = ref (List.map (fun p -> (p, pred_quant_set p)) preds) in
   (* Columns the rest of the pipeline still needs: the outputs plus every
      pending predicate. Join keys live in [pending] until consumed, so a
@@ -971,6 +1162,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
     List.iter (fun (p, _) -> note p) !pending;
     tbl
   in
+  (* the slots [tbl] names, and only the row spaces they use *)
   let prune_lbatch tbl b =
     let ks = ref [] in
     Array.iteri
@@ -978,12 +1170,25 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
       b.lay;
     let ks = Array.of_list (List.rev !ks) in
     if Array.length ks = Array.length b.lay then b
-    else
+    else begin
+      let renum = Array.make (Array.length b.rows) (-1) and kept = ref [] in
+      Array.iter
+        (fun i ->
+          let s = b.space.(i) in
+          if renum.(s) < 0 then begin
+            renum.(s) <- List.length !kept;
+            kept := s :: !kept
+          end)
+        ks;
       {
         lay = Array.map (fun i -> b.lay.(i)) ks;
-        lcols = Array.map (fun i -> b.lcols.(i)) ks;
+        src = Array.map (fun i -> b.src.(i)) ks;
+        space = Array.map (fun i -> renum.(b.space.(i))) ks;
+        rows = Array.of_list (List.rev_map (fun s -> b.rows.(s)) !kept);
         ln = b.ln;
+        mat = Array.map (fun i -> b.mat.(i)) ks;
       }
+    end
   in
   let lay_quants () =
     Array.to_list !ctx.lay |> List.map fst |> List.sort_uniq compare
@@ -996,11 +1201,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
         !pending
     in
     pending := rest;
-    List.iter
-      (fun (p, _) ->
-        let (_, k) as sel = select_rows !ctx p in
-        if k <> !ctx.ln then ctx := gather_lbatch !ctx sel)
-      applicable
+    List.iter (fun (p, _) -> ctx := filter !ctx p) applicable
   in
   apply_applicable ();
   List.iter
@@ -1049,8 +1250,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
           List.partition (fun (p, qs) -> qs = [ q.B.q_id ] && pred_safe p) !pending
         in
         pending := rest;
-        (* drop child columns nothing can touch anymore — before the
-           pushdown filter materializes them *)
+        (* drop child columns nothing can touch anymore *)
         let need0 =
           let tbl = needed () in
           let note e =
@@ -1069,23 +1269,17 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
         let cbatch =
           ref
             (prune_lbatch need0
-               {
-                 lay = Array.map (fun nm -> (q.B.q_id, nm)) cb_lnames;
-                 lcols = cb.C.cols;
-                 ln = cb.C.nrows;
-               })
+               (lbatch_of (Array.map (fun nm -> (q.B.q_id, nm)) cb_lnames) cb.C.cols cb.C.nrows))
         in
-        List.iter
-          (fun (p, _) ->
-            let (_, k) as s = select_rows !cbatch p in
-            if k <> !cbatch.ln then cbatch := gather_lbatch !cbatch s)
-          pushed;
+        (* the pushed filters narrow the child's selection vector; its
+           columns are gathered only once something reads them *)
+        List.iter (fun (p, _) -> cbatch := filter !cbatch p) pushed;
         let key_pairs =
           List.map
             (fun (nm, yref) ->
               let bc =
                 match lay_index !cbatch.lay q.B.q_id nm with
-                | Some i -> !cbatch.lcols.(i)
+                | Some i -> slot_col !cbatch i
                 | None -> err "join key %s pruned (internal error)" nm
               in
               (bc, lookup_col !ctx yref))
@@ -1101,15 +1295,9 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
           let lpruned = prune_lbatch need !ctx in
           let nl = !ctx.ln and nr = !cbatch.ln in
           let lsel, rsel, lk = join_rows key_pairs ~nb:nr ~np:nl in
-          ctx :=
-            {
-              lay = Array.append lpruned.lay cpruned.lay;
-              lcols =
-                Array.append
-                  (Array.map (fun c -> C.gather c lsel lk) lpruned.lcols)
-                  (Array.map (fun c -> C.gather c rsel lk) cpruned.lcols);
-              ln = lk;
-            }
+          (* each side's row spaces compose with its match vector: the
+             pushed filters' selection reaches the join without a gather *)
+          ctx := append (reindex lpruned lsel lk) (reindex cpruned rsel lk)
         end;
         apply_applicable ()
       end)
@@ -1390,10 +1578,21 @@ let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =
     List.map (fun (_, { B.agg; arg }) -> (agg, Option.map col arg)) grp.B.grp_aggs
   in
   Obs.Metrics.add x_batch_rows n;
+  (* every grouping set packs its keys from the same columns: each
+     column's bounds are scanned once, by its first set *)
+  let known = ref [] in
+  let bounds (c : C.t) (a : C.ints) =
+    match List.assq_opt a !known with
+    | Some b -> b
+    | None ->
+        let b = C.int_bounds n a c.C.nulls in
+        known := (a, b) :: !known;
+        b
+  in
   (* one grouping set's rows: a column per output column *)
   let cuboid set : C.t list * int =
     let set_l = List.map String.lowercase_ascii set in
-    let gids, firsts, ngroups = group_rows n (List.map col set) in
+    let gids, firsts, ngroups = group_rows ~bounds n (List.map col set) in
     (* a global aggregate over no rows still yields its one row *)
     let ngroups = if ngroups = 0 && set = [] then 1 else ngroups in
     let counts = Array.make ngroups 0 in

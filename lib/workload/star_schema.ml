@@ -143,7 +143,7 @@ let us_states =
 
 (* [Trans] grows with scale, so its rows are never boxed: each column is
    written into a typed buffer that starts near the expected row count,
-   doubles when full and is trimmed to the final count once. The dimension
+   doubles when full and is handed over as a view of its written rows. The dimension
    tables are small and are classified from boxed values. *)
 let generate_batches p =
   let rng = Random.State.make [| p.seed |] in
@@ -251,8 +251,10 @@ let generate_batches p =
       p.years
   done;
   let col data = { C.data; nulls = None } in
-  let ints = Array.map (fun a -> resize C.icreate a !n) ints in
-  let floats = Array.map (fun a -> resize C.fcreate a !n) floats in
+  (* hand the buffers over as [!n]-row views: the untouched tail of each
+     is never resident, so trimming it by copy would only cost time *)
+  let ints = Array.map (fun a -> BA1.sub a 0 !n) ints in
+  let floats = Array.map (fun a -> BA1.sub a 0 !n) floats in
   [
     ("PGroup", dim [ "pgid"; "pgname" ] pgroup_rows);
     ("Loc", dim [ "lid"; "city"; "state"; "country" ] loc_rows);
