@@ -87,17 +87,14 @@ and compute_rows cat g memo id =
           (fun acc p -> acc *. selectivity cat g memo sel.B.sel_quants p)
           cross sel.B.sel_preds
       in
-      let filtered = Float.max 1. filtered in
-      if sel.B.sel_distinct then Float.min filtered (Float.max 1. (filtered /. 2.))
-      else filtered
+      Float.max 1. filtered
   | B.Union u ->
       let total =
         List.fold_left
           (fun acc q -> acc +. box_rows_memo cat g memo q.B.q_box)
           0. u.B.un_quants
       in
-      if u.B.un_all then Float.max 1. total
-      else Float.max 1. (total /. 2.)
+      Float.max 1. total
   | B.Group grp ->
       let child = grp.B.grp_quant.B.q_box in
       let child_rows = box_rows_memo cat g memo child in
@@ -154,16 +151,12 @@ let explain cat g =
           then "JOIN"
           else "SELECT"
         in
-        addf "%s%s%s  (~%.0f rows)\n" pad kind
-          (if sel.B.sel_distinct then " DISTINCT" else "")
-          rows;
+        addf "%s%s  (~%.0f rows)\n" pad kind rows;
         List.iter
           (fun p -> addf "%s  pred %s\n" pad (expr_str p))
           sel.B.sel_preds
-    | B.Union u ->
-        addf "%sUNION%s  (~%.0f rows)\n" pad
-          (if u.B.un_all then " ALL" else "")
-          rows
+    | B.Union _ ->
+        addf "%sUNION ALL  (~%.0f rows)\n" pad rows
     | B.Group grp ->
         let keys =
           match grp.B.grp_grouping with

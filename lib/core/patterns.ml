@@ -16,9 +16,12 @@
    - GROUP-BY/GROUP-BY, GROUP-BY child comp      (4.2.2, recursive)
    - simple or cube query vs. cube AST           (5.1, 5.2)
 
+   SELECT DISTINCT and UNION reach the matcher as key-only GROUP BY boxes
+   (Qgm.Builder), so footnote 2's DISTINCT/GROUP BY cases are 4.1.2/4.2.
+
    Deliberate rejections, documented in DESIGN.md: correlated queries
-   (excluded upstream), outer joins, DISTINCT asymmetries, ambiguous
-   self-join pairings (paper footnote 3). *)
+   (excluded upstream), outer joins, ambiguous self-join pairings (paper
+   footnote 3). *)
 
 module E = Qgm.Expr
 module B = Qgm.Box
@@ -320,12 +323,6 @@ let rec match_boxes (ctx : Mctx.t) e_id r_id =
         | B.Group e_grp, B.Group r_grp ->
             pair_span ctx e_id r_id "GROUP-BY/GROUP-BY" (fun () ->
                 match_group_group ctx e_grp r_grp)
-        | B.Select e_sel, B.Group r_grp when e_sel.B.sel_distinct ->
-            pair_span ctx e_id r_id "DISTINCT/GROUP-BY" (fun () ->
-                match_distinct_vs_group ctx e_sel r_grp)
-        | B.Group e_grp, B.Select r_sel when r_sel.B.sel_distinct ->
-            pair_span ctx e_id r_id "GROUP-BY/DISTINCT" (fun () ->
-                match_group_vs_distinct ctx e_grp r_sel)
         | _ -> None
       in
       (* Move the pattern's certificate (if any) into the proof ledger;
@@ -405,64 +402,35 @@ and pair_children ctx (e_quants : B.quant list) (r_quants : B.quant list) :
 (* ---------------- SELECT / SELECT ---------------- *)
 
 and match_select_select ctx (e_sel : B.select_body) (r_sel : B.select_body) =
-  if e_sel.B.sel_distinct <> r_sel.B.sel_distinct then
-    (* footnote 2: a DISTINCT subsumee can still be answered when the
-       subsumer is a plain projection over a GROUP BY *)
-    if e_sel.B.sel_distinct && not r_sel.B.sel_distinct then
-      match match_distinct_vs_group_through ctx e_sel r_sel with
-      | Some r -> Some r
-      | None ->
-          Mctx.reject ctx
-            (Obs.Trace.Distinct_incompatible
-               "the DISTINCT subsumee does not project the subsumer's \
-                grouping set");
-          None
-    else begin
-      Mctx.reject ctx
-        (Obs.Trace.Distinct_incompatible
-           "the subsumer is DISTINCT but the subsumee is not");
+  match pair_children ctx e_sel.B.sel_quants r_sel.B.sel_quants with
+  | None ->
+      Mctx.reject ctx Obs.Trace.Child_mismatch;
       None
-    end
-  else
-    match pair_children ctx e_sel.B.sel_quants r_sel.B.sel_quants with
-    | None ->
-        Mctx.reject ctx Obs.Trace.Child_mismatch;
+  | Some asg ->
+      if not (extras_lossless ctx r_sel asg.Mctx.extras) then begin
+        Mctx.reject ctx Obs.Trace.Extra_not_lossless;
         None
-    | Some asg ->
-        if
-          e_sel.B.sel_distinct
-          && (asg.Mctx.rejoins <> [] || asg.Mctx.extras <> [])
-        then begin
-          Mctx.reject ctx
-            (Obs.Trace.Duplicate_loss
-               "rejoined or extra children under DISTINCT would change \
-                duplicate multiplicities");
-          None
-        end
-        else if not (extras_lossless ctx r_sel asg.Mctx.extras) then begin
-          Mctx.reject ctx Obs.Trace.Extra_not_lossless;
-          None
-        end
-        else begin
-          let grouping_pairs =
-            List.filter
-              (fun (_, _, res) ->
-                match res with
-                | M.Comp levels -> M.comp_has_group levels
-                | M.Exact _ -> false)
-              asg.Mctx.pairs
-          in
-          match grouping_pairs with
-          | [] -> select_select_flat ctx asg e_sel r_sel
-          | [ _ ] when List.length asg.Mctx.pairs = 1 ->
-              select_select_grouped ctx asg e_sel r_sel
-          | _ ->
-              Mctx.reject ctx
-                (Obs.Trace.Unsupported
-                   "more than one matched child carries a grouping \
-                    compensation");
-              None
-        end
+      end
+      else begin
+        let grouping_pairs =
+          List.filter
+            (fun (_, _, res) ->
+              match res with
+              | M.Comp levels -> M.comp_has_group levels
+              | M.Exact _ -> false)
+            asg.Mctx.pairs
+        in
+        match grouping_pairs with
+        | [] -> select_select_flat ctx asg e_sel r_sel
+        | [ _ ] when List.length asg.Mctx.pairs = 1 ->
+            select_select_grouped ctx asg e_sel r_sel
+        | _ ->
+            Mctx.reject ctx
+              (Obs.Trace.Unsupported
+                 "more than one matched child carries a grouping \
+                  compensation");
+            None
+      end
 
 (* 4.1.1 and 4.2.3: no grouping in any child compensation. *)
 and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
@@ -1365,226 +1333,3 @@ and regroup_compensation ctx ~keys ~regroup_grouping ~aggs ~equiv ~r_sets
         M.L_select { ls_rejoins = []; ls_preds = []; ls_outs = l2_outs }
       in
       Some (M.Comp [ l0; l1; l2 ])
-
-(* ------------------------------------------------------------------ *)
-(* Footnote 2 extension: SELECT DISTINCT vs. GROUP BY cross-matching    *)
-(* ------------------------------------------------------------------ *)
-
-(* SELECT DISTINCT subsumee against the usual AST shape: a plain rename
-   SELECT over a GROUP BY. Match against the GROUP BY and rewire the
-   compensation through the subsumer's output names. *)
-and match_distinct_vs_group_through ctx (e_sel : B.select_body)
-    (r_sel : B.select_body) =
-  match r_sel.B.sel_quants with
-  | [ rq ]
-    when rq.B.q_kind = B.Foreach
-         && r_sel.B.sel_preds = []
-         && not r_sel.B.sel_distinct -> (
-      match (G.box ctx.Mctx.ag rq.B.q_box).B.body with
-      | B.Group r_grp -> (
-          (* subsumer outputs must be pure renames of group columns *)
-          let rename =
-            List.filter_map
-              (fun (n, e) ->
-                match e with
-                | E.Col { B.col; _ } -> Some (col, n)
-                | _ -> None)
-              r_sel.B.sel_outs
-          in
-          if List.length rename <> List.length r_sel.B.sel_outs then None
-          else
-            match match_distinct_vs_group ctx e_sel r_grp with
-            | Some (M.Comp levels) ->
-                let rewire e =
-                  E.subst_col
-                    (fun c ->
-                      match c with
-                      | M.Rejoin _ -> Some (E.Col c)
-                      | M.Below g ->
-                          List.find_map
-                            (fun (src, out) ->
-                              if norm src = norm g then
-                                Some (E.Col (M.Below out))
-                              else None)
-                            rename)
-                    e
-                in
-                let rewire_level = function
-                  | M.L_select { ls_rejoins; ls_preds; ls_outs } ->
-                      let preds = List.map rewire ls_preds in
-                      let outs =
-                        List.map (fun (n, e) -> (n, rewire e)) ls_outs
-                      in
-                      if
-                        List.exists (fun p -> p = None) preds
-                        || List.exists (fun (_, o) -> o = None) outs
-                      then None
-                      else
-                        Some
-                          (M.L_select
-                             {
-                               ls_rejoins;
-                               ls_preds = List.filter_map (fun p -> p) preds;
-                               ls_outs =
-                                 List.map (fun (n, o) -> (n, Option.get o)) outs;
-                             })
-                  | M.L_group _ -> None
-                in
-                let levels' = List.map rewire_level levels in
-                if List.exists (fun l -> l = None) levels' then None
-                else Some (M.Comp (List.filter_map (fun l -> l) levels'))
-            | other -> other)
-      | _ -> None)
-  | _ -> None
-
-(* SELECT DISTINCT k1..kn matches GROUP BY k1..kn: the distinct tuples
-   are exactly the groups. The DISTINCT select merges what the subsumer
-   splits into a lower SELECT and a GROUP BY, so the select-level match
-   runs against the grouping's child; its result must project onto the
-   full grouping set, with any residual predicates confined to grouping
-   columns. Rejoins are rejected (re-introduced duplicates could not be
-   collapsed again). *)
-and match_distinct_vs_group ctx (e_sel : B.select_body) (r_grp : B.group_body)
-    =
-  pattern ctx "footnote-2 SELECT DISTINCT vs GROUP BY";
-  match r_grp.B.grp_grouping with
-  | B.Gsets _ -> None
-  | B.Simple r_keys -> (
-      match (G.box ctx.Mctx.ag r_grp.B.grp_quant.B.q_box).B.body with
-      | B.Select r_child_sel -> (
-          let as_projection outs_preds =
-            let outs, preds = outs_preds in
-            let cols =
-              List.map
-                (fun (n, e) ->
-                  match e with
-                  | E.Col (M.Below m) when col_mem m r_keys -> Some (n, m)
-                  | _ -> None)
-                outs
-            in
-            if List.exists (fun c -> c = None) cols then None
-            else
-              let cols = List.filter_map (fun c -> c) cols in
-              let covering =
-                List.sort_uniq compare (List.map (fun (_, m) -> norm m) cols)
-                = List.sort_uniq compare (List.map norm r_keys)
-              in
-              let preds_ok =
-                List.for_all
-                  (fun p ->
-                    List.for_all
-                      (fun c ->
-                        match c with
-                        | M.Below m -> col_mem m r_keys
-                        | M.Rejoin _ -> false)
-                      (E.cols p))
-                  preds
-              in
-              if covering && preds_ok then begin
-                (* Override whatever the inner select-level match deposited:
-                   the DISTINCT/GROUP BY duplicate-collapse step is not
-                   modelled by the prover's region certificates. *)
-                set_proof ctx
-                  (Prove.Unknown "DISTINCT cross-match not certified");
-                Some
-                  (M.Comp
-                     [
-                       M.L_select
-                         {
-                           ls_rejoins = [];
-                           ls_preds = preds;
-                           ls_outs =
-                             List.map
-                               (fun (n, m) -> (n, E.Col (M.Below m)))
-                               cols;
-                         };
-                     ])
-              end
-              else begin
-                Mctx.reject ctx
-                  (Obs.Trace.Distinct_incompatible
-                     "the DISTINCT projection does not cover the summary's \
-                      grouping set");
-                None
-              end
-          in
-          match
-            match_select_select ctx
-              { e_sel with B.sel_distinct = false }
-              r_child_sel
-          with
-          | Some (M.Exact cmap) ->
-              as_projection
-                (List.map (fun (n, m) -> (n, E.Col (M.Below m))) cmap, [])
-          | Some (M.Comp [ M.L_select { ls_rejoins = []; ls_preds; ls_outs } ])
-            ->
-              as_projection (ls_outs, ls_preds)
-          | _ -> None)
-      | _ -> None)
-
-(* GROUP BY k1..kn with no aggregates matches SELECT DISTINCT k1..kn: the
-   groups are exactly the distinct tuples. The subsumee's child must match
-   the subsumer as if the latter were not DISTINCT (duplicates are about to
-   be discarded by the grouping anyway). *)
-and match_group_vs_distinct ctx (e_grp : B.group_body) (r_sel : B.select_body)
-    =
-  pattern ctx "footnote-2 GROUP BY vs SELECT DISTINCT";
-  if e_grp.B.grp_aggs <> [] then None
-  else
-    match e_grp.B.grp_grouping with
-    | B.Gsets _ -> None
-    | B.Simple e_keys -> (
-        match (G.box ctx.Mctx.qg e_grp.B.grp_quant.B.q_box).B.body with
-        | B.Select ce_sel -> (
-            match
-              match_select_select ctx ce_sel
-                { r_sel with B.sel_distinct = ce_sel.B.sel_distinct }
-            with
-            | Some (M.Exact cmap) ->
-                let mapped =
-                  List.map
-                    (fun k ->
-                      List.find_map
-                        (fun (a, b) -> if norm a = norm k then Some (k, b) else None)
-                        cmap)
-                    e_keys
-                in
-                if List.exists (fun m -> m = None) mapped then None
-                else
-                  let mapped = List.filter_map (fun m -> m) mapped in
-                  (* the grouping keys must cover the subsumer's whole
-                     output (otherwise the projection re-introduces
-                     duplicate tuples the subsumee would have collapsed) *)
-                  let covered =
-                    List.sort_uniq compare
-                      (List.map (fun (_, m) -> norm m) mapped)
-                    = List.sort_uniq compare
-                        (List.map (fun (n, _) -> norm n) (List.map (fun (n, e) -> (n, e)) r_sel.B.sel_outs))
-                  in
-                  if not covered then begin
-                    Mctx.reject ctx
-                      (Obs.Trace.Duplicate_loss
-                         "the grouping keys do not cover the summary's whole \
-                          output (the projection would re-introduce \
-                          duplicates)");
-                    None
-                  end
-                  else begin
-                    set_proof ctx
-                      (Prove.Unknown "DISTINCT cross-match not certified");
-                    Some
-                      (M.Comp
-                         [
-                           M.L_select
-                             {
-                               ls_rejoins = [];
-                               ls_preds = [];
-                               ls_outs =
-                                 List.map
-                                   (fun (k, m) -> (k, E.Col (M.Below m)))
-                                   mapped;
-                             };
-                         ])
-                  end
-            | _ -> None)
-        | _ -> None)

@@ -10,8 +10,9 @@
     SELECT-only (4.2.3) and grouping (4.2.4) child compensation;
     GROUP-BY/GROUP-BY with exact (4.1.2), SELECT-only (4.2.1) and GROUP-BY
     (4.2.2, recursive) child compensation; simple and cube queries against
-    cube ASTs (5.1, 5.2); and the footnote-2 DISTINCT/GROUP BY
-    cross-matches. Deliberate rejections are listed in DESIGN.md. *)
+    cube ASTs (5.1, 5.2). SELECT DISTINCT and UNION are built as key-only
+    GROUP BYs, so footnote 2's DISTINCT/GROUP BY cases fall under 4.1.2
+    and 4.2. Deliberate rejections are listed in DESIGN.md. *)
 
 val match_boxes :
   Mctx.t -> Qgm.Box.box_id -> Qgm.Box.box_id -> Mtypes.result option

@@ -43,7 +43,6 @@ let build_select g ~below ~(level_rejoins : M.rejoin_child list) ~preds ~outs =
         sel_quants = (qb :: List.map snd rejoin_quants);
         sel_preds = List.map (E.map_col map_ref) preds;
         sel_outs = List.map (fun (n, e) -> (n, E.map_col map_ref e)) outs;
-        sel_distinct = false;
       }
   in
   (g, body)
@@ -106,7 +105,7 @@ let build_group g ~below ~below_cols ~grouping ~(aggs : (string * E.agg * M.cref
       let g, sel_id =
         G.add_box g
           (B.Select
-             { sel_quants = [ qb ]; sel_preds = []; sel_outs = outs; sel_distinct = false })
+             { sel_quants = [ qb ]; sel_preds = []; sel_outs = outs })
       in
       (g, sel_id, col_of)
     end

@@ -1,6 +1,6 @@
-(* JSON codec for WAL records and checkpoints. Mirrors the server wire
-   conventions (Server.Wire) without depending on lib/server: dates as
-   {"date": n}, non-finite floats as {"float": "nan"|"inf"|"-inf"}. *)
+(* JSON codec for values, shared by WAL records and the server wire
+   (Server.Wire): dates as {"date": n}, non-finite floats as
+   {"float": "nan"|"inf"|"-inf"}. *)
 
 module J = Obs.Json
 module V = Data.Value

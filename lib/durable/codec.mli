@@ -1,12 +1,14 @@
-(** JSON codec for WAL records' row payloads (COPY FROM logs its rows).
+(** JSON codec for values: WAL records' row payloads (COPY FROM logs its
+    rows) and the server wire protocol ([Server.Wire] calls
+    {!value_to_json} and {!value_of_json}), so the on-disk and on-wire
+    schemas are one. Dates are [{"date": yyyymmdd}], non-finite floats
+    [{"float": "nan"|"inf"|"-inf"}], everything else the corresponding
+    JSON scalar. The durability layer does not depend on [lib/server]: a
+    headless (no-server) build still recovers its data. Checkpoints do not
+    use it: they store typed chunks ({!Chunk}). *)
 
-    Values follow the same conventions as the server wire protocol so the
-    two on-disk/on-wire schemas stay mutually readable: dates as
-    [{"date": yyyymmdd}], non-finite floats as [{"float": "nan"|"inf"|"-inf"}],
-    everything else as the corresponding JSON scalar. The durability layer
-    keeps its own copy rather than depending on [lib/server] — a headless
-    (no-server) build must still recover its data. Checkpoints do not use
-    it: they store typed chunks ({!Chunk}). *)
+val value_to_json : Data.Value.t -> Obs.Json.t
+val value_of_json : Obs.Json.t -> (Data.Value.t, string) result
 
 (** Rows are arrays of values rendered as JSON lists. *)
 val rows_to_json : Data.Relation.row list -> Obs.Json.t

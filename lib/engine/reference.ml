@@ -32,8 +32,7 @@ let lookup (env : env) { B.quant; col } =
 
 let eval_union ~(child : B.quant -> R.t) (u : B.union_body) : R.t =
   let rows = List.concat_map (fun q -> R.rows (child q)) u.B.un_quants in
-  let rel = R.create u.B.un_cols rows in
-  if u.B.un_all then rel else R.distinct rel
+  R.create u.B.un_cols rows
 
 (* Cross product of all foreach children, then filter with the full
    conjunction, then project. Scalar children contribute one (possibly
@@ -77,8 +76,7 @@ let eval_select ~(child : B.quant -> R.t) (sel : B.select_body) : R.t =
         else None)
       envs
   in
-  let rel = R.create (List.map fst sel.B.sel_outs) rows in
-  if sel.B.sel_distinct then R.distinct rel else rel
+  R.create (List.map fst sel.B.sel_outs) rows
 
 (* Grouping by rescanning: distinct keys first, then one pass per group per
    aggregate. *)

@@ -6,11 +6,11 @@
    key columns together and compose the row-index vectors of matching
    rows, a column is gathered only when something reads it, and aggregation
    assigns dense group ids through one packed-key kernel then folds each
-   aggregate in a tight typed loop into typed outputs. The same kernel
-   dedupes DISTINCT aggregates (repeated (group, value) pairs are masked
-   to NULL before the ordinary fold), SELECT DISTINCT and UNION; keys it
-   cannot pack fall back to boxed hashing. CASE, which has no typed
-   kernel, evaluates per row through Eval.
+   aggregate in a tight typed loop into typed outputs (SELECT DISTINCT and
+   UNION arrive as key-only GROUP BYs). The same kernel dedupes DISTINCT
+   aggregates (repeated (group, value) pairs are masked to NULL before the
+   ordinary fold); keys it cannot pack fall back to boxed hashing. CASE,
+   which has no typed kernel, evaluates per row through Eval.
 
    Semantics notes (checked against the Reference oracle by the
    differential fuzz in test/test_differential.ml):
@@ -544,6 +544,11 @@ let compact_for ctx (sel, k) e =
   in
   lbatch_of (Array.of_list (List.map fst pairs)) (Array.of_list (List.map snd pairs)) k
 
+(* A constant subexpression is folded once per batch, and only when the
+   batch has a row to read it: row-at-a-time evaluation never runs it over
+   no rows, so neither may its error (1 / 0) surface then. *)
+let fold n f = if n = 0 then Scal V.Null else Scal (f ())
+
 let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
   let n = ctx.ln in
   match e with
@@ -551,7 +556,7 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
   | E.Col r -> Vec (lookup_col ctx r)
   | E.Unop ("-", e') -> (
       match eval ctx e' with
-      | Scal s -> Scal (V.neg s)
+      | Scal s -> fold n (fun () -> V.neg s)
       | (Vec ({ C.data = C.Ints a; _ } as c) | Tmp ({ C.data = C.Ints a; _ } as c)) as v ->
           let out = match v with Tmp _ -> a | _ -> C.scratch_ints n in
           for i = 0 to n - 1 do
@@ -589,7 +594,7 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
       let va = eval ctx a in
       let vb = eval ctx b in
       match (va, vb) with
-      | Scal x, Scal y -> Scal (Eval.apply_binop op x y)
+      | Scal x, Scal y -> fold n (fun () -> Eval.apply_binop op x y)
       | _ ->
           if cmp_test op <> None then cmp op n va vb
           else if is_int_op op || is_float_op op then arith op n va vb
@@ -679,7 +684,7 @@ and eval_fn ctx f args =
   let vs = List.map (eval ctx) args in
   let boxed () =
     if List.for_all (function Scal _ -> true | Vec _ | Tmp _ -> false) vs then
-      Scal (Eval.apply_fn f (List.map (fun v -> vv_get v 0) vs))
+      fold n (fun () -> Eval.apply_fn f (List.map (fun v -> vv_get v 0) vs))
     else
       Tmp
         (C.of_values
@@ -1116,16 +1121,8 @@ let join_rows key_pairs ~nb ~np : C.ints * C.ints * int =
   let lsel, k = ibuf_sel li and rsel, _ = ibuf_sel ri in
   (lsel, rsel, k)
 
-(* Keep the first occurrence of every row under SQL grouping equality:
-   SELECT DISTINCT and UNION without ALL. *)
-let distinct_rows (b : C.batch) : C.batch =
-  let _, firsts, k = group_rows b.C.nrows (Array.to_list b.C.cols) in
-  { b with C.cols = Array.map (fun c -> C.gather c firsts k) b.C.cols; nrows = k }
-
 let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
-  let { B.sel_quants = quants; sel_preds = preds; sel_outs = outs; sel_distinct = distinct } =
-    sel
-  in
+  let { B.sel_quants = quants; sel_preds = preds; sel_outs = outs } = sel in
   (* initial working set: scalar-subquery columns as single-row constants *)
   let init_lay = ref [] and init_cols = ref [] in
   List.iter
@@ -1310,14 +1307,11 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
   let out_cols =
     List.map (fun (_, e) -> vv_col !ctx.ln (eval !ctx e)) outs
   in
-  let result =
-    {
-      C.names = Array.of_list out_names;
-      cols = Array.of_list out_cols;
-      nrows = !ctx.ln;
-    }
-  in
-  if distinct then distinct_rows result else result
+  {
+    C.names = Array.of_list out_names;
+    cols = Array.of_list out_cols;
+    nrows = !ctx.ln;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Group box: dense group ids + typed aggregate folds                  *)
@@ -1653,4 +1647,4 @@ let exec_union ~(child : B.quant -> C.batch) (u : B.union_body) : C.batch =
     }
   in
   Obs.Metrics.add x_batch_rows result.C.nrows;
-  if u.B.un_all then result else distinct_rows result
+  result

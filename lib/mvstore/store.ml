@@ -58,8 +58,8 @@ let incr_plan_of cat g =
   let root = G.box g (G.root g) in
   match root.B.body with
   | B.Select u -> (
-      match (u.B.sel_preds, u.B.sel_quants, u.B.sel_distinct) with
-      | [], [ uq ], false -> (
+      match (u.B.sel_preds, u.B.sel_quants) with
+      | [], [ uq ] -> (
           match (G.box g uq.B.q_box).B.body with
           | B.Group grp -> (
               match grp.B.grp_grouping with
@@ -472,7 +472,6 @@ let select_over ?(preds = []) (b : C.batch) outs =
       B.sel_quants = [ { B.q_id = 0; q_box = 0; q_kind = B.Foreach } ];
       sel_preds = preds;
       sel_outs = outs;
-      sel_distinct = false;
     }
 
 let col n = E.Col { B.quant = 0; col = n }

@@ -14,8 +14,6 @@
 type reason =
   | Child_mismatch
   | Outputs_not_covered
-  | Distinct_incompatible of string
-  | Duplicate_loss of string
   | Extra_not_lossless
   | Summary_pred_unmatched
   | Pred_not_derivable of string
@@ -35,8 +33,6 @@ type reason =
 let reason_code = function
   | Child_mismatch -> "child-mismatch"
   | Outputs_not_covered -> "outputs-not-covered"
-  | Distinct_incompatible _ -> "distinct-incompatible"
-  | Duplicate_loss _ -> "duplicate-loss"
   | Extra_not_lossless -> "extra-not-lossless"
   | Summary_pred_unmatched -> "summary-pred-unmatched"
   | Pred_not_derivable _ -> "predicate-not-derivable"
@@ -57,8 +53,6 @@ let describe = function
   | Child_mismatch -> "no pairing of query children with summary children matches"
   | Outputs_not_covered ->
       "the match does not reproduce every output column of the replaced box"
-  | Distinct_incompatible d -> d
-  | Duplicate_loss d -> d
   | Extra_not_lossless ->
       "an extra summary-side join could not be proven lossless (no RI key \
        join, or extra predicates on the extra table)"

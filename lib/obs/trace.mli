@@ -14,8 +14,6 @@
 type reason =
   | Child_mismatch              (** no child pairing exists (4.1.1 cond. 1) *)
   | Outputs_not_covered         (** interior match can't replace the box *)
-  | Distinct_incompatible of string  (** DISTINCT asymmetry (footnote 2) *)
-  | Duplicate_loss of string    (** rejoin/extras would lose duplicate rows *)
   | Extra_not_lossless          (** extra subsumer child not RI-lossless *)
   | Summary_pred_unmatched      (** summary filtered rows away (cond. 2) *)
   | Pred_not_derivable of string   (** conditions 3/5 *)

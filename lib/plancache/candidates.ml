@@ -16,8 +16,6 @@ let dedups g =
     (fun id ->
       match (G.box g id).B.body with
       | B.Group _ -> true
-      | B.Select { sel_distinct = true; _ } -> true
-      | B.Union { un_all = false; _ } -> true
       | _ -> false)
     (G.reachable g (G.root g))
 

@@ -4,8 +4,8 @@
 
     Each summary table is keyed by its *base-table footprint* (the sorted
     set of base tables its definition reads) and a *dedup bit* (whether the
-    definition aggregates or eliminates duplicates anywhere: GROUP BY,
-    SELECT DISTINCT, or a duplicate-removing UNION). A candidate is
+    definition has a GROUP BY anywhere; SELECT DISTINCT and a
+    duplicate-removing UNION are built as one). A candidate is
     eligible for a query when
 
     - every footprint table is either read by the query too, or is the

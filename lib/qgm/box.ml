@@ -32,7 +32,6 @@ type select_body = {
   sel_quants : quant list;
   sel_preds : qref Expr.t list;            (* implicit conjunction *)
   sel_outs : (string * qref Expr.t) list;  (* output name -> defining expr *)
-  sel_distinct : bool;
 }
 
 type group_body = {
@@ -41,11 +40,11 @@ type group_body = {
   grp_aggs : (string * agg_app) list;      (* output name -> aggregate *)
 }
 
-(* UNION [ALL]: children must agree in arity; output column names come
-   from the declared list (the first branch's names). *)
+(* UNION ALL: children must agree in arity; output column names come
+   from the declared list (the first branch's names). A UNION that
+   eliminates duplicates is this box under a key-only GROUP BY. *)
 type union_body = {
   un_quants : quant list;
-  un_all : bool;            (* false: UNION (duplicates eliminated) *)
   un_cols : string list;
 }
 

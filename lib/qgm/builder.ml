@@ -57,6 +57,12 @@ let uniquify taken proposal =
     in
     try_n 1
 
+(* Expressions deduped by normalized form, in first-seen order. *)
+let dedup_norm es =
+  List.fold_left
+    (fun acc e -> if List.exists (Expr.equal_norm e) acc then acc else acc @ [ e ])
+    [] es
+
 (* ------------------------------------------------------------------ *)
 (* Expression resolution                                               *)
 (* ------------------------------------------------------------------ *)
@@ -190,16 +196,7 @@ and canonical_grouping_sets r items =
   in
   let sets = List.fold_left cross [ [] ] (List.map expand_item items) in
   (* Dedup exprs within a set and duplicate sets (by normalized form). *)
-  let dedup_exprs set =
-    let rec go acc = function
-      | [] -> List.rev acc
-      | e :: rest ->
-          if List.exists (Expr.equal_norm e) acc then go acc rest
-          else go (e :: acc) rest
-    in
-    go [] set
-  in
-  let sets = List.map dedup_exprs sets in
+  let sets = List.map dedup_norm sets in
   let rec dedup_sets acc = function
     | [] -> List.rev acc
     | s :: rest ->
@@ -228,8 +225,8 @@ and output_name_of_item taken i (it : A.select_item) resolved =
 
 and build_block st (q : A.query) ~top : Box.box_id =
   let head = build_plain_block st { q with A.unions = [] } ~top in
-  (* UNION chains fold left-associatively; each connector decides whether
-     that step eliminates duplicates *)
+  (* UNION chains fold left-associatively; a UNION without ALL is the
+     UNION ALL of that step under a key-only GROUP BY *)
   List.fold_left
     (fun acc (all, bq) ->
       let branch = build_block st bq ~top:false in
@@ -240,9 +237,23 @@ and build_block st (q : A.query) ~top : Box.box_id =
           (List.length head_cols) (List.length branch_cols);
       let qa = new_quant st acc Box.Foreach in
       let qb = new_quant st branch Box.Foreach in
-      new_box st
-        (Box.Union { un_quants = [ qa; qb ]; un_all = all; un_cols = head_cols }))
+      let u =
+        new_box st (Box.Union { un_quants = [ qa; qb ]; un_cols = head_cols })
+      in
+      if all then u else distinct_over st u)
     head q.A.unions
+
+(* Duplicate elimination over a block: a GROUP BY on every output column,
+   with no aggregates (its groups are exactly the distinct rows). *)
+and distinct_over st child =
+  let q = new_quant st child Box.Foreach in
+  new_box st
+    (Box.Group
+       {
+         grp_quant = q;
+         grp_grouping = Box.Simple (Box.output_cols (Graph.box st.g child));
+         grp_aggs = [];
+       })
 
 and build_plain_block st (q : A.query) ~top : Box.box_id =
   ignore top;
@@ -311,42 +322,38 @@ and build_plain_block st (q : A.query) ~top : Box.box_id =
     || Option.fold ~none:false ~some:Expr.contains_agg having
   in
   let has_having = Option.is_some q.A.having in
-  let root =
-    (* a HAVING clause without GROUP BY aggregates over the grand total *)
-    if (not has_group) && (not has_agg) && not has_having then begin
-      (* plain select-project-join block *)
-      let outs, _ =
-        List.fold_left
-          (fun (outs, i) (it, e) ->
-            let name = output_name_of_item (List.map fst outs) i it e in
-            (outs @ [ (name, e) ], i + 1))
-          ([], 0) resolved_items
-      in
-      let quants = List.map (fun b -> b.b_quant) bindings @ r.extra_quants in
-      new_box st
-        (Box.Select { sel_quants = quants; sel_preds = where_preds; sel_outs = outs; sel_distinct = q.A.distinct })
-    end
-    else
+  (* a HAVING clause without GROUP BY aggregates over the grand total *)
+  if has_group || has_agg || has_having then
+    let block =
       build_aggregate_block st r ~bindings ~where_preds ~resolved_items ~having
-        ~gsets ~distinct:q.A.distinct
-  in
-  root
+        ~gsets
+    in
+    if q.A.distinct then distinct_over st block else block
+  else if q.A.distinct then
+    (* SELECT DISTINCT items is SELECT items ... GROUP BY items *)
+    build_aggregate_block st r ~bindings ~where_preds ~resolved_items ~having
+      ~gsets:[ dedup_norm (List.map snd resolved_items) ]
+  else begin
+    (* plain select-project-join block *)
+    let outs, _ =
+      List.fold_left
+        (fun (outs, i) (it, e) ->
+          let name = output_name_of_item (List.map fst outs) i it e in
+          (outs @ [ (name, e) ], i + 1))
+        ([], 0) resolved_items
+    in
+    let quants = List.map (fun b -> b.b_quant) bindings @ r.extra_quants in
+    new_box st
+      (Box.Select { sel_quants = quants; sel_preds = where_preds; sel_outs = outs })
+  end
 
 (* Aggregate block: lower SELECT computes grouping expressions and aggregate
    arguments; GROUP BY groups and aggregates; upper SELECT applies HAVING and
    computes the final output expressions (paper Figure 3). *)
 and build_aggregate_block st r ~bindings ~where_preds ~resolved_items ~having
-    ~gsets ~distinct =
-  let union_exprs =
-    (* grouping expressions, deduped by normalized form, in first-seen order *)
-    let rec add acc = function
-      | [] -> acc
-      | e :: rest ->
-          if List.exists (Expr.equal_norm e) acc then add acc rest
-          else add (acc @ [ e ]) rest
-    in
-    List.fold_left add [] gsets
-  in
+    ~gsets =
+  (* grouping expressions in first-seen order *)
+  let union_exprs = dedup_norm (List.concat gsets) in
   (* name each grouping expression *)
   let alias_for e =
     List.find_map
@@ -504,7 +511,7 @@ and build_aggregate_block st r ~bindings ~where_preds ~resolved_items ~having
   let lower_outs = grouping_outs @ !arg_outs @ !scalar_outs in
   let lower_id =
     new_box st
-      (Box.Select { sel_quants = quants; sel_preds = where_preds; sel_outs = lower_outs; sel_distinct = false })
+      (Box.Select { sel_quants = quants; sel_preds = where_preds; sel_outs = lower_outs })
   in
   let gquant = new_quant st lower_id Box.Foreach in
   (* grouping structure over column names; scalar-subquery outputs referenced
@@ -583,7 +590,7 @@ and build_aggregate_block st r ~bindings ~where_preds ~resolved_items ~having
     match having with None -> [] | Some h -> split_conjuncts (to_upper h)
   in
   new_box st
-    (Box.Select { sel_quants = [ uquant ]; sel_preds = upper_preds; sel_outs = upper_outs; sel_distinct = distinct })
+    (Box.Select { sel_quants = [ uquant ]; sel_preds = upper_preds; sel_outs = upper_outs })
 
 (* ------------------------------------------------------------------ *)
 

@@ -52,8 +52,7 @@ let canonical g =
                 (fun (n, e) -> Printf.sprintf "%s=%s" n (render_expr ren e))
                 s.B.sel_outs
             in
-            Printf.sprintf "(select%s (q %s) (p %s) (o %s))"
-              (if s.B.sel_distinct then "-distinct" else "")
+            Printf.sprintf "(select (q %s) (p %s) (o %s))"
               (String.concat " " quants)
               (String.concat " " preds)
               (String.concat " " outs)
@@ -90,8 +89,7 @@ let canonical g =
               (String.concat " " aggs)
         | B.Union u ->
             let quants = List.map (fun q -> ser q.B.q_box) u.B.un_quants in
-            Printf.sprintf "(union%s (cols %s) (q %s))"
-              (if u.B.un_all then "-all" else "")
+            Printf.sprintf "(union-all (cols %s) (q %s))"
               (String.concat " " u.B.un_cols)
               (String.concat " " quants))
   in

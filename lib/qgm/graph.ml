@@ -93,8 +93,7 @@ let pp fmt g =
           Format.fprintf fmt "%s[%d] BASE %s (%s)@\n" mark id table
             (String.concat ", " cols)
       | Box.Select s ->
-          Format.fprintf fmt "%s[%d] SELECT%s@\n" mark id
-            (if s.sel_distinct then " DISTINCT" else "");
+          Format.fprintf fmt "%s[%d] SELECT@\n" mark id;
           List.iter
             (fun q ->
               Format.fprintf fmt "      quant q%d -> box %d%s@\n" q.Box.q_id
@@ -110,8 +109,7 @@ let pp fmt g =
             (fun (n, e) -> Format.fprintf fmt "      out %s = %a@\n" n pp_expr e)
             s.sel_outs
       | Box.Union u ->
-          Format.fprintf fmt "%s[%d] UNION%s (%s)@\n" mark id
-            (if u.un_all then " ALL" else "")
+          Format.fprintf fmt "%s[%d] UNION ALL (%s)@\n" mark id
             (String.concat ", "
                (List.map (fun q -> string_of_int q.Box.q_box) u.un_quants))
       | Box.Group grp ->

@@ -24,7 +24,7 @@ let rec to_query_of_box g id : A.query =
       | first :: rest ->
           {
             first with
-            A.unions = List.map (fun q -> (u.B.un_all, q)) rest;
+            A.unions = first.A.unions @ List.map (fun q -> (true, q)) rest;
           }
       | [] -> A.empty_query)
   | B.Select sel -> (
@@ -32,8 +32,7 @@ let rec to_query_of_box g id : A.query =
       match sel.B.sel_quants with
       | [ q ]
         when q.B.q_kind = B.Foreach
-             && B.is_group (Graph.box g q.B.q_box)
-             && not sel.B.sel_distinct ->
+             && B.is_group (Graph.box g q.B.q_box) ->
           group_query g q.B.q_box (Some (sel, q))
       | _ -> select_query g sel)
 
@@ -85,7 +84,6 @@ and select_query g (sel : B.select_body) : A.query =
   in
   {
     A.empty_query with
-    A.distinct = sel.B.sel_distinct;
     select =
       List.map
         (fun (n, e) -> { A.item_expr = conv e; item_alias = Some n })

@@ -39,38 +39,9 @@ type response = Reply of reply | Failed of J.t * error
 
 (* --- values ------------------------------------------------------------- *)
 
-let value_to_json (v : Data.Value.t) : J.t =
-  match v with
-  | Data.Value.Null -> J.Null
-  | Data.Value.Int n -> J.Int n
-  | Data.Value.Float x ->
-      if Float.is_finite x then J.Float x
-      else
-        J.Obj
-          [
-            ( "float",
-              J.Str
-                (if Float.is_nan x then "nan"
-                 else if x > 0. then "inf"
-                 else "-inf") );
-          ]
-  | Data.Value.Str s -> J.Str s
-  | Data.Value.Bool b -> J.Bool b
-  | Data.Value.Date d -> J.Obj [ ("date", J.Int d) ]
-
-let value_of_json (j : J.t) : (Data.Value.t, string) result =
-  match j with
-  | J.Null -> Ok Data.Value.Null
-  | J.Int n -> Ok (Data.Value.Int n)
-  | J.Float x | J.Num x -> Ok (Data.Value.Float x)
-  | J.Str s -> Ok (Data.Value.Str s)
-  | J.Bool b -> Ok (Data.Value.Bool b)
-  | J.Obj [ ("date", J.Int d) ] -> Ok (Data.Value.Date d)
-  | J.Obj [ ("float", J.Str "nan") ] -> Ok (Data.Value.Float Float.nan)
-  | J.Obj [ ("float", J.Str "inf") ] -> Ok (Data.Value.Float Float.infinity)
-  | J.Obj [ ("float", J.Str "-inf") ] ->
-      Ok (Data.Value.Float Float.neg_infinity)
-  | other -> Error ("not a value: " ^ J.to_string other)
+(* one codec for the wire and the WAL *)
+let value_to_json = Durable.Codec.value_to_json
+let value_of_json = Durable.Codec.value_of_json
 
 (* --- errors ------------------------------------------------------------- *)
 

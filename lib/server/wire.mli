@@ -96,6 +96,7 @@ type reply = {
 (** A decoded response line. *)
 type response = Reply of reply | Failed of Obs.Json.t * error
 
+(** The value codec of {!Durable.Codec}, shared with the WAL. *)
 val value_to_json : Data.Value.t -> Obs.Json.t
 val value_of_json : Obs.Json.t -> (Data.Value.t, string) result
 

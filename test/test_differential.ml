@@ -3,7 +3,11 @@
    joins, filters, grouping sets, DISTINCT and DISTINCT aggregates, CASE
    items and predicates, UNION and UNION ALL. Any divergence is an engine
    bug. The generator is QCheck-driven (set QCHECK_SEED to reproduce a
-   failure); the count is bounded so tier-1 stays fast. *)
+   failure); the count is bounded so tier-1 stays fast.
+
+   Both engines run the graph the builder made, so they cannot see a
+   builder bug; DISTINCT and UNION (built as key-only GROUP BYs) are also
+   checked against [Relation.distinct] of the query without them. *)
 
 module R = Data.Relation
 open Helpers
@@ -32,8 +36,9 @@ type qspec = {
   qs_dims : int list;
   qs_aggs : int list;       (* empty = plain select *)
   qs_filters : int list;
-  qs_distinct : bool;       (* only for plain selects *)
+  qs_distinct : bool;
   qs_sets : bool;           (* grouping sets over the dims *)
+  qs_keys_out : bool;       (* a grouped select lists its keys *)
   qs_case : bool;           (* add [case_item] to the select list *)
   qs_union : (bool * qspec) option;
       (* UNION [ALL] with a second select of the same list *)
@@ -42,7 +47,9 @@ type qspec = {
 let rec sql_of q =
   let dim_exprs = List.map (fun i -> dims.(i)) q.qs_dims in
   let select_dims =
-    List.mapi (fun j e -> Printf.sprintf "%s AS d%d" e j) dim_exprs
+    (* without its keys a grouped select can repeat rows for DISTINCT *)
+    if q.qs_aggs <> [] && not q.qs_keys_out then []
+    else List.mapi (fun j e -> Printf.sprintf "%s AS d%d" e j) dim_exprs
   in
   let select_aggs =
     List.mapi (fun j i -> Printf.sprintf "%s AS a%d" aggs.(i) j) q.qs_aggs
@@ -70,7 +77,7 @@ let rec sql_of q =
         (List.hd dim_exprs)
     else " GROUP BY " ^ String.concat ", " dim_exprs
   in
-  let distinct = if q.qs_distinct && q.qs_aggs = [] then "DISTINCT " else "" in
+  let distinct = if q.qs_distinct then "DISTINCT " else "" in
   let union =
     match q.qs_union with
     | None -> ""
@@ -103,10 +110,11 @@ let gen_spec =
       else return []
     in
     let* qs_sets = bool in
+    let* qs_keys_out = bool in
     let* qs_case = bool in
     let q =
-      { qs_join; qs_dims; qs_aggs; qs_filters; qs_distinct; qs_sets; qs_case;
-        qs_union = None }
+      { qs_join; qs_dims; qs_aggs; qs_filters; qs_distinct; qs_sets; qs_keys_out;
+        qs_case; qs_union = None }
     in
     let* union = bool in
     if not union then return q
@@ -146,6 +154,30 @@ let prop_engines_agree =
     (QCheck.make ~print:sql_of gen_spec)
     agree
 
+(* SELECT DISTINCT q on the executor bag-equals the distinct rows of q on
+   the reference, and a UNION b those of a UNION ALL b *)
+let dedups_agree spec =
+  let db = Lazy.force db in
+  let exec sql = Engine.Exec.run db (build (Engine.Db.catalog db) sql) in
+  let distinct_of sql = R.distinct (Engine.Reference.run db (build (Engine.Db.catalog db) sql)) in
+  let check what sql ~oracle =
+    let got = exec sql and want = distinct_of oracle in
+    R.bag_equal_approx got want
+    || QCheck.Test.fail_reportf "%s: %s\ngot:\n%s\nexpected:\n%s" what sql
+         (R.to_string got) (R.to_string want)
+  in
+  let head = { spec with qs_union = None } in
+  let branch = match spec.qs_union with Some (_, b) -> b | None -> head in
+  check "DISTINCT" (sql_of { head with qs_distinct = true })
+    ~oracle:(sql_of { head with qs_distinct = false })
+  && check "UNION" (sql_of { spec with qs_union = Some (false, branch) })
+       ~oracle:(sql_of { spec with qs_union = Some (true, branch) })
+
+let prop_dedups_agree =
+  QCheck.Test.make ~name:"DISTINCT and UNION match deduplicated reference" ~count:300
+    (QCheck.make ~print:sql_of gen_spec)
+    dedups_agree
+
 (* a few hand-picked shapes the generator may under-sample *)
 let fixed_cases =
   [
@@ -180,5 +212,6 @@ let test_fixed () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_engines_agree;
+    QCheck_alcotest.to_alcotest prop_dedups_agree;
     Alcotest.test_case "fixed shapes" `Quick test_fixed;
   ]

@@ -45,6 +45,8 @@ let suite =
       (diff "SELECT k, v FROM fact" "SELECT v, k FROM fact");
     Alcotest.test_case "distinct matters" `Quick
       (diff "SELECT grp FROM fact" "SELECT DISTINCT grp FROM fact");
+    Alcotest.test_case "DISTINCT is a key-only GROUP BY" `Quick
+      (same "SELECT DISTINCT grp FROM fact" "SELECT grp FROM fact GROUP BY grp");
     Alcotest.test_case "table matters" `Quick
       (diff "SELECT id FROM dims" "SELECT k FROM fact");
     Alcotest.test_case "constant matters" `Quick

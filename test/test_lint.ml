@@ -31,14 +31,13 @@ let contains hay needle =
 let base_t g =
   G.add_box g (B.Base { B.bt_table = "t"; bt_cols = [ "g"; "v" ] })
 
-let select ~quants ?(preds = []) ~outs ?(distinct = false) g =
+let select ~quants ?(preds = []) ~outs g =
   G.add_box g
     (B.Select
        {
          B.sel_quants = quants;
          sel_preds = preds;
          sel_outs = outs;
-         sel_distinct = distinct;
        })
 
 let qcol q col = E.Col { B.quant = q.B.q_id; col }
@@ -82,7 +81,6 @@ let test_v102_cycle () =
            B.sel_quants = [ q; self ];
            sel_preds = [];
            sel_outs = [ ("g", qcol q "g") ];
-           sel_distinct = false;
          })
   in
   expect_code "self-loop" "V102" (G.set_root g root)
@@ -98,7 +96,6 @@ let test_v103_dead_box () =
            B.sel_quants = [ dead ];
            sel_preds = [];
            sel_outs = [ ("g", qcol dead "g") ];
-           sel_distinct = false;
          })
   in
   expect_code "quantifier to dead box" "V103" g
@@ -114,7 +111,6 @@ let test_v104_foreign_quant () =
            B.sel_quants = [ q ];
            sel_preds = [];
            sel_outs = [ ("g", ghost) ];
-           sel_distinct = false;
          })
   in
   expect_code "undeclared quantifier" "V104" g
@@ -129,7 +125,6 @@ let test_v105_unknown_column () =
            B.sel_quants = [ q ];
            sel_preds = [ E.Binop ("<", qcol q "ghost", E.Const (V.Int 3)) ];
            sel_outs = [ ("g", qcol q "g") ];
-           sel_distinct = false;
          })
   in
   expect_code "column not produced by child" "V105" g
@@ -144,7 +139,6 @@ let test_v106_duplicate_outputs () =
            B.sel_quants = [ q ];
            sel_preds = [];
            sel_outs = [ ("x", qcol q "g"); ("x", qcol q "v") ];
-           sel_distinct = false;
          })
   in
   expect_code "duplicate output names" "V106" g
@@ -160,7 +154,6 @@ let test_v107_agg_in_select () =
            B.sel_quants = [ q ];
            sel_preds = [];
            sel_outs = [ ("s", E.Agg (sum, Some (qcol q "v"))) ];
-           sel_distinct = false;
          })
   in
   expect_code "aggregate in SELECT box" "V107" g
@@ -225,7 +218,7 @@ let test_v110_union_arity () =
   let g, u2 = G.fresh_quant g s2 B.Foreach in
   let g, union =
     G.add_box g
-      (B.Union { B.un_quants = [ u1; u2 ]; un_all = true; un_cols = [ "a" ] })
+      (B.Union { B.un_quants = [ u1; u2 ]; un_cols = [ "a" ] })
   in
   expect_code "branch arity mismatch" "V110" (G.set_root g union)
 
@@ -246,7 +239,6 @@ let test_v116_no_outputs () =
            B.sel_quants = [ q ];
            sel_preds = [];
            sel_outs = [];
-           sel_distinct = false;
          })
   in
   expect_code "root without outputs" "V116" g
@@ -282,7 +274,6 @@ let test_v115_non_boolean_predicate () =
            (* an INT-typed expression where a boolean belongs *)
            sel_preds = [ E.Binop ("+", qcol q "v", E.Const (V.Int 1)) ];
            sel_outs = [ ("g", qcol q "g") ];
-           sel_distinct = false;
          })
   in
   expect_code ~cat "non-boolean predicate" "V115" g;

@@ -396,10 +396,11 @@ let test_grand_total_having () =
     ~ast:"select flid, count(*) as c, sum(qty) as q from Trans group by flid"
     ()
 
-(* ---------------- type mismatches ------------------------------------ *)
+(* ---------------- DISTINCT over a plain summary ---------------------- *)
 
-let test_distinct_mismatch () =
-  expect ~rewrite:false
+let test_distinct_over_plain_summary () =
+  (* the DISTINCT's key-only GROUP BY runs over the summary's rows *)
+  expect ~rewrite:true
     ~query:"select distinct flid from Trans"
     ~ast:"select flid from Trans"
     ()
@@ -469,5 +470,6 @@ let suite =
     Alcotest.test_case "commuted predicates" `Quick test_commuted_predicates_match;
     Alcotest.test_case "arithmetic normalization" `Quick
       test_arith_normalization_match;
-    Alcotest.test_case "distinct mismatch" `Quick test_distinct_mismatch;
+    Alcotest.test_case "distinct over plain summary" `Quick
+      test_distinct_over_plain_summary;
   ]

@@ -90,6 +90,11 @@ let test_union_roundtrips () =
     [
       "select grp from fact union all select label from dims";
       "select k from fact where v > 6 union select id from dims";
+      (* a chain nests in its first branch: every branch must survive *)
+      "select grp from fact union all select label from dims union all \
+       select grp from fact where v > 6";
+      "select grp from fact union select label from dims union all select \
+       grp from fact";
     ]
 
 let test_branch_of_union_still_rewrites () =
