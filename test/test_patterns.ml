@@ -4,19 +4,21 @@
 
 open Helpers
 
-let star_db =
+let star_tables =
   lazy
-    (let params =
+    (Workload.Star_schema.generate
        {
          Workload.Star_schema.default_params with
          n_custs = 4;
          trans_per_acct_year = 25;
          n_locs = 20;
-       }
-     in
-     Engine.Db.of_tables
+       })
+
+let star_db =
+  lazy
+    (Engine.Db.of_tables
        (Workload.Star_schema.catalog ())
-       (Workload.Star_schema.generate params))
+       (Lazy.force star_tables))
 
 (* One query/summary pair and its expected match decision. The match
    golden (Test_match_golden) replays every pair below. *)
@@ -551,8 +553,49 @@ let cases =
     ("distinct over plain summary", test_distinct_over_plain_summary);
   ]
 
+(* Every rejected pair says why under EXPLAIN REWRITE: the summary's line
+   is followed by at least one typed reason, or carries one itself. *)
+let test_rejections_explained () =
+  let module Sess = Mvstore.Session in
+  let sn =
+    Sess.of_tables (Workload.Star_schema.catalog ()) (Lazy.force star_tables)
+  in
+  List.iter
+    (fun (name, pairs) ->
+      List.iter
+        (fun { rewrite; query; ast } ->
+          if not rewrite then begin
+            ignore (Sess.exec_sql sn ("CREATE SUMMARY TABLE mv0 AS " ^ ast));
+            let plan =
+              match Sess.exec_sql sn ("EXPLAIN REWRITE " ^ query) with
+              | [ Sess.Plan p ] -> p
+              | _ -> Alcotest.failf "%s: expected an EXPLAIN REWRITE plan" name
+            in
+            ignore (Sess.exec_sql sn "DROP SUMMARY TABLE mv0");
+            let rec explained = function
+              | l :: rest when l = "  mv0: no match" -> (
+                  match rest with
+                  | r :: _ -> String.starts_with ~prefix:"    - " r
+                  | [] -> false)
+              | l :: rest ->
+                  (String.starts_with ~prefix:"  mv0: " l
+                  && l <> "  mv0: no match")
+                  || explained rest
+              | [] -> false
+            in
+            if not (explained (String.split_on_char '\n' plan)) then
+              Alcotest.failf "%s: no rejection reason under EXPLAIN REWRITE:\n%s"
+                name plan
+          end)
+        pairs)
+    cases
+
 let suite =
   List.map
     (fun (name, pairs) ->
       Alcotest.test_case name `Quick (fun () -> List.iter expect pairs))
     cases
+  @ [
+      Alcotest.test_case "rejections explained" `Quick
+        test_rejections_explained;
+    ]
