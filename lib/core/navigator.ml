@@ -38,17 +38,12 @@ let find_matches ?trace ?budget ?config cat ~query ~ast =
             List.filter_map
               (fun e_id ->
                 match Patterns.match_boxes ctx e_id r_root with
-                | Some res when covers_outputs query e_id res ->
+                | Some (res, proof) when covers_outputs query e_id res ->
                     Obs.Trace.accept trace ~kind:"site"
                       ~label:(Printf.sprintf "query box %d" e_id)
                       (match res with
                       | Mtypes.Exact _ -> "exact"
                       | Mtypes.Comp _ -> "compensated");
-                    let proof =
-                      match Hashtbl.find_opt ctx.Mctx.proofs (e_id, r_root) with
-                      | Some p -> p
-                      | None -> Prove.Unknown "no certificate recorded"
-                    in
                     Some { site_box = e_id; site_result = res; site_proof = proof }
                 | Some _ ->
                     (* an interior match exists but can't replace the box *)

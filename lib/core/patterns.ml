@@ -1,10 +1,12 @@
 (* The match function (paper sections 3, 4 and 5).
 
    [match_boxes ctx e r] decides whether subsumee box [e] (query graph)
-   matches subsumer box [r] (AST graph) and, if so, produces the
-   compensation. The function is memoized per (e, r) pair and recurses into
-   child pairs, which realizes the navigator's bottom-up discipline: by the
-   time a pair is judged, all child pair-wise combinations have been judged.
+   matches subsumer box [r] (AST graph) and, if so, returns the
+   compensation with its static certificate. The function is memoized per
+   (e, r) pair and recurses into child pairs, which realizes the
+   navigator's bottom-up discipline: by the time a pair is judged, all
+   child pair-wise combinations have been judged, and a pattern reads a
+   child pair's certificate from the answer it recursed into.
 
    Pattern coverage:
    - base tables                                 (leaf seeding)
@@ -38,13 +40,29 @@ let show_tx e = E.to_string (Format.asprintf "%a" M.pp_txref) e
 let show_q e =
   E.to_string (fun { B.quant; col } -> Printf.sprintf "q%d.%s" quant col) e
 
+(* Every element, or [None] when one is missing. *)
+let all_some l =
+  if List.exists Option.is_none l then None else Some (List.map Option.get l)
+
+(* [f] applied to the value of a named pair, keeping the name. *)
+let named f (n, x) = Option.map (fun y -> (n, y)) (f x)
+
+let is_simple = function B.Simple _ -> true | B.Gsets _ -> false
+let below_col = function E.Col (M.Below m) -> Some m | _ -> None
+
+(* Column-equivalence classes of [preds], unless the ablation turns them
+   off. *)
+let equiv_of (ctx : Mctx.t) preds =
+  if ctx.Mctx.config.Config.equivalence_classes then Equiv.of_preds preds
+  else Equiv.of_equalities []
+
 (* ------------------------------------------------------------------ *)
 (* Pure helpers (no recursion into match_boxes)                        *)
 (* ------------------------------------------------------------------ *)
 
 let child_comp_levels (asg : Mctx.assignment) =
   List.concat_map
-    (fun (_, rq, res) ->
+    (fun (_, rq, (res, _)) ->
       match res with M.Exact _ -> [] | M.Comp levels -> [ (rq, levels) ])
     asg.Mctx.pairs
 
@@ -74,6 +92,23 @@ let comp_rejoins levels =
       | M.L_select { ls_rejoins; _ } -> ls_rejoins | M.L_group _ -> [])
     levels
 
+let comp_preds levels =
+  List.concat_map
+    (function M.L_select { ls_preds; _ } -> ls_preds | M.L_group _ -> [])
+    levels
+
+(* One SELECT compensation over the subsumer, or [Exact] when it only
+   renames subsumer columns: every subsumee output derived ([complete]), no
+   rejoin, no predicate, every output a bare subsumer column. *)
+let select_comp ~complete ~rejoins ~preds outs =
+  if
+    complete && rejoins = [] && preds = []
+    && List.for_all (fun (_, d) -> Option.is_some (below_col d)) outs
+  then M.Exact (List.map (fun (n, d) -> (n, Option.get (below_col d))) outs)
+  else
+    M.Comp
+      [ M.L_select { ls_rejoins = rejoins; ls_preds = preds; ls_outs = outs } ]
+
 let refs_quants quant_ids p =
   List.exists
     (fun c ->
@@ -81,6 +116,16 @@ let refs_quants quant_ids p =
       | M.Rin { B.quant; _ } -> List.mem quant quant_ids
       | M.Rj _ -> false)
     (E.cols p)
+
+(* Keys and pulled predicates confined to a cuboid's grouping columns
+   (section 5), or [None] when one of them reads a column outside it. *)
+let restrict_to_cuboid equiv cuboid keys preds =
+  let restrict = Derive.restrict_to_cols equiv cuboid in
+  let rkeys = List.map (named restrict) keys in
+  let rpreds = List.map restrict preds in
+  match (all_some rkeys, all_some rpreds) with
+  | Some rkeys, Some rpreds -> Some (rkeys, rpreds)
+  | _ -> None
 
 (* Extra subsumer children must be provably lossless (4.1.1 condition 1):
    the join can neither eliminate nor duplicate subsumer rows. Scalar
@@ -92,10 +137,7 @@ let refs_quants quant_ids p =
    Trans -> Acct -> Cust (snowflake dimensions). *)
 let extras_lossless (ctx : Mctx.t) (r_sel : B.select_body)
     (extras : B.quant list) =
-  let scalar, foreach =
-    List.partition (fun q -> q.B.q_kind = B.Scalar) extras
-  in
-  ignore scalar;
+  let foreach = List.filter (fun q -> q.B.q_kind <> B.Scalar) extras in
   let quant_box qid =
     List.find_opt (fun q -> q.B.q_id = qid) r_sel.B.sel_quants
   in
@@ -114,49 +156,42 @@ let extras_lossless (ctx : Mctx.t) (r_sel : B.select_body)
                   preds
               in
               let pairs =
-                List.map
-                  (fun p ->
-                    match p with
-                    | E.Binop ("=", E.Col a, E.Col b) ->
-                        if a.B.quant = x.B.q_id && b.B.quant <> x.B.q_id then
-                          Some (a.B.col, b)
-                        else if
-                          b.B.quant = x.B.q_id && a.B.quant <> x.B.q_id
-                        then Some (b.B.col, a)
-                        else None
-                    | _ -> None)
-                  touching
+                all_some
+                  (List.map
+                     (fun p ->
+                       match p with
+                       | E.Binop ("=", E.Col a, E.Col b) ->
+                           if a.B.quant = x.B.q_id && b.B.quant <> x.B.q_id
+                           then Some (a.B.col, b)
+                           else if
+                             b.B.quant = x.B.q_id && a.B.quant <> x.B.q_id
+                           then Some (b.B.col, a)
+                           else None
+                       | _ -> None)
+                     touching)
               in
-              if List.exists (fun p -> p = None) pairs then None
-              else
-                let pairs = List.filter_map (fun p -> p) pairs in
-                if pairs = [] then None
-                else
-                  let fk_quants =
+              match pairs with
+              | None | Some [] -> None
+              | Some pairs -> (
+                  match
                     List.sort_uniq compare
                       (List.map (fun (_, b) -> b.B.quant) pairs)
-                  in
-                  match fk_quants with
+                  with
                   | [ fq ] -> (
-                      match quant_box fq with
-                      | None -> None
-                      | Some fquant -> (
-                          match
-                            Props.base_table_of ctx.Mctx.ag fquant.B.q_box
-                          with
-                          | None -> None
-                          | Some fk_table ->
-                              let to_cols = List.map fst pairs in
-                              let from_cols =
-                                List.map (fun (_, b) -> b.B.col) pairs
-                              in
-                              if
-                                Catalog.ri_holds ctx.Mctx.cat
-                                  ~from_table:fk_table ~from_cols
-                                  ~to_table:extra_table ~to_cols
-                              then Some rest
-                              else None))
-                  | _ -> None)
+                      match
+                        Option.bind (quant_box fq) (fun q ->
+                            Props.base_table_of ctx.Mctx.ag q.B.q_box)
+                      with
+                      | Some fk_table
+                        when Catalog.ri_holds ctx.Mctx.cat
+                               ~from_table:fk_table
+                               ~from_cols:
+                                 (List.map (fun (_, b) -> b.B.col) pairs)
+                               ~to_table:extra_table
+                               ~to_cols:(List.map fst pairs) ->
+                          Some rest
+                      | _ -> None)
+                  | _ -> None))
         in
         let rec try_each tried = function
           | [] -> false
@@ -181,8 +216,8 @@ let m_memo_hits = Obs.Metrics.counter "match.memo_hits"
 let m_accepts = Obs.Metrics.counter "match.accepts"
 
 let res_outcome = function
-  | Some (M.Exact _) -> Obs.Trace.Accepted "exact"
-  | Some (M.Comp _) -> Obs.Trace.Accepted "compensated"
+  | Some (M.Exact _, _) -> Obs.Trace.Accepted "exact"
+  | Some (M.Comp _, _) -> Obs.Trace.Accepted "compensated"
   | None -> Obs.Trace.Step
 
 (* ---------------- static certification ---------------- *)
@@ -218,6 +253,59 @@ let cond2 ctx r_sel asg ~r_preds_canon ~strong_canon =
          && Prove.entails ~ty (Lazy.force st) pr)
     r_preds_canon
 
+(* The SELECT/SELECT prelude of 4.1.1/4.2.3 and 4.2.4, in subsumer-input
+   space: the subsumer's equivalence classes and outputs, canonical forms
+   of its predicates that touch no (lossless) extra child, and the query
+   predicates translated. [tx_preds] adds the child compensations' lifted
+   predicates to the translated query predicates; [strong_canon] is their
+   canonical form. [None], with the reason traced, when a query predicate
+   does not translate or condition 2 fails. *)
+type select_prelude = {
+  equiv : M.txref Equiv.t;
+  r_outs : (string * M.txref E.t) list;
+  r_preds_canon : M.txref E.t list;
+  e_preds_t : (B.qref E.t * M.txref E.t) list;
+  tx_preds : M.txref E.t list;
+  strong_canon : M.txref E.t list;
+}
+
+let select_prelude ctx asg (e_sel : B.select_body) (r_sel : B.select_body) =
+  let r_preds = List.map (E.map_col (fun q -> M.Rin q)) r_sel.B.sel_preds in
+  let equiv = equiv_of ctx r_preds in
+  let r_outs =
+    List.map (fun (n, e) -> (n, E.map_col (fun q -> M.Rin q) e)) r_sel.B.sel_outs
+  in
+  let extra_ids = List.map (fun q -> q.B.q_id) asg.Mctx.extras in
+  let r_preds_canon =
+    List.filter_map
+      (fun p ->
+        if refs_quants extra_ids p then None else Some (canon_tx equiv p))
+      r_preds
+  in
+  let e_preds_t =
+    List.map (fun p -> (p, Translate.to_subsumer asg p)) e_sel.B.sel_preds
+  in
+  match List.find_opt (fun (_, t) -> Option.is_none t) e_preds_t with
+  | Some (p, _) ->
+      Mctx.reject ctx (Obs.Trace.Pred_not_derivable (show_q p));
+      None
+  | None ->
+      let e_preds_t = List.map (fun (p, t) -> (p, Option.get t)) e_preds_t in
+      let tx_preds =
+        List.map snd e_preds_t
+        @ List.concat_map
+            (fun (rq, levels) -> lifted_comp_preds ~rq levels)
+            (child_comp_levels asg)
+      in
+      let strong_canon = List.map (canon_tx equiv) tx_preds in
+      if not (cond2 ctx r_sel asg ~r_preds_canon ~strong_canon) then begin
+        Mctx.reject ctx Obs.Trace.Summary_pred_unmatched;
+        None
+      end
+      else
+        Some
+          { equiv; r_outs; r_preds_canon; e_preds_t; tx_preds; strong_canon }
+
 (* Region-equality certificate for a flat SELECT/SELECT match.  Given all
    child pairs certified, [summary AND compensation] selects exactly the
    query's rows over the shared child space iff (1) every summary predicate
@@ -225,25 +313,20 @@ let cond2 ctx r_sel asg ~r_preds_canon ~strong_canon =
    entailed by the query side, and (3) every query-side predicate is
    entailed by summary + compensation.  Anything short of three [Proved]s
    leaves the match usable but uncertified (runtime verification applies). *)
-let certify_select_flat ctx asg ~equiv ~r_outs ~r_preds_canon ~strong_canon
-    ~comp_preds (r_sel : B.select_body) =
+let certify_select_flat ctx asg
+    { equiv; r_outs; r_preds_canon; strong_canon; _ } ~comp_preds
+    (r_sel : B.select_body) =
   if Govern.Budget.deadline_spent ctx.Mctx.budget then
     Prove.Unknown "planning deadline spent"
   else
     let child =
       List.fold_left
-        (fun acc (qe, qr, _) ->
-          Prove.both acc
-            (match
-               Hashtbl.find_opt ctx.Mctx.proofs (qe.B.q_box, qr.B.q_box)
-             with
-            | Some p -> p
-            | None -> Prove.Unknown "child pair not certified"))
+        (fun acc (_, _, (_, proof)) -> Prove.both acc proof)
         Prove.Proved asg.Mctx.pairs
     in
     match child with
     | Prove.Unknown _ -> child
-    | Prove.Proved ->
+    | Prove.Proved -> (
         (* compensation predicates live over the summary's outputs (Below)
            and rejoin columns; map them back into the shared txref space to
            compare regions *)
@@ -256,32 +339,30 @@ let certify_select_flat ctx asg ~equiv ~r_outs ~r_preds_canon ~strong_canon
               | M.Rejoin r -> Some (E.Col (M.Rj r)))
             p
         in
-        let comp_tx = List.map back comp_preds in
-        if List.exists Option.is_none comp_tx then
-          Prove.Unknown
-            "a compensation predicate does not map back to summary inputs"
-        else
-          let comp_canon =
-            List.map (fun p -> canon_tx equiv (Option.get p)) comp_tx
-          in
-          let ty = Prove.key_ty ~col:(txref_ty ctx r_sel asg) in
-          Prove.all_proved
-            [
-              Prove.subsumed ~ty ~weak:r_preds_canon ~strong:strong_canon;
-              Prove.subsumed ~ty ~weak:comp_canon ~strong:strong_canon;
-              Prove.subsumed ~ty ~weak:strong_canon
-                ~strong:(r_preds_canon @ comp_canon);
-            ]
+        match all_some (List.map back comp_preds) with
+        | None ->
+            Prove.Unknown
+              "a compensation predicate does not map back to summary inputs"
+        | Some comp_tx ->
+            let comp_canon = List.map (canon_tx equiv) comp_tx in
+            let ty = Prove.key_ty ~col:(txref_ty ctx r_sel asg) in
+            Prove.all_proved
+              [
+                Prove.subsumed ~ty ~weak:r_preds_canon ~strong:strong_canon;
+                Prove.subsumed ~ty ~weak:comp_canon ~strong:strong_canon;
+                Prove.subsumed ~ty ~weak:strong_canon
+                  ~strong:(r_preds_canon @ comp_canon);
+              ])
 
-(* Deposit a pattern's certificate for [match_boxes] to ledger, tracing the
-   typed reason when the proof came back [Unknown]. *)
-let set_proof ctx proof =
+(* A pattern's answer: its match with its certificate, tracing the typed
+   reason when the proof came back [Unknown]. *)
+let certified ctx res proof =
   (match proof with
   | Prove.Proved -> ()
   | Prove.Unknown w ->
       Obs.Trace.event ctx.Mctx.trace ~kind:"prove"
         ~label:(Obs.Trace.describe (Obs.Trace.Prove_unknown w)));
-  ctx.Mctx.pending_proof <- Some proof
+  Some (res, proof)
 
 (* Span around one box-pair judgment; a rejection leaf inside names the
    violated condition, this span names the pair and its shapes. *)
@@ -301,21 +382,19 @@ let rec match_boxes (ctx : Mctx.t) e_id r_id =
   Guard.Fault.maybe_delay ();
   Govern.Budget.tick_match ctx.Mctx.budget;
   match Hashtbl.find_opt ctx.Mctx.memo (e_id, r_id) with
-  | Some res ->
+  | Some answer ->
       Obs.Metrics.incr m_memo_hits;
-      res
+      answer
   | None ->
       Hashtbl.replace ctx.Mctx.memo (e_id, r_id) None;
       let e_box = G.box ctx.Mctx.qg e_id in
       let r_box = G.box ctx.Mctx.ag r_id in
-      let res =
+      let answer =
         match (e_box.B.body, r_box.B.body) with
         | B.Base { bt_table = t1; _ }, B.Base { bt_table = t2; bt_cols } ->
-            if norm t1 = norm t2 then begin
-              (* same base relation verbatim: trivially certified *)
-              ctx.Mctx.pending_proof <- Some Prove.Proved;
-              Some (M.Exact (List.map (fun c -> (c, c)) bt_cols))
-            end
+            (* same base relation verbatim: trivially certified *)
+            if norm t1 = norm t2 then
+              Some (M.Exact (List.map (fun c -> (c, c)) bt_cols), Prove.Proved)
             else None
         | B.Select e_sel, B.Select r_sel ->
             pair_span ctx e_id r_id "SELECT/SELECT" (fun () ->
@@ -325,21 +404,9 @@ let rec match_boxes (ctx : Mctx.t) e_id r_id =
                 match_group_group ctx e_grp r_grp)
         | _ -> None
       in
-      (* Move the pattern's certificate (if any) into the proof ledger;
-         every frame clears [pending_proof] so an outer pattern can never
-         read a stale inner certificate. *)
-      let proof =
-        match ctx.Mctx.pending_proof with
-        | Some p -> p
-        | None -> Prove.Unknown "match pattern not certified"
-      in
-      ctx.Mctx.pending_proof <- None;
-      if res <> None then begin
-        Obs.Metrics.incr m_accepts;
-        Hashtbl.replace ctx.Mctx.proofs (e_id, r_id) proof
-      end;
-      Hashtbl.replace ctx.Mctx.memo (e_id, r_id) res;
-      res
+      if Option.is_some answer then Obs.Metrics.incr m_accepts;
+      Hashtbl.replace ctx.Mctx.memo (e_id, r_id) answer;
+      answer
 
 (* ---------------- child pairing ---------------- *)
 
@@ -351,7 +418,7 @@ and pair_children ctx (e_quants : B.quant list) (r_quants : B.quant list) :
         if qr.B.q_kind <> qe.B.q_kind then None
         else
           match match_boxes ctx qe.B.q_box qr.B.q_box with
-          | Some res -> Some (qr, res)
+          | Some answer -> Some (qr, answer)
           | None -> None)
       r_quants
   in
@@ -359,16 +426,17 @@ and pair_children ctx (e_quants : B.quant list) (r_quants : B.quant list) :
   let used = Hashtbl.create 8 in
   let assigned = Hashtbl.create 8 in
   let pairs = ref [] in
-  let take qe (qr, res) =
+  let take qe (qr, answer) =
     Hashtbl.replace used qr.B.q_id ();
     Hashtbl.replace assigned qe.B.q_id ();
-    pairs := !pairs @ [ (qe, qr, res) ]
+    pairs := !pairs @ [ (qe, qr, answer) ]
   in
   (* pass 1: unique candidates first *)
   List.iter
     (fun (qe, cands) ->
       match cands with
-      | [ (qr, res) ] when not (Hashtbl.mem used qr.B.q_id) -> take qe (qr, res)
+      | [ (qr, answer) ] when not (Hashtbl.mem used qr.B.q_id) ->
+          take qe (qr, answer)
       | _ -> ())
     all;
   (* pass 2: greedy, preferring exact child matches *)
@@ -381,7 +449,8 @@ and pair_children ctx (e_quants : B.quant list) (r_quants : B.quant list) :
         let pick =
           match
             List.find_opt
-              (fun (_, res) -> match res with M.Exact _ -> true | _ -> false)
+              (fun (_, (res, _)) ->
+                match res with M.Exact _ -> true | _ -> false)
               avail
           with
           | Some c -> Some c
@@ -414,7 +483,7 @@ and match_select_select ctx (e_sel : B.select_body) (r_sel : B.select_body) =
       else begin
         let grouping_pairs =
           List.filter
-            (fun (_, _, res) ->
+            (fun (_, _, (res, _)) ->
               match res with
               | M.Comp levels -> M.comp_has_group levels
               | M.Exact _ -> false)
@@ -436,115 +505,52 @@ and match_select_select ctx (e_sel : B.select_body) (r_sel : B.select_body) =
 and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
     =
   pattern ctx "4.1.1/4.2.3 SELECT compensation over matched children";
-  let equiv =
-    if ctx.Mctx.config.Config.equivalence_classes then
-      Equiv.of_preds (List.map (E.map_col (fun q -> M.Rin q)) r_sel.B.sel_preds)
-    else Equiv.of_equalities []
-  in
-  let r_outs =
-    List.map (fun (n, e) -> (n, E.map_col (fun q -> M.Rin q) e)) r_sel.B.sel_outs
-  in
-  let extra_ids = List.map (fun q -> q.B.q_id) asg.Mctx.extras in
-  let r_preds =
-    List.map (E.map_col (fun q -> M.Rin q)) r_sel.B.sel_preds
-    |> List.filter (fun p -> not (refs_quants extra_ids p))
-  in
-  let r_preds_canon = List.map (canon_tx equiv) r_preds in
-  let e_preds_t =
-    List.map (fun p -> (p, Translate.to_subsumer asg p)) e_sel.B.sel_preds
-  in
-  if List.exists (fun (_, t) -> t = None) e_preds_t then begin
-    (match List.find_opt (fun (_, t) -> t = None) e_preds_t with
-    | Some (p, _) -> Mctx.reject ctx (Obs.Trace.Pred_not_derivable (show_q p))
-    | None -> ());
-    None
-  end
-  else
-    let e_preds_t = List.map (fun (_, t) -> Option.get t) e_preds_t in
-    let cc_preds =
-      List.concat_map
-        (fun (rq, levels) -> lifted_comp_preds ~rq levels)
-        (child_comp_levels asg)
-    in
-    let strong_canon = List.map (canon_tx equiv) (e_preds_t @ cc_preds) in
-    if not (cond2 ctx r_sel asg ~r_preds_canon ~strong_canon) then begin
-      Mctx.reject ctx Obs.Trace.Summary_pred_unmatched;
-      None
-    end
-    else begin
+  match select_prelude ctx asg e_sel r_sel with
+  | None -> None
+  | Some ({ equiv; r_outs; r_preds_canon; tx_preds; _ } as pre) -> (
+      let derive t = Derive.scalar ~config:ctx.Mctx.config ~equiv ~r_outs t in
       (* conditions 3 and 5: unmatched predicates must be derivable and go
          into the compensation *)
-      let comp_preds = ref [] in
-      let ok = ref true in
-      List.iter
-        (fun t ->
-          if not (List.mem (canon_tx equiv t) r_preds_canon) then
-            match Derive.scalar ~config:ctx.Mctx.config ~equiv ~r_outs t with
-            | Some d -> comp_preds := !comp_preds @ [ d ]
-            | None ->
+      let comp_preds =
+        List.filter_map
+          (fun t ->
+            if List.mem (canon_tx equiv t) r_preds_canon then None
+            else
+              let d = derive t in
+              if Option.is_none d then
                 Mctx.reject ctx (Obs.Trace.Pred_not_derivable (show_tx t));
-                ok := false)
-        (e_preds_t @ cc_preds);
-      if not !ok then None
-      else begin
-        (* condition 4, applied lazily (section 6: QCLs are created as a
-           side effect of deriving the parent's expressions): output
-           columns that cannot be derived are simply not exported by the
-           compensation, so only parents that consume them fail *)
-        let outs =
-          List.filter_map
-            (fun (n, e) ->
-              match Translate.to_subsumer asg e with
-              | None -> None
-              | Some t ->
-                  Option.map (fun d -> (n, d)) (Derive.scalar ~config:ctx.Mctx.config ~equiv ~r_outs t))
-            e_sel.B.sel_outs
-        in
-        if outs = [] && e_sel.B.sel_outs <> [] then begin
-          Mctx.reject ctx Obs.Trace.Output_not_derivable;
-          None
-        end
-        else begin
-          set_proof ctx
-            (certify_select_flat ctx asg ~equiv ~r_outs ~r_preds_canon
-               ~strong_canon ~comp_preds:!comp_preds r_sel);
-          let rejoins =
-            List.map (fun q -> { M.rc_quant = q }) asg.Mctx.rejoins
-            @ List.concat_map
-                (fun (_, levels) -> comp_rejoins levels)
-                (child_comp_levels asg)
+              Some d)
+          tx_preds
+      in
+      match all_some comp_preds with
+      | None -> None
+      | Some comp_preds ->
+          (* condition 4, applied lazily (section 6: QCLs are created as a
+             side effect of deriving the parent's expressions): output
+             columns that cannot be derived are simply not exported by the
+             compensation, so only parents that consume them fail *)
+          let outs =
+            List.filter_map
+              (named (fun e -> Option.bind (Translate.to_subsumer asg e) derive))
+              e_sel.B.sel_outs
           in
-          let pure_rename =
-            rejoins = [] && !comp_preds = []
-            && List.length outs = List.length e_sel.B.sel_outs
-            && List.for_all
-                 (fun (_, d) ->
-                   match d with E.Col (M.Below _) -> true | _ -> false)
-                 outs
-          in
-          if pure_rename then
-            Some
-              (M.Exact
-                 (List.map
-                    (fun (n, d) ->
-                      match d with
-                      | E.Col (M.Below m) -> (n, m)
-                      | _ -> assert false)
-                    outs))
+          if outs = [] && e_sel.B.sel_outs <> [] then begin
+            Mctx.reject ctx Obs.Trace.Output_not_derivable;
+            None
+          end
           else
-            Some
-              (M.Comp
-                 [
-                   M.L_select
-                     {
-                       ls_rejoins = rejoins;
-                       ls_preds = !comp_preds;
-                       ls_outs = outs;
-                     };
-                 ])
-        end
-      end
-    end
+            let proof = certify_select_flat ctx asg pre ~comp_preds r_sel in
+            let rejoins =
+              List.map (fun q -> { M.rc_quant = q }) asg.Mctx.rejoins
+              @ List.concat_map
+                  (fun (_, levels) -> comp_rejoins levels)
+                  (child_comp_levels asg)
+            in
+            certified ctx
+              (select_comp
+                 ~complete:(List.length outs = List.length e_sel.B.sel_outs)
+                 ~rejoins ~preds:comp_preds outs)
+              proof)
 
 (* 4.2.4: a single matched child whose compensation contains grouping. The
    child compensation stack is pulled up (level-0 references rewired from
@@ -553,177 +559,119 @@ and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
 and select_select_grouped ctx asg (e_sel : B.select_body)
     (r_sel : B.select_body) =
   pattern ctx "4.2.4 SELECT over a grouping child compensation";
-  match asg.Mctx.pairs with
-  | [ (qe, rq, M.Comp levels) ] -> (
-      let equiv =
-        if ctx.Mctx.config.Config.equivalence_classes then
-          Equiv.of_preds
-            (List.map (E.map_col (fun q -> M.Rin q)) r_sel.B.sel_preds)
-        else Equiv.of_equalities []
-      in
-      let r_outs =
-        List.map
-          (fun (n, e) -> (n, E.map_col (fun q -> M.Rin q) e))
-          r_sel.B.sel_outs
-      in
-      let extra_ids = List.map (fun q -> q.B.q_id) asg.Mctx.extras in
-      let r_preds =
-        List.map (E.map_col (fun q -> M.Rin q)) r_sel.B.sel_preds
-        |> List.filter (fun p -> not (refs_quants extra_ids p))
-      in
-      let r_preds_canon = List.map (canon_tx equiv) r_preds in
-      let e_preds_t =
-        List.map (fun p -> (p, Translate.to_subsumer asg p)) e_sel.B.sel_preds
-      in
-      if List.exists (fun (_, t) -> t = None) e_preds_t then begin
-        (match List.find_opt (fun (_, t) -> t = None) e_preds_t with
-        | Some (p, _) ->
-            Mctx.reject ctx (Obs.Trace.Pred_not_derivable (show_q p))
-        | None -> ());
-        None
-      end
-      else
-        let e_preds_t = List.map (fun (p, t) -> (p, Option.get t)) e_preds_t in
-        let cc_preds = lifted_comp_preds ~rq levels in
-        let strong_canon =
-          List.map (fun (_, t) -> canon_tx equiv t) e_preds_t
-          @ List.map (canon_tx equiv) cc_preds
+  match (asg.Mctx.pairs, select_prelude ctx asg e_sel r_sel) with
+  | _, None -> None
+  | ( [ (qe, rq, (M.Comp (level0 :: rest), _)) ],
+      Some { equiv; r_outs; r_preds_canon; e_preds_t; _ } ) -> (
+      (* pull-up: rewire level 0 from subsumer-child outputs to subsumer
+         outputs; every referenced column must be preserved (condition 5
+         of 4.2.3, extended to grouping columns in 4.2.4) *)
+      let r_out_name_of x =
+        let target =
+          canon_tx equiv (E.Col (M.Rin { B.quant = rq.B.q_id; col = x }))
         in
-        if not (cond2 ctx r_sel asg ~r_preds_canon ~strong_canon) then begin
-          Mctx.reject ctx Obs.Trace.Summary_pred_unmatched;
-          None
-        end
-        else
-          (* pull-up: rewire level 0 from subsumer-child outputs to subsumer
-             outputs; every referenced column must be preserved (condition 5
-             of 4.2.3, extended to grouping columns in 4.2.4) *)
-          let r_out_name_of x =
-            let target =
-              canon_tx equiv (E.Col (M.Rin { B.quant = rq.B.q_id; col = x }))
+        List.find_map
+          (fun (m, o) -> if canon_tx equiv o = target then Some m else None)
+          r_outs
+      in
+      let rewire_expr e =
+        E.subst_col
+          (fun c ->
+            match c with
+            | M.Rejoin _ -> Some (E.Col c)
+            | M.Below x ->
+                Option.map (fun m -> E.Col (M.Below m)) (r_out_name_of x))
+          e
+      in
+      let map_names cols = all_some (List.map r_out_name_of cols) in
+      let rewire_level0 = function
+        | M.L_select { ls_rejoins; ls_preds; ls_outs } -> (
+            let preds = all_some (List.map rewire_expr ls_preds) in
+            match (preds, all_some (List.map (named rewire_expr) ls_outs)) with
+            | Some ls_preds, Some ls_outs ->
+                Some (M.L_select { ls_rejoins; ls_preds; ls_outs })
+            | _ -> None)
+        | M.L_group { lg_grouping; lg_aggs } -> (
+            let grouping =
+              match lg_grouping with
+              | B.Simple cols ->
+                  Option.map (fun c -> B.Simple c) (map_names cols)
+              | B.Gsets sets ->
+                  Option.map
+                    (fun s -> B.Gsets s)
+                    (all_some (List.map map_names sets))
             in
-            List.find_map
-              (fun (m, o) -> if canon_tx equiv o = target then Some m else None)
-              r_outs
-          in
-          let rewire_expr e =
+            let aggs =
+              all_some
+                (List.map
+                   (fun (n, agg, arg) ->
+                     match arg with
+                     | None -> Some (n, agg, None)
+                     | Some a ->
+                         Option.map (fun a -> (n, agg, Some a)) (rewire_expr a))
+                   lg_aggs)
+            in
+            match (grouping, aggs) with
+            | Some lg_grouping, Some lg_aggs ->
+                Some (M.L_group { lg_grouping; lg_aggs })
+            | _ -> None)
+      in
+      match rewire_level0 level0 with
+      | None ->
+          Mctx.reject ctx
+            (Obs.Trace.Unsupported
+               "the grouping child compensation references a column not \
+                preserved at the subsumer's output");
+          None
+      | Some level0' -> (
+          let to_cref e =
             E.subst_col
-              (fun c ->
-                match c with
-                | M.Rejoin _ -> Some (E.Col c)
-                | M.Below x ->
-                    Option.map (fun m -> E.Col (M.Below m)) (r_out_name_of x))
+              (fun ({ B.quant; col } as qref) ->
+                if quant = qe.B.q_id then Some (E.Col (M.Below col))
+                else if
+                  List.exists (fun q -> q.B.q_id = quant) asg.Mctx.rejoins
+                then Some (E.Col (M.Rejoin qref))
+                else None)
               e
           in
-          let rewire_level0 level =
-            match level with
-            | M.L_select { ls_rejoins; ls_preds; ls_outs } -> (
-                let preds = List.map rewire_expr ls_preds in
-                let outs =
-                  List.map (fun (n, e) -> (n, rewire_expr e)) ls_outs
-                in
-                if
-                  List.exists (fun p -> p = None) preds
-                  || List.exists (fun (_, o) -> o = None) outs
-                then None
-                else
-                  Some
-                    (M.L_select
-                       {
-                         ls_rejoins;
-                         ls_preds = List.filter_map (fun p -> p) preds;
-                         ls_outs =
-                           List.map (fun (n, o) -> (n, Option.get o)) outs;
-                       }))
-            | M.L_group { lg_grouping; lg_aggs } -> (
-                let map_names cols =
-                  let mapped = List.map r_out_name_of cols in
-                  if List.exists (fun m -> m = None) mapped then None
-                  else Some (List.filter_map (fun m -> m) mapped)
-                in
-                let grouping' =
-                  match lg_grouping with
-                  | B.Simple cols ->
-                      Option.map (fun c -> B.Simple c) (map_names cols)
-                  | B.Gsets sets ->
-                      let sets' = List.map map_names sets in
-                      if List.exists (fun s -> s = None) sets' then None
-                      else Some (B.Gsets (List.filter_map (fun s -> s) sets'))
-                in
-                let aggs' =
-                  List.map
-                    (fun (n, agg, arg) ->
-                      match arg with
-                      | None -> Some (n, agg, None)
-                      | Some a ->
-                          Option.map (fun a -> (n, agg, Some a)) (rewire_expr a))
-                    lg_aggs
-                in
-                match grouping' with
-                | Some gpg when List.for_all (fun a -> a <> None) aggs' ->
-                    Some
-                      (M.L_group
-                         {
-                           lg_grouping = gpg;
-                           lg_aggs = List.filter_map (fun a -> a) aggs';
-                         })
-                | _ -> None)
+          let top_preds =
+            List.filter_map
+              (fun (p, t) ->
+                if List.mem (canon_tx equiv t) r_preds_canon then None
+                else Some (p, to_cref p))
+              e_preds_t
           in
-          match levels with
-          | [] -> None
-          | level0 :: rest -> (
-              match rewire_level0 level0 with
-              | None ->
-                  Mctx.reject ctx
-                    (Obs.Trace.Unsupported
-                       "the grouping child compensation references a column \
-                        not preserved at the subsumer's output");
-                  None
-              | Some level0' ->
-                  let to_cref e =
-                    E.subst_col
-                      (fun ({ B.quant; col } as qref) ->
-                        if quant = qe.B.q_id then Some (E.Col (M.Below col))
-                        else if
-                          List.exists
-                            (fun q -> q.B.q_id = quant)
-                            asg.Mctx.rejoins
-                        then Some (E.Col (M.Rejoin qref))
-                        else None)
-                      e
-                  in
-                  let top_preds =
-                    List.filter_map
-                      (fun (p, t) ->
-                        if List.mem (canon_tx equiv t) r_preds_canon then None
-                        else Some (to_cref p))
-                      e_preds_t
-                  in
-                  let top_outs =
-                    List.map (fun (n, e) -> (n, to_cref e)) e_sel.B.sel_outs
-                  in
-                  if
-                    List.exists (fun p -> p = None) top_preds
-                    || List.exists (fun (_, o) -> o = None) top_outs
-                  then None
-                  else begin
-                    let top =
-                      M.L_select
-                        {
-                          ls_rejoins =
-                            List.map
-                              (fun q -> { M.rc_quant = q })
-                              asg.Mctx.rejoins;
-                          ls_preds = List.filter_map (fun p -> p) top_preds;
-                          ls_outs =
-                            List.map (fun (n, o) -> (n, Option.get o)) top_outs;
-                        }
-                    in
-                    set_proof ctx
-                      (Prove.Unknown
-                         "4.2.4 grouping pull-up rewrite not certified");
-                    Some (M.Comp ((level0' :: rest) @ [ top ]))
-                  end))
-  | _ -> None
+          let top_outs = all_some (List.map (named to_cref) e_sel.B.sel_outs) in
+          match
+            (List.find_opt (fun (_, c) -> Option.is_none c) top_preds, top_outs)
+          with
+          | Some (p, _), _ ->
+              Mctx.reject ctx (Obs.Trace.Pred_not_derivable (show_q p));
+              None
+          | None, None ->
+              Mctx.reject ctx
+                (Obs.Trace.Unsupported
+                   "a query output column does not map onto the grouping \
+                    child compensation");
+              None
+          | None, Some ls_outs ->
+              let top =
+                M.L_select
+                  {
+                    ls_rejoins =
+                      List.map (fun q -> { M.rc_quant = q }) asg.Mctx.rejoins;
+                    ls_preds = List.map (fun (_, c) -> Option.get c) top_preds;
+                    ls_outs;
+                  }
+              in
+              certified ctx
+                (M.Comp ((level0' :: rest) @ [ top ]))
+                (Prove.Unknown "4.2.4 grouping pull-up rewrite not certified")))
+  | _, Some _ ->
+      Mctx.reject ctx
+        (Obs.Trace.Unsupported
+           "4.2.4 needs one matched child with a grouping compensation");
+      None
 
 (* ---------------- GROUP BY / GROUP BY ---------------- *)
 
@@ -732,23 +680,19 @@ and match_group_group ctx (e_grp : B.group_body) (r_grp : B.group_body) =
   | None ->
       Mctx.reject ctx Obs.Trace.Child_mismatch;
       None
-  | Some child_res ->
+  | Some (child_res, child_proof) ->
       let levels =
         match child_res with M.Exact _ -> [] | M.Comp levels -> levels
       in
       if not (M.comp_has_group levels) then begin
         pattern ctx "4.1.2/4.2.1 regroupable GROUP BY over matched child";
         (* 4.1.2 / 4.2.1 / 5.x: child compensation is at most a SELECT *)
-        let pulled_preds =
-          List.concat_map
-            (function
-              | M.L_select { ls_preds; _ } -> ls_preds | M.L_group _ -> [])
-            levels
-        in
+        let pulled_preds = comp_preds levels in
         let rejoins = comp_rejoins levels in
         let keys =
           List.map
-            (fun k -> (k, Translate.child_col child_res k))
+            (fun k ->
+              Option.map (fun t -> (k, t)) (Translate.child_col child_res k))
             (B.grouping_union e_grp.B.grp_grouping)
         in
         let e_child = e_grp.B.grp_quant.B.q_box in
@@ -776,54 +720,20 @@ and match_group_group ctx (e_grp : B.group_body) (r_grp : B.group_body) =
                       else None))
             e_grp.B.grp_aggs
         in
-        if List.exists (fun (_, t) -> t = None) keys then begin
-          Mctx.reject ctx Obs.Trace.Grouping_not_translatable;
-          None
-        end
-        else if List.exists (fun a -> a = None) aggs then begin
-          Mctx.reject ctx Obs.Trace.Agg_not_preserved;
-          None
-        end
-        else begin
-          let res =
-            match_group_spec ctx
-              ~keys:(List.map (fun (k, t) -> (k, Option.get t)) keys)
-              ~sets:(B.grouping_sets e_grp.B.grp_grouping)
-              ~simple:
-                (match e_grp.B.grp_grouping with
-                | B.Simple _ -> true
-                | B.Gsets _ -> false)
-              ~aggs:(List.filter_map (fun a -> a) aggs)
-              ~pulled_preds ~rejoins ~r_grp
-          in
-          (* Regrouping is exact whenever the child regions are provably
-             equal and both groupings are plain (a cube slice synthesizes
-             IS NULL predicates the certificate does not cover), so the
-             child pair's certificate transfers to this pair. *)
-          (match res with
-          | None -> ()
-          | Some _ ->
-              let both_simple =
-                (match e_grp.B.grp_grouping with
-                | B.Simple _ -> true
-                | B.Gsets _ -> false)
-                &&
-                match r_grp.B.grp_grouping with
-                | B.Simple _ -> true
-                | B.Gsets _ -> false
-              in
-              set_proof ctx
-                (if not both_simple then
-                   Prove.Unknown "grouping-sets (cube) rewrite not certified"
-                 else
-                   match
-                     Hashtbl.find_opt ctx.Mctx.proofs
-                       (e_grp.B.grp_quant.B.q_box, r_grp.B.grp_quant.B.q_box)
-                   with
-                   | Some p -> p
-                   | None -> Prove.Unknown "child pair not certified"));
-          res
-        end
+        (* Regrouping is exact whenever the child regions are provably
+           equal and both groupings are plain (a cube slice synthesizes
+           IS NULL predicates the certificate does not cover), so the
+           child pair's certificate transfers to this pair. *)
+        Option.bind
+          (translated_group_spec ctx ~grouping:e_grp.B.grp_grouping ~keys
+             ~aggs ~pulled_preds ~rejoins ~r_grp)
+          (fun res ->
+            certified ctx res
+              (if
+                 is_simple e_grp.B.grp_grouping
+                 && is_simple r_grp.B.grp_grouping
+               then child_proof
+               else Prove.Unknown "grouping-sets (cube) rewrite not certified"))
       end
       else match_group_nested ctx ~levels ~e_grp ~r_grp
 
@@ -840,12 +750,16 @@ and match_group_nested ctx ~levels ~(e_grp : B.group_body)
     | (M.L_select _ as l) :: above -> split (l :: below) above
   in
   match split [] levels with
-  | None -> None
+  | None ->
+      Mctx.reject ctx
+        (Obs.Trace.Unsupported
+           "the child compensation has no GROUP BY level to regroup through");
+      None
   | Some (below, low_grouping, low_aggs, above) -> (
       let expand e = Translate.through_comp below e in
       let keys =
         List.map
-          (fun k -> (k, expand (E.Col (M.Below k))))
+          (fun k -> Option.map (fun t -> (k, t)) (expand (E.Col (M.Below k))))
           (B.grouping_union low_grouping)
       in
       let aggs =
@@ -856,76 +770,67 @@ and match_group_nested ctx ~levels ~(e_grp : B.group_body)
             | Some a -> Option.map (fun t -> (n, agg, Some t)) (expand a))
           low_aggs
       in
-      let pulled_preds =
-        List.concat_map
-          (function
-            | M.L_select { ls_preds; _ } -> ls_preds | M.L_group _ -> [])
-          below
-      in
-      if List.exists (fun (_, t) -> t = None) keys then begin
-        Mctx.reject ctx Obs.Trace.Grouping_not_translatable;
-        None
-      end
-      else if List.exists (fun a -> a = None) aggs then begin
-        Mctx.reject ctx Obs.Trace.Agg_not_preserved;
-        None
-      end
-      else
-        match
-          match_group_spec ctx
-            ~keys:(List.map (fun (k, t) -> (k, Option.get t)) keys)
-            ~sets:(B.grouping_sets low_grouping)
-            ~simple:(match low_grouping with B.Simple _ -> true | _ -> false)
-            ~aggs:(List.filter_map (fun a -> a) aggs)
-            ~pulled_preds ~rejoins:(comp_rejoins below) ~r_grp
-        with
-        | None -> None
-        | Some intermediate ->
-            let inter_levels =
-              match intermediate with
-              | M.Comp ls -> ls
-              | M.Exact cmap ->
-                  [
-                    M.L_select
-                      {
-                        ls_rejoins = [];
-                        ls_preds = [];
-                        ls_outs =
-                          List.map (fun (n, m) -> (n, E.Col (M.Below m))) cmap;
-                      };
-                  ]
-            in
-            let final_group =
-              M.L_group
-                {
-                  lg_grouping = e_grp.B.grp_grouping;
-                  lg_aggs =
-                    List.map
-                      (fun (n, { B.agg; arg }) ->
-                        (n, agg, Option.map (fun a -> E.Col (M.Below a)) arg))
-                      e_grp.B.grp_aggs;
-                }
-            in
-            set_proof ctx
-              (Prove.Unknown "4.2.2 nested regroup not certified");
-            Some (M.Comp (inter_levels @ above @ [ final_group ])))
+      match
+        translated_group_spec ctx ~grouping:low_grouping ~keys ~aggs
+          ~pulled_preds:(comp_preds below) ~rejoins:(comp_rejoins below) ~r_grp
+      with
+      | None -> None
+      | Some intermediate ->
+          let inter_levels =
+            match intermediate with
+            | M.Comp ls -> ls
+            | M.Exact cmap ->
+                [
+                  M.L_select
+                    {
+                      ls_rejoins = [];
+                      ls_preds = [];
+                      ls_outs =
+                        List.map (fun (n, m) -> (n, E.Col (M.Below m))) cmap;
+                    };
+                ]
+          in
+          let final_group =
+            M.L_group
+              {
+                lg_grouping = e_grp.B.grp_grouping;
+                lg_aggs =
+                  List.map
+                    (fun (n, { B.agg; arg }) ->
+                      (n, agg, Option.map (fun a -> E.Col (M.Below a)) arg))
+                    e_grp.B.grp_aggs;
+              }
+          in
+          certified ctx
+            (M.Comp (inter_levels @ above @ [ final_group ]))
+            (Prove.Unknown "4.2.2 nested regroup not certified"))
+
+(* The subsumee grouping of 4.1.2/4.2.1 (from the child match) or 4.2.2
+   (through the compensation below its lowest GROUP BY), translated into
+   the subsumer child's output space: every key and aggregate argument
+   must translate before the grouping can be matched. *)
+and translated_group_spec ctx ~grouping ~keys ~aggs ~pulled_preds ~rejoins
+    ~r_grp =
+  match (all_some keys, all_some aggs) with
+  | None, _ ->
+      Mctx.reject ctx Obs.Trace.Grouping_not_translatable;
+      None
+  | _, None ->
+      Mctx.reject ctx Obs.Trace.Agg_not_preserved;
+      None
+  | Some keys, Some aggs ->
+      match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins ~r_grp
 
 (* The engine room for 4.1.2 / 4.2.1 / 5.1 / 5.2. The subsumee grouping
-   spec (keys, sets, aggs) is in subsumer-child output space: key and
+   spec (keys, grouping, aggs) is in subsumer-child output space: key and
    aggregate-argument expressions are over [Below] of the subsumer-child's
    outputs plus [Rejoin] references. *)
-and match_group_spec ctx ~keys ~sets ~simple ~aggs ~pulled_preds ~rejoins
+and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
     ~(r_grp : B.group_body) =
-  let equiv =
-    if ctx.Mctx.config.Config.equivalence_classes then
-      Equiv.of_preds pulled_preds
-    else Equiv.of_equalities []
-  in
+  let equiv = equiv_of ctx pulled_preds in
   let r_sets = B.grouping_sets r_grp.B.grp_grouping in
   let r_union = B.grouping_union r_grp.B.grp_grouping in
-  let r_is_cube =
-    match r_grp.B.grp_grouping with B.Gsets _ -> true | B.Simple _ -> false
-  in
+  let r_is_cube = not (is_simple r_grp.B.grp_grouping) in
   let r_child = r_grp.B.grp_quant.B.q_box in
   let r_aggs =
     List.map (fun (n, { B.agg; arg }) -> (n, agg, arg)) r_grp.B.grp_aggs
@@ -968,14 +873,10 @@ and match_group_spec ctx ~keys ~sets ~simple ~aggs ~pulled_preds ~rejoins
           | Some a -> Some (E.Binop ("AND", a, t)))
         None r_union
   in
-  let restrict cuboid e = Derive.restrict_to_cols equiv cuboid e in
   (* exact-cuboid attempt: the selected keys, restricted to the cuboid, must
      cover it column-for-column; pulled predicates must restrict; aggregates
      must match subsumer aggregates directly *)
   let try_exact_cuboid sel_key_names cuboid =
-    let sel_keys =
-      List.filter (fun (k, _) -> col_mem k sel_key_names) keys
-    in
     (* rejoin-valued keys count as cuboid columns when the pulled join
        predicates make them equivalent to one (Figure 8's lid = flid) *)
     let to_below t =
@@ -996,52 +897,43 @@ and match_group_spec ctx ~keys ~sets ~simple ~aggs ~pulled_preds ~rejoins
               | None -> c))
         t
     in
-    let rkeys =
-      List.map (fun (k, t) -> (k, restrict cuboid (to_below t))) sel_keys
+    let sel_keys =
+      List.filter_map
+        (fun (k, t) ->
+          if col_mem k sel_key_names then Some (k, to_below t) else None)
+        keys
     in
-    let rpreds = List.map (restrict cuboid) pulled_preds in
-    if
-      List.exists (fun (_, t) -> t = None) rkeys
-      || List.exists (fun p -> p = None) rpreds
-    then None
-    else
-      let rkeys = List.map (fun (k, t) -> (k, Option.get t)) rkeys in
-      let key_cols =
-        List.map
-          (fun (k, t) ->
-            match t with E.Col (M.Below x) -> Some (k, x) | _ -> None)
-          rkeys
-      in
-      if List.exists (fun c -> c = None) key_cols then None
-      else
-        let key_cols = List.filter_map (fun c -> c) key_cols in
-        let covers =
-          List.sort_uniq compare (List.map (fun (_, x) -> norm x) key_cols)
-          = List.sort_uniq compare (List.map norm cuboid)
-        in
-        if not covers then None
-        else if rejoins <> [] && not (rejoins_one_sided ()) then None
-        else
-          let env =
-            {
-              Derive.ge_equiv = equiv;
-              ge_cuboid = cuboid;
-              ge_r_aggs = r_aggs;
-              ge_arg_nullable = arg_nullable;
-              ge_ekey_cols = Some (List.map snd key_cols);
-            }
-          in
-          let direct =
-            List.map
-              (fun (n, agg, arg) -> (n, Derive.agg_direct env agg arg))
-              aggs
-          in
-          if List.exists (fun (_, d) -> d = None) direct then None
-          else
-            Some
-              ( key_cols,
-                List.filter_map (fun p -> p) rpreds,
-                List.map (fun (n, d) -> (n, Option.get d)) direct )
+    match restrict_to_cuboid equiv cuboid sel_keys pulled_preds with
+    | None -> None
+    | Some (rkeys, rpreds) -> (
+        match all_some (List.map (named below_col) rkeys) with
+        | None -> None
+        | Some key_cols ->
+            let covers =
+              List.sort_uniq compare (List.map (fun (_, x) -> norm x) key_cols)
+              = List.sort_uniq compare (List.map norm cuboid)
+            in
+            if not covers then None
+            else if rejoins <> [] && not (rejoins_one_sided ()) then None
+            else
+              let env =
+                {
+                  Derive.ge_equiv = equiv;
+                  ge_cuboid = cuboid;
+                  ge_r_aggs = r_aggs;
+                  ge_arg_nullable = arg_nullable;
+                  ge_ekey_cols = Some (List.map snd key_cols);
+                }
+              in
+              Option.map
+                (fun direct -> (key_cols, rpreds, direct))
+                (all_some
+                   (List.map
+                      (fun (n, agg, arg) ->
+                        Option.map
+                          (fun d -> (n, d))
+                          (Derive.agg_direct env agg arg))
+                      aggs)))
   in
   let key_out k =
     (* prefer the untouched translated key when all of its references
@@ -1057,180 +949,156 @@ and match_group_spec ctx ~keys ~sets ~simple ~aggs ~pulled_preds ~rejoins
     in
     if usable then Some orig else None
   in
-  if simple then begin
-    let exact_hit =
-      List.find_map
-        (fun cuboid ->
-          Option.map
-            (fun x -> (cuboid, x))
-            (try_exact_cuboid (List.map fst keys) cuboid))
-        r_sets
-    in
-    match exact_hit with
-    | Some (cuboid, (key_cols, preds', direct)) ->
-        let all_preds = Option.to_list (slice_conj cuboid) @ preds' in
-        let outs =
-          List.map
-            (fun (k, x) ->
-              match key_out k with
-              | Some orig -> (k, orig)
-              | None -> (k, E.Col (M.Below x)))
-            key_cols
-          @ List.map (fun (n, m) -> (n, E.Col (M.Below m))) direct
-        in
-        if
-          rejoins = [] && all_preds = []
-          && List.for_all
-               (fun (_, d) ->
-                 match d with E.Col (M.Below _) -> true | _ -> false)
-               outs
-        then
+  let regroup regroup_grouping =
+    regroup_compensation ctx ~keys ~regroup_grouping ~aggs ~equiv ~r_sets
+      ~r_aggs ~arg_nullable ~rejoins ~pulled_preds ~slice_conj
+  in
+  match grouping with
+  | B.Simple _ -> (
+      let exact_hit =
+        List.find_map
+          (fun cuboid ->
+            Option.map
+              (fun x -> (cuboid, x))
+              (try_exact_cuboid (List.map fst keys) cuboid))
+          r_sets
+      in
+      match exact_hit with
+      | Some (cuboid, (key_cols, preds', direct)) ->
+          let outs =
+            List.map
+              (fun (k, x) ->
+                match key_out k with
+                | Some orig -> (k, orig)
+                | None -> (k, E.Col (M.Below x)))
+              key_cols
+            @ List.map (fun (n, m) -> (n, E.Col (M.Below m))) direct
+          in
           Some
-            (M.Exact
-               (List.map
-                  (fun (n, d) ->
-                    match d with
-                    | E.Col (M.Below m) -> (n, m)
-                    | _ -> assert false)
-                  outs))
-        else
-          Some
-            (M.Comp
-               [
-                 M.L_select
-                   { ls_rejoins = rejoins; ls_preds = all_preds; ls_outs = outs };
-               ])
-    | None ->
-        regroup_compensation ctx ~keys
-          ~regroup_grouping:(B.Simple (List.map fst keys))
-          ~aggs ~equiv ~r_sets ~r_aggs ~arg_nullable ~rejoins ~pulled_preds
-          ~slice_conj ~restrict
-  end
-  else begin
-    (* 5.2: cube query against cube AST *)
-    let per_set =
-      List.map
-        (fun set ->
-          List.find_map
-            (fun cuboid ->
-              Option.map (fun x -> (cuboid, x)) (try_exact_cuboid set cuboid))
-            r_sets)
-        sets
-    in
-    let all_exact = List.for_all (fun x -> x <> None) per_set in
-    if all_exact && rejoins = [] then begin
-      let hits = List.filter_map (fun x -> x) per_set in
-      (* key -> subsumer column mappings and aggregate mappings must agree
-         across the chosen cuboids, and pulled predicates must restrict
-         identically *)
-      let merged_keys = Hashtbl.create 8 in
-      let consistent = ref true in
-      List.iter
-        (fun (_, (key_cols, _, _)) ->
+            (select_comp ~complete:true ~rejoins
+               ~preds:(Option.to_list (slice_conj cuboid) @ preds')
+               outs)
+      | None -> regroup (B.Simple (List.map fst keys)))
+  | B.Gsets sets -> (
+      (* 5.2: cube query against cube AST *)
+      let per_set =
+        List.map
+          (fun set ->
+            List.find_map
+              (fun cuboid ->
+                Option.map (fun x -> (cuboid, x)) (try_exact_cuboid set cuboid))
+              r_sets)
+          sets
+      in
+      match all_some per_set with
+      | Some hits when rejoins = [] ->
+          (* key -> subsumer column mappings and aggregate mappings must
+             agree across the chosen cuboids, and pulled predicates must
+             restrict identically *)
+          let merged_keys = Hashtbl.create 8 in
+          let consistent = ref true in
           List.iter
-            (fun (k, x) ->
-              match Hashtbl.find_opt merged_keys (norm k) with
-              | None -> Hashtbl.replace merged_keys (norm k) x
-              | Some x' -> if norm x <> norm x' then consistent := false)
-            key_cols)
-        hits;
-      let _, (_, preds0, direct0) = ((), List.hd hits |> snd) in
-      List.iter
-        (fun (_, (_, p, d)) ->
-          if p <> preds0 || d <> direct0 then consistent := false)
-        hits;
-      if not !consistent then None
-      else
-        let slices = List.filter_map (fun (c, _) -> slice_conj c) hits in
-        let disj =
-          match slices with
-          | [] -> []
-          | first :: rest ->
-              [ List.fold_left (fun acc s -> E.Binop ("OR", acc, s)) first rest ]
-        in
-        let outs =
-          List.map
-            (fun (k, _) ->
-              match Hashtbl.find_opt merged_keys (norm k) with
-              | Some x -> (k, E.Col (M.Below x))
-              | None -> (k, E.Const V.Null))
-            keys
-          @ List.map (fun (n, m) -> (n, E.Col (M.Below m))) direct0
-        in
-        Some
-          (M.Comp
-             [
-               M.L_select
-                 { ls_rejoins = []; ls_preds = disj @ preds0; ls_outs = outs };
-             ])
-    end
-    else
-      regroup_compensation ctx ~keys ~regroup_grouping:(B.Gsets sets) ~aggs
-        ~equiv ~r_sets ~r_aggs ~arg_nullable ~rejoins ~pulled_preds ~slice_conj
-        ~restrict
-  end
+            (fun (_, (key_cols, _, _)) ->
+              List.iter
+                (fun (k, x) ->
+                  match Hashtbl.find_opt merged_keys (norm k) with
+                  | None -> Hashtbl.replace merged_keys (norm k) x
+                  | Some x' -> if norm x <> norm x' then consistent := false)
+                key_cols)
+            hits;
+          let _, (_, preds0, direct0) = List.hd hits in
+          List.iter
+            (fun (_, (_, p, d)) ->
+              if p <> preds0 || d <> direct0 then consistent := false)
+            hits;
+          if not !consistent then begin
+            Mctx.reject ctx
+              (Obs.Trace.Unsupported
+                 "the query's grouping sets map onto summary cuboids that \
+                  disagree on key columns, predicates or aggregates");
+            None
+          end
+          else
+            let slices = List.filter_map (fun (c, _) -> slice_conj c) hits in
+            let disj =
+              match slices with
+              | [] -> []
+              | first :: rest ->
+                  [
+                    List.fold_left
+                      (fun acc s -> E.Binop ("OR", acc, s))
+                      first rest;
+                  ]
+            in
+            let outs =
+              List.map
+                (fun (k, _) ->
+                  match Hashtbl.find_opt merged_keys (norm k) with
+                  | Some x -> (k, E.Col (M.Below x))
+                  | None -> (k, E.Const V.Null))
+                keys
+              @ List.map (fun (n, m) -> (n, E.Col (M.Below m))) direct0
+            in
+            Some
+              (M.Comp
+                 [
+                   M.L_select
+                     {
+                       ls_rejoins = [];
+                       ls_preds = disj @ preds0;
+                       ls_outs = outs;
+                     };
+                 ])
+      | _ -> regroup (B.Gsets sets))
 
 (* The [select; group; select] compensation for the regrouping cases of
    4.1.2 / 4.2.1 / 5.1 / 5.2: slice and filter the smallest usable cuboid,
    regroup by the subsumee's grouping, re-derive the aggregates. *)
 and regroup_compensation ctx ~keys ~regroup_grouping ~aggs ~equiv ~r_sets
-    ~r_aggs ~arg_nullable ~rejoins ~pulled_preds ~slice_conj ~restrict =
+    ~r_aggs ~arg_nullable ~rejoins ~pulled_preds ~slice_conj =
   pattern ctx "5.1/5.2 regroup from a covering cuboid";
   let candidates =
     List.filter_map
       (fun cuboid ->
-        let rkeys = List.map (fun (k, t) -> (k, restrict cuboid t)) keys in
-        let rpreds = List.map (restrict cuboid) pulled_preds in
-        if
-          List.exists (fun (_, t) -> t = None) rkeys
-          || List.exists (fun p -> p = None) rpreds
-        then None
-        else
-          let rkeys = List.map (fun (k, t) -> (k, Option.get t)) rkeys in
-          let key_cols =
-            List.filter_map
-              (fun (_, t) ->
-                match t with E.Col (M.Below x) -> Some x | _ -> None)
-              rkeys
-          in
-          (* rule f's exactness shortcut (COUNT(DISTINCT x) as plain
-             COUNT(y)) presumes the compensation groups by ALL the keys;
-             under a grouping-sets regroup the coarser cuboids group by
-             fewer, so only the general DISTINCT form is sound there *)
-          let ekey_cols =
-            match regroup_grouping with
-            | B.Gsets _ -> None
-            | B.Simple _ ->
-                if List.length key_cols = List.length rkeys then Some key_cols
-                else None
-          in
-          let env =
-            {
-              Derive.ge_equiv = equiv;
-              ge_cuboid = cuboid;
-              ge_r_aggs = r_aggs;
-              ge_arg_nullable = arg_nullable;
-              ge_ekey_cols = ekey_cols;
-            }
-          in
-          let derived =
-            List.map
-              (fun (n, agg, arg) -> (n, Derive.agg_regroup env agg arg))
-              aggs
-          in
-          if List.exists (fun (_, d) -> d = None) derived then begin
-            (match List.find_opt (fun (_, d) -> d = None) derived with
+        match restrict_to_cuboid equiv cuboid keys pulled_preds with
+        | None -> None
+        | Some (rkeys, rpreds) -> (
+            let key_cols = List.filter_map (fun (_, t) -> below_col t) rkeys in
+            (* rule f's exactness shortcut (COUNT(DISTINCT x) as plain
+               COUNT(y)) presumes the compensation groups by ALL the keys;
+               under a grouping-sets regroup the coarser cuboids group by
+               fewer, so only the general DISTINCT form is sound there *)
+            let ekey_cols =
+              if
+                is_simple regroup_grouping
+                && List.length key_cols = List.length rkeys
+              then Some key_cols
+              else None
+            in
+            let env =
+              {
+                Derive.ge_equiv = equiv;
+                ge_cuboid = cuboid;
+                ge_r_aggs = r_aggs;
+                ge_arg_nullable = arg_nullable;
+                ge_ekey_cols = ekey_cols;
+              }
+            in
+            let derived =
+              List.map
+                (fun (n, agg, arg) -> (n, Derive.agg_regroup env agg arg))
+                aggs
+            in
+            match List.find_opt (fun (_, d) -> Option.is_none d) derived with
             | Some (n, _) ->
-                Mctx.reject ctx (Obs.Trace.Agg_rule_inapplicable n)
-            | None -> ());
-            None
-          end
-          else
-            Some
-              ( cuboid,
-                rkeys,
-                List.filter_map (fun p -> p) rpreds,
-                List.map (fun (n, d) -> (n, Option.get d)) derived ))
+                Mctx.reject ctx (Obs.Trace.Agg_rule_inapplicable n);
+                None
+            | None ->
+                Some
+                  ( cuboid,
+                    rkeys,
+                    rpreds,
+                    List.map (fun (n, d) -> (n, Option.get d)) derived )))
       r_sets
   in
   let smallest =

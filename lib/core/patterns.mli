@@ -1,10 +1,12 @@
 (** The match function (paper sections 3, 4 and 5).
 
     Decides whether a subsumee box (query graph) matches a subsumer box
-    (AST graph) and, when it does, produces the compensation. Memoized per
-    pair inside the {!Mctx.t}; judging a pair recursively judges all child
-    pair combinations first, which realizes the navigator's bottom-up
-    discipline.
+    (AST graph) and, when it does, returns the compensation together with
+    its static certificate: [Prove.Proved] when the rewrite region is
+    provably the query's, else [Unknown] with the reason. Memoized per pair
+    inside the {!Mctx.t}, one answer per pair; judging a pair recursively
+    judges all child pair combinations first, which realizes the
+    navigator's bottom-up discipline.
 
     Pattern coverage: base-table leaves; SELECT/SELECT with exact (4.1.1),
     SELECT-only (4.2.3) and grouping (4.2.4) child compensation;
@@ -15,4 +17,7 @@
     and 4.2. Deliberate rejections are listed in DESIGN.md. *)
 
 val match_boxes :
-  Mctx.t -> Qgm.Box.box_id -> Qgm.Box.box_id -> Mtypes.result option
+  Mctx.t ->
+  Qgm.Box.box_id ->
+  Qgm.Box.box_id ->
+  (Mtypes.result * Prove.status) option

@@ -50,7 +50,7 @@ let to_subsumer (asg : Mctx.assignment) e =
           List.find_opt (fun (qe, _, _) -> qe.B.q_id = quant) asg.Mctx.pairs
         with
         | None -> None
-        | Some (_, rq, result) ->
+        | Some (_, rq, (result, _)) ->
             Option.map (lift_cref ~rq) (child_col result col))
     e
 
