@@ -531,7 +531,8 @@ and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
              compensation, so only parents that consume them fail *)
           let outs =
             List.filter_map
-              (named (fun e -> Option.bind (Translate.to_subsumer asg e) derive))
+              (named (fun e ->
+                   Option.bind (Translate.to_subsumer asg e) derive))
               e_sel.B.sel_outs
           in
           if outs = [] && e_sel.B.sel_outs <> [] then begin
@@ -862,16 +863,15 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
              join_cols)
       rejoins
   in
-  let slice_conj cuboid =
-    if not r_is_cube then None
+  (* 5.1's slice of a cube summary down to one cuboid: an IS [NOT] NULL
+     test per grouping column, kept as separate conjuncts ([sel_preds] is
+     a conjunct list, Lint.Validate V119) *)
+  let slice cuboid =
+    if not r_is_cube then []
     else
-      List.fold_left
-        (fun acc col ->
-          let t = E.Is_null (E.Col (M.Below col), not (col_mem col cuboid)) in
-          match acc with
-          | None -> Some t
-          | Some a -> Some (E.Binop ("AND", a, t)))
-        None r_union
+      List.map
+        (fun col -> E.Is_null (E.Col (M.Below col), not (col_mem col cuboid)))
+        r_union
   in
   (* exact-cuboid attempt: the selected keys, restricted to the cuboid, must
      cover it column-for-column; pulled predicates must restrict; aggregates
@@ -951,7 +951,7 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
   in
   let regroup regroup_grouping =
     regroup_compensation ctx ~keys ~regroup_grouping ~aggs ~equiv ~r_sets
-      ~r_aggs ~arg_nullable ~rejoins ~pulled_preds ~slice_conj
+      ~r_aggs ~arg_nullable ~rejoins ~pulled_preds ~slice
   in
   match grouping with
   | B.Simple _ -> (
@@ -976,7 +976,7 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
           in
           Some
             (select_comp ~complete:true ~rejoins
-               ~preds:(Option.to_list (slice_conj cuboid) @ preds')
+               ~preds:(slice cuboid @ preds')
                outs)
       | None -> regroup (B.Simple (List.map fst keys)))
   | B.Gsets sets -> (
@@ -1019,16 +1019,19 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
             None
           end
           else
-            let slices = List.filter_map (fun (c, _) -> slice_conj c) hits in
-            let disj =
-              match slices with
+            (* one element: the OR of the chosen cuboids' slices *)
+            let fold op = function
               | [] -> []
               | first :: rest ->
                   [
                     List.fold_left
-                      (fun acc s -> E.Binop ("OR", acc, s))
+                      (fun acc s -> E.Binop (op, acc, s))
                       first rest;
                   ]
+            in
+            let disj =
+              fold "OR"
+                (List.concat_map (fun (c, _) -> fold "AND" (slice c)) hits)
             in
             let outs =
               List.map
@@ -1055,7 +1058,7 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
    4.1.2 / 4.2.1 / 5.1 / 5.2: slice and filter the smallest usable cuboid,
    regroup by the subsumee's grouping, re-derive the aggregates. *)
 and regroup_compensation ctx ~keys ~regroup_grouping ~aggs ~equiv ~r_sets
-    ~r_aggs ~arg_nullable ~rejoins ~pulled_preds ~slice_conj =
+    ~r_aggs ~arg_nullable ~rejoins ~pulled_preds ~slice =
   pattern ctx "5.1/5.2 regroup from a covering cuboid";
   let candidates =
     List.filter_map
@@ -1152,7 +1155,7 @@ and regroup_compensation ctx ~keys ~regroup_grouping ~aggs ~equiv ~r_sets
         M.L_select
           {
             ls_rejoins = rejoins;
-            ls_preds = Option.to_list (slice_conj cuboid) @ preds';
+            ls_preds = slice cuboid @ preds';
             ls_outs = l0_outs;
           }
       in

@@ -38,6 +38,10 @@
           the static prover certified the SELECT box can never produce a
           row — e.g. [x > 10 AND x < 5] — almost certainly a typo in the
           definition)
+     V119 a SELECT box predicate with AND at its top: [sel_preds] is a
+          conjunct list, which the executor narrows one element at a time
+          and the cost model scores one element at a time, so a conjunction
+          belongs there as separate elements
 
    [check ~deep:true] additionally runs the V118 prover pass (used by
    [astql lint]; the plan-time final-plan check stays shallow — an
@@ -197,6 +201,16 @@ let check ?cat ?(deep = false) g =
                   check_expr id s.B.sel_quants ~where:"predicate" p;
                   if E.contains_agg p then
                     push ~box:id "V107" "aggregate in SELECT box predicate";
+                  (match p with
+                  | E.Binop ("AND", _, _) ->
+                      push ~box:id "V119"
+                        "predicate %s is a conjunction: split it into \
+                         separate conjuncts"
+                        (E.to_string
+                           (fun { B.quant; col } ->
+                             Printf.sprintf "q%d.%s" quant col)
+                           p)
+                  | _ -> ());
                   check_pred_type id s.B.sel_quants p)
                 s.B.sel_preds;
               if deep && s.B.sel_preds <> [] then begin

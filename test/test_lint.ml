@@ -281,6 +281,36 @@ let test_v115_non_boolean_predicate () =
   Alcotest.(check (list string)) "untyped check skips V115" []
     (codes (Val.check g))
 
+(* V119: sel_preds is a conjunct list; a nested AND is one opaque element
+   to the executor's narrowing filter and the cost model *)
+let test_v119_nested_and () =
+  let g, _, q = valid_graph () in
+  let root = G.root g in
+  let gt c n = E.Binop (">", qcol q c, E.Const (V.Int n)) in
+  let with_preds preds =
+    G.update_box g root
+      (B.Select
+         {
+           B.sel_quants = [ q ];
+           sel_preds = preds;
+           sel_outs = [ ("g", qcol q "g") ];
+         })
+  in
+  expect_code "nested AND in sel_preds" "V119"
+    (with_preds [ E.Binop ("AND", gt "g" 1, gt "v" 2) ]);
+  Alcotest.(check (list string)) "split conjuncts are clean" []
+    (codes (Val.check (with_preds [ gt "g" 1; gt "v" 2 ])));
+  Alcotest.(check (list string)) "an OR of conjunctions is one element" []
+    (codes
+       (Val.check
+          (with_preds
+             [
+               E.Binop
+                 ( "OR",
+                   E.Binop ("AND", gt "g" 1, gt "v" 2),
+                   E.Binop ("AND", gt "g" 3, gt "v" 4) );
+             ])))
+
 (* builder output validates cleanly, catalog-typed included *)
 let test_builder_output_clean () =
   let cat = Workload.Star_schema.catalog () in
@@ -512,6 +542,8 @@ let suite =
       test_v115_non_boolean_predicate;
     Alcotest.test_case "V116 no outputs" `Quick test_v116_no_outputs;
     Alcotest.test_case "V117 no quantifiers" `Quick test_v117_no_quantifiers;
+    Alcotest.test_case "V119 nested AND in a SELECT predicate" `Quick
+      test_v119_nested_and;
     Alcotest.test_case "builder output is clean" `Quick
       test_builder_output_clean;
     Alcotest.test_case "advisor L-codes" `Quick test_advisor_codes;
