@@ -267,6 +267,16 @@ let () =
           g
       in
       let report = plan () in
+      (* a routed row's rewritten plan: its scratch is gated the same way *)
+      let mv_scratch =
+        match report.Plancache.Planner.pr_steps with
+        | [] -> []
+        | _ ->
+            let s0 = Obs.Metrics.hist_sum scratch_hist in
+            ignore (Engine.Exec.run ws_db report.Plancache.Planner.pr_graph);
+            let bytes = Obs.Metrics.hist_sum scratch_hist -. s0 in
+            [ ("mv_scratch_bytes", Json.Int (int_of_float bytes)) ]
+      in
       let t_plan = time_ms (fun () -> plan ()) in
       let t_exec =
         time_ms (fun () ->
@@ -284,15 +294,16 @@ let () =
         !workload_rows
         @ [
             Json.Obj
-              [
-                ("query", Json.Str q.dq_name);
-                ("base_ms", Json.Num t_base);
-                ("plan_ms", Json.Num t_plan);
-                ("exec_ms", Json.Num t_exec);
-                ("rewritten_ms", Json.Num (t_plan +. t_exec));
-                ("routed_via", Json.Str routed);
-                ("base_scratch_bytes", Json.Int base_scratch);
-              ];
+              ([
+                 ("query", Json.Str q.dq_name);
+                 ("base_ms", Json.Num t_base);
+                 ("plan_ms", Json.Num t_plan);
+                 ("exec_ms", Json.Num t_exec);
+                 ("rewritten_ms", Json.Num (t_plan +. t_exec));
+                 ("routed_via", Json.Str routed);
+                 ("base_scratch_bytes", Json.Int base_scratch);
+               ]
+              @ mv_scratch);
           ];
       Printf.printf "%-24s %10.1f %10.3f %10.1f %8.1fx  %s\n" q.dq_name
         t_base t_plan t_exec
@@ -1120,7 +1131,8 @@ let () =
      rows don't gate on scheduler noise). The deterministic outputs gate
      exactly: each row's routed_via, the proof counts, and the PERF4 and
      PERF5 counts. A row's base_scratch_bytes (the scratch arena bytes its
-     rewriting-off plan requests) must not exceed the baseline's; a
+     rewriting-off plan requests) and, on a routed row, mv_scratch_bytes
+     (the same for its rewritten plan) must not exceed the baseline's; a
      baseline row without the field does not gate it. *)
   (match baseline_out with
   | Some path ->
@@ -1193,25 +1205,29 @@ let () =
               let b_route = Json.member "routed_via" brow
               and c_route = Json.member "routed_via" r in
               let rerouted = b_route = None || b_route <> c_route in
-              let scratch_grew =
-                match
-                  (Json.member "base_scratch_bytes" brow, Json.member "base_scratch_bytes" r)
-                with
-                | Some (Json.Int b), Some (Json.Int c) -> c > b
-                | _ -> false
+              let grown =
+                List.filter
+                  (fun field ->
+                    match (Json.member field brow, Json.member field r) with
+                    | Some (Json.Int b), Some (Json.Int c) -> c > b
+                    | _ -> false)
+                  [ "base_scratch_bytes"; "mv_scratch_bytes" ]
               in
+              let scratch_grew = grown <> [] in
               if (not ok) || rerouted || scratch_grew then incr gate_fails;
               Printf.printf "%-24s %13.2f %13.2f %10s\n" name b_exec c_exec
                 (if rerouted then "REROUTED"
                  else if scratch_grew then "SCRATCH"
                  else if ok then "ok"
                  else "REGRESSED");
-              if scratch_grew then
-                Printf.printf "  base_scratch_bytes: baseline %s, now %s\n"
-                  (Option.fold ~none:"-" ~some:Json.to_string
-                     (Json.member "base_scratch_bytes" brow))
-                  (Option.fold ~none:"-" ~some:Json.to_string
-                     (Json.member "base_scratch_bytes" r));
+              List.iter
+                (fun field ->
+                  Printf.printf "  %s: baseline %s, now %s\n" field
+                    (Option.fold ~none:"-" ~some:Json.to_string
+                       (Json.member field brow))
+                    (Option.fold ~none:"-" ~some:Json.to_string
+                       (Json.member field r)))
+                grown;
               if rerouted then
                 Printf.printf "  routed_via: baseline %s, now %s\n"
                   (Option.fold ~none:"-" ~some:Json.to_string b_route)

@@ -3,8 +3,9 @@
 # BENCH_results.json workload timings against the committed baseline
 # (bench/baseline.json). Any query whose exec_ms regresses by more than 30%
 # (plus 0.5 ms absolute slack) fails the gate, and so does any query whose
-# rewriting-off plan requests more scratch-arena bytes (base_scratch_bytes)
-# than the baseline row records. A perf gate on shared CI runners is
+# rewriting-off plan (base_scratch_bytes) or, when routed to a summary,
+# rewritten plan (mv_scratch_bytes) requests more scratch-arena bytes than
+# the baseline row records. A perf gate on shared CI runners is
 # inherently noisy, so one failing run is retried once before the verdict
 # sticks.
 #
@@ -15,8 +16,8 @@
 #                                     BENCH_history.jsonl (commit it)
 #
 # A --record line holds the git rev (and whether the tree had uncommitted
-# changes), the scale, every workload row's routed_via, exec p50 and
-# base_scratch_bytes, the
+# changes), the scale, every workload row's routed_via, exec p50,
+# base_scratch_bytes and mv_scratch_bytes (null on an unrouted row), the
 # deterministic PERF4 / PERF5 / PERF11 counts the gate checks exactly, and
 # PERF6's summary create_ms: one line per change, so the trajectory across
 # changes can be re-checked from the repository. It needs jq.
@@ -66,7 +67,7 @@ if [[ $record == 1 ]]; then
       uncommitted_changes: $dirty,
       scale: .scale,
       workload: [.workload[] | {query, routed_via, exec_p50_ms: .exec_ms,
-                                base_scratch_bytes}],
+                                base_scratch_bytes, mv_scratch_bytes}],
       perf4: (.planning | {warm_match_boxes_calls, cache_hits, cache_misses,
                            candidates_attempted, candidates_filtered}),
       perf5: (.verification
