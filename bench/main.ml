@@ -519,26 +519,37 @@ let () =
     in
     List.filter (fun s -> s <> []) (go gdims)
   in
-  let gsn = Mvstore.Session.of_tables (W.catalog ()) tiny in
-  (* materialization cost, report-only: every CREATE is a GROUP BY build *)
-  let create_ms =
-    time_once (fun () ->
-        List.iteri
-          (fun i keys ->
-            let sel = String.concat ", " (List.map fst keys) in
-            let grp = String.concat ", " (List.map snd keys) in
-            ignore
-              (Mvstore.Session.exec_sql gsn
-                 (Printf.sprintf
-                    "CREATE SUMMARY TABLE g_mv%d AS SELECT %s, COUNT(*) AS c, \
-                     SUM(qty) AS sq FROM Trans GROUP BY %s"
-                    i sel grp)))
-          gsubsets;
-        ignore
-          (Mvstore.Session.exec_sql gsn
-             "CREATE SUMMARY TABLE g_mv_recent AS SELECT flid, COUNT(*) AS c, \
-              SUM(qty) AS sq FROM Trans WHERE year(date) >= 1995 GROUP BY flid"))
+  let gdefs =
+    List.mapi
+      (fun i keys ->
+        let sel = String.concat ", " (List.map fst keys) in
+        let grp = String.concat ", " (List.map snd keys) in
+        Printf.sprintf
+          "CREATE SUMMARY TABLE g_mv%d AS SELECT %s, COUNT(*) AS c, SUM(qty) AS sq \
+           FROM Trans GROUP BY %s"
+          i sel grp)
+      gsubsets
+    @ [
+        "CREATE SUMMARY TABLE g_mv_recent AS SELECT flid, COUNT(*) AS c, SUM(qty) AS sq \
+         FROM Trans WHERE year(date) >= 1995 GROUP BY flid";
+      ]
   in
+  let gsn = Mvstore.Session.of_tables (W.catalog ()) tiny in
+  (* materialization cost, report-only: every CREATE is a GROUP BY build,
+     one statement at a time (each from the base tables) *)
+  let create_ms =
+    time_once (fun () -> List.iter (fun sql -> ignore (Mvstore.Session.exec_sql gsn sql)) gdefs)
+  in
+  (* the same definitions as one script: a CREATE run, derived as one set
+     with each member rolled up from the smallest one that answers it, as a
+     server boot derives its summaries; report-only too *)
+  let rolled = Obs.Metrics.counter "store.derived_from_summary" in
+  let rolled0 = Obs.Metrics.counter_value rolled in
+  let create_run_ms =
+    let sn = Mvstore.Session.of_tables (W.catalog ()) tiny in
+    time_once (fun () -> Mvstore.Session.exec_sql sn (String.concat ";\n" gdefs))
+  in
+  let rolled_up = Obs.Metrics.counter_value rolled - rolled0 in
   let gstore = Mvstore.Session.store gsn in
   let gcat = Engine.Db.catalog (Mvstore.Session.db gsn) in
   let gmvs = Mvstore.Store.rewritable gstore in
@@ -587,8 +598,10 @@ let () =
         ("samples", Json.Int (List.length lats));
       ]
   in
-  Printf.printf "MVs: %d (created in %.1f ms), query mix: %d, samples per pass: %d\n"
-    n64 create_ms (List.length mix)
+  Printf.printf
+    "MVs: %d (created in %.1f ms; as one CREATE run in %.1f ms, %d rolled up), query \
+     mix: %d, samples per pass: %d\n"
+    n64 create_ms create_run_ms rolled_up (List.length mix)
     (grounds * List.length mix);
   let inf_row = row "unlimited" lats_inf degr_inf in
   let dl_row = row "deadline 10ms" lats_dl degr_dl in
@@ -603,6 +616,7 @@ let () =
       [
         ("mvs", Json.Int n64);
         ("create_ms", Json.Num create_ms);
+        ("create_run_ms", Json.Num create_run_ms);
         ("unlimited", inf_row);
         ("deadline_10ms", dl_row);
       ];

@@ -863,16 +863,15 @@ let rec pred_safe = function
 (* Grouping kernel: packed int keys, boxed fallback                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Which path each grouping call took, and how often an open-addressing
-   table doubled: the kernel's own coverage, read by its property test. *)
+(* Which path each grouping call took: the kernel's own coverage, read by
+   its property test. *)
 let x_group_dense = Obs.Metrics.counter "exec.group_dense"
 let x_group_probe = Obs.Metrics.counter "exec.group_probe"
 let x_group_boxed = Obs.Metrics.counter "exec.group_boxed"
-let x_group_grows = Obs.Metrics.counter "exec.group_grows"
 
-(* A growable int buffer on the OCaml heap, for group-sized state: it
-   grows by doubling, which inside the scratch arena would strand every
-   outgrown copy until the run ends. *)
+(* A growable int buffer on the OCaml heap, for the boxed fallback's
+   group-sized state: it grows by doubling, which inside the scratch arena
+   would strand every outgrown copy until the run ends. *)
 type gbuf = { mutable g_arr : int array; mutable g_len : int }
 
 let gbuf_create () = { g_arr = Array.make 256 0; g_len = 0 }
@@ -886,10 +885,11 @@ let gbuf_push b x =
   Array.unsafe_set b.g_arr b.g_len x;
   b.g_len <- b.g_len + 1
 
-let gbuf_to_ints b =
-  let out = C.scratch_ints b.g_len in
-  for i = 0 to b.g_len - 1 do
-    BA1.unsafe_set out i (Array.unsafe_get b.g_arr i)
+(* the first [len] elements of [a], in the scratch arena *)
+let ints_of_prefix (a : int array) len =
+  let out = C.scratch_ints len in
+  for i = 0 to len - 1 do
+    BA1.unsafe_set out i (Array.unsafe_get a i)
   done;
   out
 
@@ -961,13 +961,23 @@ let pack_keys ~bounds n (cols : C.t list) (out : C.ints) : int option =
         specs;
       Some space
 
+(* The open-addressing table for [n] rows has [2 ^ probe_bits n >= 2n]
+   slots. A key's home slot is the top bits of a Fibonacci multiplicative
+   mix. *)
+let probe_bits n =
+  let rec go b = if 1 lsl b >= 2 * n then b else go (b + 1) in
+  go 1
+
+let probe_home bits k = (k * 0x1e3779b97f4a7c15) lsr (63 - bits)
+
 (* Replace every packed key in [keys] by its group id, in first-seen
    order; returns each group's first row and the group count. A key space
    up to twice the row count (or 1024) indexes a dense array; a larger one
-   probes an open-addressing table that starts small and doubles at half
-   load. *)
+   probes an open-addressing table. There are at most [min n space]
+   groups, so every table is allocated once at its final size, on the
+   heap: the probe table's load stays at or below one half. *)
 let assign_packed n (keys : C.ints) space : C.ints * int =
-  let firsts = gbuf_create () in
+  let firsts = Array.make (min n space) 0 and ngroups = ref 0 in
   if space <= max 1024 (2 * n) then begin
     Obs.Metrics.incr x_group_dense;
     let gid_of = Array.make space (-1) in
@@ -976,66 +986,41 @@ let assign_packed n (keys : C.ints) space : C.ints * int =
       let g = Array.unsafe_get gid_of k in
       if g >= 0 then BA1.unsafe_set keys i g
       else begin
-        let g = firsts.g_len in
+        let g = !ngroups in
         Array.unsafe_set gid_of k g;
-        gbuf_push firsts i;
-        BA1.unsafe_set keys i g
+        Array.unsafe_set firsts g i;
+        BA1.unsafe_set keys i g;
+        ngroups := g + 1
       end
     done
   end
   else begin
     Obs.Metrics.incr x_group_probe;
-    (* Linear probing over a power-of-two table of group ids (-1 empty),
-       with Fibonacci hashing: a key's home slot is the top bits of a
-       multiplicative mix, shifted right by 63 minus the table's log size.
-       The loop keeps its state in locals and calls no closure. *)
-    let shift = ref (63 - 8) in
-    let table = ref (Array.make 256 (-1)) in
-    let mask = ref 255 in
-    (* each group's packed key, by group id *)
-    let gkeys = ref (Array.make 256 0) in
+    (* Linear probing over group ids (-1 empty); [gkeys] holds each
+       group's packed key. The loop calls no closure. *)
+    let bits = probe_bits n in
+    let table = Array.make (1 lsl bits) (-1) and mask = (1 lsl bits) - 1 in
+    let gkeys = Array.make (min n space) 0 in
     for i = 0 to n - 1 do
       let k = BA1.unsafe_get keys i in
-      let t = !table and gk = !gkeys in
-      let j = ref ((k * 0x1e3779b97f4a7c15) lsr !shift) in
-      let g = ref (Array.unsafe_get t !j) in
-      while !g >= 0 && Array.unsafe_get gk !g <> k do
-        j := (!j + 1) land !mask;
-        g := Array.unsafe_get t !j
+      let j = ref (probe_home bits k) in
+      let g = ref (Array.unsafe_get table !j) in
+      while !g >= 0 && Array.unsafe_get gkeys !g <> k do
+        j := (!j + 1) land mask;
+        g := Array.unsafe_get table !j
       done;
       if !g >= 0 then BA1.unsafe_set keys i !g
       else begin
-        let g = firsts.g_len in
-        Array.unsafe_set t !j g;
-        if g = Array.length gk then begin
-          let bigger = Array.make (2 * g) 0 in
-          Array.blit gk 0 bigger 0 g;
-          gkeys := bigger
-        end;
-        Array.unsafe_set !gkeys g k;
-        gbuf_push firsts i;
+        let g = !ngroups in
+        Array.unsafe_set table !j g;
+        Array.unsafe_set gkeys g k;
+        Array.unsafe_set firsts g i;
         BA1.unsafe_set keys i g;
-        if 2 * (g + 1) > Array.length t then begin
-          (* double at half load, re-placing every group *)
-          Obs.Metrics.incr x_group_grows;
-          let size = 2 * Array.length t in
-          let t' = Array.make size (-1) and gk = !gkeys in
-          let m = size - 1 and s = !shift - 1 in
-          for h = 0 to g do
-            let j = ref ((Array.unsafe_get gk h * 0x1e3779b97f4a7c15) lsr s) in
-            while Array.unsafe_get t' !j >= 0 do
-              j := (!j + 1) land m
-            done;
-            Array.unsafe_set t' !j h
-          done;
-          table := t';
-          mask := m;
-          shift := s
-        end
+        ngroups := g + 1
       end
     done
   end;
-  (gbuf_to_ints firsts, firsts.g_len)
+  (ints_of_prefix firsts !ngroups, !ngroups)
 
 (* The fallback for FLOAT, BOOL and boxed keys, and for packed keys that
    overflow: boxed key lists under SQL grouping equality. *)
@@ -1052,7 +1037,7 @@ let assign_boxed n (cols : C.t list) (gids : C.ints) : C.ints * int =
         gbuf_push firsts i;
         BA1.unsafe_set gids i g
   done;
-  (gbuf_to_ints firsts, firsts.g_len)
+  (ints_of_prefix firsts.g_arr firsts.g_len, firsts.g_len)
 
 (* Group [n] rows by the key columns [cols]: a dense group id per row in
    first-seen order, each group's first row, and the group count. A caller
@@ -1317,12 +1302,18 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
 (* Group box: dense group ids + typed aggregate folds                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The folds below read row [i]'s group as [gids.{i land gm}]. A GROUP BY
+   passes its row-sized group ids and [gm = -1]; a global aggregate passes
+   one slot holding group 0 and [gm = 0], so it folds every row into that
+   group without a row-sized buffer of zeros. *)
+
 (* DISTINCT aggregates: NULL out every repeat of a (group, value) pair, so
    the ordinary fold below sees each distinct value once per group. The
    pairs group through the kernel, so values compare under SQL grouping
-   equality, like group keys. *)
-let mask_repeats n (gids : C.ints) (c : C.t) : C.t =
-  let ids, _, _ = group_rows n [ { C.data = C.Ints gids; nulls = None }; c ] in
+   equality, like group keys; a global aggregate groups the values alone. *)
+let mask_repeats n (gids : C.ints) gm (c : C.t) : C.t =
+  let group = if gm = 0 then [] else [ { C.data = C.Ints gids; nulls = None } ] in
+  let ids, _, _ = group_rows n (group @ [ c ]) in
   let m = Bytes.make n '\000' and next = ref 0 in
   for i = 0 to n - 1 do
     (* ids are first-seen: a row opens a new pair iff it takes the next id *)
@@ -1345,38 +1336,38 @@ let ints_of_array (a : int array) : C.t =
   { C.data = C.Ints out; nulls = None }
 
 (* Per-group sums of [a]'s rows outside [nulls]. *)
-let sum_ints n (gids : C.ints) ngroups (a : C.ints) (nulls : Bytes.t option) : C.ints =
+let sum_ints n (gids : C.ints) gm ngroups (a : C.ints) (nulls : Bytes.t option) : C.ints =
   let sums = C.scratch_ints ngroups in
   BA1.fill sums 0;
   (match nulls with
   | None ->
       for i = 0 to n - 1 do
-        let g = BA1.unsafe_get gids i in
+        let g = BA1.unsafe_get gids (i land gm) in
         BA1.unsafe_set sums g (BA1.unsafe_get sums g + BA1.unsafe_get a i)
       done
   | Some m ->
       for i = 0 to n - 1 do
         if Bytes.unsafe_get m i = '\000' then begin
-          let g = BA1.unsafe_get gids i in
+          let g = BA1.unsafe_get gids (i land gm) in
           BA1.unsafe_set sums g (BA1.unsafe_get sums g + BA1.unsafe_get a i)
         end
       done);
   sums
 
-let sum_floats n (gids : C.ints) ngroups (a : C.floats) (nulls : Bytes.t option) :
+let sum_floats n (gids : C.ints) gm ngroups (a : C.floats) (nulls : Bytes.t option) :
     C.floats =
   let sums = C.scratch_floats ngroups in
   BA1.fill sums 0.0;
   (match nulls with
   | None ->
       for i = 0 to n - 1 do
-        let g = BA1.unsafe_get gids i in
+        let g = BA1.unsafe_get gids (i land gm) in
         BA1.unsafe_set sums g (BA1.unsafe_get sums g +. BA1.unsafe_get a i)
       done
   | Some m ->
       for i = 0 to n - 1 do
         if Bytes.unsafe_get m i = '\000' then begin
-          let g = BA1.unsafe_get gids i in
+          let g = BA1.unsafe_get gids (i land gm) in
           BA1.unsafe_set sums g (BA1.unsafe_get sums g +. BA1.unsafe_get a i)
         end
       done);
@@ -1386,11 +1377,11 @@ let sum_floats n (gids : C.ints) ngroups (a : C.floats) (nulls : Bytes.t option)
    row holding its least (greatest) value among the rows outside [nulls],
    the first such row on ties; [best] starts at -1, which a group without
    one keeps. *)
-let best_ints sign n (gids : C.ints) (a : C.ints) (nulls : Bytes.t option) best =
+let best_ints sign n (gids : C.ints) gm (a : C.ints) (nulls : Bytes.t option) best =
   match nulls with
   | None ->
       for i = 0 to n - 1 do
-        let g = BA1.unsafe_get gids i in
+        let g = BA1.unsafe_get gids (i land gm) in
         let b = Array.unsafe_get best g in
         if b < 0 || sign * compare (BA1.unsafe_get a i) (BA1.unsafe_get a b) < 0 then
           Array.unsafe_set best g i
@@ -1398,18 +1389,18 @@ let best_ints sign n (gids : C.ints) (a : C.ints) (nulls : Bytes.t option) best 
   | Some m ->
       for i = 0 to n - 1 do
         if Bytes.unsafe_get m i = '\000' then begin
-          let g = BA1.unsafe_get gids i in
+          let g = BA1.unsafe_get gids (i land gm) in
           let b = Array.unsafe_get best g in
           if b < 0 || sign * compare (BA1.unsafe_get a i) (BA1.unsafe_get a b) < 0 then
             Array.unsafe_set best g i
         end
       done
 
-let best_floats sign n (gids : C.ints) (a : C.floats) (nulls : Bytes.t option) best =
+let best_floats sign n (gids : C.ints) gm (a : C.floats) (nulls : Bytes.t option) best =
   match nulls with
   | None ->
       for i = 0 to n - 1 do
-        let g = BA1.unsafe_get gids i in
+        let g = BA1.unsafe_get gids (i land gm) in
         let b = Array.unsafe_get best g in
         if b < 0 || sign * Float.compare (BA1.unsafe_get a i) (BA1.unsafe_get a b) < 0
         then Array.unsafe_set best g i
@@ -1417,19 +1408,19 @@ let best_floats sign n (gids : C.ints) (a : C.floats) (nulls : Bytes.t option) b
   | Some m ->
       for i = 0 to n - 1 do
         if Bytes.unsafe_get m i = '\000' then begin
-          let g = BA1.unsafe_get gids i in
+          let g = BA1.unsafe_get gids (i land gm) in
           let b = Array.unsafe_get best g in
           if b < 0 || sign * Float.compare (BA1.unsafe_get a i) (BA1.unsafe_get a b) < 0
           then Array.unsafe_set best g i
         end
       done
 
-let best_dict sign n (gids : C.ints) (codes : C.ints) (dict : string array)
+let best_dict sign n (gids : C.ints) gm (codes : C.ints) (dict : string array)
     (nulls : Bytes.t option) best =
   match nulls with
   | None ->
       for i = 0 to n - 1 do
-        let g = BA1.unsafe_get gids i in
+        let g = BA1.unsafe_get gids (i land gm) in
         let b = Array.unsafe_get best g in
         if
           b < 0
@@ -1441,7 +1432,7 @@ let best_dict sign n (gids : C.ints) (codes : C.ints) (dict : string array)
   | Some m ->
       for i = 0 to n - 1 do
         if Bytes.unsafe_get m i = '\000' then begin
-          let g = BA1.unsafe_get gids i in
+          let g = BA1.unsafe_get gids (i land gm) in
           let b = Array.unsafe_get best g in
           if
             b < 0
@@ -1471,7 +1462,7 @@ let pick_floats (a : C.floats) (best : int array) : C.floats =
 
 (* Fold one aggregate over [n] rows in a typed loop, into a typed column
    of [ngroups] rows; only boxed arguments fold and re-classify boxed. *)
-let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : C.t option)
+let fold_agg n (gids : C.ints) gm ngroups (agg : E.agg) (arg : C.t option)
     (counts : int array) : C.t =
   match (agg.E.fn, arg) with
   | E.Count_star, _ -> ints_of_array counts
@@ -1487,7 +1478,7 @@ let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : C.t option)
             let k = Array.make ngroups 0 in
             for i = 0 to n - 1 do
               if Bytes.unsafe_get m i = '\000' then begin
-                let g = BA1.unsafe_get gids i in
+                let g = BA1.unsafe_get gids (i land gm) in
                 Array.unsafe_set k g (Array.unsafe_get k g + 1)
               end
             done;
@@ -1510,7 +1501,7 @@ let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : C.t option)
           in
           match c.C.data with
           | C.Ints a ->
-              let sums = sum_ints n gids ngroups a mask in
+              let sums = sum_ints n gids gm ngroups a mask in
               if fn = E.Sum then { C.data = C.Ints sums; nulls }
               else begin
                 let fsums = C.scratch_floats ngroups in
@@ -1520,14 +1511,14 @@ let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : C.t option)
                 avg fsums
               end
           | C.Floats a ->
-              let sums = sum_floats n gids ngroups a mask in
+              let sums = sum_floats n gids gm ngroups a mask in
               if fn = E.Sum then { C.data = C.Floats sums; nulls } else avg sums
           | _ ->
               (* boxed fallback: the scalar V.add fold *)
               let sums = Array.make ngroups V.Null in
               for i = 0 to n - 1 do
                 if not (C.is_null c i) then begin
-                  let g = BA1.unsafe_get gids i in
+                  let g = BA1.unsafe_get gids (i land gm) in
                   let v = C.get c i in
                   sums.(g) <- (if V.is_null sums.(g) then v else V.add sums.(g) v)
                 end
@@ -1541,21 +1532,21 @@ let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : C.t option)
           let best = Array.make ngroups (-1) in
           match c.C.data with
           | C.Ints a ->
-              best_ints sign n gids a mask best;
+              best_ints sign n gids gm a mask best;
               { C.data = C.Ints (pick_ints a best); nulls }
           | C.Dates a ->
-              best_ints sign n gids a mask best;
+              best_ints sign n gids gm a mask best;
               { C.data = C.Dates (pick_ints a best); nulls }
           | C.Dict (codes, dict) ->
-              best_dict sign n gids codes dict mask best;
+              best_dict sign n gids gm codes dict mask best;
               { C.data = C.Dict (pick_ints codes best, dict); nulls }
           | C.Floats a ->
-              best_floats sign n gids a mask best;
+              best_floats sign n gids gm a mask best;
               { C.data = C.Floats (pick_floats a best); nulls }
           | _ ->
               for i = 0 to n - 1 do
                 if not (C.is_null c i) then begin
-                  let g = BA1.unsafe_get gids i in
+                  let g = BA1.unsafe_get gids (i land gm) in
                   let b = best.(g) in
                   if b < 0 || sign * V.compare (C.get c i) (C.get c b) < 0 then best.(g) <- i
                 end
@@ -1586,12 +1577,21 @@ let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =
   (* one grouping set's rows: a column per output column *)
   let cuboid set : C.t list * int =
     let set_l = List.map String.lowercase_ascii set in
-    let gids, firsts, ngroups = group_rows ~bounds n (List.map col set) in
-    (* a global aggregate over no rows still yields its one row *)
-    let ngroups = if ngroups = 0 && set = [] then 1 else ngroups in
+    let gids, gm, firsts, ngroups =
+      match set with
+      | [] ->
+          (* a global aggregate: one group, also over no rows, and no key
+             to gather from a first row *)
+          let zero = C.scratch_ints 1 in
+          BA1.unsafe_set zero 0 0;
+          (zero, 0, zero, 1)
+      | _ ->
+          let gids, firsts, ngroups = group_rows ~bounds n (List.map col set) in
+          (gids, -1, firsts, ngroups)
+    in
     let counts = Array.make ngroups 0 in
     for i = 0 to n - 1 do
-      let g = BA1.unsafe_get gids i in
+      let g = BA1.unsafe_get gids (i land gm) in
       Array.unsafe_set counts g (Array.unsafe_get counts g + 1)
     done;
     let key_vals =
@@ -1607,8 +1607,8 @@ let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =
     let agg_vals =
       List.map
         (fun (agg, arg) ->
-          let arg = if agg.E.distinct then Option.map (mask_repeats n gids) arg else arg in
-          fold_agg n gids ngroups agg arg counts)
+          let arg = if agg.E.distinct then Option.map (mask_repeats n gids gm) arg else arg in
+          fold_agg n gids gm ngroups agg arg counts)
         agg_specs
     in
     (key_vals @ agg_vals, ngroups)

@@ -26,6 +26,16 @@ val exec_base : Db.t -> Qgm.Box.base_body -> Column.batch
 val exec_select :
   child:(Qgm.Box.quant -> Column.batch) -> Qgm.Box.select_body -> Column.batch
 
+(** The grouping kernel's open-addressing table, for its tests:
+    [probe_bits n] is the log size of the one table that groups [n] rows
+    (the least power of two with at least [2n] slots, so the load never
+    passes one half), and [probe_home bits k] is packed key [k]'s home
+    slot in a table of [2 ^ bits] slots. A key space of more than
+    [max 1024 (2n)] takes this table; a smaller one indexes a dense array. *)
+val probe_bits : int -> int
+
+val probe_home : int -> int -> int
+
 (** [exec_group ~child body] — dense group ids in first-seen order, then
     typed per-aggregate folds (DISTINCT aggregates first mask repeated
     values per group); grouping-set cuboids are concatenated in

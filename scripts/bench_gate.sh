@@ -19,8 +19,10 @@
 # changes), the scale, every workload row's routed_via, exec p50,
 # base_scratch_bytes and mv_scratch_bytes (null on an unrouted row), the
 # deterministic PERF4 / PERF5 / PERF11 counts the gate checks exactly, and
-# PERF6's summary create_ms: one line per change, so the trajectory across
-# changes can be re-checked from the repository. It needs jq.
+# PERF6's summary create_ms (one statement at a time) and create_run_ms (the
+# same definitions as one CREATE run): one line per change, so the
+# trajectory across changes can be re-checked from the repository. It needs
+# jq.
 #
 # Run from anywhere; it cd's to the repo root. CI runs this in the
 # bench-smoke job and uploads BENCH_results.json / BENCH_metrics.json as
@@ -73,7 +75,8 @@ if [[ $record == 1 ]]; then
       perf5: (.verification
               | map_values({verify_runs, verify_mismatches, verify_static_skips})),
       perf11: (.proving.sizes | map({pairs, proved, expected_proved})),
-      perf6_create_ms: .governed_planning.create_ms
+      perf6_create_ms: .governed_planning.create_ms,
+      perf6_create_run_ms: .governed_planning.create_run_ms
     }' BENCH_results.json >> BENCH_history.jsonl
   echo "recorded: $(tail -n 1 BENCH_history.jsonl)"
 fi

@@ -1,7 +1,7 @@
 (* The vectorized grouping kernel against the reference oracle, on
    generated batches shaped to force each of its paths: the dense array
-   (narrow key domains), the open-addressing table through several
-   doublings (a wide key domain), and the boxed fallback (FLOAT keys, and
+   (narrow key domains), the open-addressing table (a wide key domain),
+   and the boxed fallback (FLOAT keys, and
    INT keys whose radix product overflows near min_int/max_int). Key
    columns carry NULLs, or in some cases none, so both sides of every
    NULL-mask branch run; the batch also feeds DISTINCT aggregates,
@@ -87,8 +87,7 @@ let gen_case =
       | Dense | Span_overflow | Product_overflow | Float_keys ->
           (int_range 1 60, int_in (-5) 5, date_in 1, str_in 4)
       | Wide ->
-          (* nearly every key distinct: past 512 groups the table has
-             doubled from 256 slots at least three times *)
+          (* nearly every key distinct: hundreds of groups in one table *)
           (int_range 600 800, int_in (-10_000) 10_000, date_in 100, str_in 1000)
       | Empty -> (return 0, int_in 0 0, date_in 1, str_in 0)
     in
@@ -117,7 +116,7 @@ let gen_case =
           :: [| V.Int (-(1 lsl 40)); V.Int (1 lsl 40); V.Null; V.Null; V.Null; V.Int 3 |]
           :: rows
       | Wide ->
-          (* every key again, so groups outlive the doublings they caused *)
+          (* every key again, so each probe finds a group placed before it *)
           rows @ List.rev rows
       | Float_keys ->
           (* 2^53 and 2^53+1 both promote to 2^53.0: equal to it, and to
@@ -281,7 +280,6 @@ let check_case c =
         (R.to_string rel)
   in
   let keys = String.concat ", " c.keys in
-  let grows0 = counter "exec.group_grows" in
   let grouped =
     on_one_path ~expected:(expected_path c.shape) (fun () ->
         agree
@@ -290,8 +288,6 @@ let check_case c =
               MIN(v) AS lo, MAX(s) AS hi, MIN(d) AS d0, MAX(f) AS f1 FROM t GROUP BY %s"
              keys keys))
   in
-  if c.shape = Wide && counter "exec.group_grows" - grows0 < 3 then
-    QCheck.Test.fail_reportf "wide keys: fewer than 3 table doublings";
   in_order "GROUP BY" c.keys grouped;
   ignore
     (agree
@@ -402,6 +398,56 @@ let test_every_path () =
         (check_joins (db_of c) c))
     [ Dense; Wide; Span_overflow; Product_overflow; Float_keys; Empty ]
 
+(* A wide case over the rows whose [a] values are [avals], in order, each
+   row's other columns a plain function of its position. *)
+let wide_case avals =
+  let rows =
+    List.mapi
+      (fun i a ->
+        [|
+          V.Int a; V.Int (i mod 3); V.date 1990 1 (1 + (i mod 28));
+          V.Str (Printf.sprintf "s%d" (i mod 7)); V.Float (float_of_int (i mod 5));
+          V.Int ((i mod 41) - 20);
+        |])
+      avals
+  in
+  { shape = Wide; rows; keys = [ "a" ]; urows = []; no_nulls = columns }
+
+(* The probe table is allocated once, at twice the rows rounded up to a
+   power of two: 1024 distinct keys fill exactly half of its 2048 slots. *)
+let test_half_load () =
+  let n = 1024 in
+  Alcotest.(check int) "slots" (2 * n) (1 lsl Engine.Vexec.probe_bits n);
+  (* distinct, spread over a key space wider than 2n, not in key order *)
+  let avals = List.init n (fun i -> i * 7919 mod (7 * n)) in
+  Alcotest.(check int) "distinct keys" n (List.length (List.sort_uniq compare avals));
+  Alcotest.(check bool) "half load" true (check_case (wide_case avals))
+
+(* Keys whose home is the table's last slot wrap to its first ones, where
+   keys at home in slot 0 then probe past them. With [a]'s least value 0,
+   a single INT key packs to [a + 1]. Every special key comes again at the
+   end, so each lookup walks the same wrapped chain. *)
+let test_wrapping_probe () =
+  let n = 64 in
+  let bits = Engine.Vexec.probe_bits n in
+  let home a = Engine.Vexec.probe_home bits (a + 1) in
+  let homed slot k =
+    let rec go a acc =
+      if List.length acc = k then List.rev acc
+      else go (a + 1) (if home a = slot then a :: acc else acc)
+    in
+    go 1 []
+  in
+  let last = homed ((1 lsl bits) - 1) 3 and first = homed 0 2 in
+  let special = (0 :: last) @ first in
+  (* distinct fillers above 2000, so the key space passes max 1024 2n *)
+  let fillers =
+    List.init (n - (2 * List.length special)) (fun i -> 2000 + (37 * i))
+  in
+  let avals = special @ fillers @ List.rev special in
+  Alcotest.(check int) "rows" n (List.length avals);
+  Alcotest.(check bool) "wrapping probe" true (check_case (wide_case avals))
+
 (* Column.concat over string pieces decoded separately, so each has its
    own dictionary, some all NULL, and at times one more piece sharing the
    first one's dictionary: the values survive in order, and the result is
@@ -456,4 +502,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_concat_dict;
     QCheck_alcotest.to_alcotest prop_folds;
     Alcotest.test_case "every mask case" `Quick test_every_mask_case;
+    Alcotest.test_case "probe table at half load" `Quick test_half_load;
+    Alcotest.test_case "probe wraps at the table's end" `Quick test_wrapping_probe;
   ]
