@@ -52,9 +52,6 @@ let exec_one session stmt =
   | exception Engine.Eval.Eval_error m ->
       Printf.printf "evaluation error: %s\n" m;
       false
-  | exception Engine.Reference.Reference_error m ->
-      Printf.printf "reference-engine error: %s\n" m;
-      false
   | exception Mvstore.Store.Mv_error m ->
       Printf.printf "summary-table error: %s\n" m;
       false

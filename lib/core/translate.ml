@@ -53,42 +53,3 @@ let to_subsumer (asg : Mctx.assignment) e =
         | Some (_, rq, (result, _)) ->
             Option.map (lift_cref ~rq) (child_col result col))
     e
-
-let subsumer_outs (box : B.box) =
-  let to_rin e = E.map_col (fun q -> M.Rin q) e in
-  match box.B.body with
-  | B.Base { bt_cols = cols; _ } ->
-      (* leaves never act as subsumers in derivation, but give a sane view *)
-      List.map (fun c -> (c, E.Col (M.Rin { B.quant = -1; col = c }))) cols
-  | B.Select { sel_outs = outs; _ } -> List.map (fun (n, e) -> (n, to_rin e)) outs
-  | B.Union u ->
-      (* a UNION subsumer exposes no derivable structure *)
-      List.map
-        (fun c -> (c, E.Col (M.Rin { B.quant = -1; col = c })))
-        u.B.un_cols
-  | B.Group { grp_quant = quant; grp_grouping = grouping; grp_aggs = aggs } ->
-      let key_outs =
-        List.map
-          (fun c ->
-            (c, E.Col (M.Rin { B.quant = quant.B.q_id; col = c })))
-          (B.grouping_union grouping)
-      in
-      let agg_outs =
-        List.map
-          (fun (n, { B.agg; arg }) ->
-            let arg_e =
-              Option.map
-                (fun c -> E.Col (M.Rin { B.quant = quant.B.q_id; col = c }))
-                arg
-            in
-            (n, E.Agg (agg, arg_e)))
-          aggs
-      in
-      key_outs @ agg_outs
-
-let subsumer_preds (box : B.box) =
-  match box.B.body with
-  | B.Base _ | B.Group _ | B.Union _ -> []
-  | B.Select { sel_preds = preds; _ } -> List.map (E.map_col (fun q -> M.Rin q)) preds
-
-let subsumer_equiv (box : B.box) = Equiv.of_preds (subsumer_preds box)

@@ -31,13 +31,3 @@ val to_subsumer :
     subsumer-input space ([Below x] becomes [Rin (rq, x)]). *)
 val lift_cref :
   rq:Qgm.Box.quant -> Mtypes.cref Qgm.Expr.t -> Mtypes.txref Qgm.Expr.t
-
-(** Subsumer-side views: a box's predicates and output-defining expressions
-    over its own inputs, in [txref] space. *)
-val subsumer_outs : Qgm.Box.box -> (string * Mtypes.txref Qgm.Expr.t) list
-
-val subsumer_preds : Qgm.Box.box -> Mtypes.txref Qgm.Expr.t list
-
-(** Equivalence classes over [txref] induced by the subsumer's equality
-    predicates. *)
-val subsumer_equiv : Qgm.Box.box -> Mtypes.txref Equiv.t

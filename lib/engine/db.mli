@@ -3,7 +3,7 @@
     Each table and summary table is held as one immutable, permanently
     allocated {!Column.batch} — the only stored form. The executor scans
     it directly; a boxed {!Data.Relation.t} is built only on request
-    ({!get}), for the reference engine, CSV export, recovery's payload
+    ({!get}), for the reference oracle, CSV export, recovery's payload
     check and tests. Row counts and distinct-value counts are
     computed from the typed columns. The row count is always current; the
     distinct counts are recounted whenever the row count has moved more

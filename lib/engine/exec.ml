@@ -1,17 +1,9 @@
-(* Engine dispatcher.
+(* QGM executor.
 
-   Two engines implement the QGM operators:
-   - [Vector] (default): batch-at-a-time over typed columns ({!Vexec});
-   - [Reference]: the naive oracle's operators ({!Reference}), runnable
-     under the same memoized recursion so the full test suite can exercise
-     it via [ASTQL_EXEC=reference].
-   The environment is read once into the immutable [default_engine]; a
-   caller picks another engine per call with [~engine].
-
-   The recursion skeleton ([run_box_memo]) is engine-agnostic: one memo
-   slot per box (holding the result as a relation, a column batch, or
-   lazily both), deadline checks and row metering at operator boundaries,
-   per-operator metrics. *)
+   Every box runs on the vectorized engine ({!Vexec}). The recursion
+   ([run_box_memo]) keeps one memo entry per box holding its column batch,
+   checks the deadline and meters rows at operator boundaries, and times
+   each operator. *)
 
 exception Exec_error of string
 
@@ -22,54 +14,8 @@ module G = Qgm.Graph
 module C = Column
 
 (* ------------------------------------------------------------------ *)
-(* Engine selection                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type engine = Vector | Reference
-
-(* [ASTQL_EXEC=reference] runs the whole process on the oracle; anything
-   else runs the vectorized engine rather than failing startup: the knob
-   is a test switch, not a correctness switch. Read once, at startup. *)
-let default_engine =
-  match Sys.getenv_opt "ASTQL_EXEC" with
-  | Some s
-    when List.mem (String.lowercase_ascii (String.trim s)) [ "reference"; "ref" ]
-    ->
-      Reference
-  | _ -> Vector
-
-(* ------------------------------------------------------------------ *)
 (* Memoized recursion over boxes                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* A memo slot holds a box's result in whichever representation the engine
-   produced (batches for [Vector], relations for [Reference]), converting
-   and caching the conversion on demand. *)
-type slot = { mutable srel : R.t option; mutable sbat : C.batch option }
-
-let slot_of_rel r = { srel = Some r; sbat = None }
-let slot_of_batch b = { srel = None; sbat = Some b }
-
-let slot_rel s =
-  match s.srel with
-  | Some r -> r
-  | None ->
-      let r = C.to_relation (Option.get s.sbat) in
-      s.srel <- Some r;
-      r
-
-let slot_batch s =
-  match s.sbat with
-  | Some b -> b
-  | None ->
-      let b = C.of_relation (Option.get s.srel) in
-      s.sbat <- Some b;
-      b
-
-let slot_cardinality s =
-  match s.sbat with
-  | Some b -> b.C.nrows
-  | None -> R.cardinality (Option.get s.srel)
 
 (* Operator-level metrics, ticked only on the compute path (memo hits are
    free and counted separately). Timings are wall-clock and exclude the
@@ -86,19 +32,11 @@ let x_union_ms = Obs.Metrics.histogram "exec.union_ms"
 let x_runs = Obs.Metrics.counter "exec.runs"
 let x_run_ms = Obs.Metrics.histogram "exec.run_ms"
 
-(* Vectorized operators report internal invariant violations through their
-   own exception; surface them as executor errors. Reference operators
-   likewise, so [ASTQL_EXEC=reference] behaves as a drop-in engine. *)
-let vex f = try slot_of_batch (f ()) with Vexec.Error m -> raise (Exec_error m)
-
-let refx f =
-  try slot_of_rel (f ()) with Reference.Reference_error m -> raise (Exec_error m)
-
-let rec run_box_memo ?budget ~engine db g memo id : slot =
+let rec run_box_memo ?budget db g memo id : C.batch =
   match Hashtbl.find_opt memo id with
-  | Some s ->
+  | Some b ->
       Obs.Metrics.incr x_memo_hits;
-      s
+      b
   | None ->
       (* operator boundary: the cheapest place to notice a blown deadline
          before starting (possibly expensive) work on this box *)
@@ -107,12 +45,10 @@ let rec run_box_memo ?budget ~engine db g memo id : slot =
       let t0 = Obs.Metrics.now_ms () and children_ms = ref 0. in
       let child q =
         let c0 = Obs.Metrics.now_ms () in
-        let s = run_box_memo ?budget ~engine db g memo q.B.q_box in
+        let b = run_box_memo ?budget db g memo q.B.q_box in
         children_ms := !children_ms +. (Obs.Metrics.now_ms () -. c0);
-        s
+        b
       in
-      let child_rel q = slot_rel (child q) in
-      let child_batch q = slot_batch (child q) in
       let body = (G.box g id).B.body in
       let hist =
         match body with
@@ -121,28 +57,25 @@ let rec run_box_memo ?budget ~engine db g memo id : slot =
         | B.Group _ -> x_group_ms
         | B.Union _ -> x_union_ms
       in
-      let s =
+      let b =
         Fun.protect
           ~finally:(fun () ->
             Obs.Metrics.observe hist (Obs.Metrics.now_ms () -. t0 -. !children_ms))
         @@ fun () ->
-        match (engine, body) with
-        | Vector, B.Base bt -> vex (fun () -> Vexec.exec_base db bt)
-        | Vector, B.Select sel -> vex (fun () -> Vexec.exec_select ~child:child_batch sel)
-        | Vector, B.Group grp -> vex (fun () -> Vexec.exec_group ~child:child_batch grp)
-        | Vector, B.Union u -> vex (fun () -> Vexec.exec_union ~child:child_batch u)
-        | Reference, B.Base { bt_table; bt_cols } ->
-            slot_of_rel (R.project (Db.get_exn db bt_table) bt_cols)
-        | Reference, B.Select sel ->
-            refx (fun () -> Reference.eval_select ~child:child_rel sel)
-        | Reference, B.Group grp ->
-            refx (fun () -> Reference.eval_group ~child:child_rel grp)
-        | Reference, B.Union u -> refx (fun () -> Reference.eval_union ~child:child_rel u)
+        (* operators report internal invariant violations through their own
+           exception; surface them as executor errors *)
+        try
+          match body with
+          | B.Base bt -> Vexec.exec_base db bt
+          | B.Select sel -> Vexec.exec_select ~child sel
+          | B.Group grp -> Vexec.exec_group ~child grp
+          | B.Union u -> Vexec.exec_union ~child u
+        with Vexec.Error m -> raise (Exec_error m)
       in
-      Obs.Metrics.add x_rows (slot_cardinality s);
-      Govern.Budget.tick_rows budget (slot_cardinality s);
-      Hashtbl.add memo id s;
-      s
+      Obs.Metrics.add x_rows b.C.nrows;
+      Govern.Budget.tick_rows budget b.C.nrows;
+      Hashtbl.add memo id b;
+      b
 
 (* ------------------------------------------------------------------ *)
 
@@ -174,14 +107,14 @@ let timed_run f =
   Obs.Metrics.incr x_runs;
   Obs.Metrics.time x_run_ms f
 
-let run ?budget ?(engine = default_engine) db g =
+let run ?budget db g =
   timed_run @@ fun () ->
   (* the run's kernel buffers come from the scratch arena and die with
      the memo; the result is boxed before the arena recycles them *)
   let rel =
     C.scratch_begin ();
     Fun.protect ~finally:C.scratch_end @@ fun () ->
-    slot_rel (run_box_memo ?budget ~engine db g (Hashtbl.create 16) (G.root g))
+    C.to_relation (run_box_memo ?budget db g (Hashtbl.create 16) (G.root g))
   in
   if not (has_presentation g) then rel
   else
@@ -194,11 +127,11 @@ let run ?budget ?(engine = default_engine) db g =
       (Array.to_list (R.columns rel))
       (Array.to_list (Array.map (fun i -> rows.(i)) idx))
 
-let run_batch ?budget ?(engine = default_engine) db g =
+let run_batch ?budget db g =
   timed_run @@ fun () ->
   C.scratch_begin ();
   Fun.protect ~finally:C.scratch_end @@ fun () ->
-  let b = slot_batch (run_box_memo ?budget ~engine db g (Hashtbl.create 16) (G.root g)) in
+  let b = run_box_memo ?budget db g (Hashtbl.create 16) (G.root g) in
   let b =
     if not (has_presentation g) then b
     else

@@ -26,9 +26,8 @@ let lookup (env : env) { B.quant; col } =
       go 0)
 
 (* The operators take their inputs through a [child] callback (quantifier ->
-   relation) rather than recursing themselves, so {!Exec}'s dispatcher can
-   reuse them per box with memoized children. [run] below wires them into
-   the naive whole-plan recursion. *)
+   relation); [eval_box] below wires them into the naive whole-plan
+   recursion. *)
 
 let eval_union ~(child : B.quant -> R.t) (u : B.union_body) : R.t =
   let rows = List.concat_map (fun q -> R.rows (child q)) u.B.un_quants in

@@ -12,23 +12,3 @@
 exception Reference_error of string
 
 val run : Db.t -> Qgm.Graph.t -> Data.Relation.t
-
-(** The oracle's operators, parameterized over child resolution so
-    {!Exec}'s dispatcher can run them per box (with memoized children)
-    under [ASTQL_EXEC=reference]. [run] itself stays the plain
-    whole-plan recursion described above. *)
-
-val eval_select :
-  child:(Qgm.Box.quant -> Data.Relation.t) ->
-  Qgm.Box.select_body ->
-  Data.Relation.t
-
-val eval_group :
-  child:(Qgm.Box.quant -> Data.Relation.t) ->
-  Qgm.Box.group_body ->
-  Data.Relation.t
-
-val eval_union :
-  child:(Qgm.Box.quant -> Data.Relation.t) ->
-  Qgm.Box.union_body ->
-  Data.Relation.t

@@ -193,8 +193,6 @@ let arm_crash p ~after =
   if after <= 0 then invalid_arg "Fault.arm_crash: after must be positive";
   crash_countdown.(idx p) <- Some after
 
-let crash_armed p = crash_countdown.(idx p) <> None
-
 let crash_fire p =
   match crash_countdown.(idx p) with
   | None -> false
@@ -247,11 +245,6 @@ let arm_crash_spec spec =
     (fun acc item -> match acc with Error _ -> acc | Ok () -> arm_one item)
     (Ok ())
     (String.split_on_char ',' spec)
-
-let arm_crash_env () =
-  match Sys.getenv_opt "ASTQL_CRASH" with
-  | None | Some "" -> Ok ()
-  | Some spec -> arm_crash_spec spec
 
 (* ---------------- result corruption ---------------- *)
 

@@ -92,8 +92,6 @@ val seed_of_env : unit -> int option
 (** Arm a crash at the [after]th subsequent crash-hit of [p] (one-shot). *)
 val arm_crash : point -> after:int -> unit
 
-val crash_armed : point -> bool
-
 (** Consume one crash-hit; [true] exactly when the countdown reaches zero
     (the caller may first make the on-disk state deliberately torn, then
     call {!crash_now}). *)
@@ -108,9 +106,6 @@ val crash_hit : point -> unit
 (** Parse and arm a crash spec like ["wal_append:3,checkpoint_rename"]
     (missing count = 1). *)
 val arm_crash_spec : string -> (unit, string) result
-
-(** Arm from the [ASTQL_CRASH] environment variable, when set. *)
-val arm_crash_env : unit -> (unit, string) result
 
 (** A minimal always-detectable perturbation of one value (simulates a
     compensation deriving an aggregate column incorrectly). *)

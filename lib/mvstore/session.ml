@@ -130,7 +130,6 @@ let set_on_commit t hook = t.son_commit <- hook
 let config t = t.sconfig
 let maint t = t.smaint
 let set_trace t b = t.strace <- b
-let trace_enabled t = t.strace
 let traces t = Obs.Trace.items t.straces
 let clear_traces t = Obs.Trace.clear t.straces
 

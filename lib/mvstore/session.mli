@@ -139,8 +139,6 @@ val maint : t -> Maint.t
     and pays nothing. *)
 val set_trace : t -> bool -> unit
 
-val trace_enabled : t -> bool
-
 (** Recorded traces, oldest first, labelled with the planned query's SQL. *)
 val traces : t -> (string * Obs.Trace.t) list
 

@@ -62,11 +62,6 @@ let rec subst_col f = function
         | Some e ->
             Option.map (fun e -> Case (arms', Some e)) (subst_col f e))
 
-let subst_col_exn f e =
-  match subst_col (fun c -> Some (f c)) e with
-  | Some e -> e
-  | None -> assert false
-
 let rec fold_cols f acc = function
   | Const _ -> acc
   | Col c -> f acc c

@@ -29,9 +29,6 @@ val map_col : ('a -> 'b) -> 'a t -> 'b t
 (** Column substitution that may fail; [None] leaves propagate. *)
 val subst_col : ('a -> 'b t option) -> 'a t -> 'b t option
 
-(** Total column substitution by expressions. *)
-val subst_col_exn : ('a -> 'b t) -> 'a t -> 'b t
-
 val fold_cols : ('acc -> 'c -> 'acc) -> 'acc -> 'c t -> 'acc
 val cols : 'c t -> 'c list
 val contains_agg : 'c t -> bool

@@ -73,10 +73,6 @@ let parents g =
 let base_leaves g start =
   List.filter (fun id -> Box.is_base (box g id)) (reachable g start)
 
-let quant_in b qid = List.find_opt (fun q -> q.Box.q_id = qid) (Box.quants_of b)
-
-let quant_cols g q = Box.output_cols (box g q.Box.q_box)
-
 (* ------------------------------------------------------------------ *)
 (* Debug printing                                                      *)
 (* ------------------------------------------------------------------ *)

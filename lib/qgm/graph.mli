@@ -42,11 +42,5 @@ val parents : t -> (Box.box_id, Box.box_id list) Hashtbl.t
 (** Leaf (base-table) boxes reachable from the given root. *)
 val base_leaves : t -> Box.box_id -> Box.box_id list
 
-(** Find, within a box, the quantifier with the given id. *)
-val quant_in : Box.box -> Box.quant_id -> Box.quant option
-
-(** Output columns of the box a quantifier ranges over. *)
-val quant_cols : t -> Box.quant -> string list
-
 (** Debug dump. *)
 val pp : Format.formatter -> t -> unit

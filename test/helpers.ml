@@ -83,12 +83,10 @@ let assert_well_formed ~what cat g =
   | [] -> ()
   | vs -> Alcotest.failf "%s fails validation: %s" what (Lint.Validate.summary vs)
 
-let rewrite_check ?(mv_name = "mv0") db ~query ~ast =
+(* [db] with the AST graph [ag] materialized as table [mv_name], and that
+   table's columns. *)
+let with_mv ~mv_name db ag =
   let cat = Engine.Db.catalog db in
-  let qg = build cat query in
-  let ag = build cat ast in
-  assert_well_formed ~what:"builder output (query)" cat qg;
-  assert_well_formed ~what:"builder output (ast)" cat ag;
   let mv_rel = Engine.Exec.run db ag in
   let cols = Qgm.Typing.infer_outputs cat ag in
   let cat2 =
@@ -105,26 +103,37 @@ let rewrite_check ?(mv_name = "mv0") db ~query ~ast =
         foreign_keys = [];
       }
   in
-  let db = Engine.Db.put (Engine.Db.with_catalog db cat2) mv_name mv_rel in
-  (* exercise the match decision directly (cost-based routing is tested
-     separately): apply EVERY matched site and require result equality *)
-  let sites = Astmatch.Navigator.find_matches cat2 ~query:qg ~ast:ag in
-  if sites = [] then (false, true)
-  else
-    let orig = Engine.Exec.run db qg in
-    let mv_cols = Array.to_list (R.columns mv_rel) in
-    let all_equal =
-      List.for_all
-        (fun { Astmatch.Navigator.site_box; site_result; _ } ->
-          let g' =
-            Astmatch.Rewrite.apply ~query:qg ~target:site_box
-              ~result:site_result ~mv_table:mv_name ~mv_cols
-          in
-          assert_well_formed ~what:"rewritten plan" cat2 g';
-          R.bag_equal_approx orig (Engine.Exec.run db g'))
-        sites
-    in
-    (true, all_equal)
+  ( Engine.Db.put (Engine.Db.with_catalog db cat2) mv_name mv_rel,
+    Array.to_list (R.columns mv_rel) )
+
+(* [qg] rewritten over [mv_name] at each site the navigator matches [ag]
+   (cost-based routing is tested separately): one graph per site. [db]
+   holds the materialized AST, as {!with_mv} returns it. *)
+let rewritten_sites ~mv_name ~mv_cols db ~qg ~ag =
+  List.map
+    (fun { Astmatch.Navigator.site_box; site_result; _ } ->
+      Astmatch.Rewrite.apply ~query:qg ~target:site_box ~result:site_result
+        ~mv_table:mv_name ~mv_cols)
+    (Astmatch.Navigator.find_matches (Engine.Db.catalog db) ~query:qg ~ast:ag)
+
+let rewrite_check ?(mv_name = "mv0") db ~query ~ast =
+  let cat = Engine.Db.catalog db in
+  let qg = build cat query in
+  let ag = build cat ast in
+  assert_well_formed ~what:"builder output (query)" cat qg;
+  assert_well_formed ~what:"builder output (ast)" cat ag;
+  let db, mv_cols = with_mv ~mv_name db ag in
+  (* apply EVERY matched site and require result equality *)
+  match rewritten_sites ~mv_name ~mv_cols db ~qg ~ag with
+  | [] -> (false, true)
+  | gs ->
+      let orig = Engine.Exec.run db qg in
+      ( true,
+        List.for_all
+          (fun g' ->
+            assert_well_formed ~what:"rewritten plan" (Engine.Db.catalog db) g';
+            R.bag_equal_approx orig (Engine.Exec.run db g'))
+          gs )
 
 let rows_testable : R.t Alcotest.testable =
   Alcotest.testable R.pp R.bag_equal

@@ -128,7 +128,7 @@ let agree spec =
   let db = Lazy.force db in
   let sql = sql_of spec in
   let g = build (Engine.Db.catalog db) sql in
-  let fast = Engine.Exec.run ~engine:Engine.Exec.Vector db g in
+  let fast = Engine.Exec.run db g in
   let slow = Engine.Reference.run db g in
   if not (R.bag_equal_approx fast slow) then
     QCheck.Test.fail_reportf
@@ -198,20 +198,59 @@ let fixed_cases =
     "SELECT grp, dim FROM fact WHERE v > 6 UNION SELECT grp, id FROM fact, dims WHERE dim = id";
   ]
 
+let check_agree name db g =
+  let fast = Engine.Exec.run db g and slow = Engine.Reference.run db g in
+  if not (R.bag_equal_approx fast slow) then
+    Alcotest.failf "vector and reference disagree on %s\nvector:\n%s\nreference:\n%s"
+      name (R.to_string fast) (R.to_string slow)
+
 let test_fixed () =
   let db = Lazy.force db in
-  List.iter
-    (fun sql ->
-      let g = build (Engine.Db.catalog db) sql in
-      Alcotest.(check bool) sql true
-        (R.bag_equal_approx
-           (Engine.Exec.run ~engine:Engine.Exec.Vector db g)
-           (Engine.Reference.run db g)))
-    fixed_cases
+  List.iter (fun sql -> check_agree sql db (build (Engine.Db.catalog db) sql)) fixed_cases
+
+(* -------- the oracle corpus: the suite's hand-picked workload queries -------- *)
+
+(* Each decision-support query on [Test_decision_support]'s data (910 Trans
+   rows under the three decision-support summaries), as built and as the
+   plan cache routes it; each paper-figure query as built and rewritten
+   over its AST at every site the navigator matches. *)
+let corpus () =
+  let sn = Lazy.force Test_decision_support.session in
+  let db = Mvstore.Session.db sn and store = Mvstore.Session.store sn in
+  let cat = Engine.Db.catalog db in
+  let planner = Plancache.Planner.create () in
+  let decision_support =
+    List.concat_map
+      (fun (q : Workload.Decision_support.query) ->
+        let g = build cat q.dq_sql in
+        let report =
+          Plancache.Planner.plan planner ~cat ~epoch:(Mvstore.Store.epoch store)
+            ~mvs:(Mvstore.Store.rewritable store) g
+        in
+        Alcotest.(check bool) (q.dq_name ^ " routed as expected") q.dq_expect_rewrite
+          (report.Plancache.Planner.pr_steps <> []);
+        [ (q.dq_name, db, g); (q.dq_name ^ " routed", db, report.pr_graph) ])
+      Workload.Decision_support.queries
+  in
+  let paper =
+    List.concat_map
+      (fun (c : Workload.Paper_queries.case) ->
+        let qg = build cat c.query and ag = build cat c.ast in
+        let mv_name = c.ast_name in
+        let db', mv_cols = with_mv ~mv_name db ag in
+        let gs = rewritten_sites ~mv_name ~mv_cols db' ~qg ~ag in
+        Alcotest.(check bool) (c.name ^ " rewritten as expected") c.expect_rewrite (gs <> []);
+        (c.name, db, qg) :: List.map (fun g -> (c.name ^ " rewritten", db', g)) gs)
+      Workload.Paper_queries.cases
+  in
+  decision_support @ paper
+
+let test_corpus () = List.iter (fun (name, db, g) -> check_agree name db g) (corpus ())
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_engines_agree;
     QCheck_alcotest.to_alcotest prop_dedups_agree;
     Alcotest.test_case "fixed shapes" `Quick test_fixed;
+    Alcotest.test_case "oracle corpus" `Quick test_corpus;
   ]

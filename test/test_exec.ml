@@ -233,7 +233,7 @@ let test_nan_aggregates () =
     "SELECT g, COUNT(x) AS c, SUM(x) AS s, MIN(x) AS mn, MAX(x) AS mx, \
      AVG(x) AS a FROM m GROUP BY g"
   in
-  let vec = Engine.Exec.run ~engine:Engine.Exec.Vector db (build cat sql) in
+  let vec = Engine.Exec.run db (build cat sql) in
   let orc = Engine.Reference.run db (build cat sql) in
   (* bag_equal_approx can't see NaN = NaN (abs-diff on nan is false), so
      compare under the polymorphic total order instead *)

@@ -186,8 +186,8 @@ let db_of c =
     [ ("t", R.create columns c.rows); ("u", R.create columns c.urows) ]
 
 let agree db sql =
-  let run engine = Engine.Exec.run ~engine db (Helpers.build catalog sql) in
-  let fast = run Engine.Exec.Vector and slow = run Engine.Exec.Reference in
+  let g = Helpers.build catalog sql in
+  let fast = Engine.Exec.run db g and slow = Engine.Reference.run db g in
   if not (R.bag_equal_approx fast slow) then
     QCheck.Test.fail_reportf "%s\nvector:\n%s\nreference:\n%s" sql (R.to_string fast)
       (R.to_string slow);

@@ -122,7 +122,7 @@ let prop c =
   let g = build (Engine.Db.catalog db) (query c) in
   let reference () = outcome (fun () -> Engine.Reference.run db g) in
   let before = reference () in
-  let vector = outcome (fun () -> Engine.Exec.run ~engine:Engine.Exec.Vector db g) in
+  let vector = outcome (fun () -> Engine.Exec.run db g) in
   let after = reference () in
   let show = function
     | Ok r -> R.to_string r
@@ -159,8 +159,8 @@ let test_folded_constant () =
   List.iter
     (fun sql ->
       List.iter
-        (fun (name, engine) ->
-          let run db = outcome (fun () -> Engine.Exec.run ~engine db (build (Engine.Db.catalog db) sql)) in
+        (fun (name, exec) ->
+          let run db = outcome (fun () -> exec db (build (Engine.Db.catalog db) sql)) in
           (match run empty with
           | Ok r -> Alcotest.(check int) (Printf.sprintf "%s, %s, empty t" name sql) 0 (R.cardinality r)
           | Error e -> Alcotest.failf "%s raised %s over an empty t: %s" name (Printexc.to_string e) sql);
@@ -168,7 +168,7 @@ let test_folded_constant () =
           | Error Division_by_zero -> ()
           | Error e -> Alcotest.failf "%s raised %s: %s" name (Printexc.to_string e) sql
           | Ok _ -> Alcotest.failf "%s did not raise over one row: %s" name sql)
-        [ ("vector", Engine.Exec.Vector); ("reference", Engine.Exec.Reference) ])
+        [ ("vector", fun db g -> Engine.Exec.run db g); ("reference", Engine.Reference.run) ])
     [
       "SELECT k, 1 / 0 AS r FROM t";
       "SELECT k, - (7 % 0) AS r FROM t";
@@ -190,7 +190,7 @@ let star =
 let measure db sql =
   let g = build (Engine.Db.catalog db) sql in
   let s0 = Obs.Metrics.hist_sum scratch and g0 = Obs.Metrics.counter_value gathered in
-  let r = Engine.Exec.run ~engine:Engine.Exec.Vector db g in
+  let r = Engine.Exec.run db g in
   (Obs.Metrics.hist_sum scratch -. s0, Obs.Metrics.counter_value gathered - g0, r)
 
 let count db sql =
@@ -252,8 +252,8 @@ let test_global_aggregate () =
   in
   List.iter
     (fun (what, db) ->
-      let run engine = Engine.Exec.run ~engine db (build (Engine.Db.catalog db) sql) in
-      let fast = run Engine.Exec.Vector and slow = run Engine.Exec.Reference in
+      let g = build (Engine.Db.catalog db) sql in
+      let fast = Engine.Exec.run db g and slow = Engine.Reference.run db g in
       if not (R.bag_equal_approx fast slow) then
         Alcotest.failf "%s: vector\n%s\nreference\n%s" what (R.to_string fast)
           (R.to_string slow);

@@ -291,9 +291,7 @@ let test_stored_batches_survive_arena_reuse () =
     (fun name ->
       let e = Option.get (S.find (Sess.store sn) name) in
       Alcotest.(check bool) (name ^ " fresh") true e.S.e_fresh;
-      let derived =
-        Engine.Exec.run ~engine:Engine.Exec.Reference db e.S.e_graph
-      in
+      let derived = Engine.Reference.run db e.S.e_graph in
       Alcotest.(check bool)
         (name ^ " equals its re-derivation")
         true
