@@ -51,6 +51,9 @@ let remove_table cat name =
   in
   { tabs = Smap.remove key cat.tabs; counts = Smap.remove key cat.counts; ndvs }
 
+let declared_table cat name =
+  match find_table cat name with Some t -> t.tbl_name | None -> name
+
 let tables cat = List.map snd (Smap.bindings cat.tabs)
 let mem_table cat name = Smap.mem (norm name) cat.tabs
 
@@ -67,6 +70,13 @@ let check_cols_exist tbl what cols =
         invalid_arg
           (Printf.sprintf "Catalog: %s column %s not declared in table %s" what
              c tbl.tbl_name))
+    cols
+
+(* A user-typed column list in the table's declared spelling; a column the
+   table does not declare stays as typed, for [check_cols_exist] to name. *)
+let declared_columns tbl cols =
+  List.map
+    (fun c -> match find_column tbl c with Some d -> d.col_name | None -> c)
     cols
 
 let keys_of tbl =
@@ -94,25 +104,45 @@ let add_table cat tbl =
     tbl.tbl_cols;
   check_cols_exist tbl "primary key" tbl.primary_key;
   List.iter (check_cols_exist tbl "unique key") tbl.unique_keys;
-  List.iter
-    (fun fk ->
-      check_cols_exist tbl "foreign key" fk.fk_cols;
-      (match find_table cat fk.fk_ref_table with
-      | None ->
+  let foreign_keys =
+    List.map
+      (fun fk ->
+        check_cols_exist tbl "foreign key" fk.fk_cols;
+        let ref_tbl =
+          match find_table cat fk.fk_ref_table with
+          | None ->
+              invalid_arg
+                (Printf.sprintf "Catalog: FK in %s references unknown table %s"
+                   tbl.tbl_name fk.fk_ref_table)
+          | Some ref_tbl ->
+              check_cols_exist ref_tbl "referenced" fk.fk_ref_cols;
+              if not (is_unique_key_tbl ref_tbl fk.fk_ref_cols) then
+                invalid_arg
+                  (Printf.sprintf
+                     "Catalog: FK in %s references non-key columns of %s"
+                     tbl.tbl_name fk.fk_ref_table);
+              ref_tbl
+        in
+        if List.length fk.fk_cols <> List.length fk.fk_ref_cols then
           invalid_arg
-            (Printf.sprintf "Catalog: FK in %s references unknown table %s"
-               tbl.tbl_name fk.fk_ref_table)
-      | Some ref_tbl ->
-          check_cols_exist ref_tbl "referenced" fk.fk_ref_cols;
-          if not (is_unique_key_tbl ref_tbl fk.fk_ref_cols) then
-            invalid_arg
-              (Printf.sprintf
-                 "Catalog: FK in %s references non-key columns of %s"
-                 tbl.tbl_name fk.fk_ref_table));
-      if List.length fk.fk_cols <> List.length fk.fk_ref_cols then
-        invalid_arg
-          (Printf.sprintf "Catalog: FK arity mismatch in table %s" tbl.tbl_name))
-    tbl.foreign_keys;
+            (Printf.sprintf "Catalog: FK arity mismatch in table %s" tbl.tbl_name);
+        {
+          fk_cols = declared_columns tbl fk.fk_cols;
+          fk_ref_table = ref_tbl.tbl_name;
+          fk_ref_cols = declared_columns ref_tbl fk.fk_ref_cols;
+        })
+      tbl.foreign_keys
+  in
+  (* keys and references are stored in their declared spelling, so every
+     layer below compares names with [=] *)
+  let tbl =
+    {
+      tbl with
+      primary_key = declared_columns tbl tbl.primary_key;
+      unique_keys = List.map (declared_columns tbl) tbl.unique_keys;
+      foreign_keys;
+    }
+  in
   { cat with tabs = Smap.add (norm tbl.tbl_name) tbl cat.tabs }
 
 let is_unique_key cat tname cols =

@@ -32,6 +32,10 @@ val add_table : t -> table -> t
 
 val find_table : t -> string -> table option
 
+(** [declared_table cat name] is [name] as its table was declared (looked
+    up as {!find_table} does), or [name] itself when no table has it. *)
+val declared_table : t -> string -> string
+
 (** [remove_table cat name] drops a table's definition and statistics.
     Raises [Invalid_argument] when another table declares a foreign key
     referencing it. *)
@@ -40,10 +44,18 @@ val table_exn : t -> string -> table
 val tables : t -> table list
 val mem_table : t -> string -> bool
 
-(** Case-insensitive column lookup within a table. *)
+(** Case-insensitive column lookup within a table. The catalog is where a
+    user-typed table or column name is looked up; below it, names are
+    compared in their declared spelling. *)
 val find_column : table -> string -> column option
 
 val column_names : table -> string list
+
+(** [declared_columns tbl cols] spells each of [cols] as [tbl] declares it
+    (looked up as {!find_column} does); a name [tbl] does not declare stays
+    as given. {!add_table} stores key and foreign-key column lists, and
+    foreign-key targets, in their declared spelling. *)
+val declared_columns : table -> string list -> string list
 
 (** [is_unique_key cat tname cols] — do [cols] contain the primary key or a
     unique key of [tname]? (A superset of a key is still a key.) *)

@@ -3,7 +3,6 @@ module B = Qgm.Box
 module G = Qgm.Graph
 module V = Data.Value
 
-let norm = String.lowercase_ascii
 let default_rows = 1000.
 let range_selectivity = 0.33
 let misc_selectivity = 0.5
@@ -32,10 +31,8 @@ and col_ndv cat g memo box_id col =
         | Some n -> float_of_int n
         | None -> Float.min rows 100.)
   | B.Select sel -> (
-      match
-        List.find_opt (fun (n, _) -> norm n = norm col) sel.B.sel_outs
-      with
-      | Some (_, E.Col { B.quant; col = c }) -> (
+      match List.assoc_opt col sel.B.sel_outs with
+      | Some (E.Col { B.quant; col = c }) -> (
           match
             List.find_opt (fun q -> q.B.q_id = quant) sel.B.sel_quants
           with
@@ -45,7 +42,7 @@ and col_ndv cat g memo box_id col =
       | None -> capped rows)
   | B.Group grp ->
       let child = grp.B.grp_quant.B.q_box in
-      if List.exists (fun c -> norm c = norm col) (B.grouping_union grp.B.grp_grouping)
+      if List.mem col (B.grouping_union grp.B.grp_grouping)
       then capped (col_ndv cat g memo child col)
       else capped rows (* aggregate output *)
   | B.Union _ -> capped rows

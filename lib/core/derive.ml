@@ -2,8 +2,6 @@ module E = Qgm.Expr
 module M = Mtypes
 module V = Data.Value
 
-let norm = String.lowercase_ascii
-
 (* ------------------------------------------------------------------ *)
 (* Scalar derivation (SELECT patterns)                                 *)
 (* ------------------------------------------------------------------ *)
@@ -75,18 +73,17 @@ type group_env = {
 }
 
 let restrict_to_cols equiv cols t =
-  let cols = List.map norm cols in
   E.subst_col
     (fun c ->
       match c with
       | M.Rejoin _ -> Some (E.Col c)
       | M.Below x ->
-          if List.mem (norm x) cols then Some (E.Col (M.Below x))
+          if List.mem x cols then Some (E.Col (M.Below x))
           else
             List.find_map
               (fun m ->
                 match m with
-                | M.Below y when List.mem (norm y) cols -> Some (E.Col m)
+                | M.Below y when List.mem y cols -> Some (E.Col m)
                 | _ -> None)
               (Equiv.members equiv c))
     t
@@ -240,9 +237,8 @@ let derive_distinct env fn t =
           match env.ge_ekey_cols with
           | None -> false
           | Some ekeys ->
-              let target = List.sort_uniq compare (List.map norm (y :: ekeys)) in
-              let cuboid = List.sort_uniq compare (List.map norm env.ge_cuboid) in
-              target = cuboid
+              List.sort_uniq compare (y :: ekeys)
+              = List.sort_uniq compare env.ge_cuboid
         in
         Some
           (E.Agg

@@ -61,19 +61,13 @@ let level_outs = function
    level below. Grouping columns pass through; aggregate outputs surface as
    Agg expressions (used for expression translation, Figure 15). *)
 let level_out_expr level col =
-  let norm = String.lowercase_ascii in
   match level with
-  | L_select { ls_outs; _ } ->
-      List.find_map
-        (fun (n, e) -> if norm n = norm col then Some e else None)
-        ls_outs
+  | L_select { ls_outs; _ } -> List.assoc_opt col ls_outs
   | L_group { lg_grouping; lg_aggs; _ } ->
-      if List.exists (fun c -> norm c = norm col) (B.grouping_union lg_grouping)
-      then Some (E.Col (Below col))
+      if List.mem col (B.grouping_union lg_grouping) then Some (E.Col (Below col))
       else
         List.find_map
-          (fun (n, agg, arg) ->
-            if norm n = norm col then Some (E.Agg (agg, arg)) else None)
+          (fun (n, agg, arg) -> if n = col then Some (E.Agg (agg, arg)) else None)
           lg_aggs
 
 let pp_cref fmt = function

@@ -12,16 +12,13 @@ let nav_ms = Obs.Metrics.histogram "navigator.ms"
    match may legitimately cover only part of a box's outputs — but a match
    that is to REPLACE a box must reproduce every output column. *)
 let covers_outputs g e_id (res : Mtypes.result) =
-  let norm = String.lowercase_ascii in
-  let wanted =
-    List.map norm (Qgm.Box.output_cols (Qgm.Graph.box g e_id))
-  in
+  let wanted = Qgm.Box.output_cols (Qgm.Graph.box g e_id) in
   let produced =
     match res with
-    | Mtypes.Exact cmap -> List.map (fun (n, _) -> norm n) cmap
+    | Mtypes.Exact cmap -> List.map fst cmap
     | Mtypes.Comp [] -> []
     | Mtypes.Comp levels ->
-        List.map norm (Mtypes.level_outs (List.nth levels (List.length levels - 1)))
+        Mtypes.level_outs (List.nth levels (List.length levels - 1))
   in
   List.for_all (fun c -> List.mem c produced) wanted
 

@@ -31,8 +31,6 @@ module G = Qgm.Graph
 module M = Mtypes
 module V = Data.Value
 
-let norm = String.lowercase_ascii
-let col_mem c cols = List.exists (fun x -> norm x = norm c) cols
 let canon_tx equiv e = E.normalize (Equiv.canon equiv e)
 
 let show_tx e = E.to_string (Format.asprintf "%a" M.pp_txref) e
@@ -333,9 +331,7 @@ let certify_select_flat ctx asg
         let back p =
           E.subst_col
             (function
-              | M.Below n ->
-                  Option.map snd
-                    (List.find_opt (fun (m, _) -> norm m = norm n) r_outs)
+              | M.Below n -> List.assoc_opt n r_outs
               | M.Rejoin r -> Some (E.Col (M.Rj r)))
             p
         in
@@ -393,7 +389,7 @@ let rec match_boxes (ctx : Mctx.t) e_id r_id =
         match (e_box.B.body, r_box.B.body) with
         | B.Base { bt_table = t1; _ }, B.Base { bt_table = t2; bt_cols } ->
             (* same base relation verbatim: trivially certified *)
-            if norm t1 = norm t2 then
+            if t1 = t2 then
               Some (M.Exact (List.map (fun c -> (c, c)) bt_cols), Prove.Proved)
             else None
         | B.Select e_sel, B.Select r_sel ->
@@ -870,7 +866,7 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
     if not r_is_cube then []
     else
       List.map
-        (fun col -> E.Is_null (E.Col (M.Below col), not (col_mem col cuboid)))
+        (fun col -> E.Is_null (E.Col (M.Below col), not (List.mem col cuboid)))
         r_union
   in
   (* exact-cuboid attempt: the selected keys, restricted to the cuboid, must
@@ -889,7 +885,7 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
                 List.find_opt
                   (fun m ->
                     match m with
-                    | M.Below y -> col_mem y cuboid
+                    | M.Below y -> List.mem y cuboid
                     | M.Rejoin _ -> false)
                   (Equiv.members equiv c)
               with
@@ -900,7 +896,7 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
     let sel_keys =
       List.filter_map
         (fun (k, t) ->
-          if col_mem k sel_key_names then Some (k, to_below t) else None)
+          if List.mem k sel_key_names then Some (k, to_below t) else None)
         keys
     in
     match restrict_to_cuboid equiv cuboid sel_keys pulled_preds with
@@ -910,8 +906,8 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
         | None -> None
         | Some key_cols ->
             let covers =
-              List.sort_uniq compare (List.map (fun (_, x) -> norm x) key_cols)
-              = List.sort_uniq compare (List.map norm cuboid)
+              List.sort_uniq compare (List.map snd key_cols)
+              = List.sort_uniq compare cuboid
             in
             if not covers then None
             else if rejoins <> [] && not (rejoins_one_sided ()) then None
@@ -943,7 +939,7 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
       List.for_all
         (fun c ->
           match c with
-          | M.Below x -> col_mem x r_union
+          | M.Below x -> List.mem x r_union
           | M.Rejoin _ -> true)
         (E.cols orig)
     in
@@ -1001,9 +997,9 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
             (fun (_, (key_cols, _, _)) ->
               List.iter
                 (fun (k, x) ->
-                  match Hashtbl.find_opt merged_keys (norm k) with
-                  | None -> Hashtbl.replace merged_keys (norm k) x
-                  | Some x' -> if norm x <> norm x' then consistent := false)
+                  match Hashtbl.find_opt merged_keys k with
+                  | None -> Hashtbl.replace merged_keys k x
+                  | Some x' -> if x <> x' then consistent := false)
                 key_cols)
             hits;
           let _, (_, preds0, direct0) = List.hd hits in
@@ -1036,7 +1032,7 @@ and match_group_spec ctx ~keys ~grouping ~aggs ~pulled_preds ~rejoins
             let outs =
               List.map
                 (fun (k, _) ->
-                  match Hashtbl.find_opt merged_keys (norm k) with
+                  match Hashtbl.find_opt merged_keys k with
                   | Some x -> (k, E.Col (M.Below x))
                   | None -> (k, E.Const V.Null))
                 keys
@@ -1135,12 +1131,10 @@ and regroup_compensation ctx ~keys ~regroup_grouping ~aggs ~equiv ~r_sets
           (fun acc x ->
             let taken = key_names @ List.map snd acc in
             let n =
-              if List.exists (fun t -> norm t = norm x) taken then
+              if List.mem x taken then
                 let rec fresh i =
                   let cand = Printf.sprintf "%s_p%d" x i in
-                  if List.exists (fun t -> norm t = norm cand) taken then
-                    fresh (i + 1)
-                  else cand
+                  if List.mem cand taken then fresh (i + 1) else cand
                 in
                 fresh 1
               else x
@@ -1163,12 +1157,8 @@ and regroup_compensation ctx ~keys ~regroup_grouping ~aggs ~equiv ~r_sets
         E.map_col
           (fun c ->
             match c with
-            | M.Below x -> (
-                match
-                  List.find_opt (fun (y, _) -> norm y = norm x) pass_name
-                with
-                | Some (_, n) -> M.Below n
-                | None -> M.Below x)
+            | M.Below x ->
+                M.Below (Option.value ~default:x (List.assoc_opt x pass_name))
             | M.Rejoin r -> M.Rejoin r)
           e
       in

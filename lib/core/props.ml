@@ -2,28 +2,17 @@ module E = Qgm.Expr
 module B = Qgm.Box
 module G = Qgm.Graph
 
-let norm = String.lowercase_ascii
-
 let rec column_nullable cat g box_id col =
   let box = G.box g box_id in
   match box.B.body with
   | B.Base { bt_table; _ } -> Catalog.column_nullable cat bt_table col
   | B.Select { sel_quants = quants; sel_outs = outs; _ } -> (
-      match
-        List.find_opt (fun (n, _) -> norm n = norm col) outs
-      with
+      match List.assoc_opt col outs with
       | None -> true
-      | Some (_, e) -> expr_nullable cat g quants e)
+      | Some e -> expr_nullable cat g quants e)
   | B.Union u ->
       (* nullable when nullable in any branch, aligned positionally *)
-      let idx =
-        let rec find i = function
-          | [] -> None
-          | c :: rest ->
-              if norm c = norm col then Some i else (ignore rest; find (i + 1) rest)
-        in
-        find 0 u.B.un_cols
-      in
+      let idx = List.find_index (String.equal col) u.B.un_cols in
       (match idx with
       | None -> true
       | Some i ->
@@ -35,20 +24,16 @@ let rec column_nullable cat g box_id col =
             u.B.un_quants)
   | B.Group { grp_quant = quant; grp_grouping = grouping; grp_aggs = aggs } -> (
       let union = B.grouping_union grouping in
-      if List.exists (fun c -> norm c = norm col) union then
+      if List.mem col union then
         (* NULL-padded in cuboids that exclude the column (section 5) *)
         let in_every_set =
-          List.for_all
-            (fun set -> List.exists (fun c -> norm c = norm col) set)
-            (B.grouping_sets grouping)
+          List.for_all (List.mem col) (B.grouping_sets grouping)
         in
         (not in_every_set)
         || column_nullable cat g quant.B.q_box col
       else
-        match
-          List.find_opt (fun (n, _) -> norm n = norm col) aggs
-        with
-        | Some (_, { B.agg = { E.fn = E.Count | E.Count_star; _ }; _ }) -> false
+        match List.assoc_opt col aggs with
+        | Some { B.agg = { E.fn = E.Count | E.Count_star; _ }; _ } -> false
         | Some _ -> true (* SUM/MIN/MAX/AVG of all-NULL group is NULL *)
         | None -> true)
 
@@ -85,6 +70,5 @@ let cols_are_key cat g box_id cols =
   match box.B.body with
   | B.Base { bt_table; _ } -> Catalog.is_unique_key cat bt_table cols
   | B.Group { grp_grouping = B.Simple keys; _ } ->
-      let cols = List.map norm cols in
-      List.for_all (fun k -> List.mem (norm k) cols) keys
+      List.for_all (fun k -> List.mem k cols) keys
   | B.Group _ | B.Select _ | B.Union _ -> false

@@ -2,8 +2,6 @@ module E = Qgm.Expr
 module B = Qgm.Box
 module M = Mtypes
 
-let norm = String.lowercase_ascii
-
 let tr_calls = Obs.Metrics.counter "translate.calls"
 
 let through_comp levels e =
@@ -26,10 +24,7 @@ let through_comp levels e =
 let child_col result col =
   match result with
   | M.Exact cmap ->
-      List.find_map
-        (fun (e_col, r_col) ->
-          if norm e_col = norm col then Some (E.Col (M.Below r_col)) else None)
-        cmap
+      Option.map (fun r_col -> E.Col (M.Below r_col)) (List.assoc_opt col cmap)
   | M.Comp levels -> through_comp levels (E.Col (M.Below col))
 
 let lift_cref ~rq e =

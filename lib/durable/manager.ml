@@ -22,7 +22,6 @@ module Sh = Mvstore.Shared
 module St = Mvstore.Store
 module Se = Mvstore.Session
 
-let norm = String.lowercase_ascii
 
 type config = {
   c_dir : string;
@@ -126,7 +125,7 @@ let record_of_json j =
 let checkpoint_of_snapshot ~lsn (snap : Sh.snapshot) =
   let db = snap.Sh.sn_db in
   let entries = St.entries snap.Sh.sn_store in
-  let sum_names = List.map (fun e -> norm e.St.e_name) entries in
+  let sum_names = List.map (fun e -> e.St.e_name) entries in
   let batch_of name cols =
     try Engine.Db.batch db name
     with Invalid_argument _ -> Engine.Column.of_relation (R.empty cols)
@@ -136,7 +135,7 @@ let checkpoint_of_snapshot ~lsn (snap : Sh.snapshot) =
     ck_tables =
       Catalog.tables (Engine.Db.catalog db)
       |> List.filter (fun tb ->
-             not (List.mem (norm tb.Catalog.tbl_name) sum_names))
+             not (List.mem tb.Catalog.tbl_name sum_names))
       |> List.map (fun tb ->
              {
                Checkpoint.ck_table = tb;

@@ -23,7 +23,6 @@ type spare = { buffers : C.data array; cap : int; extent : int Atomic.t }
 type entry = { batch : C.batch; spare : spare option; scanned : int }
 type t = { cat : Catalog.t; tables : entry Smap.t }
 
-let norm = String.lowercase_ascii
 let create cat = { cat; tables = Smap.empty }
 let catalog db = db.cat
 let with_catalog db cat = { db with cat }
@@ -40,7 +39,7 @@ let install ?(ndv = fun (b : C.batch) i -> C.ndv b.C.cols.(i)) ?spare db name
     (b : C.batch) =
   let n = b.C.nrows in
   let last_scan =
-    match (Smap.find_opt (norm name) db.tables, Catalog.row_count db.cat name) with
+    match (Smap.find_opt name db.tables, Catalog.row_count db.cat name) with
     | Some e, Some _ -> Some e.scanned
     | _ -> None
   in
@@ -60,7 +59,7 @@ let install ?(ndv = fun (b : C.batch) i -> C.ndv b.C.cols.(i)) ?spare db name
       !cat
   in
   let scanned = match last_scan with Some old when not stale -> old | _ -> n in
-  { cat; tables = Smap.add (norm name) { batch = b; spare; scanned } db.tables }
+  { cat; tables = Smap.add name { batch = b; spare; scanned } db.tables }
 
 let put db name rel =
   (* a column mixing INT and FLOAT values decodes to floats, where Int 3
@@ -85,7 +84,7 @@ let put_batch db name b = install db name b
 let put_batch_uncounted db name (b : C.batch) =
   {
     cat = Catalog.set_row_count db.cat name b.C.nrows;
-    tables = Smap.add (norm name) { batch = b; spare = None; scanned = b.C.nrows } db.tables;
+    tables = Smap.add name { batch = b; spare = None; scanned = b.C.nrows } db.tables;
   }
 
 (* Appends in place need every column numeric and NULL-free on both
@@ -126,7 +125,7 @@ let prefix n = function
   | _ -> invalid_arg "Db.prefix"
 
 let append db name delta =
-  match Smap.find_opt (norm name) db.tables with
+  match Smap.find_opt name db.tables with
   | None -> put db name delta
   | Some _ when R.cardinality delta = 0 -> db
   | Some { batch = cur; spare; _ } ->
@@ -163,7 +162,7 @@ let append db name delta =
           }
 
 let batch db name =
-  match Smap.find_opt (norm name) db.tables with
+  match Smap.find_opt name db.tables with
   | Some e -> e.batch
   | None -> invalid_arg (Printf.sprintf "Db: no contents for table %s" name)
 
@@ -174,14 +173,14 @@ let get db name =
     (fun { batch = b; _ } ->
       Obs.Metrics.add materialized_rows b.C.nrows;
       C.to_relation b)
-    (Smap.find_opt (norm name) db.tables)
+    (Smap.find_opt name db.tables)
 
 let get_exn db name =
   match get db name with
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Db: no contents for table %s" name)
 
-let drop db name = { db with tables = Smap.remove (norm name) db.tables }
+let drop db name = { db with tables = Smap.remove name db.tables }
 
 let of_tables cat tables =
   List.fold_left (fun db (n, r) -> put db n r) (create cat) tables

@@ -10,7 +10,10 @@
     than 5% and more than 100 rows from the count at their last recount.
 
     Functional updates; callers thread the value (the CLI session holds a
-    ref). Summary-table contents live here too, under their table name. *)
+    ref). Summary-table contents live here too, under their table name.
+    Tables are keyed by their declared (catalog) name, compared with [=],
+    and a stored batch's column names are the table's declared column
+    names: a name the user typed is resolved through {!Catalog} first. *)
 
 type t
 

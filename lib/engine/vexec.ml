@@ -137,7 +137,6 @@ let append a b =
   }
 
 let lay_index (lay : (int * string) array) quant col =
-  let col = String.lowercase_ascii col in
   let n = Array.length lay in
   let rec go i =
     if i >= n then None
@@ -532,7 +531,7 @@ let tri_at op v =
 let compact_for ctx (sel, k) e =
   let refs =
     List.sort_uniq compare
-      (List.map (fun r -> (r.B.quant, String.lowercase_ascii r.B.col)) (E.cols e))
+      (List.map (fun r -> (r.B.quant, r.B.col)) (E.cols e))
   in
   let pairs =
     List.filter_map
@@ -690,7 +689,7 @@ and eval_fn ctx f args =
         (C.of_values
            (Array.init n (fun i -> Eval.apply_fn f (List.map (fun v -> vv_get v i) vs))))
   in
-  match (String.lowercase_ascii f, vs) with
+  match (f, vs) with
   | ( (("year" | "month" | "day") as part),
       [ (Vec ({ C.data = C.Dates a; _ } as c) | Tmp ({ C.data = C.Dates a; _ } as c)) ] ) ->
       (* yyyymmdd; NULL padding 0 projects to 0 *)
@@ -824,14 +823,9 @@ let filter ctx p =
 (* ------------------------------------------------------------------ *)
 
 let batch_col_index (b : C.batch) name =
-  let lname = String.lowercase_ascii name in
-  let n = Array.length b.C.names in
-  let rec go i =
-    if i >= n then raise Not_found
-    else if String.lowercase_ascii b.C.names.(i) = lname then i
-    else go (i + 1)
-  in
-  go 0
+  match Array.find_index (String.equal name) b.C.names with
+  | Some i -> i
+  | None -> raise Not_found
 
 let exec_base db { B.bt_table; bt_cols } : C.batch =
   let full = Db.batch db bt_table in
@@ -1122,7 +1116,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
         in
         Array.iteri
           (fun ci col ->
-            init_lay := !init_lay @ [ (q.B.q_id, String.lowercase_ascii col) ];
+            init_lay := !init_lay @ [ (q.B.q_id, col) ];
             init_cols := !init_cols @ [ C.of_values [| value ci |] ])
           cb.C.names
       end)
@@ -1137,7 +1131,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
     let note e =
       List.iter
         (fun r ->
-          Hashtbl.replace tbl (r.B.quant, String.lowercase_ascii r.B.col) ())
+          Hashtbl.replace tbl (r.B.quant, r.B.col) ())
         (E.cols e)
     in
     List.iter (fun (_, e) -> note e) outs;
@@ -1190,17 +1184,10 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
     (fun q ->
       if q.B.q_kind = B.Foreach then begin
         let cb = child q in
-        let cb_lnames = Array.map String.lowercase_ascii cb.C.names in
         let col_idx name =
-          let name = String.lowercase_ascii name in
-          let n = Array.length cb_lnames in
-          let rec go i =
-            if i >= n then
-              err "column %s missing in child of quantifier %d" name q.B.q_id
-            else if cb_lnames.(i) = name then i
-            else go (i + 1)
-          in
-          go 0
+          match Array.find_index (String.equal name) cb.C.names with
+          | Some i -> i
+          | None -> err "column %s missing in child of quantifier %d" name q.B.q_id
         in
         (* usable equi-join keys: new-side col = working-set ref *)
         let keys = ref [] in
@@ -1238,20 +1225,20 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
           let note e =
             List.iter
               (fun r ->
-                Hashtbl.replace tbl (r.B.quant, String.lowercase_ascii r.B.col) ())
+                Hashtbl.replace tbl (r.B.quant, r.B.col) ())
               (E.cols e)
           in
           List.iter (fun (p, _) -> note p) pushed;
           List.iter
             (fun (nm, _) ->
-              Hashtbl.replace tbl (q.B.q_id, String.lowercase_ascii nm) ())
+              Hashtbl.replace tbl (q.B.q_id, nm) ())
             !keys;
           tbl
         in
         let cbatch =
           ref
             (prune_lbatch need0
-               (lbatch_of (Array.map (fun nm -> (q.B.q_id, nm)) cb_lnames) cb.C.cols cb.C.nrows))
+               (lbatch_of (Array.map (fun nm -> (q.B.q_id, nm)) cb.C.names) cb.C.cols cb.C.nrows))
         in
         (* the pushed filters narrow the child's selection vector; its
            columns are gathered only once something reads them *)
@@ -1576,7 +1563,6 @@ let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =
   in
   (* one grouping set's rows: a column per output column *)
   let cuboid set : C.t list * int =
-    let set_l = List.map String.lowercase_ascii set in
     let gids, gm, firsts, ngroups =
       match set with
       | [] ->
@@ -1597,7 +1583,7 @@ let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =
     let key_vals =
       List.map
         (fun c ->
-          if List.mem (String.lowercase_ascii c) set_l then
+          if List.mem c set then
             (* each group's key is its first row's *)
             let k = C.gather (col c) firsts ngroups in
             match k.C.data with C.Boxed a -> C.of_values a | _ -> k

@@ -95,15 +95,19 @@ let disarm p = countdown.(idx p) <- None
 let disarm_all () = Array.fill countdown 0 (Array.length countdown) None
 let armed p = countdown.(idx p) <> None
 
-let fire p =
-  match countdown.(idx p) with
+(* One hit of [p] against the countdowns [counts]: true when it fires,
+   which disarms the point. *)
+let step counts p =
+  match counts.(idx p) with
   | None -> false
   | Some 1 ->
-      countdown.(idx p) <- None;
+      counts.(idx p) <- None;
       true
   | Some n ->
-      countdown.(idx p) <- Some (n - 1);
+      counts.(idx p) <- Some (n - 1);
       false
+
+let fire p = step countdown p
 
 let hit p = if fire p then raise (Injected p)
 
@@ -141,7 +145,9 @@ let point_of_name s =
   let s = String.lowercase_ascii (String.trim s) in
   List.find_opt (fun p -> point_name p = s) all_points
 
-let arm_spec spec =
+(* A comma-separated list of [point] or [point:N] items, each armed by
+   [arm]; [what] names the kind of point in the error for an unknown one. *)
+let parse_spec ~what ~arm spec =
   let arm_one item =
     let item = String.trim item in
     if item = "" then Ok ()
@@ -158,8 +164,7 @@ let arm_spec spec =
       match (point_of_name name, after) with
       | None, _ ->
           Error
-            (Printf.sprintf
-               "unknown injection point %S (expected one of: %s)" name
+            (Printf.sprintf "unknown %s %S (expected one of: %s)" what name
                (String.concat ", " (List.map point_name all_points)))
       | Some _, None ->
           Error (Printf.sprintf "bad count in %S (expected point:N, N >= 1)" item)
@@ -173,6 +178,8 @@ let arm_spec spec =
     (fun acc item -> match acc with Error _ -> acc | Ok () -> arm_one item)
     (Ok ())
     (String.split_on_char ',' spec)
+
+let arm_spec = parse_spec ~what:"injection point" ~arm
 
 let seed_of_env () =
   Option.bind (Sys.getenv_opt "ASTQL_FAULT_SEED") int_of_string_opt
@@ -193,15 +200,7 @@ let arm_crash p ~after =
   if after <= 0 then invalid_arg "Fault.arm_crash: after must be positive";
   crash_countdown.(idx p) <- Some after
 
-let crash_fire p =
-  match crash_countdown.(idx p) with
-  | None -> false
-  | Some 1 ->
-      crash_countdown.(idx p) <- None;
-      true
-  | Some n ->
-      crash_countdown.(idx p) <- Some (n - 1);
-      false
+let crash_fire p = step crash_countdown p
 
 let crash_now () =
   (* SIGKILL cannot be caught; the pause loop covers the delivery window *)
@@ -213,38 +212,7 @@ let crash_now () =
 
 let crash_hit p = if crash_fire p then crash_now ()
 
-let arm_crash_spec spec =
-  let arm_one item =
-    let item = String.trim item in
-    if item = "" then Ok ()
-    else
-      let name, after =
-        match String.index_opt item ':' with
-        | None -> (item, Some 1)
-        | Some i ->
-            ( String.sub item 0 i,
-              int_of_string_opt
-                (String.trim
-                   (String.sub item (i + 1) (String.length item - i - 1))) )
-      in
-      match (point_of_name name, after) with
-      | None, _ ->
-          Error
-            (Printf.sprintf
-               "unknown crash point %S (expected one of: %s)" name
-               (String.concat ", " (List.map point_name all_points)))
-      | Some _, None ->
-          Error (Printf.sprintf "bad count in %S (expected point:N, N >= 1)" item)
-      | Some _, Some n when n <= 0 ->
-          Error (Printf.sprintf "bad count in %S (expected point:N, N >= 1)" item)
-      | Some p, Some n ->
-          arm_crash p ~after:n;
-          Ok ()
-  in
-  List.fold_left
-    (fun acc item -> match acc with Error _ -> acc | Ok () -> arm_one item)
-    (Ok ())
-    (String.split_on_char ',' spec)
+let arm_crash_spec = parse_spec ~what:"crash point" ~arm:arm_crash
 
 (* ---------------- result corruption ---------------- *)
 

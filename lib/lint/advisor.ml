@@ -32,7 +32,6 @@ type diag = { d_code : string; d_slug : string; d_msg : string }
 let m_diags = Obs.Metrics.counter "lint.advisor.diags"
 
 let render d = Printf.sprintf "%s %s: %s" d.d_code d.d_slug d.d_msg
-let norm = String.lowercase_ascii
 
 (* Base-table footprint, the same notion Plancache.Candidates indexes on:
    the sorted set of base tables reachable from the root. *)
@@ -41,7 +40,7 @@ let footprint g =
     (List.filter_map
        (fun id ->
          match (G.box g id).B.body with
-         | B.Base { bt_table; _ } -> Some (norm bt_table)
+         | B.Base { bt_table; _ } -> Some bt_table
          | _ -> None)
        (G.base_leaves g (G.root g)))
 
@@ -65,7 +64,7 @@ let grouping_key g =
   match top_group g with
   | None -> None
   | Some (_, grp) ->
-      Some (List.sort compare (List.map norm (B.grouping_union grp.B.grp_grouping)))
+      Some (List.sort compare (B.grouping_union grp.B.grp_grouping))
 
 (* Is a grouping column nullable in the base table it comes from? The
    grouping keys of a summary are child columns of the group box; chase
@@ -83,18 +82,14 @@ let col_nullable cat g box_id col =
             | Some c -> c.Catalog.nullable
             | None -> false))
     | B.Select s -> (
-        match
-          List.find_opt (fun (n, _) -> norm n = norm col) s.B.sel_outs
-        with
-        | Some (_, E.Col { B.quant; col = c }) -> (
+        match List.assoc_opt col s.B.sel_outs with
+        | Some (E.Col { B.quant; col = c }) -> (
             match List.find_opt (fun q -> q.B.q_id = quant) s.B.sel_quants with
             | Some q -> chase q.B.q_box c
             | None -> false)
         | _ -> false)
     | B.Group grp ->
-        if List.exists (fun c -> norm c = norm col)
-             (B.grouping_union grp.B.grp_grouping)
-        then chase grp.B.grp_quant.B.q_box col
+        if List.mem col (B.grouping_union grp.B.grp_grouping) then chase grp.B.grp_quant.B.q_box col
         else false
     | B.Union _ -> false
   in
@@ -119,7 +114,7 @@ let lint ?(existing = []) ?incremental cat g =
           (fun (_, a) ->
             a.B.agg.E.fn = E.Count && (not a.B.agg.E.distinct)
             && (match a.B.arg with
-               | Some c -> norm c = norm arg
+               | Some c -> c = arg
                | None -> false))
           aggs
       in
@@ -152,7 +147,7 @@ let lint ?(existing = []) ?incremental cat g =
           let union = B.grouping_union grp.B.grp_grouping in
           let rolled_up c =
             List.exists
-              (fun set -> not (List.exists (fun x -> norm x = norm c) set))
+              (fun set -> not (List.mem c set))
               sets
           in
           List.iter

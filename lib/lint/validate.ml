@@ -73,8 +73,6 @@ let summary = function
   | v :: rest ->
       Printf.sprintf "%s (+%d more)" (render v) (List.length rest)
 
-let norm = String.lowercase_ascii
-
 let check ?cat ?(deep = false) g =
   Obs.Metrics.incr m_runs;
   let problems = ref [] in
@@ -115,10 +113,10 @@ let check ?cat ?(deep = false) g =
         push ~box:root_id "V116" "root box produces no output columns";
       (* V114: presentation refers to root outputs only. *)
       let pres = G.presentation g in
-      let root_cols = List.map norm (B.output_cols root_box) in
+      let root_cols = B.output_cols root_box in
       List.iter
         (fun (c, _) ->
-          if not (List.mem (norm c) root_cols) then
+          if not (List.mem c root_cols) then
             push ~box:root_id "V114"
               "ORDER BY column %s is not an output of the root" c)
         pres.G.order_by;
@@ -127,7 +125,7 @@ let check ?cat ?(deep = false) g =
       | _ -> ());
       (* Per-box structural checks over the reachable subgraph. *)
       let check_unique id cols =
-        let sorted = List.sort compare (List.map norm cols) in
+        let sorted = List.sort compare cols in
         let rec dup = function
           | a :: b :: _ when a = b -> Some a
           | _ :: rest -> dup rest
@@ -153,8 +151,7 @@ let check ?cat ?(deep = false) g =
                 match G.box_opt g q.B.q_box with
                 | None -> () (* already a V103 *)
                 | Some child ->
-                    let cols = List.map norm (B.output_cols child) in
-                    if not (List.mem (norm col) cols) then
+                    if not (List.mem col (B.output_cols child)) then
                       push ~box:id "V105"
                         "%s references q%d.%s but box %d produces no column \
                          %s"
@@ -269,7 +266,7 @@ let check ?cat ?(deep = false) g =
                     "singleton grouping-set list (canonical form is Simple)"
               | B.Gsets sets ->
                   let keys =
-                    List.map (fun s -> List.sort compare (List.map norm s)) sets
+                    List.map (List.sort compare) sets
                   in
                   if List.length (List.sort_uniq compare keys)
                      <> List.length keys
@@ -277,9 +274,9 @@ let check ?cat ?(deep = false) g =
               match G.box_opt g grp.B.grp_quant.B.q_box with
               | None -> () (* already a V103 *)
               | Some child ->
-                  let child_cols = List.map norm (B.output_cols child) in
+                  let child_cols = B.output_cols child in
                   let check_col code what c =
-                    if not (List.mem (norm c) child_cols) then
+                    if not (List.mem c child_cols) then
                       push ~box:id code "%s column %s not produced by child"
                         what c
                   in

@@ -23,29 +23,23 @@ type task = {
 type quarantined = { mq_mv : string; mq_error : Guard.Error.t }
 
 type t = {
-  max_retries : int;
-  backoff_base : int;
   mutable tasks : task list;           (* FIFO within the same due tick *)
   mutable held : quarantined list;
   mutable tick : int;
 }
 
-let create ?(max_retries = 3) ?(backoff_base = 2) () =
-  if max_retries < 1 then invalid_arg "Maint.create: max_retries < 1";
-  if backoff_base < 1 then invalid_arg "Maint.create: backoff_base < 1";
+let max_retries = 3
+let backoff_base = 2
+
+let create () =
   {
-    max_retries;
-    backoff_base;
     tasks = [];
     held = [];
     tick = 0;
   }
 
-let norm = String.lowercase_ascii
-let same a b = norm a = norm b
-
-let is_queued t name = List.exists (fun k -> same k.mt_mv name) t.tasks
-let is_quarantined t name = List.exists (fun q -> same q.mq_mv name) t.held
+let is_queued t name = List.exists (fun k -> k.mt_mv = name) t.tasks
+let is_quarantined t name = List.exists (fun q -> q.mq_mv = name) t.held
 let depth t = List.length t.tasks
 let quarantined t = t.held
 let tasks t = t.tasks
@@ -58,8 +52,8 @@ let enqueue t name =
 (* DROP or manual REFRESH: the table no longer needs (or can receive)
    auto-maintenance, and a quarantine hold is void. *)
 let remove t name =
-  t.tasks <- List.filter (fun k -> not (same k.mt_mv name)) t.tasks;
-  t.held <- List.filter (fun q -> not (same q.mq_mv name)) t.held
+  t.tasks <- List.filter (fun k -> k.mt_mv <> name) t.tasks;
+  t.held <- List.filter (fun q -> q.mq_mv <> name) t.held
 
 let tick t = t.tick <- t.tick + 1
 
@@ -68,7 +62,7 @@ let due t =
     (fun k -> if k.mt_not_before <= t.tick then Some k.mt_mv else None)
     t.tasks
 
-let find_task t name = List.find_opt (fun k -> same k.mt_mv name) t.tasks
+let find_task t name = List.find_opt (fun k -> k.mt_mv = name) t.tasks
 
 (* Lifetime counts live in the metrics registry, ticked where the events
    happen. *)
@@ -78,7 +72,7 @@ let m_quarantined = Obs.Metrics.counter "govern.maint.quarantined"
 
 let record_success t name =
   Obs.Metrics.incr m_auto_refreshes;
-  t.tasks <- List.filter (fun k -> not (same k.mt_mv name)) t.tasks
+  t.tasks <- List.filter (fun k -> k.mt_mv <> name) t.tasks
 
 let defer t name =
   match find_task t name with
@@ -91,15 +85,15 @@ let record_failure t name error =
   | Some k ->
       Obs.Metrics.incr m_refresh_failures;
       k.mt_attempts <- k.mt_attempts + 1;
-      if k.mt_attempts >= t.max_retries then begin
+      if k.mt_attempts >= max_retries then begin
         Obs.Metrics.incr m_quarantined;
-        t.tasks <- List.filter (fun k' -> not (same k'.mt_mv name)) t.tasks;
+        t.tasks <- List.filter (fun k' -> k'.mt_mv <> name) t.tasks;
         t.held <- t.held @ [ { mq_mv = k.mt_mv; mq_error = error } ]
       end
       else
         (* exponential backoff: 1 failure -> base ticks, 2 -> 2*base, ... *)
         k.mt_not_before <-
-          t.tick + (t.backoff_base * (1 lsl (k.mt_attempts - 1)))
+          t.tick + (backoff_base * (1 lsl (k.mt_attempts - 1)))
 
 let describe t =
   let b = Buffer.create 128 in

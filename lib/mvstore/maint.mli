@@ -8,8 +8,8 @@
     backoff schedule is deterministic under test.
 
     Refresh failures are classified ({!Guard.Error}) and retried with
-    exponential backoff ([backoff_base * 2^(attempts-1)] ticks); after
-    [max_retries] failed attempts the table is {e quarantined}: dropped
+    exponential backoff ([2 * 2^(attempts-1)] ticks); after 3 failed
+    attempts the table is {e quarantined}: dropped
     from the queue and left stale until a manual [REFRESH] or [DROP]
     ({!remove}) clears the hold. A refresh stopped by budget exhaustion is
     {e deferred} (retried next tick) without counting as a failure. *)
@@ -24,9 +24,9 @@ type task = {
 
 type quarantined = { mq_mv : string; mq_error : Guard.Error.t }
 
-(** [create ?max_retries ?backoff_base ()] — defaults: 3 retries, base
-    backoff of 2 ticks. *)
-val create : ?max_retries:int -> ?backoff_base:int -> unit -> t
+(** An empty queue: 3 failed attempts quarantine a table, and the backoff
+    base is 2 ticks. *)
+val create : unit -> t
 
 (** Idempotent; a quarantined table is not re-enqueued. *)
 val enqueue : t -> string -> unit

@@ -5,7 +5,6 @@ module V = Data.Value
 exception Session_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Session_error s)) fmt
-let norm = String.lowercase_ascii
 
 type verify = Off | Sampled of float | Always | Static
 
@@ -193,9 +192,7 @@ let do_create_table t name (cols : A.col_def list) constraints =
             {
               Catalog.col_name = c.A.cd_name;
               col_ty = c.A.cd_ty;
-              nullable =
-                (not c.A.cd_not_null)
-                && not (List.exists (fun k -> norm k = norm c.A.cd_name) primary_key);
+              nullable = not c.A.cd_not_null;
             })
           cols;
       primary_key;
@@ -210,6 +207,19 @@ let do_create_table t name (cols : A.col_def list) constraints =
                 [ { Catalog.fk_cols = ks; fk_ref_table = rt; fk_ref_cols = rks } ]
             | _ -> [])
           constraints;
+    }
+  in
+  (* a primary-key column is NOT NULL *)
+  let pk_cols = Catalog.declared_columns tbl primary_key in
+  let tbl =
+    {
+      tbl with
+      Catalog.tbl_cols =
+        List.map
+          (fun c ->
+            if List.mem c.Catalog.col_name pk_cols then { c with Catalog.nullable = false }
+            else c)
+          tbl.Catalog.tbl_cols;
     }
   in
   let cat =
@@ -267,12 +277,10 @@ let do_insert t table cols_opt rows =
   let positions =
     List.map
       (fun c ->
-        match
-          List.find_index (fun x -> norm x = norm c) all_cols
-        with
+        match List.find_index (String.equal c) all_cols with
         | Some i -> i
         | None -> err "column %s not in table %s" c table)
-      target_cols
+      (Catalog.declared_columns tbl target_cols)
   in
   let width = List.length all_cols in
   let mkrow exprs =
@@ -296,7 +304,11 @@ let do_insert t table cols_opt rows =
 
 let do_delete t table where =
   let cat = Engine.Db.catalog t.sdb in
-  if not (Catalog.mem_table cat table) then err "unknown table %s" table;
+  let name =
+    match Catalog.find_table cat table with
+    | Some tbl -> tbl.Catalog.tbl_name
+    | None -> err "unknown table %s" table
+  in
   (* both selections read the table as it was before the DELETE *)
   let db = t.sdb in
   let select where =
@@ -316,14 +328,14 @@ let do_delete t table where =
   (* maintain summaries with the deleted rows before mutating the table;
      they are selected only if a summary absorbs them *)
   let store', db', went_stale =
-    Store.apply_delta ~sign:(-1) t.sstore db ~table ~delta:(lazy (select where))
+    Store.apply_delta ~sign:(-1) t.sstore db ~table:name ~delta:(lazy (select where))
   in
   t.sstore <- store';
   List.iter (Maint.enqueue t.smaint) went_stale;
-  t.sdb <- Engine.Db.put_batch db' table kept;
+  t.sdb <- Engine.Db.put_batch db' name kept;
   Msg
     (Printf.sprintf "%d row(s) deleted from %s"
-       (Engine.Db.cardinality db table - kept.Engine.Column.nrows)
+       (Engine.Db.cardinality db name - kept.Engine.Column.nrows)
        table)
 
 (* COPY: CSV bulk load/unload. Loads route through the same integrity and
@@ -356,7 +368,7 @@ let do_copy_from t table path header =
   Msg (Printf.sprintf "%d row(s) copied into %s" (List.length rows) table)
 
 let do_copy_to t table path =
-  match Engine.Db.get t.sdb table with
+  match Engine.Db.get t.sdb (Catalog.declared_table (Engine.Db.catalog t.sdb) table) with
   | None -> err "unknown table %s" table
   | Some rel -> (
       try
@@ -767,19 +779,21 @@ let exec_stmt_dispatch ?derived t cfg stmt =
       with Store.Mv_error m -> err "%s" m)
   | A.Drop_summary name -> (
       try
-        let store', db' = Store.drop t.sstore t.sdb name in
+        let declared = Catalog.declared_table (Engine.Db.catalog t.sdb) name in
+        let store', db' = Store.drop t.sstore t.sdb declared in
         t.sstore <- store';
         t.sdb <- db';
-        Maint.remove t.smaint name;
+        Maint.remove t.smaint declared;
         Msg (Printf.sprintf "summary table %s dropped" name)
       with Store.Mv_error m -> err "%s" m)
   | A.Refresh_summary name -> (
       try
-        let store', db' = Store.refresh_full t.sstore t.sdb name in
+        let declared = Catalog.declared_table (Engine.Db.catalog t.sdb) name in
+        let store', db' = Store.refresh_full t.sstore t.sdb declared in
         t.sstore <- store';
         t.sdb <- db';
         (* a manual refresh clears any pending or quarantined auto-task *)
-        Maint.remove t.smaint name;
+        Maint.remove t.smaint declared;
         Msg (Printf.sprintf "summary table %s refreshed" name)
       with Store.Mv_error m -> err "%s" m)
   | A.Select q ->

@@ -8,7 +8,6 @@ module C = Engine.Column
 exception Mv_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Mv_error s)) fmt
-let norm = String.lowercase_ascii
 
 type merge_fn = M_add | M_min | M_max
 
@@ -40,7 +39,7 @@ type t = { s_map : entry Smap.t; s_epoch : int }
 
 let empty = { s_map = Smap.empty; s_epoch = 0 }
 let entries t = List.map snd (Smap.bindings t.s_map)
-let find t name = Smap.find_opt (norm name) t.s_map
+let find t name = Smap.find_opt name t.s_map
 let epoch t = t.s_epoch
 let touch t = { t with s_epoch = t.s_epoch + 1 }
 
@@ -76,7 +75,7 @@ let incr_plan_of cat g =
                         List.map
                           (fun q ->
                             match (G.box g q.B.q_box).B.body with
-                            | B.Base { bt_table; _ } -> norm bt_table
+                            | B.Base { bt_table; _ } -> bt_table
                             | _ -> assert false)
                           low.B.sel_quants
                       in
@@ -98,7 +97,7 @@ let incr_plan_of cat g =
                           let merge_of col =
                             List.find_map
                               (fun (n, { B.agg; _ }) ->
-                                if norm n = norm col then
+                                if n = col then
                                   match (agg.E.fn, agg.E.distinct) with
                                   | (E.Count | E.Count_star | E.Sum), false ->
                                       Some (Some M_add)
@@ -112,7 +111,7 @@ let incr_plan_of cat g =
                           let ok = ref true in
                           List.iter
                             (fun (out_name, src) ->
-                              if List.exists (fun k -> norm k = norm src) keys
+                              if List.mem src keys
                               then keys_out := !keys_out @ [ out_name ]
                               else
                                 match merge_of src with
@@ -125,9 +124,7 @@ let incr_plan_of cat g =
                           let all_keys_out =
                             List.for_all
                               (fun k ->
-                                List.exists
-                                  (fun (_, src) -> norm src = norm k)
-                                  renames)
+                                List.exists (fun (_, src) -> src = k) renames)
                               keys
                           in
                           if !ok && all_keys_out then begin
@@ -137,7 +134,7 @@ let incr_plan_of cat g =
                                   List.find_map
                                     (fun (n, { B.agg; _ }) ->
                                       if
-                                        norm n = norm src
+                                        n = src
                                         && agg.E.fn = E.Count_star
                                       then Some out_name
                                       else None)
@@ -193,17 +190,18 @@ let register_catalog db name cols =
 (* The checks of a definition that depend on the current store and
    catalog: its name is free, and its footprint names no summary table. *)
 let check_name store db name =
-  if Smap.mem (norm name) store.s_map then
-    err "summary table %s already exists" name;
-  if Catalog.mem_table (Engine.Db.catalog db) name then
-    err "a table named %s already exists" name
+  match Catalog.find_table (Engine.Db.catalog db) name with
+  | Some tbl when Smap.mem tbl.Catalog.tbl_name store.s_map ->
+      err "summary table %s already exists" name
+  | Some _ -> err "a table named %s already exists" name
+  | None -> ()
 
 (* Maintenance follows a summary's footprint to the tables under it, so a
    summary over a summary would never see its base tables change. *)
 let check_footprint store ~name graph =
   List.iter
     (fun t ->
-      match Smap.find_opt (norm t) store.s_map with
+      match Smap.find_opt t store.s_map with
       | Some inner ->
           err "summary table %s cannot be defined over summary table %s" name
             inner.e_name
@@ -252,7 +250,7 @@ let install store db ~name ~sql graph cols ~fresh contents =
       e_version = store.s_epoch + 1;
     }
   in
-  (touch { store with s_map = Smap.add (norm name) entry store.s_map }, db)
+  (touch { store with s_map = Smap.add name entry store.s_map }, db)
 
 (* ---------------- deriving a set of definitions ---------------- *)
 
@@ -323,7 +321,7 @@ let from_member scratch graph candidates =
     (fun (mv : Astmatch.Rewrite.mv) ->
       match Astmatch.Rewrite.best ~cat graph [ mv ] with
       | Some (g', _)
-        when base_tables g' = [ norm mv.mv_name ] && Lint.Validate.check ~cat g' = [] ->
+        when base_tables g' = [ mv.mv_name ] && Lint.Validate.check ~cat g' = [] ->
           Some (mv.mv_name, Engine.Exec.run_batch scratch g')
       | _ -> None)
     candidates
@@ -341,7 +339,7 @@ let derive_set store db defs =
   let members =
     List.fold_left
       (fun acc (name, sql) ->
-        if List.exists (fun (n, _, _, _) -> norm n = norm name) acc then acc
+        if List.exists (fun (n, _, _, _) -> n = name) acc then acc
         else
           match elaborate store db ~name ~sql with
           | graph, cols -> (name, sql, graph, cols) :: acc
@@ -365,9 +363,11 @@ let derive_set store db defs =
     | None ->
         contained ~stage:Guard.Error.Execute (fun () -> (Engine.Exec.run_batch db graph, None))
   in
-  let step (scratch, candidates, out) (name, sql, graph, cols) =
-    match derive scratch candidates graph with
-    | None -> (scratch, candidates, out)
+  let step ((scratch, candidates, out) as acc) (name, sql, graph, cols) =
+    (* a name that repeats a member's in another case clashes at install *)
+    let clash = Catalog.mem_table (Engine.Db.catalog scratch) name in
+    match if clash then None else derive scratch candidates graph with
+    | None -> acc
     | Some (contents, d_parent) ->
         let d_reads =
           List.map
@@ -380,7 +380,7 @@ let derive_set store db defs =
         let mv = { Astmatch.Rewrite.mv_name = name; mv_graph = graph; mv_version = 0 } in
         ( Engine.Db.put_batch_uncounted (register_catalog scratch name cols) name contents,
           smaller @ ((mv, rows) :: larger),
-          Smap.add (norm name) d out )
+          Smap.add name d out )
   in
   let _, _, out = List.fold_left step (db, [], Smap.empty) members in
   out
@@ -399,7 +399,7 @@ let prepare derived store db ~name ~sql =
     | b' -> b' == b
     | exception Invalid_argument _ -> false
   in
-  match Smap.find_opt (norm name) derived with
+  match Smap.find_opt name derived with
   | Some d when d.d_sql = sql && List.for_all unchanged d.d_reads ->
       check_name store db name;
       check_footprint store ~name d.d_graph;
@@ -444,7 +444,7 @@ let drop store db name =
         Engine.Db.with_catalog db
           (Catalog.remove_table (Engine.Db.catalog db) e.e_name)
       in
-      (touch { store with s_map = Smap.remove (norm name) store.s_map }, db)
+      (touch { store with s_map = Smap.remove name store.s_map }, db)
 
 let refresh_full ?budget store db name =
   match find store name with
@@ -457,7 +457,7 @@ let refresh_full ?budget store db name =
           {
             store with
             s_map =
-              Smap.add (norm name)
+              Smap.add name
                 { e with e_fresh = true; e_version = store.s_epoch + 1 }
                 store.s_map;
           },
@@ -485,7 +485,7 @@ let col n = E.Col { B.quant = 0; col = n }
    Under deletion, groups whose COUNT-star column reaches zero are
    dropped. *)
 let merge_delta ~sign plan (current : C.batch) (delta : C.batch) =
-  let negated n = sign < 0 && List.exists (fun (a, _) -> norm a = norm n) plan.ip_aggs in
+  let negated n = sign < 0 && List.mem_assoc n plan.ip_aggs in
   let d =
     select_over delta
       (Array.to_list
@@ -531,7 +531,6 @@ let deletable plan =
    summary absorbs it; every delta aggregation reads the same database,
    the pre-statement one with [table] holding only the delta. *)
 let apply_delta ~sign store db ~table ~delta =
-  let table = norm table in
   let delta_db = lazy (Engine.Db.put_batch db table (Lazy.force delta)) in
   let went_stale = ref [] in
   let smap, db =

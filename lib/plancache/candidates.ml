@@ -1,13 +1,11 @@
 module B = Qgm.Box
 module G = Qgm.Graph
 
-let norm = String.lowercase_ascii
-
 let footprint g =
   G.base_leaves g (G.root g)
   |> List.filter_map (fun id ->
          match (G.box g id).B.body with
-         | B.Base { bt_table; _ } -> Some (norm bt_table)
+         | B.Base { bt_table; _ } -> Some bt_table
          | _ -> None)
   |> List.sort_uniq compare
 
@@ -49,7 +47,7 @@ let footprint_ok cat ~query_tables ~ast_tables =
         match Catalog.find_table cat src with
         | Some tbl ->
             List.exists
-              (fun fk -> norm fk.Catalog.fk_ref_table = extra)
+              (fun fk -> fk.Catalog.fk_ref_table = extra)
               tbl.Catalog.foreign_keys
         | None -> false)
       ast_tables

@@ -29,10 +29,10 @@ type report = {
   pr_validated : int;  (* static validator runs during this planning *)
 }
 
-let create ?(capacity = 256) ?quarantine_capacity () =
+let create ?(capacity = 256) () =
   {
     p_cache = Cache.create ~capacity;
-    p_quarantine = Guard.Quarantine.create ?capacity:quarantine_capacity ();
+    p_quarantine = Guard.Quarantine.create ();
     p_index = Candidates.build [];
     p_index_epoch = min_int;
   }

@@ -52,10 +52,9 @@ type report = {
     the counts from the planning that produced the entry (nothing was
     attempted now). *)
 
-(** [create ?capacity ?quarantine_capacity ()] — [capacity] bounds the LRU
-    plan cache (default 256); [quarantine_capacity] bounds the quarantine
-    (default 256 fingerprints). *)
-val create : ?capacity:int -> ?quarantine_capacity:int -> unit -> t
+(** [create ?capacity ()] — [capacity] bounds the LRU plan cache (default
+    256); the quarantine holds up to 256 fingerprints. *)
+val create : ?capacity:int -> unit -> t
 
 (** [plan t ~cat ~epoch ~mvs g] routes [g] through the fresh summary
     tables [mvs]. [epoch] must change whenever [mvs], their contents, the

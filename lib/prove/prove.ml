@@ -285,29 +285,7 @@ let disjoint ~ty a b =
 (* Reduce a conjunct list to a single-key abstract value (if possible). *)
 let conj_abs ty conjs = combine_and (List.map (pred_abs ty) conjs)
 
-(* [a] and [b] are conjunctions sharing common conjuncts; relative to that
-   common region, does [a OR b] keep every row?  [nullable] answers
-   whether the pivot key can be NULL (a NULL pivot satisfies neither side
-   of a range split, so coverage then needs an IS NULL arm). *)
-let covers ~ty ~nullable a b =
-  record (fun () ->
-      let ca = List.concat_map (fun p -> split_and (E.normalize p)) a
-      and cb = List.concat_map (fun p -> split_and (E.normalize p)) b in
-      let ra = List.filter (fun c -> not (List.mem c cb)) ca
-      and rb = List.filter (fun c -> not (List.mem c ca)) cb in
-      match (ra, rb) with
-      | [], _ | _, [] -> Proved (* one side keeps the whole common region *)
-      | _ -> (
-          match (conj_abs ty ra, conj_abs ty rb) with
-          | Some (P_key (ka, aa, true)), Some (P_key (kb, ab, true)) when ka = kb ->
-              if Domain.covers_all ?ty:(ty ka) ~nullable:(nullable ka) aa ab then
-                Proved
-              else Unknown "the two ranges leave a gap in the column's domain"
-          | _ -> Unknown "residual predicates do not reduce to one shared column"))
-
 (* ---------------- graph-level certificates ---------------- *)
-
-let norm = String.lowercase_ascii
 
 (* Chase a box output column down to its base ["table.column"] through
    SELECT passthrough outputs and GROUP BY keys; [None] for computed
@@ -315,24 +293,17 @@ let norm = String.lowercase_ascii
 let rec chase_col g box_id col =
   match (G.box g box_id).Bx.body with
   | Bx.Base b ->
-      if List.exists (fun c -> norm c = norm col) b.Bx.bt_cols then
-        Some (norm b.Bx.bt_table ^ "." ^ norm col)
+      if List.mem col b.Bx.bt_cols then Some (b.Bx.bt_table ^ "." ^ col)
       else None
   | Bx.Select s -> (
-      match
-        List.find_opt (fun (n, _) -> norm n = norm col) s.Bx.sel_outs
-      with
-      | Some (_, E.Col { Bx.quant; col = c }) -> (
+      match List.assoc_opt col s.Bx.sel_outs with
+      | Some (E.Col { Bx.quant; col = c }) -> (
           match List.find_opt (fun q -> q.Bx.q_id = quant) s.Bx.sel_quants with
           | Some q -> chase_col g q.Bx.q_box c
           | None -> None)
       | _ -> None)
   | Bx.Group gb ->
-      if
-        List.exists
-          (fun c -> norm c = norm col)
-          (Bx.grouping_union gb.Bx.grp_grouping)
-      then chase_col g gb.Bx.grp_quant.Bx.q_box col
+      if List.mem col (Bx.grouping_union gb.Bx.grp_grouping) then chase_col g gb.Bx.grp_quant.Bx.q_box col
       else None
   | Bx.Union _ -> None
 
@@ -367,7 +338,7 @@ let footprint g =
     (List.filter_map
        (fun id ->
          match (G.box g id).Bx.body with
-         | Bx.Base b -> Some (norm b.Bx.bt_table)
+         | Bx.Base b -> Some b.Bx.bt_table
          | _ -> None)
        (G.reachable g (G.root g)))
 

@@ -73,6 +73,9 @@ type resolver = {
   st : build_state;
   bindings : binding list;
   mutable extra_quants : Box.quant list;
+  spelled : (Box.qref, string) Hashtbl.t;
+      (* how the user last wrote each resolved column: the names the block
+         generates for it keep that spelling *)
 }
 
 let find_binding r qual =
@@ -83,24 +86,31 @@ let find_binding r qual =
   | [] -> err "unknown table or alias %s (correlated references are not supported)" qual
   | _ -> err "ambiguous table or alias %s" qual
 
+(* A column reference is written in the spelling its binding declares it
+   (the catalog column, or the child box's output name), so every layer
+   below compares names with [=]. *)
 let resolve_col r qual col =
-  match qual with
-  | Some q ->
-      let b = find_binding r q in
-      if List.exists (fun c -> norm c = norm col) b.b_cols then
-        Expr.Col { Box.quant = b.b_quant.Box.q_id; col }
-      else err "column %s not found in %s" col q
-  | None -> (
-      let hits =
-        List.filter
-          (fun b -> List.exists (fun c -> norm c = norm col) b.b_cols)
-          r.bindings
-      in
-      match hits with
-      | [ b ] -> Expr.Col { Box.quant = b.b_quant.Box.q_id; col }
-      | [] ->
-          err "unknown column %s (correlated references are not supported)" col
-      | _ -> err "ambiguous column %s" col)
+  let declared b =
+    Option.map (fun c -> (b, c)) (List.find_opt (fun c -> norm c = norm col) b.b_cols)
+  in
+  let b, decl =
+    match qual with
+    | Some q -> (
+        match declared (find_binding r q) with
+        | Some hit -> hit
+        | None -> err "column %s not found in %s" col q)
+    | None -> (
+        match List.filter_map declared r.bindings with
+        | [ hit ] -> hit
+        | [] ->
+            err "unknown column %s (correlated references are not supported)" col
+        | _ -> err "ambiguous column %s" col)
+  in
+  let qr = { Box.quant = b.b_quant.Box.q_id; col = decl } in
+  Hashtbl.replace r.spelled qr col;
+  Expr.Col qr
+
+let spelling r qr = Option.value ~default:qr.Box.col (Hashtbl.find_opt r.spelled qr)
 
 let rec resolve r (e : A.expr) : Box.qref Expr.t =
   match e with
@@ -215,9 +225,10 @@ and output_name_of_item taken i (it : A.select_item) resolved =
     match it.A.item_alias with
     | Some a -> a
     | None -> (
-        match resolved with
-        | Expr.Col { Box.col; _ } -> col
-        | Expr.Agg ({ Expr.fn; _ }, _) ->
+        match (resolved, it.A.item_expr) with
+        | Expr.Col _, A.Ref (_, col) -> col
+        | Expr.Col { Box.col; _ }, _ -> col
+        | Expr.Agg ({ Expr.fn; _ }, _), _ ->
             String.lowercase_ascii (Expr.agg_fn_to_string fn)
         | _ -> Printf.sprintf "c%d" (i + 1))
   in
@@ -288,7 +299,7 @@ and build_plain_block st (q : A.query) ~top : Box.box_id =
     List.length (List.sort_uniq compare names) <> List.length names
   in
   if dup_names then err "duplicate table name or alias in FROM";
-  let r = { st; bindings; extra_quants = [] } in
+  let r = { st; bindings; extra_quants = []; spelled = Hashtbl.create 8 } in
   (* 2. WHERE *)
   let where_preds =
     match q.A.where with
@@ -372,7 +383,7 @@ and build_aggregate_block st r ~bindings ~where_preds ~resolved_items ~having
           | Some a -> a
           | None -> (
               match e with
-              | Expr.Col { Box.col; _ } -> col
+              | Expr.Col qr -> spelling r qr
               | _ -> Printf.sprintf "g%d" (List.length acc + 1))
         in
         acc @ [ (uniquify taken proposal, e) ])
@@ -427,7 +438,7 @@ and build_aggregate_block st r ~bindings ~where_preds ~resolved_items ~having
             let taken = List.map fst grouping_outs @ List.map fst !arg_outs in
             let proposal =
               match arg with
-              | Expr.Col { Box.col; _ } -> col
+              | Expr.Col qr -> spelling r qr
               | _ -> Printf.sprintf "a%d" (List.length !arg_outs + 1)
             in
             let n = uniquify taken proposal in
@@ -602,15 +613,16 @@ let build cat (q : A.query) =
   let order_by =
     List.map
       (fun (e, asc) ->
-        match e with
-        | A.Ref (None, c)
-          when List.exists (fun rc -> norm rc = norm c) root_cols ->
-            (c, asc)
-        | A.Lit (Data.Value.Int i) when i >= 1 && i <= List.length root_cols ->
-            (List.nth root_cols (i - 1), asc)
-        | _ ->
-            err
-              "ORDER BY must reference an output column name or position")
+        let col =
+          match e with
+          | A.Ref (None, c) -> List.find_opt (fun rc -> norm rc = norm c) root_cols
+          | A.Lit (Data.Value.Int i) when i >= 1 && i <= List.length root_cols ->
+              Some (List.nth root_cols (i - 1))
+          | _ -> None
+        in
+        match col with
+        | Some c -> (c, asc)
+        | None -> err "ORDER BY must reference an output column name or position")
       q.A.order_by
   in
   Graph.set_presentation g { Graph.order_by; limit = q.A.limit }

@@ -1,6 +1,10 @@
 (** Semantic analysis: SQL abstract syntax to QGM.
 
-    Performs name resolution against the catalog, desugars [BETWEEN] /
+    Performs name resolution against the catalog: every column reference
+    is written in the spelling where its column is declared (the catalog
+    column, or the output name of the child box), and every base table in
+    its catalog spelling, so the layers below compare names with [=].
+    Output names keep the user's spelling. Also desugars [BETWEEN] /
     [IN]-lists, extracts aggregates and grouping expressions into the
     SELECT / GROUP BY / SELECT box triple the paper describes (Figure 3),
     canonicalizes ROLLUP / CUBE / GROUPING SETS into a single

@@ -1,15 +1,13 @@
 module B = Box
 module G = Graph
 
-let norm = String.lowercase_ascii
-
 (* Render an expression after alpha-renaming its column references through
    [ren] (quantifier id -> positional index). Renaming happens *before*
    Expr.normalize so that the commutative-operand sort works on canonical
    indices rather than builder-assigned quantifier ids. *)
 let render_expr ren e =
   e
-  |> Expr.map_col (fun { B.quant; col } -> (ren quant, norm col))
+  |> Expr.map_col (fun { B.quant; col } -> (ren quant, col))
   |> Expr.normalize
   |> Expr.to_string (fun (i, c) -> Printf.sprintf "q%d.%s" i c)
 
@@ -31,8 +29,7 @@ let canonical g =
     | Some b -> (
         match b.B.body with
         | B.Base { bt_table; bt_cols } ->
-            Printf.sprintf "(base %s (%s))" (norm bt_table)
-              (String.concat " " (List.map norm bt_cols))
+            Printf.sprintf "(base %s (%s))" bt_table (String.concat " " bt_cols)
         | B.Select s ->
             let qix = List.mapi (fun i q -> (q.B.q_id, i)) s.B.sel_quants in
             let ren qid = Option.value ~default:(-1) (List.assoc_opt qid qix) in
@@ -59,13 +56,13 @@ let canonical g =
         | B.Group grp ->
             let keys =
               match grp.B.grp_grouping with
-              | B.Simple ks -> Printf.sprintf "(simple %s)" (String.concat " " (List.map norm ks))
+              | B.Simple ks -> Printf.sprintf "(simple %s)" (String.concat " " ks)
               | B.Gsets sets ->
                   Printf.sprintf "(gsets %s)"
                     (String.concat " "
                        (List.map
                           (fun s ->
-                            "(" ^ String.concat " " (List.map norm s) ^ ")")
+                            "(" ^ String.concat " " s ^ ")")
                           sets))
             in
             let aggs =
@@ -76,7 +73,7 @@ let canonical g =
                     (if agg.Expr.distinct then "-distinct" else "")
                     (match (agg.Expr.fn, arg) with
                     | Expr.Count_star, _ -> "*"
-                    | _, Some a -> norm a
+                    | _, Some a -> a
                     | _, None -> "?"))
                 grp.B.grp_aggs
             in
@@ -97,7 +94,7 @@ let canonical g =
   let pres = G.presentation g in
   let order =
     List.map
-      (fun (c, asc) -> Printf.sprintf "%s:%s" (norm c) (if asc then "a" else "d"))
+      (fun (c, asc) -> Printf.sprintf "%s:%s" c (if asc then "a" else "d"))
       pres.G.order_by
   in
   Printf.sprintf "%s (pres (order %s) (limit %s))" body

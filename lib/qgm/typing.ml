@@ -2,8 +2,6 @@ module E = Expr
 module B = Box
 module V = Data.Value
 
-let norm = String.lowercase_ascii
-
 let rec col_type cat g box_id col =
   let box = Graph.box g box_id in
   match box.B.body with
@@ -15,23 +13,14 @@ let rec col_type cat g box_id col =
           | Some c -> c.Catalog.col_ty
           | None -> V.Tstr))
   | B.Select sel -> (
-      match
-        List.find_opt (fun (n, _) -> norm n = norm col) sel.B.sel_outs
-      with
-      | Some (_, e) -> expr_type cat g sel.B.sel_quants e
+      match List.assoc_opt col sel.B.sel_outs with
+      | Some e -> expr_type cat g sel.B.sel_quants e
       | None -> V.Tstr)
   | B.Union u -> (
       match u.B.un_quants with
       | q :: _ ->
           let child_cols = B.output_cols (Graph.box g q.B.q_box) in
-          let idx =
-            let rec find i = function
-              | [] -> None
-              | c :: rest ->
-                  if norm c = norm col then Some i else (ignore rest; find (i + 1) rest)
-            in
-            find 0 u.B.un_cols
-          in
+          let idx = List.find_index (String.equal col) u.B.un_cols in
           (match idx with
           | Some i when i < List.length child_cols ->
               col_type cat g q.B.q_box (List.nth child_cols i)
@@ -39,13 +28,11 @@ let rec col_type cat g box_id col =
       | [] -> V.Tstr)
   | B.Group grp ->
       let child = grp.B.grp_quant.B.q_box in
-      if List.exists (fun c -> norm c = norm col) (B.grouping_union grp.B.grp_grouping)
+      if List.mem col (B.grouping_union grp.B.grp_grouping)
       then col_type cat g child col
       else (
-        match
-          List.find_opt (fun (n, _) -> norm n = norm col) grp.B.grp_aggs
-        with
-        | Some (_, { B.agg; arg }) -> (
+        match List.assoc_opt col grp.B.grp_aggs with
+        | Some { B.agg; arg } -> (
             match agg.E.fn with
             | E.Count_star | E.Count -> V.Tint
             | E.Avg -> V.Tfloat

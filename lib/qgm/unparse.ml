@@ -2,8 +2,6 @@ module A = Sqlsyn.Ast
 module E = Expr
 module B = Box
 
-let norm = String.lowercase_ascii
-
 (* Naming: each foreach quantifier of a block gets a FROM binding; base
    tables keep their name when it is unambiguous within the block,
    otherwise (and for subqueries) a synthetic alias [t<box>_<quant>]. *)
@@ -55,7 +53,7 @@ and select_query g (sel : B.select_body) : A.query =
                  (List.filter
                     (fun q' ->
                       match base_name q' with
-                      | Some t' -> norm t' = norm t
+                      | Some t' -> t' = t
                       | None -> false)
                     foreach)
                = 1 ->
@@ -109,7 +107,7 @@ and group_query g id upper : A.query =
           List.find_map
             (fun { A.item_expr; item_alias } ->
               match item_alias with
-              | Some a when norm a = norm c -> Some item_expr
+              | Some a when a = c -> Some item_expr
               | _ -> None)
             q.A.select
         in
@@ -150,8 +148,8 @@ and group_query g id upper : A.query =
     @ List.map (fun (n, app) -> (n, agg_expr app)) grp.B.grp_aggs
   in
   let lookup_group_col c =
-    match List.find_opt (fun (n, _) -> norm n = norm c) group_outs with
-    | Some (_, e) -> e
+    match List.assoc_opt c group_outs with
+    | Some e -> e
     | None -> A.Ref (None, c)
   in
   match upper with

@@ -183,12 +183,9 @@ let backoff t k (last : failure option) =
   let d = Float.max base floor_s in
   Unix.sleepf (d *. (0.5 +. Random.State.float t.jitter 0.5))
 
-let request_robust t ?id ?rewrite ?deadline_ms ?idempotent ?(attempts = 5)
-    sql =
+let request_robust t ?id ?rewrite ?deadline_ms ?(attempts = 5) sql =
   if attempts < 1 then invalid_arg "Client.request_robust: attempts < 1";
-  let idem =
-    match idempotent with Some b -> b | None -> sql_idempotent sql
-  in
+  let idem = sql_idempotent sql in
   let id = match id with Some id -> id | None -> next_id t in
   let line =
     Obs.Json.to_string

@@ -74,14 +74,13 @@ val request :
     retry discipline above. Never raises for transport or server
     conditions: every outcome is [Ok reply] or [Error failure] (the last
     failure, when attempts run out or the failure is not retryable).
-    [?idempotent] overrides {!sql_idempotent} when the caller knows
-    better. *)
+    Whether an ambiguous failure may be retried is {!sql_idempotent}'s
+    verdict on [sql]. *)
 val request_robust :
   t ->
   ?id:Obs.Json.t ->
   ?rewrite:bool ->
   ?deadline_ms:float ->
-  ?idempotent:bool ->
   ?attempts:int ->
   string ->
   (Wire.reply, failure) result
