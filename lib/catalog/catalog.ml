@@ -20,7 +20,6 @@ type t = { tabs : table Smap.t; counts : int Smap.t; ndvs : int Smap.t }
 
 let empty = { tabs = Smap.empty; counts = Smap.empty; ndvs = Smap.empty }
 let norm = String.lowercase_ascii
-let norm_cols cols = List.sort compare (List.map norm cols)
 
 let find_table cat name = Smap.find_opt (norm name) cat.tabs
 
@@ -82,12 +81,10 @@ let declared_columns tbl cols =
 let keys_of tbl =
   (if tbl.primary_key = [] then [] else [ tbl.primary_key ]) @ tbl.unique_keys
 
+(* Keys are stored in their declared spelling, and so are the names every
+   caller passes: the lists compare with [=]. *)
 let is_unique_key_tbl tbl cols =
-  let cols = norm_cols cols in
-  List.exists
-    (fun key ->
-      List.for_all (fun k -> List.mem (norm k) cols) (List.map norm key))
-    (keys_of tbl)
+  List.exists (List.for_all (fun k -> List.mem k cols)) (keys_of tbl)
 
 let add_table cat tbl =
   if mem_table cat tbl.tbl_name then
@@ -116,7 +113,11 @@ let add_table cat tbl =
                    tbl.tbl_name fk.fk_ref_table)
           | Some ref_tbl ->
               check_cols_exist ref_tbl "referenced" fk.fk_ref_cols;
-              if not (is_unique_key_tbl ref_tbl fk.fk_ref_cols) then
+              if
+                not
+                  (is_unique_key_tbl ref_tbl
+                     (declared_columns ref_tbl fk.fk_ref_cols))
+              then
                 invalid_arg
                   (Printf.sprintf
                      "Catalog: FK in %s references non-key columns of %s"
@@ -154,19 +155,23 @@ let ri_holds cat ~from_table ~from_cols ~to_table ~to_cols =
   match find_table cat from_table with
   | None -> false
   | Some tbl ->
-      let pairs fk = List.combine (List.map norm fk.fk_cols) (List.map norm fk.fk_ref_cols) in
-      let wanted =
-        List.sort compare (List.combine (List.map norm from_cols) (List.map norm to_cols))
+      (* the same (column, referenced column) pairs in any order *)
+      let wanted c r = List.exists2 (fun f t -> f = c && t = r) from_cols to_cols in
+      let pairs fk =
+        List.compare_lengths fk.fk_cols from_cols = 0
+        && List.for_all2 wanted fk.fk_cols fk.fk_ref_cols
+        && List.for_all2
+             (fun f t -> List.exists2 (fun c r -> c = f && r = t) fk.fk_cols fk.fk_ref_cols)
+             from_cols to_cols
       in
       List.exists
         (fun fk ->
-          norm fk.fk_ref_table = norm to_table
-          && List.sort compare (pairs fk) = wanted
+          fk.fk_ref_table = to_table
+          && pairs fk
           && List.for_all
                (fun c ->
-                 match find_column tbl c with
-                 | Some col -> not col.nullable
-                 | None -> false)
+                 List.exists (fun col -> col.col_name = c && not col.nullable)
+                   tbl.tbl_cols)
                fk.fk_cols
           && is_unique_key cat to_table to_cols)
         tbl.foreign_keys

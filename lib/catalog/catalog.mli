@@ -58,13 +58,16 @@ val column_names : table -> string list
 val declared_columns : table -> string list -> string list
 
 (** [is_unique_key cat tname cols] — do [cols] contain the primary key or a
-    unique key of [tname]? (A superset of a key is still a key.) *)
+    unique key of [tname]? (A superset of a key is still a key.) Column
+    names compare with [=], in their declared spelling. *)
 val is_unique_key : t -> string -> string list -> bool
 
 (** [ri_holds cat ~from_table ~from_cols ~to_table ~to_cols] — is there a
     declared RI constraint from [from_table].[from_cols] to
     [to_table].[to_cols], with all referencing columns non-nullable, and
-    [to_cols] a unique key of [to_table]? Column-list order is normalized. *)
+    [to_cols] a unique key of [to_table]? The pairs may come in any order.
+    Column names compare with [=]: pass them in their declared spelling,
+    as the QGM holds them. *)
 val ri_holds :
   t ->
   from_table:string ->

@@ -29,15 +29,14 @@ type entry = {
 }
 
 type t = {
-  cap : int;
   tbl : (string, entry) Hashtbl.t;
   mutable tick : int;
 }
 
-let create ?(capacity = 256) () =
-  if capacity <= 0 then
-    invalid_arg "Quarantine.create: capacity must be positive";
-  { cap = capacity; tbl = Hashtbl.create (min capacity 64); tick = 0 }
+(* quarantined fingerprints held before the least recently used is evicted *)
+let capacity = 256
+
+let create () = { tbl = Hashtbl.create 64; tick = 0 }
 
 let length t = Hashtbl.length t.tbl
 
@@ -69,7 +68,7 @@ let add t ~version ~fp ~mv =
         true
       end
   | None ->
-      if Hashtbl.length t.tbl >= t.cap then evict_lru t;
+      if Hashtbl.length t.tbl >= capacity then evict_lru t;
       Hashtbl.replace t.tbl fp { q_mvs = [ (mv, version) ]; q_last = t.tick };
       true
 

@@ -15,9 +15,12 @@
 
 type t
 
-(** [create ?capacity ()] — [capacity] bounds the number of quarantined
-    fingerprints (default 256). *)
-val create : ?capacity:int -> unit -> t
+(** The number of fingerprints a quarantine holds (256); admitting one
+    more evicts the least recently used. *)
+val capacity : int
+
+(** An empty quarantine. *)
+val create : unit -> t
 
 (** [add t ~version ~fp ~mv] quarantines [mv], at definition version
     [version], for the query fingerprinted [fp]. Returns [true] when the

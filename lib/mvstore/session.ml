@@ -603,7 +603,11 @@ let explain_in_snapshot ?(verbose = false) t cfg q =
      budget degradation — is what an execution right now would do *)
   let r = plan_query ?budget:(budget_of_limits cfg.limits) t g in
   let fresh = Store.rewritable t.sstore in
-  addf "cache: %s\n" (if r.Plancache.Planner.pr_hit then "hit" else "miss");
+  addf "cache: %s\n"
+    (match r.Plancache.Planner.pr_cache with
+    | Plancache.Planner.Hit -> "hit"
+    | Template_hit -> "template hit"
+    | Miss -> "miss");
   addf "candidates: %d attempted, %d filtered (of %d fresh)\n" r.pr_attempted
     r.pr_filtered (List.length fresh);
   addf "validated: %d graph(s) checked\n" r.pr_validated;

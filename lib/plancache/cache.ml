@@ -13,7 +13,8 @@ let create ~capacity =
 let capacity t = t.cap
 let length t = Hashtbl.length t.tbl
 let clear t = Hashtbl.reset t.tbl
-let remove t key = Hashtbl.remove t.tbl key
+let remove_where t f =
+  Hashtbl.filter_map_inplace (fun _ s -> if f s.s_value then None else Some s) t.tbl
 
 type 'a lookup = Hit of 'a | Stale | Absent
 

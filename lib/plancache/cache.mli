@@ -1,4 +1,5 @@
-(** A bounded LRU map from fingerprint to cached value, with epoch-based
+(** A bounded LRU map from a string key (the planner's template
+    fingerprint) to cached value, with epoch-based
     invalidation: every entry is stamped with the store epoch at insertion
     and is dropped (never served) when looked up under a different epoch.
     The epoch is bumped by everything that could change planning inputs
@@ -14,9 +15,10 @@ val capacity : 'a t -> int
 val length : 'a t -> int
 val clear : 'a t -> unit
 
-(** Drop one entry (no-op when absent). Used when a cached decision is
-    discredited after the fact — e.g. its plan mis-verified at runtime. *)
-val remove : 'a t -> string -> unit
+(** Drop every entry whose value satisfies the predicate. Used when a
+    cached decision is discredited after the fact — e.g. its plan
+    mis-verified at runtime. *)
+val remove_where : 'a t -> ('a -> bool) -> unit
 
 type 'a lookup =
   | Hit of 'a

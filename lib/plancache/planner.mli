@@ -1,13 +1,22 @@
 (** The rewrite-planning entry point: candidate filtering + memoized
     routing decisions + fault isolation.
 
-    [plan] fingerprints the query ({!Qgm.Fingerprint}), serves a cached
-    decision when the store epoch still matches, and otherwise filters the
-    summary tables through the candidate index ({!Candidates}) and the
-    quarantine ({!Guard.Quarantine}) before handing only the plausible ones
-    to {!Astmatch.Rewrite.best}. Negative decisions ("no beneficial
-    rewrite") are cached too, so a hot query that cannot be rewritten stops
-    paying for matching as well.
+    [plan] fingerprints the query ({!Qgm.Fingerprint.keys}) and looks its
+    {e template} fingerprint up in the cache, which holds one entry per
+    query shape (comparison constants abstracted). An entry planned for
+    the same exact fingerprint is served as it stands (a hit, no
+    matching). An entry planned for other constants is a template hit
+    when re-matching only its route's summaries and the candidates whose
+    definition has a WHERE or HAVING predicate reproduces its route at its
+    estimated cost; the cost model reads no literal, so no other
+    candidate can have changed. A template hit stores nothing. Anything
+    else is planned in full: the summary tables are filtered through the
+    candidate index ({!Candidates}) and the quarantine
+    ({!Guard.Quarantine}) before only the plausible ones reach
+    {!Astmatch.Rewrite.best}, and the decision replaces the shape's
+    entry. Negative decisions ("no beneficial rewrite") are cached too, so
+    a hot query that cannot be rewritten stops paying for matching as
+    well.
 
     A rewritten decision is checked by {!Lint.Validate} before it is
     cached: a plan that breaks an IR invariant quarantines every summary
@@ -20,6 +29,7 @@
 
     Every count lives in the process-wide {!Obs.Metrics} registry: the
     [plan.*] counters (requests, cache hits/misses/invalidations/evictions,
+    template hits, which also count as cache hits,
     candidates attempted/filtered/quarantine-skipped, contained errors),
     [guard.fallbacks], [guard.quarantined] and [govern.degraded_plans].
     The planner keeps no counters of its own. *)
@@ -30,10 +40,15 @@ type decision =
   | No_rewrite
   | Rewrite of Qgm.Graph.t * Astmatch.Rewrite.step list
 
+type cache_outcome =
+  | Hit           (** the entry was planned for this exact fingerprint *)
+  | Template_hit  (** the entry's shape, re-matched for these constants *)
+  | Miss          (** planned in full *)
+
 type report = {
   pr_graph : Qgm.Graph.t;  (** graph to execute (the input when unrewritten) *)
   pr_steps : Astmatch.Rewrite.step list;
-  pr_hit : bool;           (** served from the plan cache *)
+  pr_cache : cache_outcome;
   pr_fingerprint : string; (** [""] only when planning itself fell over *)
   pr_attempted : int;      (** candidates that reached the matcher *)
   pr_filtered : int;       (** candidates skipped by the index *)
@@ -50,10 +65,11 @@ type report = {
 }
 (** On a cache hit, [pr_attempted]/[pr_filtered]/[pr_quarantined] report
     the counts from the planning that produced the entry (nothing was
-    attempted now). *)
+    attempted now); on a template hit [pr_attempted] is the number of
+    candidates re-matched. *)
 
 (** [create ?capacity ()] — [capacity] bounds the LRU plan cache (default
-    256); the quarantine holds up to 256 fingerprints. *)
+    256 query shapes); the quarantine holds up to 256 fingerprints. *)
 val create : ?capacity:int -> unit -> t
 
 (** [plan t ~cat ~epoch ~mvs g] routes [g] through the fresh summary
@@ -93,7 +109,7 @@ val classify :
     version)] pair in [mvs] for the query fingerprinted [fp] (used by the
     session when a rewritten plan failed at execution or mis-verified),
     counts the newly added pairs in [guard.quarantined], and drops the
-    now-discredited cache entry for [fp]. Entries expire when the table's
+    now-discredited cache entry planned for [fp]. Entries expire when the table's
     definition version moves (REFRESH / re-CREATE), not on unrelated
     epoch churn. *)
 val quarantine : t -> fp:string -> (string * int) list -> unit

@@ -8,12 +8,28 @@
     (WHERE is an order-free conjunction), and keeps everything whose order
     is observable — output columns, grouping keys, UNION branches and the
     presentation (ORDER BY / LIMIT) — exactly as written. Table and column
-    *references* are case-folded (the catalog is case-insensitive) while
-    output display names are preserved verbatim. *)
+    references arrive in their declared spelling (the builder resolves
+    them), and output display names are preserved verbatim. *)
 
 (** The canonical serialized form (stable across processes; useful for
     debugging cache behaviour). *)
 val canonical : Graph.t -> string
 
-(** MD5 hex digest of {!canonical} — the plan-cache key. *)
+(** MD5 hex digest of {!canonical}: the exact fingerprint. Two queries
+    that differ in any literal differ here. *)
 val of_graph : Graph.t -> string
+
+type keys = {
+  exact : string;  (** {!of_graph} *)
+  template : string;
+      (** the digest of the canonical form with every literal that is a
+          direct operand of [= <> < <= > >=] in a WHERE or HAVING
+          predicate (BETWEEN bounds and IN members included) replaced by
+          a slot naming its type ([?int], [?float], [?date], [?str],
+          [?bool], [?null]). Literals in outputs, arithmetic, function
+          arguments, CASE arms and LIMIT stay in the key. Queries that
+          differ only in such comparison constants share it. *)
+}
+
+(** Both fingerprints, from one canonical walk. *)
+val keys : Graph.t -> keys

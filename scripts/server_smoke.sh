@@ -6,8 +6,10 @@
 # the server.* metrics counted the traffic and that the shutdown dump
 # carries the planning and guard counters (the registry is the only place
 # a server's planning counts live), and refusal of malformed or
-# out-of-range settings, and that a run of CREATE SUMMARY statements rolls
-# its coarser members up from the finest one (the store.derived_* counters).
+# out-of-range settings, that a run of CREATE SUMMARY statements rolls
+# its coarser members up from the finest one (the store.derived_* counters),
+# and that a read differing from a cached one only in a range constant is
+# a plan-cache template hit (plan.template_hits, plan.cache_misses).
 # Run from anywhere; it cd's to the repo root. CI runs it in the
 # server-smoke job.
 set -euo pipefail
@@ -111,6 +113,39 @@ metric() {
 }
 [ "$(metric store.derived_discarded)" = 0 ] || {
   echo "FAIL: store.derived_discarded is '$(metric store.derived_discarded)', expected 0"
+  exit 1
+}
+
+echo "== a read of a cached shape with another constant is a template hit =="
+# two reads that differ only in one range literal, against a demo server
+# with one summary, in one request (a connection's session owns its plan
+# cache): the second adds 1 to plan.template_hits and nothing to
+# plan.cache_misses. The registry is dumped at shutdown, so one server
+# answers the first read alone and a second server both.
+cat >"$RUNSQL" <<'SQL'
+CREATE SUMMARY TABLE tpl_flid AS SELECT flid, COUNT(*) AS c, SUM(qty) AS sq FROM Trans GROUP BY flid;
+SQL
+READ1='SELECT flid, SUM(qty) AS s FROM Trans WHERE flid BETWEEN 3 AND 40 GROUP BY flid;'
+READ2='SELECT flid, SUM(qty) AS s FROM Trans WHERE flid BETWEEN 3 AND 41 GROUP BY flid;'
+serve_reads() {
+  ./_build/default/bin/astql_server.exe \
+    --addr "$SOCK" --domains 2 --demo --metrics-out "$METRICS" "$RUNSQL" &
+  SERVER_PID=$!
+  ./_build/default/bin/astql.exe connect --retry=10 "$SOCK" -e "$1" >/dev/null
+  kill -TERM "$SERVER_PID"
+  wait "$SERVER_PID" || { echo "FAIL: server exited non-zero on SIGTERM"; exit 1; }
+  SERVER_PID=
+}
+serve_reads "$READ1"
+misses1=$(metric plan.cache_misses) template1=$(metric plan.template_hits)
+serve_reads "$READ1 $READ2"
+misses2=$(metric plan.cache_misses) template2=$(metric plan.template_hits)
+[ -n "$template1" ] && [ "$template2" = $((template1 + 1)) ] || {
+  echo "FAIL: plan.template_hits went '$template1' -> '$template2', expected one more"
+  exit 1
+}
+[ -n "$misses1" ] && [ "$misses2" = "$misses1" ] || {
+  echo "FAIL: plan.cache_misses went '$misses1' -> '$misses2', expected no change"
   exit 1
 }
 

@@ -131,7 +131,7 @@ let test_sandbox_classify () =
 (* ---------------- quarantine unit tests ---------------- *)
 
 let test_quarantine_unit () =
-  let q = Q.create ~capacity:2 () in
+  let q = Q.create () in
   let versions = [ ("m1", 1); ("m2", 1) ] in
   Alcotest.(check bool) "fresh add" true (Q.add q ~version:1 ~fp:"a" ~mv:"m1");
   Alcotest.(check bool) "duplicate not re-added" false
@@ -176,9 +176,12 @@ let test_quarantine_unit () =
   let vm = [ ("m", 5) ] in
   ignore (Q.add q ~version:5 ~fp:"x" ~mv:"m");
   ignore (Q.add q ~version:5 ~fp:"y" ~mv:"m");
+  for i = 3 to Q.capacity do
+    ignore (Q.add q ~version:5 ~fp:(string_of_int i) ~mv:"m")
+  done;
   ignore (Q.blocked q ~versions:vm ~fp:"x");
   ignore (Q.add q ~version:5 ~fp:"z" ~mv:"m");
-  Alcotest.(check int) "capacity bound" 2 (Q.length q);
+  Alcotest.(check int) "capacity bound" Q.capacity (Q.length q);
   Alcotest.(check bool) "LRU victim evicted" false
     (Q.is_blocked q ~versions:vm ~fp:"y" ~mv:"m");
   Alcotest.(check bool) "recently used survives" true
