@@ -27,6 +27,40 @@ let test_stable () =
   let c = F.canonical g in
   Alcotest.(check bool) "mentions base table" true (has c "(base fact")
 
+(* The template key: comparison literals in WHERE and HAVING are typed
+   slots, every other literal stays, and the exact key still differs. *)
+let test_template () =
+  let template sql = (F.keys (build sql)).F.template in
+  let same_t a b =
+    Alcotest.(check string) ("template: " ^ a ^ " == " ^ b) (template a) (template b);
+    Alcotest.(check bool) ("exact: " ^ a ^ " <> " ^ b) true (fp a <> fp b)
+  in
+  let diff_t a b =
+    Alcotest.(check bool) ("template: " ^ a ^ " <> " ^ b) true (template a <> template b)
+  in
+  same_t "SELECT k FROM fact WHERE v > 1" "SELECT k FROM fact WHERE v > 2";
+  same_t "SELECT k FROM fact WHERE v BETWEEN 1 AND 5" "SELECT k FROM fact WHERE v BETWEEN 3 AND 4";
+  same_t "SELECT k FROM fact WHERE v IN (1, 2)" "SELECT k FROM fact WHERE v IN (7, 3)";
+  same_t "SELECT k FROM fact WHERE grp = 'x' OR v = 1" "SELECT k FROM fact WHERE grp = 'y' OR v = 9";
+  same_t "SELECT k FROM fact WHERE k = 5 OR v = 1" "SELECT k FROM fact WHERE k = 1 OR v = 5";
+  same_t "SELECT k FROM fact WHERE NOT (v < 3)" "SELECT k FROM fact WHERE NOT (v < 4)";
+  same_t "SELECT grp, SUM(v) AS s FROM fact GROUP BY grp HAVING SUM(v) > 10"
+    "SELECT grp, SUM(v) AS s FROM fact GROUP BY grp HAVING SUM(v) > 20";
+  same_t "SELECT k FROM fact WHERE v + 1 > 3" "SELECT k FROM fact WHERE v + 1 > 4";
+  (* the slot carries the literal's type *)
+  diff_t "SELECT k FROM fact WHERE v > 1" "SELECT k FROM fact WHERE v > 1.5";
+  diff_t "SELECT k FROM fact WHERE v = 1" "SELECT k FROM fact WHERE v = NULL";
+  (* literals outside a comparison operand stay in the key *)
+  diff_t "SELECT k + 1 AS x FROM fact" "SELECT k + 2 AS x FROM fact";
+  diff_t "SELECT k FROM fact WHERE v + 1 > 3" "SELECT k FROM fact WHERE v + 2 > 3";
+  diff_t "SELECT k FROM fact WHERE k % 2 = 0" "SELECT k FROM fact WHERE k % 3 = 0";
+  diff_t "SELECT k FROM fact WHERE v IN (1, 2)" "SELECT k FROM fact WHERE v IN (1, 2, 3)";
+  diff_t "SELECT k FROM fact WHERE v > 1 LIMIT 5" "SELECT k FROM fact WHERE v > 1 LIMIT 6";
+  diff_t "SELECT k FROM fact WHERE v > 1" "SELECT k FROM fact WHERE v >= 1";
+  Alcotest.(check string) "exact key is of_graph"
+    (fp "SELECT k FROM fact WHERE v > 1")
+    (F.keys (build "SELECT k FROM fact WHERE v > 1")).F.exact
+
 let suite =
   [
     Alcotest.test_case "deterministic" `Quick test_stable;
@@ -58,4 +92,6 @@ let suite =
       (diff "SELECT k FROM fact ORDER BY k" "SELECT k FROM fact ORDER BY k DESC");
     Alcotest.test_case "limit matters" `Quick
       (diff "SELECT k FROM fact LIMIT 5" "SELECT k FROM fact LIMIT 6");
+    Alcotest.test_case "template key abstracts comparison literals" `Quick
+      test_template;
   ]
